@@ -59,7 +59,7 @@ def _load_profile(path: str) -> model.SplitProfile:
             doc = json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read --input {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, an integer past str()'s limit
         raise InputError(f"--input {path} is not valid JSON: {exc}") from exc
     try:
         return model.profile_from_dict(doc)

@@ -22,13 +22,10 @@ from typing import Iterator, Sequence
 
 from .model import Party, Side, parse_ratio, ratio_str
 from .protocol import (
-    Assignment,
-    CoinFlipCandidate,
     OutcomeKind,
-    Preference,
-    PreferenceTable,
     ProtocolRun,
-    classify_outcome,
+    preferences_from_totals,
+    resolve_from_totals,
     run_to_dict,
 )
 
@@ -438,43 +435,22 @@ def side_group_counts(
 @lru_cache(maxsize=8)
 def _geodelta_tables(delta: int):
     grid, splits = make_geodelta(delta)
-    groups = geodelta_groups(delta)
-    wholly_left, wholly_right = side_group_counts(groups, splits)
-    return grid, splits, groups, wholly_left, wholly_right
-
-
-def geodelta_side_wins(delta: int, k: int, side: Side, districter: Party) -> int:
-    """Districts A can carry on one side of split ``k`` in the banded grid.
-
-    Drawing the lines, A wins one district per support group lying wholly on
-    its side; when B draws them it splits every group, leaving A nothing.
-    B's wins are the side's district count minus this value.
-    """
-    _, splits, _, wholly_left, wholly_right = _geodelta_tables(delta)
-    if not 0 <= k <= splits.split_count:
-        raise ValueError(f"split index {k} out of range 0..{splits.split_count}")
-    if districter is Party.B:
-        return 0
-    return wholly_left[k] if side is Side.LEFT else wholly_right[k]
+    wholly_left, wholly_right = side_group_counts(geodelta_groups(delta), splits)
+    return grid, splits, wholly_left, wholly_right
 
 
 def geodelta_total_wins(delta: int, k: int, party: Party, side: Side) -> int:
     """Total wins for ``party`` when it districts ``side`` of split ``k`` and
     the opponent districts the rest."""
-    _, splits, _, wholly_left, wholly_right = _geodelta_tables(delta)
+    _, splits, wholly_left, wholly_right = _geodelta_tables(delta)
     if not 0 <= k <= splits.split_count:
         raise ValueError(f"split index {k} out of range 0..{splits.split_count}")
-    a_total = (
-        wholly_left[k]
-        if side is Side.LEFT
-        else wholly_right[k]
-    )
+    # A wins one district per support group wholly on the side it districts;
+    # B splits every group on its side, leaving A nothing there.
     if party is Party.A:
-        return a_total
-    # Opposite side for A, complemented over all districts.
-    a_other = wholly_right[k] if side is Side.LEFT else wholly_left[k]
-    districts = splits.split_count
-    return districts - a_other
+        return wholly_left[k] if side is Side.LEFT else wholly_right[k]
+    # B's total complements A's when A districts the opposite side.
+    return splits.split_count - (wholly_right[k] if side is Side.LEFT else wholly_left[k])
 
 
 def geodelta_winning_plan(delta: int) -> DistrictPlan:
@@ -518,62 +494,26 @@ def geodelta_report(delta: int, seed: int) -> GeodeltaReport:
     worst candidate sits delta/2 below A's geometric target.  Past delta 4
     that gap breaks the bound that holds without geometric constraints.
     """
-    grid, splits, groups, wholly_left, wholly_right = _geodelta_tables(delta)
-    districts = splits.split_count
-    pairs = []
-    for k in range(districts + 1):
-        a_left_total = wholly_left[k]
-        a_right_total = wholly_right[k]
-        pref_a = (
-            Preference.OPTION1
-            if a_left_total > a_right_total
-            else Preference.OPTION2
-            if a_left_total < a_right_total
-            else Preference.INDIFFERENT
+    grid, splits, wholly_left, wholly_right = _geodelta_tables(delta)
+    # A carries one district per group wholly on the side it districts and
+    # nothing on the side B districts, so its totals are the group counts.
+    prefs = preferences_from_totals(wholly_left, wholly_right)
+    run = resolve_from_totals(prefs, wholly_left, wholly_right, seed)
+    if run.outcome is not OutcomeKind.COIN_FLIP:
+        raise GridError(
+            f"expected a coin flip, protocol settled with {run.outcome.value}"
         )
-        b_right_total = districts - a_left_total
-        b_left_total = districts - a_right_total
-        pref_b = (
-            Preference.OPTION1
-            if b_right_total > b_left_total
-            else Preference.OPTION2
-            if b_right_total < b_left_total
-            else Preference.INDIFFERENT
-        )
-        pairs.append((pref_a, pref_b))
-    prefs = PreferenceTable(tuple(pairs))
-    kind, trigger = classify_outcome(prefs)
-    if kind is not OutcomeKind.COIN_FLIP:
-        raise GridError(f"expected a coin flip, protocol settled with {kind.value}")
-    candidates = []
-    for split in (trigger - 1, trigger):
-        for option in (Preference.OPTION1, Preference.OPTION2):
-            side = Side.LEFT if option is Preference.OPTION1 else Side.RIGHT
-            wins_a = geodelta_total_wins(delta, split, Party.A, side)
-            candidates.append(
-                CoinFlipCandidate(Assignment(split, option), wins_a, districts - wins_a)
-            )
-    chosen = candidates[seed % 4]
-    run = ProtocolRun(
-        outcome=OutcomeKind.COIN_FLIP,
-        trigger_k=trigger,
-        assignment=chosen.assignment,
-        wins_a=chosen.wins_a,
-        wins_b=chosen.wins_b,
-        candidates=tuple(candidates),
-        seed=seed,
-    )
     # Best case for A is one district per band; worst is none, so the target
     # is delta/2 under the constraints.
     target_a = Fraction(delta, 2)
-    worst_wins = min(c.wins_a for c in candidates)
+    worst_wins = min(c.wins_a for c in run.candidates)
     worst_gap = target_a - worst_wins
     bound = Fraction(2)
     return GeodeltaReport(
         delta=delta,
         m=grid.m,
         d=grid.d,
-        districts=districts,
+        districts=splits.split_count,
         total_support_a=GROUP_SUPPORT * delta,
         target_a=target_a,
         run=run,

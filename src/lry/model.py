@@ -8,10 +8,16 @@ ever rounds.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .strategy import WinTable
 
 
 class Party(Enum):
@@ -41,11 +47,20 @@ class ProfileError(ValueError):
         super().__init__(f"invalid profile: {detail}")
 
 
+# Bounds on ratio strings.  A decimal exponent makes Fraction build 10**exp,
+# so "1e-3000000" alone would cost megabytes and outgrow str(); within these
+# bounds every parsed value has at most 4000 digits.
+MAX_RATIO_LENGTH = 2000
+MAX_RATIO_EXPONENT = 2000
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\Z", re.IGNORECASE)
+
+
 def parse_ratio(value: str | int) -> Fraction:
     """Parse a decimal string ("1.9"), a fraction string ("19/10"), or an int.
 
     Floats are rejected: binary floats are inexact and would silently break
-    the exactness guarantee.
+    the exactness guarantee.  Strings longer than ``MAX_RATIO_LENGTH`` or with
+    a decimal exponent beyond ``MAX_RATIO_EXPONENT`` are rejected too.
     """
     if isinstance(value, bool):
         raise FormatError(f"not a ratio: {value!r}")
@@ -56,8 +71,18 @@ def parse_ratio(value: str | int) -> Fraction:
             f"floats are inexact; write {value!r} as a string like '0.38' or '19/50'"
         )
     if isinstance(value, str):
+        text = value.strip()
+        if len(text) > MAX_RATIO_LENGTH:
+            raise FormatError(
+                f"ratio string of {len(text)} characters exceeds {MAX_RATIO_LENGTH}"
+            )
+        exponent = ("e" in text or "E" in text) and _EXPONENT.search(text)
+        if exponent and abs(int(exponent.group(1))) > MAX_RATIO_EXPONENT:
+            raise FormatError(
+                f"decimal exponent outside -{MAX_RATIO_EXPONENT}..{MAX_RATIO_EXPONENT}"
+            )
         try:
-            return Fraction(value.strip())
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"not a valid ratio: {value!r}") from exc
     raise FormatError(f"cannot parse a ratio from {type(value).__name__}")
@@ -130,6 +155,28 @@ class SplitProfile:
             sums.append(sums[-1] + seg)
         return tuple(sums)
 
+    @cached_property
+    def scaled_prefix_a(self) -> tuple[int, tuple[int, ...]]:
+        """``(L, P)``: L is the lcm of the segment denominators and
+        ``P[k] = L * prefix_a[k]``, so every sum is an exact integer."""
+        # Unpacking a list, not a generator: CPython grows a generator's
+        # argument tuple by resizing, and every resized tuple it frees stays
+        # on a free list; over a sweep that adds megabytes of peak memory.
+        scale = math.lcm(*[seg.denominator for seg in self.segments_a])
+        sums = [0]
+        for seg in self.segments_a:
+            sums.append(sums[-1] + seg.numerator * (scale // seg.denominator))
+        return scale, tuple(sums)
+
+    @cached_property
+    def win_table(self) -> WinTable:
+        """Optimal-play win counts at every split, computed once; raises
+        ProfileError on an invalid profile."""
+        from .strategy import WinTable  # strategy imports this module
+
+        ensure_valid(self)
+        return WinTable.from_scaled(*self.scaled_prefix_a)
+
     @property
     def total_a(self) -> Fraction:
         return self.prefix_a[-1]
@@ -159,30 +206,31 @@ def _check(profile: SplitProfile):
         )
         return
     for k, seg in enumerate(profile.segments_a, start=1):
-        if not 0 <= seg <= 1:
+        if not 0 <= seg.numerator <= seg.denominator:
             yield Violation(
                 None, k, f"segment {k} support {ratio_str(seg)} outside [0, 1]"
             )
-    prefix = profile.prefix_a
+    scale, prefix = profile.scaled_prefix_a
     total = prefix[-1]
     # Cumulative sums may never be integer multiples of 1/2; only the empty
-    # sides (left of split 0, right of split n) are exempt.
+    # sides (left of split 0, right of split n) are exempt.  A sum P/L is one
+    # exactly when L divides 2P.
     for k in range(1, profile.n + 1):
-        if is_half_integer(prefix[k]):
+        if 2 * prefix[k] % scale == 0:
+            value = ratio_str(Fraction(prefix[k], scale))
             yield Violation(
                 Side.LEFT,
                 k,
-                f"support left of split {k} is {ratio_str(prefix[k])},"
-                " an integer multiple of 1/2",
+                f"support left of split {k} is {value}, an integer multiple of 1/2",
             )
     for k in range(profile.n):
         suffix = total - prefix[k]
-        if is_half_integer(suffix):
+        if 2 * suffix % scale == 0:
+            value = ratio_str(Fraction(suffix, scale))
             yield Violation(
                 Side.RIGHT,
                 k,
-                f"support right of split {k} is {ratio_str(suffix)},"
-                " an integer multiple of 1/2",
+                f"support right of split {k} is {value}, an integer multiple of 1/2",
             )
 
 
@@ -202,7 +250,8 @@ def _check_split_index(profile: SplitProfile, k: int) -> None:
 
 
 def side_support(profile: SplitProfile, party: Party, side: SideRef) -> Fraction:
-    """Total support for ``party`` on one side of the k-split."""
+    """Total support for ``party`` on one side of the k-split, as an exact
+    Fraction: the input of the reference closed forms in ``strategy``."""
     _check_split_index(profile, side.k)
     a_left = profile.prefix_a[side.k]
     if side.side is Side.LEFT:

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from . import strategy, targets
 from .model import (
@@ -33,7 +33,6 @@ from .model import (
     profile_to_dict,
     ratio_str,
     right,
-    segment_support,
 )
 
 
@@ -116,53 +115,39 @@ class ProtocolRun:
         return None
 
 
-def _prefer(mine_here: int, mine_there: int) -> Preference:
-    if mine_here > mine_there:
-        return Preference.OPTION1
-    if mine_here < mine_there:
-        return Preference.OPTION2
-    return Preference.INDIFFERENT
+# (A, B) preference pairs.  Option 1 hands A the left side and B the right.
+_A_LEFT = (Preference.OPTION1, Preference.OPTION2)
+_A_RIGHT = (Preference.OPTION2, Preference.OPTION1)
+_NEITHER = (Preference.INDIFFERENT, Preference.INDIFFERENT)
 
 
-def _preferences_from_totals(
-    a_left: list[int], a_right: list[int], b_left: list[int], b_right: list[int]
+def preferences_from_totals(
+    a_left: Sequence[int], a_right: Sequence[int]
 ) -> PreferenceTable:
+    """Both parties' preferences per split from A's total wins when it
+    districts the left side (``a_left[k]``) or the right side (``a_right[k]``).
+
+    Every district goes to one party, so B's totals are the complements of
+    A's and B always prefers the opposite of A.
+    """
     n = len(a_left) - 1
     pairs = []
     for k in range(n + 1):
-        if k == 0:
-            # Both parties would rather district the side that is the whole
-            # state; fixing this keeps the preference sequence anchored even
-            # when the win counts tie.
-            pairs.append((Preference.OPTION2, Preference.OPTION1))
-        elif k == n:
-            pairs.append((Preference.OPTION1, Preference.OPTION2))
+        # Both parties would rather district the side that is the whole
+        # state, so k = 0 and k = n are fixed even when the win counts tie.
+        if k == 0 or (k < n and a_left[k] < a_right[k]):
+            pairs.append(_A_RIGHT)
+        elif k == n or a_left[k] > a_right[k]:
+            pairs.append(_A_LEFT)
         else:
-            pref_a = _prefer(a_left[k], a_right[k])
-            # Option 1 hands B the right side, so B compares in that order.
-            pref_b = (
-                Preference.OPTION1
-                if b_right[k] > b_left[k]
-                else Preference.OPTION2
-                if b_right[k] < b_left[k]
-                else Preference.INDIFFERENT
-            )
-            pairs.append((pref_a, pref_b))
+            pairs.append(_NEITHER)
     return PreferenceTable(tuple(pairs))
-
-
-def _total_win_table(profile: SplitProfile, party: Party) -> tuple[list[int], list[int]]:
-    lefts = [strategy.total_wins(profile, party, left(k)) for k in range(profile.n + 1)]
-    rights = [strategy.total_wins(profile, party, right(k)) for k in range(profile.n + 1)]
-    return lefts, rights
 
 
 def optimal_preferences(profile: SplitProfile) -> PreferenceTable:
     """Each party's preference per split when both maximize districts won."""
-    ensure_valid(profile)
-    a_left, a_right = _total_win_table(profile, Party.A)
-    b_left, b_right = _total_win_table(profile, Party.B)
-    return _preferences_from_totals(a_left, a_right, b_left, b_right)
+    wins = profile.win_table.a
+    return preferences_from_totals(wins.left_total, wins.right_total)
 
 
 def classify_outcome(prefs: PreferenceTable) -> tuple[OutcomeKind, int]:
@@ -198,60 +183,75 @@ def assignment_wins(profile: SplitProfile, assignment: Assignment) -> tuple[int,
     return wins_a, profile.n - wins_a
 
 
+def _candidates(
+    k: int, a_left: Sequence[int], a_right: Sequence[int]
+) -> tuple[CoinFlipCandidate, ...]:
+    n = len(a_left) - 1
+    candidates = [
+        CoinFlipCandidate(Assignment(split, option), wins_a, n - wins_a)
+        for split in (k - 1, k)
+        for option, wins_a in (
+            (Preference.OPTION1, a_left[split]),
+            (Preference.OPTION2, a_right[split]),
+        )
+    ]
+    return tuple(candidates)
+
+
 def coinflip_options(
     profile: SplitProfile, k: int
 ) -> tuple[CoinFlipCandidate, ...]:
     """The four coin-flip candidates for a crossing at (k-1, k), in canonical
     order: option 1 then 2 of the (k-1)-split, then option 1 then 2 of the
     k-split."""
-    ensure_valid(profile)
+    wins = profile.win_table.a
     if not 1 <= k <= profile.n:
         raise ValueError(f"split index {k} out of range 1..{profile.n}")
-    candidates = []
-    for split in (k - 1, k):
-        for option in (Preference.OPTION1, Preference.OPTION2):
-            assignment = Assignment(split, option)
-            wins_a, wins_b = assignment_wins(profile, assignment)
-            candidates.append(CoinFlipCandidate(assignment, wins_a, wins_b))
-    return tuple(candidates)
+    return _candidates(k, wins.left_total, wins.right_total)
 
 
 def resolve_protocol(
     profile: SplitProfile, prefs: PreferenceTable, seed: int
 ) -> ProtocolRun:
-    """Run the outcome rules and settle any randomness from ``seed``.
+    """Run the outcome rules on a profile under optimal play; see
+    ``resolve_from_totals``."""
+    wins = profile.win_table.a
+    if len(prefs) != profile.n + 1:
+        raise ProtocolError(
+            f"preference table covers 0..{prefs.n} but profile has n={profile.n}"
+        )
+    return resolve_from_totals(prefs, wins.left_total, wins.right_total, seed)
+
+
+def resolve_from_totals(
+    prefs: PreferenceTable, a_left: Sequence[int], a_right: Sequence[int], seed: int
+) -> ProtocolRun:
+    """Run the outcome rules and settle any randomness from ``seed``, given
+    A's total wins per split when it districts the left or the right side.
 
     Outcome 3 picks option 1 on even seeds and option 2 on odd seeds;
     outcome 4 picks candidate index ``seed % 4`` in canonical order.  The
     recorded seed is None when no randomness was consumed.
     """
-    ensure_valid(profile)
-    if len(prefs) != profile.n + 1:
-        raise ProtocolError(
-            f"preference table covers 0..{prefs.n} but profile has n={profile.n}"
-        )
+    n = len(a_left) - 1
     kind, k = classify_outcome(prefs)
+    if kind is OutcomeKind.COIN_FLIP:
+        candidates = _candidates(k, a_left, a_right)
+        chosen = candidates[seed % 4]
+        return ProtocolRun(
+            kind, k, chosen.assignment, chosen.wins_a, chosen.wins_b, candidates, seed
+        )
+    pa, pb = prefs[k]
+    used_seed = None
     if kind is OutcomeKind.AGREEMENT:
-        option = prefs[k][0]
-        assignment = Assignment(k, option)
-        wins_a, wins_b = assignment_wins(profile, assignment)
-        return ProtocolRun(kind, k, assignment, wins_a, wins_b, None, None)
-    if kind is OutcomeKind.DEFERRED:
-        pa, pb = prefs[k]
+        option = pa
+    elif kind is OutcomeKind.DEFERRED:
         option = pb if pa is Preference.INDIFFERENT else pa
-        assignment = Assignment(k, option)
-        wins_a, wins_b = assignment_wins(profile, assignment)
-        return ProtocolRun(kind, k, assignment, wins_a, wins_b, None, None)
-    if kind is OutcomeKind.BOTH_INDIFFERENT:
+    else:
         option = Preference.OPTION1 if seed % 2 == 0 else Preference.OPTION2
-        assignment = Assignment(k, option)
-        wins_a, wins_b = assignment_wins(profile, assignment)
-        return ProtocolRun(kind, k, assignment, wins_a, wins_b, None, seed)
-    candidates = coinflip_options(profile, k)
-    chosen = candidates[seed % 4]
-    return ProtocolRun(
-        kind, k, chosen.assignment, chosen.wins_a, chosen.wins_b, candidates, seed
-    )
+        used_seed = seed
+    wins_a = a_left[k] if option is Preference.OPTION1 else a_right[k]
+    return ProtocolRun(kind, k, Assignment(k, option), wins_a, n - wins_a, None, used_seed)
 
 
 # --- fairness ---------------------------------------------------------------
@@ -394,10 +394,14 @@ class SweepReport:
 
 
 class _Recorder:
-    """Collects failed checks and counts every check performed."""
+    """Collects failed checks and counts every check performed.
+
+    Detail texts, and the profile document a violation carries, are built
+    only for checks that fail.
+    """
 
     def __init__(self, profile: SplitProfile | None):
-        self.profile_doc = profile_to_dict(profile) if profile is not None else None
+        self.profile = profile
         self.checks = 0
         self.violations: list[SweepViolation] = []
 
@@ -405,7 +409,8 @@ class _Recorder:
         self.checks += 1
         if not ok:
             text = detail() if callable(detail) else detail
-            self.violations.append(SweepViolation(prop, text, self.profile_doc))
+            doc = profile_to_dict(self.profile) if self.profile is not None else None
+            self.violations.append(SweepViolation(prop, text, doc))
 
 
 def check_floor_ceiling_bounds(r: Fraction, s: Fraction, rec: _Recorder) -> None:
@@ -421,7 +426,7 @@ def check_floor_ceiling_bounds(r: Fraction, s: Fraction, rec: _Recorder) -> None
         rec.expect(
             abs(diff) <= 1,
             f"floor_ceiling_sum.{name}",
-            f"r={ratio_str(r)} s={ratio_str(s)} diff={diff}",
+            lambda: f"r={ratio_str(r)} s={ratio_str(s)} diff={diff}",
         )
 
 
@@ -431,7 +436,7 @@ def check_win_identity(x: Fraction, y: Fraction, size: int, rec: _Recorder) -> N
     rec.expect(
         total == size,
         "win_identity",
-        f"x={ratio_str(x)} y={ratio_str(y)} size={size} got {total}",
+        lambda: f"x={ratio_str(x)} y={ratio_str(y)} size={size} got {total}",
     )
 
 
@@ -442,132 +447,124 @@ def check_profile(
 
     Returns (checks performed, violations, outcome kind under optimal play).
     """
-    ensure_valid(profile)
+    table = profile.win_table
     rec = _Recorder(profile)
     n = profile.n
-    half = Fraction(1, 2)
-
-    a_left_d = [strategy.wins_when_districting(profile, Party.A, left(k)) for k in range(n + 1)]
-    a_right_d = [strategy.wins_when_districting(profile, Party.A, right(k)) for k in range(n + 1)]
-    a_left_o = [strategy.wins_when_opponent_districts(profile, Party.A, left(k)) for k in range(n + 1)]
-    a_right_o = [strategy.wins_when_opponent_districts(profile, Party.A, right(k)) for k in range(n + 1)]
-    b_left_d = [strategy.wins_when_districting(profile, Party.B, left(k)) for k in range(n + 1)]
-    b_right_d = [strategy.wins_when_districting(profile, Party.B, right(k)) for k in range(n + 1)]
-    b_left_o = [strategy.wins_when_opponent_districts(profile, Party.B, left(k)) for k in range(n + 1)]
-    b_right_o = [strategy.wins_when_opponent_districts(profile, Party.B, right(k)) for k in range(n + 1)]
-
-    a_left = [a_left_d[k] + a_right_o[k] for k in range(n + 1)]
-    a_right = [a_right_d[k] + a_left_o[k] for k in range(n + 1)]
-    b_left = [b_left_d[k] + b_right_o[k] for k in range(n + 1)]
-    b_right = [b_right_d[k] + b_left_o[k] for k in range(n + 1)]
-
-    tables = {
-        Party.A: (a_left_d, a_right_d, a_left_o, a_right_o, a_left, a_right),
-        Party.B: (b_left_d, b_right_d, b_left_o, b_right_o, b_left, b_right),
-    }
+    a, b = table.a, table.b
+    parties = ((Party.A, a), (Party.B, b))
 
     for k in range(n + 1):
         # Districter plus shut-out opponent account for every district on a side.
         rec.expect(
-            a_left_d[k] + b_left_o[k] == k,
+            a.left_districting[k] + b.left_opposed[k] == k,
             "win_identity",
-            f"k={k} left: {a_left_d[k]}+{b_left_o[k]} != {k}",
+            lambda: f"k={k} left: {a.left_districting[k]}+{b.left_opposed[k]} != {k}",
         )
         rec.expect(
-            b_right_d[k] + a_right_o[k] == n - k,
+            b.right_districting[k] + a.right_opposed[k] == n - k,
             "win_identity",
-            f"k={k} right: {b_right_d[k]}+{a_right_o[k]} != {n - k}",
+            lambda: f"k={k} right: {b.right_districting[k]}+{a.right_opposed[k]}"
+            f" != {n - k}",
         )
         rec.expect(
-            a_left[k] + b_right[k] == n,
+            a.left_total[k] + b.right_total[k] == n,
             "conservation",
-            f"k={k}: A(L)={a_left[k]} B(R)={b_right[k]}",
+            lambda: f"k={k}: A(L)={a.left_total[k]} B(R)={b.right_total[k]}",
         )
         rec.expect(
-            a_right[k] + b_left[k] == n,
+            a.right_total[k] + b.left_total[k] == n,
             "conservation",
-            f"k={k}: A(R)={a_right[k]} B(L)={b_left[k]}",
+            lambda: f"k={k}: A(R)={a.right_total[k]} B(L)={b.left_total[k]}",
         )
 
-    for party, (ld, rd, lo, ro, ltot, rtot) in tables.items():
+    # Sign of A's support in each segment minus 1/2; B's is the opposite.
+    a_lean = [2 * seg.numerator - seg.denominator for seg in profile.segments_a]
+    for (party, wins), sign in zip(parties, (1, -1)):
+        ld, ro = wins.left_districting, wins.right_opposed
+        ltot, rtot = wins.left_total, wins.right_total
         for k in range(1, n + 1):
-            seg = segment_support(profile, party, k)
+            lean = sign * a_lean[k - 1]
             d_step = ld[k] - ld[k - 1]
             o_step = ro[k] - ro[k - 1]
-            if seg < half:
+            if lean < 0:
                 rec.expect(
                     0 <= d_step <= 1,
                     "minority_segment_districting_step",
-                    f"{party.value} k={k} step={d_step}",
+                    lambda: f"{party.value} k={k} step={d_step}",
                 )
                 rec.expect(
                     0 <= o_step <= 1,
                     "minority_segment_opponent_step",
-                    f"{party.value} k={k} step={o_step}",
+                    lambda: f"{party.value} k={k} step={o_step}",
                 )
-            elif seg > half:
+            elif lean > 0:
                 rec.expect(
                     1 <= d_step <= 2,
                     "majority_segment_districting_step",
-                    f"{party.value} k={k} step={d_step}",
+                    lambda: f"{party.value} k={k} step={d_step}",
                 )
                 rec.expect(
                     -1 <= o_step <= 0,
                     "majority_segment_opponent_step",
-                    f"{party.value} k={k} step={o_step}",
+                    lambda: f"{party.value} k={k} step={o_step}",
                 )
             # Segments of exactly 1/2 carry no step bound.
             rec.expect(
                 ltot[k - 1] <= ltot[k] <= ltot[k - 1] + 2,
                 "left_total_step",
-                f"{party.value} k={k}: {ltot[k - 1]} -> {ltot[k]}",
+                lambda: f"{party.value} k={k}: {ltot[k - 1]} -> {ltot[k]}",
             )
             rec.expect(
                 rtot[k] <= rtot[k - 1] <= rtot[k] + 2,
                 "right_total_step",
-                f"{party.value} k={k}: {rtot[k - 1]} -> {rtot[k]}",
+                lambda: f"{party.value} k={k}: {rtot[k - 1]} -> {rtot[k]}",
             )
             rec.expect(
                 not (ltot[k - 1] > rtot[k - 1] and ltot[k] < rtot[k]),
                 "crossing_direction",
-                f"{party.value} k={k}: left-preferring then right-preferring",
+                lambda: f"{party.value} k={k}: left-preferring then right-preferring",
             )
 
     geo = {p: targets.geometric_target(profile, p) for p in Party}
-    for party, (ld, rd, lo, ro, ltot, rtot) in tables.items():
+    # Twice each target as an exact ratio num/den, so that the bounds below
+    # compare integers.
+    twice_geo = {p: (2 * g).as_integer_ratio() for p, g in geo.items()}
+    for party, wins in parties:
+        ltot, rtot = wins.left_total, wins.right_total
+        g_num, g_den = twice_geo[party]
         rec.expect(
-            2 * geo[party] == ltot[n] + ltot[0],
+            g_num == (ltot[n] + ltot[0]) * g_den,
             "target_average_identity",
-            f"{party.value}: geo={ratio_str(geo[party])}"
+            lambda: f"{party.value}: geo={ratio_str(geo[party])}"
             f" best={ltot[n]} worst={ltot[0]}",
         )
         for k in range(n + 1):
             doubled_split_target = ltot[k] + rtot[k]
             rec.expect(
-                abs(2 * geo[party] - doubled_split_target) <= 1,
+                abs(g_num - doubled_split_target * g_den) <= g_den,
                 "target_vs_split_target",
-                f"{party.value} k={k}: geo={ratio_str(geo[party])}"
+                lambda: f"{party.value} k={k}: geo={ratio_str(geo[party])}"
                 f" split target={ratio_str(Fraction(doubled_split_target, 2))}",
             )
             rec.expect(
                 2 * max(ltot[k], rtot[k]) >= doubled_split_target,
                 "good_choice",
-                f"{party.value} k={k}",
+                lambda: f"{party.value} k={k}",
             )
     for k in range(n + 1):
         rec.expect(
-            (a_left[k] + a_right[k]) + (b_left[k] + b_right[k]) == 2 * n,
+            (a.left_total[k] + a.right_total[k]) + (b.left_total[k] + b.right_total[k])
+            == 2 * n,
             "split_target_sum",
-            f"k={k}",
+            lambda: f"k={k}",
         )
     for k, party in ((0, Party.A), (n // 2, Party.B), (n, Party.A)):
-        ltot = tables[party][4]
-        rtot = tables[party][5]
+        wins = table.party(party)
         rec.expect(
             targets.k_split_target(profile, party, k)
-            == Fraction(ltot[k] + rtot[k], 2),
+            == Fraction(wins.left_total[k] + wins.right_total[k], 2),
             "split_target_definition",
-            f"{party.value} k={k}",
+            lambda: f"{party.value} k={k}",
         )
     rec.expect(
         k_targets_are_half_integers(profile, geo),
@@ -581,7 +578,7 @@ def check_profile(
         rec.expect(
             not (pa is pb and pa is not Preference.INDIFFERENT),
             "shared_model_opposition",
-            f"k={k}: both prefer {pa.value}",
+            lambda: f"k={k}: both prefer {pa.value}",
         )
     try:
         kind, trigger = classify_outcome(prefs)
@@ -590,30 +587,33 @@ def check_profile(
         return rec.checks, rec.violations, None
 
     if kind is OutcomeKind.COIN_FLIP:
-        for party, (_, _, _, _, ltot, rtot) in tables.items():
+        for party, wins in parties:
+            ltot, rtot = wins.left_total, wins.right_total
+            g_num, g_den = twice_geo[party]
             rec.expect(
                 rtot[trigger - 1] - ltot[trigger - 1] <= 3,
                 "coinflip_gap_at_most_3",
-                f"{party.value} at k={trigger - 1}:"
+                lambda: f"{party.value} at k={trigger - 1}:"
                 f" {rtot[trigger - 1]} - {ltot[trigger - 1]}",
             )
             rec.expect(
                 ltot[trigger] - rtot[trigger] <= 3,
                 "coinflip_gap_at_most_3",
-                f"{party.value} at k={trigger}: {ltot[trigger]} - {rtot[trigger]}",
+                lambda: f"{party.value} at k={trigger}:"
+                f" {ltot[trigger]} - {rtot[trigger]}",
             )
             for i in (trigger - 1, trigger):
                 doubled_split_target = ltot[i] + rtot[i]
-                for wins in (ltot[i], rtot[i]):
+                for wins_i in (ltot[i], rtot[i]):
                     rec.expect(
-                        abs(doubled_split_target - 2 * wins) <= 3,
+                        abs(doubled_split_target - 2 * wins_i) <= 3,
                         "coinflip_split_target_bound",
-                        f"{party.value} i={i} wins={wins}",
+                        lambda: f"{party.value} i={i} wins={wins_i}",
                     )
                     rec.expect(
-                        abs(2 * geo[party] - 2 * wins) <= 4,
+                        abs(g_num - 2 * wins_i * g_den) <= 4 * g_den,
                         "coinflip_target_bound",
-                        f"{party.value} i={i} wins={wins}",
+                        lambda: f"{party.value} i={i} wins={wins_i}",
                     )
         candidates = coinflip_options(profile, trigger)
         order_ok = tuple(
@@ -624,12 +624,13 @@ def check_profile(
             (trigger, Preference.OPTION1),
             (trigger, Preference.OPTION2),
         )
-        rec.expect(order_ok, "coinflip_candidate_order", f"trigger={trigger}")
+        rec.expect(order_ok, "coinflip_candidate_order", lambda: f"trigger={trigger}")
         for cand in candidates:
             rec.expect(
                 cand.wins_a + cand.wins_b == n,
                 "conservation",
-                f"candidate k={cand.assignment.k} {cand.assignment.option.value}",
+                lambda: f"candidate k={cand.assignment.k}"
+                f" {cand.assignment.option.value}",
             )
     else:
         # A satisfied party (preference honored, or indifferent between equal
@@ -644,17 +645,19 @@ def check_profile(
                 rec.expect(
                     stats.split_target_delta == 0,
                     "indifference_is_exact",
-                    f"{party.value}: indifferent but wins differ from split target",
+                    lambda: f"{party.value}: indifferent but wins differ from"
+                    " split target",
                 )
             rec.expect(
                 stats.split_target_delta <= 0,
                 "good_choice_realized",
-                f"{party.value}: wins below split target in outcome {kind.value}",
+                lambda: f"{party.value}: wins below split target in outcome"
+                f" {kind.value}",
             )
             rec.expect(
                 stats.target_delta <= Fraction(1, 2),
                 "settled_outcome_target_gap",
-                f"{party.value}: gap {ratio_str(stats.target_delta)}",
+                lambda: f"{party.value}: gap {ratio_str(stats.target_delta)}",
             )
 
     return rec.checks, rec.violations, kind

@@ -1,18 +1,26 @@
 """Optimal-play win counts on either side of a split.
 
 The closed forms assume districting is unconstrained: the party drawing the
-lines may spread its support however it likes.  A small exhaustive allocation
-search over discretized support doubles as an independent check of the
-closed forms on tiny sides.
+lines may spread its support however it likes.  ``optimal_wins`` and
+``opponent_wins`` state them in exact ``Fraction``s; they are the reference
+that the ``oracle`` command and the tests check everything else against.
+
+Production code reads win counts from a ``WinTable``: the same closed forms in
+integer arithmetic, evaluated once per profile at every split and cached on
+the profile as ``SplitProfile.win_table``.  ``wins_when_districting``,
+``wins_when_opponent_districts`` and ``total_wins`` are reads of that table.
+
+A small exhaustive allocation search over discretized support doubles as an
+independent check of the closed forms on tiny sides.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple, Sequence
 
-from .model import Party, SideRef, SplitProfile, ensure_valid, side_support
+from .model import Party, Side, SideRef, SplitProfile, _check_split_index
 
 
 def optimal_wins(support: Fraction, districts: int) -> int:
@@ -29,27 +37,82 @@ def opponent_wins(support: Fraction, opponent_support: Fraction) -> int:
     return max(math.ceil(support - opponent_support), 0)
 
 
+class PartyWins(NamedTuple):
+    """One party's optimal-play win counts, indexed by split k = 0..n."""
+
+    left_districting: tuple[int, ...]  # it draws the lines left of split k
+    right_districting: tuple[int, ...]
+    left_opposed: tuple[int, ...]  # its opponent draws them
+    right_opposed: tuple[int, ...]
+    left_total: tuple[int, ...]  # it districts the left, the opponent the right
+    right_total: tuple[int, ...]
+
+    @classmethod
+    def from_scaled(cls, scale: int, left_support: Sequence[int]) -> "PartyWins":
+        """Win counts from the party's support left of each split, scaled by
+        ``scale``: ``optimal_wins`` and ``opponent_wins`` with every value
+        multiplied by ``scale``, so floor(2x) is ``2X // scale``."""
+        n = len(left_support) - 1
+        total = left_support[n]
+        ld, rd, lo, ro = [], [], [], []
+        for k, x in enumerate(left_support):
+            y = total - x
+            ld.append(min(2 * x // scale, k))
+            rd.append(min(2 * y // scale, n - k))
+            # ceil(x - (k - x)), as a negated floor division
+            lo.append(max(-((k * scale - 2 * x) // scale), 0))
+            ro.append(max(-(((n - k) * scale - 2 * y) // scale), 0))
+        lt = [d + o for d, o in zip(ld, ro)]
+        rt = [d + o for d, o in zip(rd, lo)]
+        return cls(tuple(ld), tuple(rd), tuple(lo), tuple(ro), tuple(lt), tuple(rt))
+
+
+class WinTable(NamedTuple):
+    """Both parties' optimal-play win counts at every split of one profile."""
+
+    a: PartyWins
+    b: PartyWins
+
+    @classmethod
+    def from_scaled(cls, scale: int, prefix_a: tuple[int, ...]) -> "WinTable":
+        """The table of a profile whose A-support left of split k is
+        ``prefix_a[k] / scale``.  B's counts come from B's own support,
+        ``k - prefix_a[k] / scale``, not from A's counts."""
+        return cls(
+            PartyWins.from_scaled(scale, prefix_a),
+            PartyWins.from_scaled(scale, [k * scale - x for k, x in enumerate(prefix_a)]),
+        )
+
+    def party(self, party: Party) -> PartyWins:
+        return self.a if party is Party.A else self.b
+
+
+def _party_wins(profile: SplitProfile, party: Party, side: SideRef) -> PartyWins:
+    wins = profile.win_table.party(party)
+    _check_split_index(profile, side.k)
+    return wins
+
+
 def wins_when_districting(profile: SplitProfile, party: Party, side: SideRef) -> int:
-    ensure_valid(profile)
-    x = side_support(profile, party, side)
-    return optimal_wins(x, side.district_count(profile.n))
+    wins = _party_wins(profile, party, side)
+    counts = wins.left_districting if side.side is Side.LEFT else wins.right_districting
+    return counts[side.k]
 
 
 def wins_when_opponent_districts(
     profile: SplitProfile, party: Party, side: SideRef
 ) -> int:
-    ensure_valid(profile)
-    mine = side_support(profile, party, side)
-    theirs = side_support(profile, party.opponent, side)
-    return opponent_wins(mine, theirs)
+    wins = _party_wins(profile, party, side)
+    counts = wins.left_opposed if side.side is Side.LEFT else wins.right_opposed
+    return counts[side.k]
 
 
 def total_wins(profile: SplitProfile, party: Party, side: SideRef) -> int:
     """Wins for ``party`` when it districts ``side`` and the opponent
     districts the rest of the state."""
-    return wins_when_districting(profile, party, side) + wins_when_opponent_districts(
-        profile, party, side.opposite()
-    )
+    wins = _party_wins(profile, party, side)
+    counts = wins.left_total if side.side is Side.LEFT else wins.right_total
+    return counts[side.k]
 
 
 # --- exhaustive allocation oracle -----------------------------------------

@@ -9,7 +9,6 @@ checks stay exact.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .model import Party, SplitProfile, ensure_valid, left, right
@@ -18,13 +17,16 @@ from .strategy import total_wins
 
 def geometric_target(profile: SplitProfile, party: Party) -> Fraction:
     ensure_valid(profile)
-    doubled = 2 * (profile.total_a if party is Party.A else profile.total_b)
-    if doubled == profile.n:
+    scale, prefix_a = profile.scaled_prefix_a
+    whole = profile.n * scale  # every value below is scaled by L as well
+    support = prefix_a[-1] if party is Party.A else whole - prefix_a[-1]
+    doubled = 2 * support
+    if doubled == whole:
         # Unreachable on a valid profile; the convention bans exact ties.
         raise ValueError("geometric target undefined at an exact statewide tie")
-    if doubled > profile.n:
-        return Fraction(math.ceil(doubled), 2)
-    return Fraction(math.floor(doubled), 2)
+    if doubled > whole:
+        return Fraction(-(-doubled // scale), 2)
+    return Fraction(doubled // scale, 2)
 
 
 def k_split_target(profile: SplitProfile, party: Party, k: int) -> Fraction:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -81,6 +82,45 @@ def test_simulate_schema_error_names_field(tmp_path, capsys):
     assert "segments_a[2]" in capsys.readouterr().err
 
 
+def test_simulate_hostile_exponent_exits_two(tmp_path, capsys):
+    # 1e-3000000 would make Fraction build 10**3000000 and outgrow str()
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps({"n": 2, "segments_a": ["1e-3000000", "0.3"]}))
+    code, text = run_cli("simulate", "--input", str(path))
+    assert code == 2
+    assert text == ""
+    assert "segments_a[1]" in capsys.readouterr().err
+
+
+def test_simulate_overlong_ratio_exits_two(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"n": 2, "segments_a": ["0.3", "1/" + "7" * 3000]}))
+    code, _ = run_cli("simulate", "--input", str(path))
+    assert code == 2
+    assert "segments_a[2]" in capsys.readouterr().err
+
+
+def test_simulate_oversized_json_integer_exits_two(tmp_path, capsys):
+    path = tmp_path / "bigint.json"
+    path.write_text('{"n": 2, "segments_a": [' + "1" * 5000 + ', "0.3"]}')
+    code, _ = run_cli("simulate", "--input", str(path))
+    assert code == 2
+    assert "--input" in capsys.readouterr().err
+
+
+def test_simulate_accepts_thousand_digit_denominators(tmp_path):
+    den = 10**999 + 1  # odd, so no cumulative sum is a half-integer
+    segments = [f"{den // 3}/{den}", f"{den // 5}/{den}", f"{den // 7}/{den}"]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"n": 3, "segments_a": segments}))
+    code, text = run_cli("simulate", "--input", str(path))
+    assert code == 0
+    echoed = json.loads(text)["profile"]["segments_a"]
+    assert [model.parse_ratio(v) for v in echoed] == [
+        model.parse_ratio(v) for v in segments
+    ]
+
+
 def test_bad_seed_exits_two(capsys):
     code, _ = run_cli("example-2gap", "--seed", "-1")
     assert code == 2
@@ -99,6 +139,24 @@ def test_verify_small_run():
     assert doc["instances"] == 30
     assert doc["violations"] == []
     assert doc["nMax"] == 6
+
+
+# SHA-256 of the stdout of `verify --count 200 --n-max 20 --seed 1`, recorded
+# before the win counts moved to the integer win table.  They pin the report
+# byte for byte, the `checks` count and the outcome histogram included.
+VERIFY_GOLDEN = {
+    "json": "87765a4380364a47ed77b837118b0bfb8004459cd618d7a1b6ba02bb8ecfb914",
+    "csv": "8afc55b7a601e08898d8c1210e1574138e4794d664b5db9f1b306be715edbc7e",
+}
+
+
+def test_verify_output_is_golden():
+    for fmt, digest in VERIFY_GOLDEN.items():
+        code, text = run_cli(
+            "verify", "--count", "200", "--n-max", "20", "--seed", "1", "--format", fmt
+        )
+        assert code == 0
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, fmt
 
 
 def test_verify_rejects_bad_count(capsys):

@@ -205,22 +205,26 @@ class TestGeodeltaConstruction:
 
 
 class TestGeodeltaSideWins:
+    # A wins one district per group wholly on the side it districts and
+    # nothing where B districts, so A's totals count whole groups per side.
     def test_right_side_keeps_untouched_groups(self):
-        assert grid.geodelta_side_wins(3, 1, Side.RIGHT, Party.A) == 2
+        assert grid.geodelta_total_wins(3, 1, Party.A, Side.RIGHT) == 2
 
     def test_severed_left_side_wins_nothing(self):
-        assert grid.geodelta_side_wins(3, 1, Side.LEFT, Party.A) == 0
+        assert grid.geodelta_total_wins(3, 1, Party.A, Side.LEFT) == 0
 
     def test_single_band_block(self):
-        assert grid.geodelta_side_wins(1, 1, Side.LEFT, Party.A) == 1
+        assert grid.geodelta_total_wins(1, 1, Party.A, Side.LEFT) == 1
 
     def test_opponent_districting_denies_everything(self):
+        # B districting the left leaves A only a group wholly on the right,
+        # which exists at k = 0 alone; B carries every other district.
         for k in range(5):
-            assert grid.geodelta_side_wins(1, k, Side.LEFT, Party.B) == 0
+            assert grid.geodelta_total_wins(1, k, Party.B, Side.LEFT) == (3 if k == 0 else 4)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            grid.geodelta_side_wins(1, 5, Side.LEFT, Party.A)
+            grid.geodelta_total_wins(1, 5, Party.A, Side.LEFT)
 
     def test_totals_for_two_bands(self):
         # A's total wins: 0 on L1, 1 on R1, 1 on L2, 0 on R2

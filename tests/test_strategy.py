@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lry import model, strategy
-from lry.model import Party, SplitProfile, left, right
+from lry.model import Party, Side, SplitProfile, Violation, left, right
 from lry.protocol import mix_seed, random_profile
 
 
@@ -114,6 +114,92 @@ def test_step_bounds_on_random_profiles(seed):
             r_new = strategy.total_wins(profile, party, right(k))
             r_old = strategy.total_wins(profile, party, right(k - 1))
             assert r_new <= r_old <= r_new + 2
+
+
+# Large primes: denominators drawn from them without repeats are pairwise
+# coprime, so the table's scale L is their product, up to about 500 digits.
+LARGE_PRIMES = (
+    2**31 - 1, 2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1,
+    10**9 + 7, 10**9 + 9, 998244353,
+)
+
+
+@st.composite
+def coprime_profiles(draw):
+    dens = draw(st.permutations(LARGE_PRIMES))[: draw(st.integers(1, len(LARGE_PRIMES)))]
+    # Numerators strictly inside (0, den): a sum of such terms keeps every
+    # prime in its denominator, so it is never a half-integer and the
+    # profile is valid.
+    segs = tuple(Fraction(draw(st.integers(1, d - 1)), d) for d in dens)
+    return SplitProfile(len(segs), segs)
+
+
+@settings(deadline=None, max_examples=150)
+@given(coprime_profiles())
+def test_win_table_matches_fraction_closed_forms(profile):
+    """Every integer table entry equals the Fraction closed form evaluated on
+    the Fraction side supports."""
+    n = profile.n
+    for party in Party:
+        wins = profile.win_table.party(party)
+        for k in range(n + 1):
+            for side, districting, opposed, total in (
+                (left(k), wins.left_districting, wins.left_opposed, wins.left_total),
+                (right(k), wins.right_districting, wins.right_opposed, wins.right_total),
+            ):
+                mine = model.side_support(profile, party, side)
+                theirs = model.side_support(profile, party.opponent, side)
+                drawing = strategy.optimal_wins(mine, side.district_count(n))
+                assert districting[k] == drawing
+                assert opposed[k] == strategy.opponent_wins(mine, theirs)
+                other = side.opposite()
+                assert total[k] == drawing + strategy.opponent_wins(
+                    model.side_support(profile, party, other),
+                    model.side_support(profile, party.opponent, other),
+                )
+
+
+def fraction_violations(profile: SplitProfile) -> list[Violation]:
+    """The profile rules checked on Fraction sums with ``is_half_integer``."""
+    found = []
+    for k, seg in enumerate(profile.segments_a, start=1):
+        if not 0 <= seg <= 1:
+            found.append(Violation(
+                None, k, f"segment {k} support {model.ratio_str(seg)} outside [0, 1]"
+            ))
+    prefix = [sum(profile.segments_a[:k], Fraction(0)) for k in range(profile.n + 1)]
+    for k in range(1, profile.n + 1):
+        if model.is_half_integer(prefix[k]):
+            found.append(Violation(
+                Side.LEFT, k, f"support left of split {k} is"
+                f" {model.ratio_str(prefix[k])}, an integer multiple of 1/2",
+            ))
+    for k in range(profile.n):
+        suffix = prefix[-1] - prefix[k]
+        if model.is_half_integer(suffix):
+            found.append(Violation(
+                Side.RIGHT, k, f"support right of split {k} is"
+                f" {model.ratio_str(suffix)}, an integer multiple of 1/2",
+            ))
+    return found
+
+
+@st.composite
+def mixed_profiles(draw):
+    """Small denominators, so that half-integer sums occur, mixed with large
+    coprime ones; numerators may leave [0, 1]."""
+    size = draw(st.integers(1, 8))
+    dens = draw(st.lists(
+        st.sampled_from((1, 2, 3, 4, 6, 10) + LARGE_PRIMES), min_size=size, max_size=size
+    ))
+    segs = tuple(Fraction(draw(st.integers(-1, d + 1)), d) for d in dens)
+    return SplitProfile(size, segs)
+
+
+@settings(deadline=None, max_examples=300)
+@given(mixed_profiles())
+def test_integer_validation_matches_fraction_check(profile):
+    assert list(model.validate_profile(profile)) == fraction_violations(profile)
 
 
 class TestBruteforceOracle:

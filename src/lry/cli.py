@@ -26,6 +26,8 @@ from . import grid as grid_mod
 from . import model, protocol, strategy
 
 MAX_SEED = 2**64 - 1
+# geodelta runs over 4 * delta^2 splits, so its memory grows as delta^2.
+MAX_DELTA = 1000
 
 
 def _canonical_json(doc: object) -> str:
@@ -176,6 +178,8 @@ def _cmd_verify(args, stream) -> int:
 def _cmd_geodelta(args, stream) -> int:
     if args.delta < 1:
         raise InputError(f"--delta must be at least 1, got {args.delta}")
+    if args.delta > MAX_DELTA:
+        raise InputError(f"--delta must be at most {MAX_DELTA}, got {args.delta}")
     report = grid_mod.geodelta_report(args.delta, args.seed)
     doc = grid_mod.geodelta_report_to_dict(report)
     doc["command"] = "geodelta"
@@ -407,7 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
         "geodelta", help="constrained-grid run that misses the geometric target"
     )
     p.add_argument(
-        "--delta", type=int, default=1, help="band count (default: %(default)s)"
+        "--delta",
+        type=int,
+        default=1,
+        help=f"band count, 1..{MAX_DELTA} (default: %(default)s)",
     )
     _add_common(p)
     p.set_defaults(func=_cmd_geodelta)

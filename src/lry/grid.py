@@ -16,11 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .model import Party, Side, parse_ratio, ratio_str
+from .model import FormatError, Party, Side, parse_ratio, ratio_str
 from .protocol import (
     OutcomeKind,
     ProtocolRun,
@@ -432,25 +431,71 @@ def side_group_counts(
     return tuple(wholly_left), tuple(wholly_right)
 
 
-@lru_cache(maxsize=8)
-def _geodelta_tables(delta: int):
-    grid, splits = make_geodelta(delta)
-    wholly_left, wholly_right = side_group_counts(geodelta_groups(delta), splits)
-    return grid, splits, wholly_left, wholly_right
+def geodelta_split_index(delta: int, cell: Cell) -> int:
+    """The split of ``make_geodelta(delta)`` whose increment adds ``cell``.
+
+    Computed from the layout alone: split k < delta is the five-column strip
+    of band k, split ``delta`` the 10x10 block at the top-left of the last
+    band, and every later split a 100-cell chunk of the remaining cells in
+    row-major order.
+    """
+    i, j = cell
+    m = BAND * delta
+    if not (1 <= i <= m and 1 <= j <= m):
+        raise GridError(f"cell {cell} is off the {m}x{m} grid")
+    top = BAND * (delta - 1)  # rows above the last band, where the strips lie
+    if i <= top and j <= 5:
+        return (i - 1) // BAND + 1
+    if top < i <= top + 10 and j <= 10:
+        return delta
+    # Strip and block cells up to (i, j) in row-major order: in row i they
+    # all lie left of column j, or (i, j) would be one of them.
+    taken = 5 * min(i, top) + 10 * min(max(i - top, 0), 10)
+    return delta + 1 + ((i - 1) * m + j - 1 - taken) // 100
+
+
+def _step_counts(indices: list[int], length: int, above: bool) -> tuple[int, ...]:
+    """Entry k, for k below ``length``: how many of ``indices`` are at most
+    k, or above k when ``above`` is set.  Built run by run, so every entry
+    of a run shares one int."""
+    total = len(indices)
+    counts: list[int] = []
+    for below, index in enumerate(sorted(indices)):
+        counts += [total - below if above else below] * (index - len(counts))
+    counts += [0 if above else total] * (length - len(counts))
+    return tuple(counts)
+
+
+def geodelta_group_counts(delta: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``side_group_counts(geodelta_groups(delta), make_geodelta(delta)[1])``
+    from the 51 * delta support cells alone, without the grid.
+
+    A group lies wholly right until the split of its smallest index, and
+    wholly left from the split of its largest.
+    """
+    first, last = [], []
+    for group in geodelta_groups(delta):
+        indices = [geodelta_split_index(delta, cell) for cell in group]
+        first.append(min(indices))
+        last.append(max(indices))
+    length = 4 * delta * delta + 1
+    wholly_left = _step_counts(last, length, above=False)
+    return wholly_left, _step_counts(first, length, above=True)
 
 
 def geodelta_total_wins(delta: int, k: int, party: Party, side: Side) -> int:
     """Total wins for ``party`` when it districts ``side`` of split ``k`` and
     the opponent districts the rest."""
-    _, splits, wholly_left, wholly_right = _geodelta_tables(delta)
-    if not 0 <= k <= splits.split_count:
-        raise ValueError(f"split index {k} out of range 0..{splits.split_count}")
+    wholly_left, wholly_right = geodelta_group_counts(delta)
+    split_count = len(wholly_left) - 1
+    if not 0 <= k <= split_count:
+        raise ValueError(f"split index {k} out of range 0..{split_count}")
     # A wins one district per support group wholly on the side it districts;
     # B splits every group on its side, leaving A nothing there.
     if party is Party.A:
         return wholly_left[k] if side is Side.LEFT else wholly_right[k]
     # B's total complements A's when A districts the opposite side.
-    return splits.split_count - (wholly_right[k] if side is Side.LEFT else wholly_left[k])
+    return split_count - (wholly_right[k] if side is Side.LEFT else wholly_left[k])
 
 
 def geodelta_winning_plan(delta: int) -> DistrictPlan:
@@ -494,7 +539,7 @@ def geodelta_report(delta: int, seed: int) -> GeodeltaReport:
     worst candidate sits delta/2 below A's geometric target.  Past delta 4
     that gap breaks the bound that holds without geometric constraints.
     """
-    grid, splits, wholly_left, wholly_right = _geodelta_tables(delta)
+    wholly_left, wholly_right = geodelta_group_counts(delta)
     # A carries one district per group wholly on the side it districts and
     # nothing on the side B districts, so its totals are the group counts.
     prefs = preferences_from_totals(wholly_left, wholly_right)
@@ -511,9 +556,9 @@ def geodelta_report(delta: int, seed: int) -> GeodeltaReport:
     bound = Fraction(2)
     return GeodeltaReport(
         delta=delta,
-        m=grid.m,
-        d=grid.d,
-        districts=splits.split_count,
+        m=BAND * delta,
+        d=100,
+        districts=len(wholly_left) - 1,
         total_support_a=GROUP_SUPPORT * delta,
         target_a=target_a,
         run=run,
@@ -567,32 +612,70 @@ def grid_to_dict(grid: GridState) -> dict:
     }
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def grid_from_dict(doc: object) -> GridState:
+    """Build a grid from the ``{"m": ..., "d": ..., "cells": [[...], ...]}``
+    document.  Every error is a ``GridError`` naming the field; row and
+    column indices count from 1, like cell coordinates."""
     if not isinstance(doc, dict):
         raise GridError("grid document must be a JSON object")
+    unknown = set(doc) - {"m", "d", "cells"}
+    if unknown:
+        names = ", ".join(sorted(map(str, unknown)))
+        raise GridError(f"unknown grid field(s): {names}")
     for field in ("m", "d", "cells"):
         if field not in doc:
             raise GridError(f"grid field '{field}' is missing")
-    m, d, rows = doc["m"], doc["d"], doc["cells"]
-    if not isinstance(m, int) or not isinstance(d, int):
-        raise GridError("grid fields 'm' and 'd' must be integers")
+    for field in ("m", "d"):
+        if not _is_int(doc[field]):
+            raise GridError(
+                f"grid field '{field}' must be an integer,"
+                f" got {type(doc[field]).__name__}"
+            )
+    rows = doc["cells"]
     if not isinstance(rows, list):
         raise GridError("grid field 'cells' must be a list of rows")
-    cells = tuple(tuple(parse_ratio(v) for v in row) for row in rows)
-    return GridState(m=m, d=d, cells=cells)
+    cells = []
+    for i, row in enumerate(rows, start=1):
+        if not isinstance(row, list):
+            raise GridError(f"grid field cells[{i}] must be a list of supports")
+        values = []
+        for j, value in enumerate(row, start=1):
+            try:
+                values.append(parse_ratio(value))
+            except FormatError as exc:
+                raise GridError(f"grid field cells[{i}][{j}]: {exc}") from exc
+        cells.append(tuple(values))
+    return GridState(m=doc["m"], d=doc["d"], cells=tuple(cells))
 
 
 def plan_to_list(plan: Sequence[frozenset[Cell]]) -> list:
     return [[list(cell) for cell in sorted(district)] for district in plan]
 
 
-def plan_from_list(doc: object) -> DistrictPlan:
+def _cell_lists(doc: object, name: str) -> tuple[tuple[Cell, ...], ...]:
+    """A list of lists of [row, column] integer pairs, as cell tuples.  Errors
+    name the entry as ``name[i][j]``, counting from 1."""
     if not isinstance(doc, list):
-        raise GridError("plan document must be a list of districts")
-    plan = []
-    for district in doc:
-        plan.append(frozenset((int(r), int(c)) for r, c in district))
-    return tuple(plan)
+        raise GridError(f"{name} document must be a list of cell lists")
+    chunks = []
+    for i, chunk in enumerate(doc, start=1):
+        if not isinstance(chunk, list):
+            raise GridError(f"{name}[{i}] must be a list of cells")
+        cells = []
+        for j, cell in enumerate(chunk, start=1):
+            if not (isinstance(cell, list) and len(cell) == 2 and all(map(_is_int, cell))):
+                raise GridError(f"{name}[{i}][{j}] must be a [row, column] integer pair")
+            cells.append((cell[0], cell[1]))
+        chunks.append(tuple(cells))
+    return tuple(chunks)
+
+
+def plan_from_list(doc: object) -> DistrictPlan:
+    return tuple(frozenset(district) for district in _cell_lists(doc, "plan"))
 
 
 def splits_to_list(splits: GridSplitSequence) -> list:
@@ -600,11 +683,7 @@ def splits_to_list(splits: GridSplitSequence) -> list:
 
 
 def splits_from_list(doc: object) -> GridSplitSequence:
-    if not isinstance(doc, list):
-        raise GridError("split document must be a list of cell lists")
-    return GridSplitSequence(
-        tuple(tuple((int(r), int(c)) for r, c in chunk) for chunk in doc)
-    )
+    return GridSplitSequence(_cell_lists(doc, "splits"))
 
 
 def geodelta_report_to_dict(report: GeodeltaReport) -> dict:

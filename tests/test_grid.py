@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lry import grid
 from lry.model import Party, Side
@@ -243,6 +244,48 @@ class TestGeodeltaSideWins:
                 assert a + b == districts
 
 
+class TestSparseGeodelta:
+    # The dense grid and split sequence of make_geodelta are the reference.
+    @pytest.mark.parametrize("delta", range(1, 13))
+    def test_counts_match_dense_grid(self, delta):
+        _, splits = grid.make_geodelta(delta)
+        dense = grid.side_group_counts(grid.geodelta_groups(delta), splits)
+        assert grid.geodelta_group_counts(delta) == dense
+
+    @pytest.mark.parametrize("delta", range(1, 7))
+    def test_every_cell_lands_in_its_split(self, delta):
+        _, splits = grid.make_geodelta(delta)
+        for k, chunk in enumerate(splits.increments, start=1):
+            for cell in chunk:
+                assert grid.geodelta_split_index(delta, cell) == k, cell
+
+    def test_off_grid_cell_rejected(self):
+        for cell in ((0, 1), (1, 0), (21, 1), (1, 21)):
+            with pytest.raises(grid.GridError):
+                grid.geodelta_split_index(1, cell)
+
+    @pytest.mark.parametrize("delta", range(1, 5))
+    def test_total_wins_match_dense_sides(self, delta):
+        # A wins one district per group inside the side it districts and
+        # none where B districts; B carries every district A does not.
+        g, splits = grid.make_geodelta(delta)
+        groups = grid.geodelta_groups(delta)
+        universe = g.all_cells()
+        for k in range(splits.split_count + 1):
+            left_cells = splits.left_cells(k)
+            inside = {
+                Side.LEFT: sum(group <= left_cells for group in groups),
+                Side.RIGHT: sum(group <= universe - left_cells for group in groups),
+            }
+            for side in Side:
+                other = Side.RIGHT if side is Side.LEFT else Side.LEFT
+                assert grid.geodelta_total_wins(delta, k, Party.A, side) == inside[side]
+                assert (
+                    grid.geodelta_total_wins(delta, k, Party.B, side)
+                    == splits.split_count - inside[other]
+                )
+
+
 class TestGeodeltaReport:
     @pytest.mark.parametrize("delta", [1, 2, 5])
     def test_gap_grows_linearly(self, delta):
@@ -314,3 +357,86 @@ class TestGridJson:
             grid.grid_from_dict({"m": 2, "d": 2})
         with pytest.raises(grid.GridError):
             grid.grid_from_dict([1, 2])
+
+    def test_grid_rejects_non_integer_sizes(self):
+        for m in (True, 2.0, "2", None):
+            with pytest.raises(grid.GridError, match="'m'"):
+                grid.grid_from_dict({"m": m, "d": 2, "cells": [["0", "0"], ["0", "0"]]})
+
+    def test_grid_rejects_string_rows(self):
+        with pytest.raises(grid.GridError, match=r"cells\[1\]"):
+            grid.grid_from_dict({"m": 2, "d": 2, "cells": ["01", "00"]})
+
+    def test_grid_names_float_cell(self):
+        with pytest.raises(grid.GridError, match=r"cells\[2\]\[1\]"):
+            grid.grid_from_dict({"m": 2, "d": 2, "cells": [["0", "0"], [0.5, "0"]]})
+
+    def test_grid_rejects_unknown_field(self):
+        with pytest.raises(grid.GridError, match="unknown"):
+            grid.grid_from_dict({"m": 1, "d": 1, "cells": [["0"]], "z": 2})
+
+    @pytest.mark.parametrize(
+        "doc, where",
+        [
+            ([[[1.7, 1]]], r"plan\[1\]\[1\]"),
+            ([[["a", 1]]], r"plan\[1\]\[1\]"),
+            ([[[1, 1], [1, 2, 3]]], r"plan\[1\]\[2\]"),
+            ([[[1, 1]], 5], r"plan\[2\]"),
+            ([[[True, 1]]], r"plan\[1\]\[1\]"),
+            (5, "plan document"),
+        ],
+    )
+    def test_plan_parser_names_entry(self, doc, where):
+        with pytest.raises(grid.GridError, match=where):
+            grid.plan_from_list(doc)
+
+    def test_splits_parser_names_entry(self):
+        with pytest.raises(grid.GridError, match=r"splits\[1\]\[2\]"):
+            grid.splits_from_list([[[1, 1], [1.7, 2]]])
+
+
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 30)
+    | st.floats(allow_nan=True)
+    | st.sampled_from(["0", "1", "1/2", "0.25", "2", "-1", "x", "1/0", "1e5000", ""])
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["m", "d", "cells", "z"]), inner, max_size=4),
+    max_leaves=30,
+)
+_cell_docs = st.lists(st.lists(st.lists(_json_scalars, max_size=3), max_size=3), max_size=3)
+_grid_docs = st.fixed_dictionaries(
+    {
+        "m": st.one_of(st.integers(-1, 4), _json_scalars),
+        "d": st.one_of(st.integers(-1, 16), _json_scalars),
+        "cells": st.one_of(st.lists(st.lists(_json_scalars, max_size=4), max_size=4), _json_values),
+    }
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(_json_values, _grid_docs))
+def test_fuzzed_grid_documents_raise_only_grid_error(doc):
+    try:
+        g = grid.grid_from_dict(doc)
+    except grid.GridError:
+        return
+    assert grid.grid_from_dict(grid.grid_to_dict(g)) == g
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(_json_values, _cell_docs))
+def test_fuzzed_cell_lists_raise_only_grid_error(doc):
+    for parse, dump in (
+        (grid.plan_from_list, grid.plan_to_list),
+        (grid.splits_from_list, grid.splits_to_list),
+    ):
+        try:
+            parsed = parse(doc)
+        except grid.GridError:
+            continue
+        assert parse(dump(parsed)) == parsed

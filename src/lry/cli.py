@@ -18,12 +18,11 @@ import csv
 import hashlib
 import io
 import json
-import random
 import sys
-from fractions import Fraction
 
 from . import grid as grid_mod
-from . import model, protocol, strategy
+from . import model, oracle, protocol, strategy
+from .oracle import random_small_grid  # noqa: F401  (bench/ looks it up on cli)
 
 MAX_SEED = 2**64 - 1
 # geodelta runs over 4 * delta^2 splits, so its memory grows as delta^2.
@@ -207,128 +206,13 @@ def _cmd_geodelta(args, stream) -> int:
     return 0
 
 
-def _strategy_oracle_mismatches(granularity: int) -> tuple[int, list[dict]]:
-    """Exhaustively compare the closed forms with the allocation search for
-    every side of up to 4 districts and every non-half-integer support on
-    the 1/granularity grid."""
-    checked = 0
-    mismatches = []
-    for size in range(1, strategy.MAX_ORACLE_DISTRICTS + 1):
-        for units in range(0, size * granularity + 1):
-            if (2 * units) % granularity == 0:
-                continue  # excluded by the half-integer convention
-            support = Fraction(units, granularity)
-            other = size - support
-            checked += 1
-            expect = strategy.optimal_wins(support, size)
-            got = strategy.bruteforce_districting_wins(support, size, granularity)
-            if expect != got:
-                mismatches.append(
-                    {
-                        "kind": "districting",
-                        "detail": f"size={size} support={model.ratio_str(support)}"
-                        f" formula={expect} bruteforce={got}",
-                    }
-                )
-            expect = strategy.opponent_wins(support, other)
-            got = strategy.bruteforce_opponent_wins(support, other, granularity)
-            if expect != got:
-                mismatches.append(
-                    {
-                        "kind": "opponent",
-                        "detail": f"size={size} support={model.ratio_str(support)}"
-                        f" formula={expect} bruteforce={got}",
-                    }
-                )
-    return checked, mismatches
-
-
-def random_small_grid(rng: random.Random) -> grid_mod.GridState:
-    """A random grid of at most 16 cells with d of 2 or 4 dividing it."""
-    m, d = rng.choice([(2, 2), (2, 4), (4, 2), (4, 4)])
-    choices = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)]
-    cells = tuple(
-        tuple(rng.choice(choices) for _ in range(m)) for _ in range(m)
-    )
-    return grid_mod.GridState(m=m, d=d, cells=cells)
-
-
-def _grid_oracle_mismatches(count: int, seed: int, cap: int) -> tuple[int, list[dict]]:
-    """Random small grids: every enumerated plan must validate, the reported
-    maximum must be witnessed, and the analytic group counting must match
-    exhaustive search on the shrunk analogue."""
-    mismatches = []
-    instances = 0
-    for index in range(count):
-        rng = random.Random(protocol.mix_seed(seed, index))
-        grid = random_small_grid(rng)
-        region = grid.all_cells()
-        if len(region) > cap:
-            continue
-        instances += 1
-        best = -1
-        witnessed = False
-        plans = 0
-        for plan in grid_mod.enumerate_region_plans(grid, region):
-            plans += 1
-            bad = grid_mod.validate_plan(grid, plan)
-            if bad:
-                mismatches.append(
-                    {
-                        "kind": "invalid_plan",
-                        "detail": f"instance {index}: {bad[0].message}",
-                    }
-                )
-                continue
-            wins = grid_mod.count_wins(grid, plan, model.Party.A)
-            if wins > best:
-                best = wins
-        reported = grid_mod.max_wins_bruteforce(grid, region, model.Party.A, cap=cap)
-        witnessed = best == reported
-        if plans == 0:
-            mismatches.append(
-                {"kind": "no_plans", "detail": f"instance {index}: nothing enumerated"}
-            )
-        elif not witnessed:
-            mismatches.append(
-                {
-                    "kind": "unwitnessed_max",
-                    "detail": f"instance {index}: reported {reported}, best plan {best}",
-                }
-            )
-    analogue_grid, analogue_splits, analogue_groups = grid_mod.make_shrunk_analogue()
-    wholly_left, wholly_right = grid_mod.side_group_counts(
-        analogue_groups, analogue_splits
-    )
-    universe = analogue_grid.all_cells()
-    for k in range(analogue_splits.split_count + 1):
-        for side_cells, expected in (
-            (analogue_splits.left_cells(k), wholly_left[k]),
-            (analogue_splits.right_cells(k, universe), wholly_right[k]),
-        ):
-            if not side_cells or len(side_cells) > cap:
-                continue
-            got = grid_mod.max_wins_bruteforce(
-                analogue_grid, side_cells, model.Party.A, cap=cap
-            )
-            if got != expected:
-                mismatches.append(
-                    {
-                        "kind": "analogue",
-                        "detail": f"k={k} |side|={len(side_cells)}"
-                        f" analytic={expected} bruteforce={got}",
-                    }
-                )
-    return instances, mismatches
-
-
 def _cmd_oracle(args, stream) -> int:
     if args.count < 1:
         raise InputError(f"--count must be positive, got {args.count}")
-    strategy_checked, strategy_bad = _strategy_oracle_mismatches(
+    strategy_checked, strategy_bad = oracle.strategy_oracle_mismatches(
         strategy.DEFAULT_GRANULARITY
     )
-    grid_checked, grid_bad = _grid_oracle_mismatches(
+    grid_checked, grid_bad = oracle.grid_oracle_mismatches(
         args.count, args.seed, args.oracle_cap
     )
     params = {"count": args.count, "oracle_cap": args.oracle_cap}

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterator, Sequence
 
 from .model import FormatError, Party, Side, parse_ratio, ratio_str
@@ -225,6 +224,11 @@ def count_wins(
 ) -> int:
     """Districts where ``party`` holds strictly more than half the support."""
     ensure_valid_plan(grid, plan, region)
+    return _plan_wins(grid, plan, party)
+
+
+def _plan_wins(grid: GridState, plan: Sequence[frozenset[Cell]], party: Party) -> int:
+    """``count_wins`` for a plan the caller has already validated."""
     return sum(
         1 for district in plan if 2 * district_support(grid, district, party) > len(district)
     )
@@ -235,43 +239,78 @@ def count_wins(
 DEFAULT_BRUTEFORCE_CAP = 16
 
 
-def _connected_districts_with(
-    anchor: Cell, available: frozenset[Cell], d: int
-) -> Iterator[frozenset[Cell]]:
-    """Every d-cell connected subset of ``available`` containing ``anchor``."""
+def _grow_districts(
+    anchor: Cell, allowed: frozenset[Cell], d: int, z: int
+) -> list[District]:
+    """Every valid d-cell district made of ``anchor`` and cells of ``allowed``.
+
+    Grown from the anchor by Redelmeier's method: each step takes a cell off
+    the untried list and either adds it to the district or drops it for the
+    rest of the branch, so every connected set is reached exactly once.
+    ``seen`` holds every cell ever put on the list along the current branch.
+    A cell that would stretch the district past the z-by-z box is dropped,
+    since every larger set holding it would overflow too; the hole test
+    runs once, on each complete district.
+    """
     if d == 1:
-        yield frozenset((anchor,))
-        return
-    others = sorted(available - {anchor})
-    for combo in combinations(others, d - 1):
-        candidate = frozenset(combo) | {anchor}
-        if _is_connected(candidate):
-            yield candidate
+        return [frozenset((anchor,))]
+    found: list[District] = []
+    cells = [anchor]
+    seen = {anchor}
+
+    def extend(untried: list[Cell], top: int, bottom: int, lo: int, hi: int) -> None:
+        while untried:
+            cell = untried.pop()
+            i, j = cell
+            t, b, l, r = min(top, i), max(bottom, i), min(lo, j), max(hi, j)
+            if b - t >= z or r - l >= z:
+                continue
+            cells.append(cell)
+            if len(cells) == d:
+                district = frozenset(cells)
+                if not _has_hole(district):
+                    found.append(district)
+            else:
+                fresh = [nb for nb in _neighbors(cell) if nb in allowed and nb not in seen]
+                seen.update(fresh)
+                extend(untried + fresh, t, b, l, r)
+                seen.difference_update(fresh)
+            cells.pop()
+
+    fresh = [nb for nb in _neighbors(anchor) if nb in allowed]
+    seen.update(fresh)
+    extend(fresh, anchor[0], anchor[0], anchor[1], anchor[1])
+    return found
 
 
 def enumerate_region_plans(
     grid: GridState, region: frozenset[Cell]
 ) -> Iterator[DistrictPlan]:
-    """Every partition of ``region`` into valid districts (order-normalized:
-    each district is anchored at the smallest cell still unassigned)."""
+    """Every partition of ``region`` into valid districts, each plan once.
+
+    Every valid district of the region is first filed under its smallest
+    cell, grown from that cell over the cells after it.  A plan then takes,
+    for the smallest cell still unassigned, each district filed under that
+    cell that uses only unassigned cells, and recurses on the rest.
+    """
     if len(region) % grid.d != 0:
         raise GridError(
             f"region of {len(region)} cells cannot split into {grid.d}-cell districts"
         )
+    cells = sorted(region)
+    by_anchor = {
+        anchor: _grow_districts(anchor, frozenset(cells[index + 1 :]), grid.d, grid.z)
+        for index, anchor in enumerate(cells)
+    }
 
     def recurse(remaining: frozenset[Cell]) -> Iterator[tuple[District, ...]]:
         if not remaining:
             yield ()
             return
-        anchor = min(remaining)
-        for district in _connected_districts_with(anchor, remaining, grid.d):
-            if _has_hole(district):
-                continue
-            height, width = _bounding_box(district)
-            if height > grid.z or width > grid.z:
-                continue
-            for rest in recurse(remaining - district):
-                yield (district,) + rest
+        for district in by_anchor[min(remaining)]:
+            if district <= remaining:
+                for rest in recurse(remaining - district):
+                    yield (district,) + rest
 
     yield from recurse(frozenset(region))
 
@@ -294,12 +333,7 @@ def max_wins_bruteforce(
         )
     best = 0
     for plan in enumerate_region_plans(grid, region):
-        wins = sum(
-            1
-            for district in plan
-            if 2 * district_support(grid, district, party) > len(district)
-        )
-        best = max(best, wins)
+        best = max(best, _plan_wins(grid, plan, party))
     return best
 
 

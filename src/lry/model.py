@@ -47,11 +47,16 @@ class ProfileError(ValueError):
         super().__init__(f"invalid profile: {detail}")
 
 
-# Bounds on ratio strings.  A decimal exponent makes Fraction build 10**exp,
-# so "1e-3000000" alone would cost megabytes and outgrow str(); within these
-# bounds every parsed value has at most 4000 digits.
+# Bounds on ratios.  A decimal exponent makes Fraction build 10**exp, so
+# "1e-3000000" alone would cost megabytes and outgrow str(); within these
+# bounds every parsed value has at most 4000 digits.  Integers are held to
+# MAX_RATIO_LENGTH digits by comparison with _INT_LIMIT, not through str(),
+# which refuses integers past 4300 digits.  The canonical form that reports
+# echo is held to MAX_RATIO_LENGTH characters as well, so that every report
+# can be read back: "1e-1999" is 7 characters, its "1/10...0" 2002.
 MAX_RATIO_LENGTH = 2000
 MAX_RATIO_EXPONENT = 2000
+_INT_LIMIT = 10**MAX_RATIO_LENGTH
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\Z", re.IGNORECASE)
 
 
@@ -59,12 +64,27 @@ def parse_ratio(value: str | int) -> Fraction:
     """Parse a decimal string ("1.9"), a fraction string ("19/10"), or an int.
 
     Floats are rejected: binary floats are inexact and would silently break
-    the exactness guarantee.  Strings longer than ``MAX_RATIO_LENGTH`` or with
-    a decimal exponent beyond ``MAX_RATIO_EXPONENT`` are rejected too.
+    the exactness guarantee.  Strings longer than ``MAX_RATIO_LENGTH``, with a
+    decimal exponent beyond ``MAX_RATIO_EXPONENT``, integers of more than
+    ``MAX_RATIO_LENGTH`` digits, and values whose ``ratio_str`` is longer than
+    ``MAX_RATIO_LENGTH`` are rejected too.
     """
+    result = _parse_ratio(value)
+    if _ratio_length_bound(result) > MAX_RATIO_LENGTH:
+        length = len(ratio_str(result))
+        if length > MAX_RATIO_LENGTH:
+            raise FormatError(
+                f"ratio of {length} characters in lowest terms exceeds {MAX_RATIO_LENGTH}"
+            )
+    return result
+
+
+def _parse_ratio(value: str | int) -> Fraction:
     if isinstance(value, bool):
         raise FormatError(f"not a ratio: {value!r}")
     if isinstance(value, int):
+        if not -_INT_LIMIT < value < _INT_LIMIT:
+            raise FormatError(f"integer of more than {MAX_RATIO_LENGTH} digits")
         return Fraction(value)
     if isinstance(value, float):
         raise FormatError(
@@ -86,6 +106,16 @@ def parse_ratio(value: str | int) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"not a valid ratio: {value!r}") from exc
     raise FormatError(f"cannot parse a ratio from {type(value).__name__}")
+
+
+def _ratio_length_bound(value: Fraction) -> int:
+    """An upper bound on ``len(ratio_str(value))`` from bit lengths alone: an
+    integer of b bits has at most int(0.30103 * b) + 1 digits."""
+    num, den = value.numerator, value.denominator
+    length = (num < 0) + int(0.30103 * num.bit_length()) + 1
+    if den != 1:
+        length += 2 + int(0.30103 * den.bit_length())
+    return length
 
 
 def ratio_str(value: Fraction | int) -> str:

@@ -1,0 +1,136 @@
+"""Brute-force cross-checks of the closed forms and of the grid's counting.
+
+``strategy_oracle_mismatches`` compares the unconstrained closed forms with
+the exhaustive allocation search; ``grid_oracle_mismatches`` checks the
+exhaustive plan search on random small grids and the analytic group counting
+on the shrunk analogue.  Each returns how much it checked and a list of
+mismatches, every one a ``{"kind": ..., "detail": ...}`` dict; an empty list
+means every check held.  ``lry oracle`` reports both.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+from . import grid as grid_mod
+from . import strategy
+from .model import Party, ratio_str
+from .protocol import mix_seed
+
+
+def strategy_oracle_mismatches(granularity: int) -> tuple[int, list[dict]]:
+    """Exhaustively compare the closed forms with the allocation search,
+    which tries every split of the units up to bin order, for every side of
+    up to 4 districts and every non-half-integer support on the
+    1/granularity grid."""
+    checked = 0
+    mismatches = []
+    for size in range(1, strategy.MAX_ORACLE_DISTRICTS + 1):
+        for units in range(0, size * granularity + 1):
+            if (2 * units) % granularity == 0:
+                continue  # excluded by the half-integer convention
+            support = Fraction(units, granularity)
+            other = size - support
+            checked += 1
+            expect = strategy.optimal_wins(support, size)
+            got = strategy.bruteforce_districting_wins(support, size, granularity)
+            if expect != got:
+                mismatches.append(
+                    {
+                        "kind": "districting",
+                        "detail": f"size={size} support={ratio_str(support)}"
+                        f" formula={expect} bruteforce={got}",
+                    }
+                )
+            expect = strategy.opponent_wins(support, other)
+            got = strategy.bruteforce_opponent_wins(support, other, granularity)
+            if expect != got:
+                mismatches.append(
+                    {
+                        "kind": "opponent",
+                        "detail": f"size={size} support={ratio_str(support)}"
+                        f" formula={expect} bruteforce={got}",
+                    }
+                )
+    return checked, mismatches
+
+
+def random_small_grid(rng: random.Random) -> grid_mod.GridState:
+    """A random grid of at most 16 cells with d of 2 or 4 dividing it."""
+    m, d = rng.choice([(2, 2), (2, 4), (4, 2), (4, 4)])
+    choices = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)]
+    cells = tuple(
+        tuple(rng.choice(choices) for _ in range(m)) for _ in range(m)
+    )
+    return grid_mod.GridState(m=m, d=d, cells=cells)
+
+
+def grid_oracle_mismatches(count: int, seed: int, cap: int) -> tuple[int, list[dict]]:
+    """Random small grids: every enumerated plan must validate, the reported
+    maximum must be witnessed, and the analytic group counting must match
+    exhaustive search on the shrunk analogue.
+
+    Each plan is validated once, then its wins are counted without
+    validating it again; ``max_wins_bruteforce`` searches on its own, so its
+    maximum is checked against this enumeration's.
+    """
+    mismatches = []
+    instances = 0
+    for index in range(count):
+        rng = random.Random(mix_seed(seed, index))
+        grid = random_small_grid(rng)
+        region = grid.all_cells()
+        if len(region) > cap:
+            continue
+        instances += 1
+        best = -1
+        plans = 0
+        for plan in grid_mod.enumerate_region_plans(grid, region):
+            plans += 1
+            bad = grid_mod.validate_plan(grid, plan)
+            if bad:
+                mismatches.append(
+                    {
+                        "kind": "invalid_plan",
+                        "detail": f"instance {index}: {bad[0].message}",
+                    }
+                )
+                continue
+            best = max(best, grid_mod._plan_wins(grid, plan, Party.A))
+        reported = grid_mod.max_wins_bruteforce(grid, region, Party.A, cap=cap)
+        if plans == 0:
+            mismatches.append(
+                {"kind": "no_plans", "detail": f"instance {index}: nothing enumerated"}
+            )
+        elif best != reported:
+            mismatches.append(
+                {
+                    "kind": "unwitnessed_max",
+                    "detail": f"instance {index}: reported {reported}, best plan {best}",
+                }
+            )
+    analogue_grid, analogue_splits, analogue_groups = grid_mod.make_shrunk_analogue()
+    wholly_left, wholly_right = grid_mod.side_group_counts(
+        analogue_groups, analogue_splits
+    )
+    universe = analogue_grid.all_cells()
+    for k in range(analogue_splits.split_count + 1):
+        for side_cells, expected in (
+            (analogue_splits.left_cells(k), wholly_left[k]),
+            (analogue_splits.right_cells(k, universe), wholly_right[k]),
+        ):
+            if not side_cells or len(side_cells) > cap:
+                continue
+            got = grid_mod.max_wins_bruteforce(
+                analogue_grid, side_cells, Party.A, cap=cap
+            )
+            if got != expected:
+                mismatches.append(
+                    {
+                        "kind": "analogue",
+                        "detail": f"k={k} |side|={len(side_cells)}"
+                        f" analytic={expected} bruteforce={got}",
+                    }
+                )
+    return instances, mismatches

@@ -118,27 +118,31 @@ def total_wins(profile: SplitProfile, party: Party, side: SideRef) -> int:
 # --- exhaustive allocation oracle -----------------------------------------
 #
 # Supports are discretized into units of 1/granularity and every way of
-# spreading the units over the side's districts is enumerated.  A district
-# holding exactly half its units counts for the party drawing the lines:
-# the side total is never an exact half-integer, so the districter always
-# has surplus somewhere to break such a tie in its own favor.  Exponential
-# cost keeps this to tiny sides; it exists to cross-check the closed forms,
-# not for production use.
+# spreading the units over the side's districts, up to the order of the
+# districts, is enumerated.  A district holding exactly half its units
+# counts for the party drawing the lines: the side total is never an exact
+# half-integer, so the districter always has surplus somewhere to break such
+# a tie in its own favor.  Exponential cost keeps this to tiny sides; it
+# exists to cross-check the closed forms, not for production use.
 
 DEFAULT_GRANULARITY = 20
 MAX_ORACLE_DISTRICTS = 4
 
 
 def _allocations(units: int, parts: int, capacity: int) -> Iterator[tuple[int, ...]]:
-    """Every split of ``units`` into ``parts`` ordered bins of at most
-    ``capacity`` each."""
+    """Every split of ``units`` into ``parts`` bins of at most ``capacity``
+    each, up to bin order: each split once, with its loads non-increasing.
+
+    The oracles count held bins, which no reordering changes, so the search
+    stays exhaustive.  The first bin holds at least its share,
+    ceil(units / parts), and caps every later bin.
+    """
     if parts == 0:
         if units == 0:
             yield ()
         return
-    lowest = max(0, units - (parts - 1) * capacity)
-    for first in range(lowest, min(capacity, units) + 1):
-        for rest in _allocations(units - first, parts - 1, capacity):
+    for first in range(-(-units // parts), min(capacity, units) + 1):
+        for rest in _allocations(units - first, parts - 1, first):
             yield (first,) + rest
 
 
@@ -164,7 +168,8 @@ def bruteforce_districting_wins(
     granularity: int = DEFAULT_GRANULARITY,
     max_districts: int = MAX_ORACLE_DISTRICTS,
 ) -> int:
-    """Best win count over every allocation of the districting party's units."""
+    """Best win count over every allocation of the districting party's units,
+    up to the order of the districts."""
     _check_oracle_size(districts, max_districts)
     units = _support_units(support, granularity)
     best = 0
@@ -180,7 +185,8 @@ def bruteforce_opponent_wins(
     granularity: int = DEFAULT_GRANULARITY,
     max_districts: int = MAX_ORACLE_DISTRICTS,
 ) -> int:
-    """Worst-case win count when the opponent allocates its own units.
+    """Worst-case win count over every allocation of the opponent's units,
+    up to the order of the districts.
 
     The opponent keeps the party out of a district by holding at least half
     of it, so the party wins only districts where the opponent placed

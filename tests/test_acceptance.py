@@ -9,7 +9,7 @@ import json
 import time
 from fractions import Fraction
 
-from lry import cli, grid, model, protocol, strategy, targets
+from lry import cli, grid, model, oracle, protocol, strategy, targets
 from lry.model import Party
 from lry.protocol import OutcomeKind
 
@@ -119,7 +119,7 @@ def test_criterion_5_constrained_gap_family():
 
 def test_criterion_6_grid_oracle():
     def check():
-        instances, mismatches = cli._grid_oracle_mismatches(100, seed=0, cap=16)
+        instances, mismatches = oracle.grid_oracle_mismatches(100, seed=0, cap=16)
         assert instances >= 100
         assert mismatches == []
 

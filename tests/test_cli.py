@@ -1,7 +1,10 @@
+import contextlib
 import hashlib
 import io
 import json
 import time
+
+from hypothesis import given, settings, strategies as st
 
 from lry import cli, model
 
@@ -107,6 +110,58 @@ def test_simulate_oversized_json_integer_exits_two(tmp_path, capsys):
     code, _ = run_cli("simulate", "--input", str(path))
     assert code == 2
     assert "--input" in capsys.readouterr().err
+
+
+def test_simulate_long_json_integer_exits_two(tmp_path, capsys):
+    # json.load accepts 4300 digits, past the 2000 a ratio may have
+    path = tmp_path / "longint.json"
+    path.write_text('{"n": 2, "segments_a": [' + "1" * 4300 + ', "0.3"]}')
+    code, text = run_cli("simulate", "--input", str(path))
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert "segments_a[1]" in err
+    assert len(err) < 200
+
+
+# Entries that make a profile invalid or unreadable, whatever surrounds them.
+_hostile_entries = st.one_of(
+    st.integers(min_value=2),
+    st.integers(max_value=-1),
+    st.sampled_from([10**2000, 10**4299, -(10**4299)]),
+    st.sampled_from(["1e-3000000", "1e2001", "1/" + "7" * 3000, "2", "-1/3", "x", "1/0", ""]),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(0, 1), max_size=2),
+)
+_plain_entries = st.sampled_from(["0.3", "1/7", "0.25", "0.9", 0, 1])
+
+
+@st.composite
+def hostile_profiles(draw):
+    segments = draw(st.lists(st.one_of(_plain_entries, _hostile_entries), max_size=6))
+    segments.insert(draw(st.integers(0, len(segments))), draw(_hostile_entries))
+    n = draw(st.one_of(st.just(len(segments)), st.integers(), _hostile_entries))
+    return {"n": n, "segments_a": segments}
+
+
+@settings(deadline=None, max_examples=100)
+@given(hostile_profiles())
+def test_fuzzed_simulate_input_exits_one_or_two(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stderr(err):
+        code, text = run_cli("simulate", "--input", str(path))
+    assert time.perf_counter() - start < 2.0
+    assert code in (1, 2)
+    if code == 2:
+        assert text == ""
+        assert "--input" in err.getvalue()
+    else:
+        assert json.loads(text)["profileViolations"]
 
 
 def test_simulate_accepts_thousand_digit_denominators(tmp_path):
@@ -266,6 +321,26 @@ def test_oracle_clean_run():
     assert doc["strategy"]["mismatches"] == []
     assert doc["grid"]["mismatches"] == []
     assert doc["grid"]["analogueChecked"] is True
+
+
+# SHA-256 of the stdout of `oracle` with these arguments, recorded while the
+# districts were still found by filtering subsets and the allocation search
+# still tried every bin order.
+ORACLE_GOLDEN = {
+    ("--count", "25", "--oracle-cap", "16", "--format", "json", "--seed", "38"):
+        "d2870ffb589983951703000236b72bdb46946e65c6a07a7a561cc1a0800a3178",
+    ("--count", "25", "--oracle-cap", "16", "--format", "json", "--seed", "39"):
+        "e123ffcfead75d5708f208199831a17fe7b5e6660c5fc617ed5e0e6a7a3e6241",
+    ("--count", "5", "--seed", "4", "--format", "csv"):
+        "d17752eace71af3943adaa4c1c332f7458d3a3647f013f8ef36f4c4fb5cf4919",
+}
+
+
+def test_oracle_output_is_golden():
+    for argv, digest in ORACLE_GOLDEN.items():
+        code, text = run_cli("oracle", *argv)
+        assert code == 0
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, argv
 
 
 def test_help_mentions_defaults(capsys):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -162,7 +163,7 @@ class TestBruteforce:
 
     def test_every_enumerated_plan_validates(self):
         rng = random.Random(11)
-        from lry.cli import random_small_grid
+        from lry.oracle import random_small_grid
 
         for _ in range(10):
             g = random_small_grid(rng)
@@ -172,6 +173,82 @@ class TestBruteforce:
                 assert grid.validate_plan(g, plan) == ()
                 best = max(best, grid.count_wins(g, plan, Party.A))
             assert best == grid.max_wins_bruteforce(g, region, Party.A)
+
+
+def reference_plans(g, region):
+    """Reference plan enumeration by subset filtering: every d-subset holding
+    the smallest unassigned cell, kept when it is connected, hole-free and
+    inside the z-by-z box.  Exponential in the region, so small regions only."""
+
+    def recurse(remaining):
+        if not remaining:
+            yield ()
+            return
+        anchor = min(remaining)
+        for combo in combinations(sorted(remaining - {anchor}), g.d - 1):
+            district = frozenset(combo) | {anchor}
+            if not grid._is_connected(district) or grid._has_hole(district):
+                continue
+            height, width = grid._bounding_box(district)
+            if height > g.z or width > g.z:
+                continue
+            for rest in recurse(remaining - district):
+                yield (district,) + rest
+
+    yield from recurse(frozenset(region))
+
+
+def assert_same_plans(g, region):
+    plans = list(grid.enumerate_region_plans(g, region))
+    assert len(plans) == len(set(plans))
+    assert set(plans) == set(reference_plans(g, region))
+    return len(plans)
+
+
+class TestDirectEnumeration:
+    # Among them: the domino tilings of the 2x2 and 4x4 squares (2 and 36),
+    # the tetromino tilings of the 4x4 (117), the tromino tilings of the 3x3 (10).
+    @pytest.mark.parametrize(
+        "m, d, plans",
+        [(2, 2, 2), (2, 4, 1), (4, 2, 36), (4, 4, 117), (3, 3, 10), (4, 8, 70)],
+    )
+    def test_whole_grid_matches_reference(self, m, d, plans):
+        g = make_grid([[0] * m for _ in range(m)], d=d)
+        assert assert_same_plans(g, g.all_cells()) == plans
+
+    def test_shrunk_analogue_sides_match_reference(self):
+        g, splits, _ = grid.make_shrunk_analogue()
+        universe = g.all_cells()
+        for k in range(splits.split_count + 1):
+            assert_same_plans(g, splits.left_cells(k))
+            assert_same_plans(g, splits.right_cells(k, universe))
+
+    def test_random_subregions_match_reference(self):
+        rng = random.Random(7)
+        cells = [(i, j) for i in range(1, 5) for j in range(1, 5)]
+        found = 0
+        for d in (1, 2, 3, 4):
+            g = make_grid([[0] * 12 for _ in range(12)], d=d)
+            for _ in range(15):
+                size = d * rng.randint(1, 12 // d)
+                found += assert_same_plans(g, frozenset(rng.sample(cells, size)))
+        assert found > 0
+
+    def test_hole_test_decides(self):
+        g = make_grid([[0] * 4 for _ in range(4)], d=8)
+        ring = frozenset(
+            {(1, 1), (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2), (3, 3)}
+        )
+        assert grid._is_connected(ring)
+        assert assert_same_plans(g, ring) == 0
+        assert assert_same_plans(g, (ring | {(2, 2)}) - {(1, 1)}) == 1
+
+    def test_compactness_box_decides(self):
+        # z = 4 for d = 5, so the straight pentomino is never a district
+        g = make_grid([[0] * 10 for _ in range(10)], d=5)
+        row = frozenset((1, j) for j in range(1, 6))
+        assert assert_same_plans(g, row) == 0
+        assert assert_same_plans(g, row | {(2, j) for j in range(1, 6)}) == 4
 
 
 class TestGeodeltaConstruction:

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lry import model
 from lry.model import Party, Side, SplitProfile, left, right
@@ -26,6 +26,31 @@ class TestParseRatio:
     def test_float_rejected(self):
         with pytest.raises(model.FormatError):
             model.parse_ratio(0.38)
+
+    def test_integer_digits_bounded(self):
+        limit = 10**model.MAX_RATIO_LENGTH
+        assert model.parse_ratio(limit - 1) == limit - 1
+        assert model.parse_ratio(1 - limit // 10) == 1 - limit // 10
+        for bad in (limit, -limit, 10**4299):
+            with pytest.raises(model.FormatError, match="digits"):
+                model.parse_ratio(bad)
+        # 2000 digits and a sign: 2001 characters as a report echoes it
+        with pytest.raises(model.FormatError, match="lowest terms"):
+            model.parse_ratio(1 - limit)
+
+    def test_lowest_terms_bounded(self):
+        # 7 characters, but 1/10^1999 takes 2002
+        for bad in ("1e-1999", "1e2000", "0." + "0" * 1997 + "1"):
+            with pytest.raises(model.FormatError, match="lowest terms"):
+                model.parse_ratio(bad)
+        assert model.parse_ratio("1e-1997") == Fraction(1, 10**1997)
+        assert model.parse_ratio("1e1999") == 10**1999
+
+    def test_length_bound_holds_at_digit_count_changes(self):
+        for k in sorted({*range(1, 4300, 37), *range(1990, 2010)}):
+            for value in (10**k - 1, 10**k, -(10**k), Fraction(10**k - 1, 10**k)):
+                value = Fraction(value)
+                assert model._ratio_length_bound(value) >= len(model.ratio_str(value))
 
     @given(st.fractions())
     def test_roundtrip(self, value):
@@ -179,3 +204,41 @@ class TestProfileJson:
         with pytest.raises(model.FormatError, match=None) as err:
             model.profile_from_dict(doc)
         assert needle in str(err.value)
+
+
+# JSON-shaped ratios, hostile ones included: integers past the digit bound,
+# decimal exponents past theirs, overlong strings, floats and non-numbers.
+_ratio_docs = st.one_of(
+    st.integers(),
+    st.sampled_from([10**2000 - 1, 10**2000, -(10**4299), 10**4299]),
+    st.fractions().map(model.ratio_str),
+    st.sampled_from(["1e-3000000", "1e2000", "1E-2001", "1_0/3", "nan", "1/0", " 0.5 "]),
+    st.sampled_from(["1/" + "7" * 1998, "1/" + "7" * 1999]),
+    st.text(max_size=8),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+_profile_docs = st.one_of(
+    st.fixed_dictionaries(
+        {"n": st.one_of(st.integers(), _ratio_docs), "segments_a": st.lists(_ratio_docs, max_size=6)}
+    ),
+    st.dictionaries(
+        st.sampled_from(["n", "segments_a", "m"]),
+        st.one_of(_ratio_docs, st.lists(_ratio_docs, max_size=3)),
+        max_size=3,
+    ),
+    _ratio_docs,
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_profile_docs)
+def test_fuzzed_profile_documents_raise_only_format_error(doc):
+    try:
+        profile = model.profile_from_dict(doc)
+    except model.FormatError:
+        return
+    assert model.profile_from_dict(model.profile_to_dict(profile)) == profile

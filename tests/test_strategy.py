@@ -1,5 +1,7 @@
 import random
+from collections import defaultdict
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -230,3 +232,15 @@ class TestBruteforceOracle:
                 assert strategy.bruteforce_opponent_wins(
                     x, size - x
                 ) == strategy.opponent_wins(x, size - x)
+
+
+@pytest.mark.parametrize("granularity", [20, 7])
+@pytest.mark.parametrize("parts", [1, 2, 3, 4])
+def test_allocations_are_every_ordered_split_up_to_order(parts, granularity):
+    by_units = defaultdict(set)
+    for ordered in product(range(granularity + 1), repeat=parts):
+        by_units[sum(ordered)].add(tuple(sorted(ordered, reverse=True)))
+    for units in range(parts * granularity + 2):
+        got = list(strategy._allocations(units, parts, granularity))
+        assert len(got) == len(set(got)), units
+        assert set(got) == by_units[units], units

@@ -209,6 +209,8 @@ def _cmd_geodelta(args, stream) -> int:
 def _cmd_oracle(args, stream) -> int:
     if args.count < 1:
         raise InputError(f"--count must be positive, got {args.count}")
+    if args.oracle_cap < 1:
+        raise InputError(f"--oracle-cap must be positive, got {args.oracle_cap}")
     strategy_checked, strategy_bad = oracle.strategy_oracle_mismatches(
         strategy.DEFAULT_GRANULARITY
     )
@@ -223,7 +225,7 @@ def _cmd_oracle(args, stream) -> int:
         "strategy": {"configs": strategy_checked, "mismatches": strategy_bad},
         "grid": {
             "instances": grid_checked,
-            "analogueChecked": True,
+            "analogueChecked": oracle.analogue_within_cap(args.oracle_cap),
             "mismatches": grid_bad,
         },
     }

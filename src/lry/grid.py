@@ -6,6 +6,13 @@ z-by-z axis-aligned square with z = floor(2 * sqrt(d)).  A party wins a
 district only with a strict majority of its cells' support; a district at
 exactly half counts for nobody.
 
+A district's verdict (its violation reasons, none when valid, and which
+party its exact support elects) depends only on the grid.  Each distinct
+district is decided once per ``GridState``: the verdicts are kept in
+``grid.verdicts``, filled on first use and dropped with the grid.
+``validate_plan``, ``count_wins`` and ``max_wins_bruteforce`` read them, so a
+district shared by many plans of one grid is checked and summed only once.
+
 The banded construction built here drives the protocol toward a coin flip
 whose losing candidates fall arbitrarily far below the geometric target as
 the band count grows.
@@ -16,7 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from functools import cached_property
+from typing import Iterator, NamedTuple, Sequence
 
 from .model import FormatError, Party, Side, parse_ratio, ratio_str
 from .protocol import (
@@ -81,13 +89,24 @@ class GridState:
     def district_count(self) -> int:
         return (self.m * self.m) // self.d
 
+    def on_grid(self, cell: Cell) -> bool:
+        return 1 <= cell[0] <= self.m and 1 <= cell[1] <= self.m
+
     def support(self, cell: Cell) -> Fraction:
+        if not self.on_grid(cell):
+            raise GridError(f"cell {cell} is off the {self.m}x{self.m} grid")
         return self.cells[cell[0] - 1][cell[1] - 1]
 
     def all_cells(self) -> frozenset[Cell]:
         return frozenset(
             (i, j) for i in range(1, self.m + 1) for j in range(1, self.m + 1)
         )
+
+    @cached_property
+    def verdicts(self) -> dict[District, DistrictVerdict]:
+        """Every district decided on this grid so far, filled by
+        ``district_verdict``; it lives as long as the grid."""
+        return {}
 
 
 def _neighbors(cell: Cell) -> tuple[Cell, ...]:
@@ -148,26 +167,42 @@ class PlanViolation:
     message: str
 
 
-def _district_violations(
-    grid: GridState, index: int, cells: frozenset[Cell]
-) -> Iterator[PlanViolation]:
+class DistrictVerdict(NamedTuple):
+    reasons: tuple[str, ...]  # why the district is invalid, without its index
+    winner: Party | None  # strict majority of the support; None on a tie or off the grid
+
+
+def _district_violations(grid: GridState, cells: frozenset[Cell]) -> Iterator[str]:
     if len(cells) != grid.d:
-        yield PlanViolation(index, f"district {index} has {len(cells)} cells, not {grid.d}")
-    bad = [c for c in cells if not (1 <= c[0] <= grid.m and 1 <= c[1] <= grid.m)]
+        yield f"has {len(cells)} cells, not {grid.d}"
+    bad = [c for c in cells if not grid.on_grid(c)]
     if bad:
-        yield PlanViolation(index, f"district {index} leaves the grid at {sorted(bad)}")
+        yield f"leaves the grid at {sorted(bad)}"
         return
     if not _is_connected(cells):
-        yield PlanViolation(index, f"district {index} is not connected")
+        yield "is not connected"
         return
     if _has_hole(cells):
-        yield PlanViolation(index, f"district {index} encloses a hole")
+        yield "encloses a hole"
     height, width = _bounding_box(cells)
     if height > grid.z or width > grid.z:
-        yield PlanViolation(
-            index,
-            f"district {index} spans {height}x{width}, exceeding {grid.z}x{grid.z}",
-        )
+        yield f"spans {height}x{width}, exceeding {grid.z}x{grid.z}"
+
+
+def district_verdict(grid: GridState, district: frozenset[Cell]) -> DistrictVerdict:
+    """The verdict on ``district``, decided on the first call for this grid
+    and read from ``grid.verdicts`` after that."""
+    district = frozenset(district)
+    verdict = grid.verdicts.get(district)
+    if verdict is None:
+        reasons = tuple(_district_violations(grid, district))
+        winner = None
+        if all(map(grid.on_grid, district)):
+            twice_a = 2 * district_support(grid, district, Party.A)
+            if twice_a != len(district):
+                winner = Party.A if twice_a > len(district) else Party.B
+        verdict = grid.verdicts[district] = DistrictVerdict(reasons, winner)
+    return verdict
 
 
 def validate_plan(
@@ -189,7 +224,10 @@ def validate_plan(
                     )
                 )
             claimed[cell] = index
-        violations.extend(_district_violations(grid, index, frozenset(district)))
+        violations.extend(
+            PlanViolation(index, f"district {index} {reason}")
+            for reason in district_verdict(grid, district).reasons
+        )
     missing = region - set(claimed)
     if missing:
         violations.append(
@@ -229,9 +267,7 @@ def count_wins(
 
 def _plan_wins(grid: GridState, plan: Sequence[frozenset[Cell]], party: Party) -> int:
     """``count_wins`` for a plan the caller has already validated."""
-    return sum(
-        1 for district in plan if 2 * district_support(grid, district, party) > len(district)
-    )
+    return sum(district_verdict(grid, district).winner is party for district in plan)
 
 
 # --- exhaustive plan search -------------------------------------------------
@@ -298,6 +334,9 @@ def enumerate_region_plans(
             f"region of {len(region)} cells cannot split into {grid.d}-cell districts"
         )
     cells = sorted(region)
+    for cell in cells:
+        if not grid.on_grid(cell):
+            raise GridError(f"region cell {cell} is off the {grid.m}x{grid.m} grid")
     by_anchor = {
         anchor: _grow_districts(anchor, frozenset(cells[index + 1 :]), grid.d, grid.z)
         for index, anchor in enumerate(cells)
@@ -327,10 +366,6 @@ def max_wins_bruteforce(
     """
     if len(region) > cap:
         raise GridError(f"region of {len(region)} cells exceeds the cap of {cap}")
-    if len(region) % grid.d != 0:
-        raise GridError(
-            f"region of {len(region)} cells cannot split into {grid.d}-cell districts"
-        )
     best = 0
     for plan in enumerate_region_plans(grid, region):
         best = max(best, _plan_wins(grid, plan, party))

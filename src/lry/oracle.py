@@ -134,3 +134,10 @@ def grid_oracle_mismatches(count: int, seed: int, cap: int) -> tuple[int, list[d
                     }
                 )
     return instances, mismatches
+
+
+def analogue_within_cap(cap: int) -> bool:
+    """Whether ``grid_oracle_mismatches`` at this cap searches every
+    non-empty side of the shrunk analogue, rather than skipping some.  The
+    largest side is the whole grid, right of split 0."""
+    return len(grid_mod.make_shrunk_analogue()[0].all_cells()) <= cap

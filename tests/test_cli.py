@@ -323,6 +323,22 @@ def test_oracle_clean_run():
     assert doc["grid"]["analogueChecked"] is True
 
 
+def test_oracle_rejects_cap_below_one(capsys):
+    for cap in ("0", "-3"):
+        code, text = run_cli("oracle", "--count", "3", "--oracle-cap", cap)
+        assert code == 2
+        assert text == ""
+        assert "--oracle-cap" in capsys.readouterr().err
+
+
+def test_oracle_reports_skipped_analogue():
+    # the shrunk analogue's largest side is its whole 4x4 grid
+    for cap, checked in (("15", False), ("16", True)):
+        code, text = run_cli("oracle", "--count", "3", "--oracle-cap", cap)
+        assert code == 0
+        assert json.loads(text)["grid"]["analogueChecked"] is checked
+
+
 # SHA-256 of the stdout of `oracle` with these arguments, recorded while the
 # districts were still found by filtering subsets and the allocation search
 # still tried every bin order.

@@ -1,13 +1,15 @@
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lry import grid
+from lry import grid, oracle
 from lry.model import Party, Side
-from lry.protocol import OutcomeKind
+from lry.protocol import OutcomeKind, mix_seed
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -42,6 +44,13 @@ class TestGridState:
         assert g.district_count == 2
         assert g.support((1, 1)) == 1
         assert len(g.all_cells()) == 4
+
+    @pytest.mark.parametrize("cell", [(0, 1), (1, 0), (3, 1), (1, 3), (-1, -1)])
+    def test_support_rejects_off_grid_cell(self, cell):
+        # row or column 0 must not wrap to the far edge through cells[-1]
+        g = make_grid([[1, 0], [0, 0]], d=2)
+        with pytest.raises(grid.GridError, match=re.escape(f"cell {cell} is off the 2x2 grid")):
+            g.support(cell)
 
 
 class TestValidatePlan:
@@ -161,6 +170,23 @@ class TestBruteforce:
         with pytest.raises(grid.GridError):
             grid.max_wins_bruteforce(g, frozenset({(1, 1)}), Party.A)
 
+    def test_off_grid_region_rejected(self):
+        g = make_grid([[1, 1], [1, 1]], d=2)
+        region = frozenset({(0, 1), (1, 1), (1, 2), (2, 3)})
+        message = r"region cell \(0, 1\) is off the 2x2 grid"
+        with pytest.raises(grid.GridError, match=message):
+            grid.max_wins_bruteforce(g, region, Party.A)
+        with pytest.raises(grid.GridError, match=message):
+            list(grid.enumerate_region_plans(g, region))
+
+    def test_off_grid_district_is_a_violation(self):
+        g = make_grid([[1, 1], [1, 1]], d=2)
+        plan = (frozenset({(0, 1), (1, 1)}), frozenset({(2, 1), (2, 2)}))
+        messages = [v.message for v in grid.validate_plan(g, plan)]
+        assert "district 0 leaves the grid at [(0, 1)]" in messages
+        with pytest.raises(grid.GridError, match="leaves the grid"):
+            grid.count_wins(g, plan, Party.A)
+
     def test_every_enumerated_plan_validates(self):
         rng = random.Random(11)
         from lry.oracle import random_small_grid
@@ -249,6 +275,197 @@ class TestDirectEnumeration:
         row = frozenset((1, j) for j in range(1, 6))
         assert assert_same_plans(g, row) == 0
         assert assert_same_plans(g, row | {(2, j) for j in range(1, 6)}) == 4
+
+
+def reference_validate(g, plan, region=None):
+    """``validate_plan`` without the verdict cache: every district of every
+    plan checked from scratch, its messages built with its index."""
+    if region is None:
+        region = frozenset((i, j) for i in range(1, g.m + 1) for j in range(1, g.m + 1))
+    found = []
+    claimed = {}
+    for index, district in enumerate(plan):
+        for cell in district:
+            if cell in claimed:
+                found.append(
+                    (index, f"cell {cell} appears in districts {claimed[cell]} and {index}")
+                )
+            claimed[cell] = index
+        found.extend((index, message) for message in reference_district(g, index, district))
+    missing = region - set(claimed)
+    if missing:
+        found.append((None, f"{len(missing)} cell(s) uncovered, e.g. {min(missing)}"))
+    extra = set(claimed) - region
+    if extra:
+        found.append((None, f"{len(extra)} cell(s) outside the region, e.g. {min(extra)}"))
+    return found
+
+
+def reference_district(g, index, cells):
+    cells = frozenset(cells)
+    if len(cells) != g.d:
+        yield f"district {index} has {len(cells)} cells, not {g.d}"
+    bad = [c for c in cells if not (1 <= c[0] <= g.m and 1 <= c[1] <= g.m)]
+    if bad:
+        yield f"district {index} leaves the grid at {sorted(bad)}"
+        return
+    if not grid._is_connected(cells):
+        yield f"district {index} is not connected"
+        return
+    if grid._has_hole(cells):
+        yield f"district {index} encloses a hole"
+    height, width = grid._bounding_box(cells)
+    if height > g.z or width > g.z:
+        yield f"district {index} spans {height}x{width}, exceeding {g.z}x{g.z}"
+
+
+def reference_wins(g, plan, party):
+    """Wins from the ``Fraction`` sums on a freshly built grid."""
+    fresh = grid.GridState(m=g.m, d=g.d, cells=g.cells)
+    return sum(
+        2 * grid.district_support(fresh, district, party) > len(district)
+        for district in plan
+    )
+
+
+def reference_max_wins(g, region, party):
+    return max(
+        (reference_wins(g, plan, party) for plan in reference_plans(g, region)),
+        default=0,
+    )
+
+
+def assert_validates_like_reference(g, plan, region=None):
+    got = [(v.district, v.message) for v in grid.validate_plan(g, plan, region)]
+    assert got == reference_validate(g, plan, region)
+    return got
+
+
+class TestVerdictCache:
+    """Verdicts cached on a grid give what checking every district afresh gives."""
+
+    def test_random_plans_match_reference(self):
+        rng = random.Random(5)
+        checked = invalid = 0
+        for _ in range(30):
+            g = oracle.random_small_grid(rng)
+            cells = sorted(g.all_cells())
+            valid = list(grid.enumerate_region_plans(g, g.all_cells()))
+            plans = rng.sample(valid, min(len(valid), 6))
+            for _ in range(6):
+                rng.shuffle(cells)
+                plans.append(
+                    tuple(frozenset(cells[i : i + g.d]) for i in range(0, len(cells), g.d))
+                )
+            for plan in list(plans):
+                if len(plan) > 1:
+                    twice = list(plan)
+                    twice[-1] = twice[0]
+                    plans += [tuple(twice), plan[1:]]
+            for plan in plans:
+                if assert_validates_like_reference(g, plan):
+                    invalid += 1
+                    continue
+                checked += 1
+                for party in Party:
+                    assert grid.count_wins(g, plan, party) == reference_wins(g, plan, party)
+        assert checked > 100 and invalid > 100
+
+    def test_same_bad_district_at_two_indices(self):
+        g = make_grid([[0] * 4 for _ in range(4)], d=4)
+        scattered = frozenset({(1, 1), (1, 4), (4, 1), (4, 4)})
+        short = frozenset({(2, 2), (2, 3), (3, 2)})
+        off = frozenset({(0, 2), (1, 2), (1, 3), (2, 3)})
+        plan = (scattered, short, off, scattered, short, off)
+        messages = [message for _, message in assert_validates_like_reference(g, plan)]
+        for index in (0, 3):
+            assert f"district {index} is not connected" in messages
+        for index in (1, 4):
+            assert f"district {index} has 3 cells, not 4" in messages
+        for index in (2, 5):
+            assert f"district {index} leaves the grid at [(0, 2)]" in messages
+        # the verdicts are cached by now; a plan naming them elsewhere still
+        # reports its own indices
+        assert_validates_like_reference(g, (short, scattered))
+
+    def test_one_grid_for_both_parties_and_several_regions(self):
+        g = make_grid(
+            [
+                [1, 0, Fraction(1, 2), 1],
+                [Fraction(3, 4), 0, 1, 0],
+                [0, Fraction(1, 4), 1, Fraction(1, 2)],
+                [1, 1, 0, 0],
+            ],
+            d=2,
+        )
+        rng = random.Random(9)
+        plans = list(grid.enumerate_region_plans(g, g.all_cells()))
+        assert len(plans) == 36
+        regions = [g.all_cells(), frozenset().union(*plans[0][:3])]
+        cells = sorted(g.all_cells())
+        regions += [frozenset(rng.sample(cells, 2 * rng.randint(1, 5))) for _ in range(6)]
+        for region in regions:
+            for party in Party:
+                got = grid.max_wins_bruteforce(g, region, party)
+                assert got == reference_max_wins(g, region, party)
+        for plan in plans:
+            assert_validates_like_reference(g, plan)
+            for party in Party:
+                assert grid.count_wins(g, plan, party) == reference_wins(g, plan, party)
+        region = regions[1]
+        subplan = plans[0][:3]
+        assert_validates_like_reference(g, subplan, region)
+        assert grid.count_wins(g, subplan, Party.B, region) == reference_wins(
+            g, subplan, Party.B
+        )
+
+    def test_cache_lives_on_its_grid(self):
+        rows = [[1, 1], [0, 0]]
+        first, second = make_grid(rows, d=2), make_grid(rows, d=2)
+        plan = (frozenset({(1, 1), (1, 2)}), frozenset({(2, 1), (2, 2)}))
+        assert grid.count_wins(first, plan, Party.A) == 1
+        assert set(first.verdicts) == set(plan)
+        assert second.verdicts == {}
+        assert first == second
+
+    def test_oracle_decides_each_district_once_per_grid(self, monkeypatch):
+        validating = []  # the grid validate_plan is checking, if any
+        kept = []  # every validated grid, kept alive so that ids stay distinct
+        checks = {"connected": Counter(), "hole": Counter()}
+        validate_plan = grid.validate_plan
+
+        def counting_validate(g, plan, region=None):
+            kept.append(g)
+            validating.append(g)
+            try:
+                return validate_plan(g, plan, region)
+            finally:
+                validating.pop()
+
+        def counted(name, check):
+            def wrapper(cells):
+                if validating:
+                    checks[name][id(validating[-1]), cells] += 1
+                return check(cells)
+
+            return wrapper
+
+        monkeypatch.setattr(grid, "validate_plan", counting_validate)
+        monkeypatch.setattr(grid, "_is_connected", counted("connected", grid._is_connected))
+        monkeypatch.setattr(grid, "_has_hole", counted("hole", grid._has_hole))
+        instances, mismatches = oracle.grid_oracle_mismatches(25, seed=0, cap=16)
+        assert (instances, mismatches) == (25, [])
+
+        plans = districts = 0
+        for index in range(25):
+            g = oracle.random_small_grid(random.Random(mix_seed(0, index)))
+            enumerated = list(grid.enumerate_region_plans(g, g.all_cells()))
+            plans += len(enumerated)
+            districts += len({district for plan in enumerated for district in plan})
+        assert len(kept) == plans
+        for counter in checks.values():
+            assert len(counter) == districts
+            assert set(counter.values()) == {1}
 
 
 class TestGeodeltaConstruction:

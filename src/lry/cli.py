@@ -68,39 +68,6 @@ def _load_profile(path: str) -> model.SplitProfile:
         raise InputError(f"--input {path}: {exc}") from exc
 
 
-def _simulate_report(command: str, profile: model.SplitProfile, seed: int) -> dict:
-    profile_doc = model.profile_to_dict(profile)
-    report = {
-        "command": command,
-        "seed": seed,
-        "inputDigest": _digest(profile_doc),
-        "profile": profile_doc,
-    }
-    violations = model.validate_profile(profile)
-    if violations:
-        report["profileViolations"] = [
-            {
-                "side": v.side.value if v.side is not None else None,
-                "k": v.k,
-                "message": v.message,
-            }
-            for v in violations
-        ]
-        return report
-    prefs = protocol.optimal_preferences(profile)
-    run = protocol.resolve_protocol(profile, prefs, seed)
-    fairness = protocol.fairness_report(profile, run)
-    report["run"] = protocol.run_to_dict(run)
-    report["fairness"] = protocol.fairness_to_dict(fairness)
-    return report
-
-
-def _simulate_rows(profile: model.SplitProfile, seed: int) -> list[dict]:
-    prefs = protocol.optimal_preferences(profile)
-    run = protocol.resolve_protocol(profile, prefs, seed)
-    return protocol.candidate_rows(profile, run)
-
-
 _SIM_FIELDS = [
     "k",
     "option",
@@ -114,27 +81,38 @@ _SIM_FIELDS = [
 
 
 def _cmd_simulate(args, stream) -> int:
-    profile = _load_profile(args.input)
-    report = _simulate_report("simulate", profile, args.seed)
-    if "profileViolations" in report:
+    """``simulate`` and ``example-2gap``: the profile comes from the
+    subcommand's ``load_profile`` default."""
+    profile = args.load_profile(args)
+    profile_doc = model.profile_to_dict(profile)
+    report = {
+        "command": args.command,
+        "seed": args.seed,
+        "inputDigest": _digest(profile_doc),
+        "profile": profile_doc,
+    }
+    violations = model.validate_profile(profile)
+    if violations:
+        report["profileViolations"] = [
+            {
+                "side": v.side.value if v.side is not None else None,
+                "k": v.k,
+                "message": v.message,
+            }
+            for v in violations
+        ]
         _emit_json(stream, report)
         return 1
+    prefs = protocol.optimal_preferences(profile)
+    run = protocol.resolve_protocol(profile, prefs, args.seed)
+    fairness = protocol.fairness_report(profile, run)
+    report["run"] = protocol.run_to_dict(run)
+    report["fairness"] = protocol.fairness_to_dict(fairness)
     if args.format == "json":
         _emit_json(stream, report)
     else:
         preamble = {"seed": args.seed, "inputDigest": report["inputDigest"]}
-        _emit_csv(stream, preamble, _SIM_FIELDS, _simulate_rows(profile, args.seed))
-    return 0
-
-
-def _cmd_example_2gap(args, stream) -> int:
-    profile = model.two_gap_profile()
-    report = _simulate_report("example-2gap", profile, args.seed)
-    if args.format == "json":
-        _emit_json(stream, report)
-    else:
-        preamble = {"seed": args.seed, "inputDigest": report["inputDigest"]}
-        _emit_csv(stream, preamble, _SIM_FIELDS, _simulate_rows(profile, args.seed))
+        _emit_csv(stream, preamble, _SIM_FIELDS, protocol.candidate_rows(profile, run))
     return 0
 
 
@@ -269,7 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the protocol on a profile JSON file")
     p.add_argument("--input", required=True, help="path to a profile JSON file")
     _add_common(p)
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(
+        func=_cmd_simulate, load_profile=lambda args: _load_profile(args.input)
+    )
 
     p = sub.add_parser(
         "example-2gap",
@@ -277,7 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
         " two districts below the geometric target",
     )
     _add_common(p)
-    p.set_defaults(func=_cmd_example_2gap)
+    p.set_defaults(
+        func=_cmd_simulate, load_profile=lambda args: model.two_gap_profile()
+    )
 
     p = sub.add_parser("verify", help="property-sweep every invariant")
     p.add_argument(

@@ -26,8 +26,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
 
-from .model import FormatError, Party, Side, parse_ratio, ratio_str
+from .model import Party, Side, ratio_str
 from .protocol import (
+    TARGET_BOUND,
     OutcomeKind,
     ProtocolRun,
     preferences_from_totals,
@@ -241,14 +242,6 @@ def validate_plan(
     return tuple(violations)
 
 
-def ensure_valid_plan(
-    grid: GridState, plan: Sequence[frozenset[Cell]], region: frozenset[Cell] | None = None
-) -> None:
-    violations = validate_plan(grid, plan, region)
-    if violations:
-        raise GridError("; ".join(v.message for v in violations))
-
-
 def district_support(grid: GridState, district: frozenset[Cell], party: Party) -> Fraction:
     total = sum((grid.support(cell) for cell in district), Fraction(0))
     return total if party is Party.A else len(district) - total
@@ -260,8 +253,11 @@ def count_wins(
     party: Party,
     region: frozenset[Cell] | None = None,
 ) -> int:
-    """Districts where ``party`` holds strictly more than half the support."""
-    ensure_valid_plan(grid, plan, region)
+    """Districts where ``party`` holds strictly more than half the support.
+    An invalid plan raises ``GridError`` listing every violation."""
+    violations = validate_plan(grid, plan, region)
+    if violations:
+        raise GridError("; ".join(v.message for v in violations))
     return _plan_wins(grid, plan, party)
 
 
@@ -421,6 +417,31 @@ def geodelta_groups(delta: int) -> tuple[frozenset[Cell], ...]:
     return tuple(_band_group(band) for band in range(1, delta + 1))
 
 
+def _banded_grid(
+    m: int, d: int, support: frozenset[Cell], increments: Sequence[tuple[Cell, ...]]
+) -> tuple[GridState, GridSplitSequence]:
+    """The m-by-m grid with support 1 on ``support`` and 0 elsewhere, and
+    the split sequence that adds ``increments`` first and then the other
+    cells row-major, ``d`` at a time."""
+    one = Fraction(1)
+    zero = Fraction(0)
+    cells = tuple(
+        tuple(one if (i, j) in support else zero for j in range(1, m + 1))
+        for i in range(1, m + 1)
+    )
+    assigned = {cell for chunk in increments for cell in chunk}
+    remaining = [
+        (i, j)
+        for i in range(1, m + 1)
+        for j in range(1, m + 1)
+        if (i, j) not in assigned
+    ]
+    chunks = (
+        tuple(remaining[start : start + d]) for start in range(0, len(remaining), d)
+    )
+    return GridState(m=m, d=d, cells=cells), GridSplitSequence((*increments, *chunks))
+
+
 def make_geodelta(delta: int) -> tuple[GridState, GridSplitSequence]:
     """The banded grid together with its group-severing split sequence.
 
@@ -429,42 +450,16 @@ def make_geodelta(delta: int) -> tuple[GridState, GridSplitSequence]:
     block holding the last group intact; later splits sweep the remaining
     cells row-major in 100-cell chunks.
     """
-    if delta < 1:
-        raise GridError(f"delta must be at least 1, got {delta}")
-    m = BAND * delta
-    one = Fraction(1)
-    zero = Fraction(0)
-    support = set()
-    for group in geodelta_groups(delta):
-        support.update(group)
-    cells = tuple(
-        tuple(one if (i, j) in support else zero for j in range(1, m + 1))
-        for i in range(1, m + 1)
-    )
-    grid = GridState(m=m, d=100, cells=cells)
-
-    increments: list[tuple[Cell, ...]] = []
-    assigned: set[Cell] = set()
-    for k in range(1, delta):
-        base = BAND * (k - 1)
-        strip = tuple(
-            (base + i, j) for i in range(1, BAND + 1) for j in range(1, 6)
+    support = frozenset().union(*geodelta_groups(delta))
+    increments = [
+        tuple(
+            (BAND * (k - 1) + i, j) for i in range(1, BAND + 1) for j in range(1, 6)
         )
-        increments.append(strip)
-        assigned.update(strip)
-    base = BAND * (delta - 1)
-    block = tuple((base + i, j) for i in range(1, 11) for j in range(1, 11))
-    increments.append(block)
-    assigned.update(block)
-    remaining = [
-        (i, j)
-        for i in range(1, m + 1)
-        for j in range(1, m + 1)
-        if (i, j) not in assigned
+        for k in range(1, delta)
     ]
-    for start in range(0, len(remaining), grid.d):
-        increments.append(tuple(remaining[start : start + grid.d]))
-    return grid, GridSplitSequence(tuple(increments))
+    base = BAND * (delta - 1)
+    increments.append(tuple((base + i, j) for i in range(1, 11) for j in range(1, 11)))
+    return _banded_grid(BAND * delta, 100, support, increments)
 
 
 def side_group_counts(
@@ -622,7 +617,6 @@ def geodelta_report(delta: int, seed: int) -> GeodeltaReport:
     target_a = Fraction(delta, 2)
     worst_wins = min(c.wins_a for c in run.candidates)
     worst_gap = target_a - worst_wins
-    bound = Fraction(2)
     return GeodeltaReport(
         delta=delta,
         m=BAND * delta,
@@ -633,8 +627,8 @@ def geodelta_report(delta: int, seed: int) -> GeodeltaReport:
         run=run,
         worst_wins_a=worst_wins,
         worst_gap_a=worst_gap,
-        unconstrained_bound=bound,
-        gap_exceeds_unconstrained_bound=worst_gap > bound,
+        unconstrained_bound=TARGET_BOUND,
+        gap_exceeds_unconstrained_bound=worst_gap > TARGET_BOUND,
     )
 
 
@@ -646,113 +640,19 @@ def make_shrunk_analogue() -> tuple[GridState, GridSplitSequence, tuple[frozense
     brute-force: two 2-row bands, each with a 3-cell group in its first row
     (columns 1..3), severed by a 2x2 strip and completed later.  Used to
     cross-check the analytic group counting against exhaustive search."""
-    m, d = 4, 4
     groups = (
         frozenset({(1, 1), (1, 2), (1, 3)}),
         frozenset({(3, 1), (3, 2), (3, 3)}),
     )
-    support = groups[0] | groups[1]
-    cells = tuple(
-        tuple(Fraction(1) if (i, j) in support else Fraction(0) for j in range(1, m + 1))
-        for i in range(1, m + 1)
-    )
-    grid = GridState(m=m, d=d, cells=cells)
     increments = [
         ((1, 1), (1, 2), (2, 1), (2, 2)),  # strip: severs group 1
         ((3, 1), (3, 2), (3, 3), (3, 4)),  # block: contains group 2 whole
     ]
-    assigned = {c for chunk in increments for c in chunk}
-    remaining = [
-        (i, j) for i in range(1, m + 1) for j in range(1, m + 1) if (i, j) not in assigned
-    ]
-    for start in range(0, len(remaining), d):
-        increments.append(tuple(remaining[start : start + d]))
-    return grid, GridSplitSequence(tuple(increments)), groups
+    grid, splits = _banded_grid(4, 4, groups[0] | groups[1], increments)
+    return grid, splits, groups
 
 
 # --- serialization ----------------------------------------------------------
-
-
-def grid_to_dict(grid: GridState) -> dict:
-    return {
-        "m": grid.m,
-        "d": grid.d,
-        "cells": [[ratio_str(v) for v in row] for row in grid.cells],
-    }
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def grid_from_dict(doc: object) -> GridState:
-    """Build a grid from the ``{"m": ..., "d": ..., "cells": [[...], ...]}``
-    document.  Every error is a ``GridError`` naming the field; row and
-    column indices count from 1, like cell coordinates."""
-    if not isinstance(doc, dict):
-        raise GridError("grid document must be a JSON object")
-    unknown = set(doc) - {"m", "d", "cells"}
-    if unknown:
-        names = ", ".join(sorted(map(str, unknown)))
-        raise GridError(f"unknown grid field(s): {names}")
-    for field in ("m", "d", "cells"):
-        if field not in doc:
-            raise GridError(f"grid field '{field}' is missing")
-    for field in ("m", "d"):
-        if not _is_int(doc[field]):
-            raise GridError(
-                f"grid field '{field}' must be an integer,"
-                f" got {type(doc[field]).__name__}"
-            )
-    rows = doc["cells"]
-    if not isinstance(rows, list):
-        raise GridError("grid field 'cells' must be a list of rows")
-    cells = []
-    for i, row in enumerate(rows, start=1):
-        if not isinstance(row, list):
-            raise GridError(f"grid field cells[{i}] must be a list of supports")
-        values = []
-        for j, value in enumerate(row, start=1):
-            try:
-                values.append(parse_ratio(value))
-            except FormatError as exc:
-                raise GridError(f"grid field cells[{i}][{j}]: {exc}") from exc
-        cells.append(tuple(values))
-    return GridState(m=doc["m"], d=doc["d"], cells=tuple(cells))
-
-
-def plan_to_list(plan: Sequence[frozenset[Cell]]) -> list:
-    return [[list(cell) for cell in sorted(district)] for district in plan]
-
-
-def _cell_lists(doc: object, name: str) -> tuple[tuple[Cell, ...], ...]:
-    """A list of lists of [row, column] integer pairs, as cell tuples.  Errors
-    name the entry as ``name[i][j]``, counting from 1."""
-    if not isinstance(doc, list):
-        raise GridError(f"{name} document must be a list of cell lists")
-    chunks = []
-    for i, chunk in enumerate(doc, start=1):
-        if not isinstance(chunk, list):
-            raise GridError(f"{name}[{i}] must be a list of cells")
-        cells = []
-        for j, cell in enumerate(chunk, start=1):
-            if not (isinstance(cell, list) and len(cell) == 2 and all(map(_is_int, cell))):
-                raise GridError(f"{name}[{i}][{j}] must be a [row, column] integer pair")
-            cells.append((cell[0], cell[1]))
-        chunks.append(tuple(cells))
-    return tuple(chunks)
-
-
-def plan_from_list(doc: object) -> DistrictPlan:
-    return tuple(frozenset(district) for district in _cell_lists(doc, "plan"))
-
-
-def splits_to_list(splits: GridSplitSequence) -> list:
-    return [[list(cell) for cell in chunk] for chunk in splits.increments]
-
-
-def splits_from_list(doc: object) -> GridSplitSequence:
-    return GridSplitSequence(_cell_lists(doc, "splits"))
 
 
 def geodelta_report_to_dict(report: GeodeltaReport) -> dict:

@@ -359,6 +359,71 @@ def test_oracle_output_is_golden():
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, argv
 
 
+# A valid five-district profile whose optimal play ends in a coin flip.
+SIMULATE_PROFILE = {"n": 5, "segments_a": ["4/9", "3/10", "1", "8/9", "7/10"]}
+# Invalid: the cumulative sum 0.5 at split 2 is a half-integer.
+INVALID_PROFILE = {"n": 2, "segments_a": ["0.25", "0.25"]}
+
+# SHA-256 of the stdout of `example-2gap --seed S --format F` for seeds 0-3,
+# of `simulate` on SIMULATE_PROFILE at seeds 1 and 3, and of `simulate` on
+# INVALID_PROFILE (a JSON report whatever --format says), recorded while
+# `example-2gap` still had its own copy of the simulate command.
+EXAMPLE_2GAP_GOLDEN = {
+    "json": (
+        "5593869318bf06d18f36107e686eb777a8af0453cd928928c87120f765e3cf54",
+        "e273f64634535821d541b67360f7eeab926bcc52a2f6b04984b1b360d81d220a",
+        "c76de86ec3113a0c047890e30d5e719577131e4c24e4877d388b2eefd175244c",
+        "cd4cd11512ce5f9d3bdee90e38c875c9b8a881842a1a20103cf078b09c50083d",
+    ),
+    "csv": (
+        "60b4e7c4634d8b3a872cca76fea5af9c2843c029072de7020b28d54c55879157",
+        "25475ac0e64d4de419d27a4ef454588f433b21fe788da454ff7900f56c8c2eb8",
+        "c4bad814c8b8a8e578b822737b04a8962517ba9dd45b41cc52cdddd66b137d06",
+        "82064166677ff25004adf7db27165c2c008a6f8be26997ae575cae865196722f",
+    ),
+}
+SIMULATE_GOLDEN = {
+    ("json", 1): "c1548aff3a4f2cde7406e3969ebd5c152f30f51c4d49bf048b8995b5374cc424",
+    ("json", 3): "d887710bcbf4109f4c2d31a0c1e7083754baa78c971d28f8bf216555aa69a4fb",
+    ("csv", 1): "568d14697d1bddc049334504fc09c1816ae61f13bcb4fe612bb1a5c27a50ad14",
+    ("csv", 3): "f092b5ad6f15c6119bf723904ffa2d3d985e6fa3f121f505c9ac578b15eb7df0",
+}
+SIMULATE_INVALID_GOLDEN = "af33d7162349037a503b1174ba3ae6f871d07497ece3c9ae7ff756023dbc6dd1"
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_example_2gap_output_is_golden():
+    for fmt, digests in EXAMPLE_2GAP_GOLDEN.items():
+        for seed, digest in enumerate(digests):
+            code, text = run_cli("example-2gap", "--seed", str(seed), "--format", fmt)
+            assert code == 0
+            assert sha256(text) == digest, (fmt, seed)
+
+
+def test_simulate_output_is_golden(tmp_path):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(SIMULATE_PROFILE))
+    for (fmt, seed), digest in SIMULATE_GOLDEN.items():
+        code, text = run_cli(
+            "simulate", "--input", str(path), "--seed", str(seed), "--format", fmt
+        )
+        assert code == 0
+        assert sha256(text) == digest, (fmt, seed)
+
+
+def test_simulate_invalid_profile_output_is_golden(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(INVALID_PROFILE))
+    for fmt in ("json", "csv"):
+        code, text = run_cli("simulate", "--input", str(path), "--format", fmt)
+        assert code == 1
+        assert "profileViolations" in json.loads(text)
+        assert sha256(text) == SIMULATE_INVALID_GOLDEN, fmt
+
+
 def test_help_mentions_defaults(capsys):
     code, _ = run_cli("verify", "--help")
     assert code == 0

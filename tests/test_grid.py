@@ -5,7 +5,6 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from lry import grid, oracle
 from lry.model import Party, Side
@@ -626,111 +625,3 @@ class TestShrunkAnalogue:
         wholly_left, wholly_right = grid.side_group_counts(groups, splits)
         assert wholly_left == (0, 0, 1, 2, 2)
         assert wholly_right == (2, 1, 0, 0, 0)
-
-
-class TestGridJson:
-    def test_grid_roundtrip(self):
-        g = make_grid([[1, Fraction(1, 2)], [0, 0]], d=2)
-        doc = grid.grid_to_dict(g)
-        assert doc["cells"][0] == ["1", "1/2"]
-        assert grid.grid_from_dict(doc) == g
-
-    def test_plan_roundtrip(self):
-        plan = (frozenset({(1, 1), (1, 2)}), frozenset({(2, 1), (2, 2)}))
-        doc = grid.plan_to_list(plan)
-        assert doc[0] == [[1, 1], [1, 2]]
-        assert grid.plan_from_list(doc) == plan
-
-    def test_splits_roundtrip(self):
-        _, splits, _ = grid.make_shrunk_analogue()
-        doc = grid.splits_to_list(splits)
-        assert grid.splits_from_list(doc) == splits
-
-    def test_grid_schema_errors(self):
-        with pytest.raises(grid.GridError):
-            grid.grid_from_dict({"m": 2, "d": 2})
-        with pytest.raises(grid.GridError):
-            grid.grid_from_dict([1, 2])
-
-    def test_grid_rejects_non_integer_sizes(self):
-        for m in (True, 2.0, "2", None):
-            with pytest.raises(grid.GridError, match="'m'"):
-                grid.grid_from_dict({"m": m, "d": 2, "cells": [["0", "0"], ["0", "0"]]})
-
-    def test_grid_rejects_string_rows(self):
-        with pytest.raises(grid.GridError, match=r"cells\[1\]"):
-            grid.grid_from_dict({"m": 2, "d": 2, "cells": ["01", "00"]})
-
-    def test_grid_names_float_cell(self):
-        with pytest.raises(grid.GridError, match=r"cells\[2\]\[1\]"):
-            grid.grid_from_dict({"m": 2, "d": 2, "cells": [["0", "0"], [0.5, "0"]]})
-
-    def test_grid_rejects_unknown_field(self):
-        with pytest.raises(grid.GridError, match="unknown"):
-            grid.grid_from_dict({"m": 1, "d": 1, "cells": [["0"]], "z": 2})
-
-    @pytest.mark.parametrize(
-        "doc, where",
-        [
-            ([[[1.7, 1]]], r"plan\[1\]\[1\]"),
-            ([[["a", 1]]], r"plan\[1\]\[1\]"),
-            ([[[1, 1], [1, 2, 3]]], r"plan\[1\]\[2\]"),
-            ([[[1, 1]], 5], r"plan\[2\]"),
-            ([[[True, 1]]], r"plan\[1\]\[1\]"),
-            (5, "plan document"),
-        ],
-    )
-    def test_plan_parser_names_entry(self, doc, where):
-        with pytest.raises(grid.GridError, match=where):
-            grid.plan_from_list(doc)
-
-    def test_splits_parser_names_entry(self):
-        with pytest.raises(grid.GridError, match=r"splits\[1\]\[2\]"):
-            grid.splits_from_list([[[1, 1], [1.7, 2]]])
-
-
-_json_scalars = (
-    st.none()
-    | st.booleans()
-    | st.integers(-3, 30)
-    | st.floats(allow_nan=True)
-    | st.sampled_from(["0", "1", "1/2", "0.25", "2", "-1", "x", "1/0", "1e5000", ""])
-)
-_json_values = st.recursive(
-    _json_scalars,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.sampled_from(["m", "d", "cells", "z"]), inner, max_size=4),
-    max_leaves=30,
-)
-_cell_docs = st.lists(st.lists(st.lists(_json_scalars, max_size=3), max_size=3), max_size=3)
-_grid_docs = st.fixed_dictionaries(
-    {
-        "m": st.one_of(st.integers(-1, 4), _json_scalars),
-        "d": st.one_of(st.integers(-1, 16), _json_scalars),
-        "cells": st.one_of(st.lists(st.lists(_json_scalars, max_size=4), max_size=4), _json_values),
-    }
-)
-
-
-@settings(deadline=None, max_examples=300)
-@given(st.one_of(_json_values, _grid_docs))
-def test_fuzzed_grid_documents_raise_only_grid_error(doc):
-    try:
-        g = grid.grid_from_dict(doc)
-    except grid.GridError:
-        return
-    assert grid.grid_from_dict(grid.grid_to_dict(g)) == g
-
-
-@settings(deadline=None, max_examples=300)
-@given(st.one_of(_json_values, _cell_docs))
-def test_fuzzed_cell_lists_raise_only_grid_error(doc):
-    for parse, dump in (
-        (grid.plan_from_list, grid.plan_to_list),
-        (grid.splits_from_list, grid.splits_to_list),
-    ):
-        try:
-            parsed = parse(doc)
-        except grid.GridError:
-            continue
-        assert parse(dump(parsed)) == parsed

@@ -35,6 +35,7 @@ from .protocol import (
     coinflip_options,
     fairness_report,
     optimal_preferences,
+    optimal_run,
     property_sweep,
     resolve_protocol,
 )

@@ -25,8 +25,9 @@ from . import model, oracle, protocol, strategy
 from .oracle import random_small_grid  # noqa: F401  (bench/ looks it up on cli)
 
 MAX_SEED = 2**64 - 1
-# geodelta runs over 4 * delta^2 splits, so its memory grows as delta^2.
+# geodelta's time and memory grow as delta: it reads O(delta) breakpoints.
 MAX_DELTA = 1000
+MAX_N_MAX = 10000  # verify holds up to --n-max exact Fractions per profile
 
 
 def _canonical_json(doc: object) -> str:
@@ -103,8 +104,7 @@ def _cmd_simulate(args, stream) -> int:
         ]
         _emit_json(stream, report)
         return 1
-    prefs = protocol.optimal_preferences(profile)
-    run = protocol.resolve_protocol(profile, prefs, args.seed)
+    run = protocol.optimal_run(profile, args.seed)
     fairness = protocol.fairness_report(profile, run)
     report["run"] = protocol.run_to_dict(run)
     report["fairness"] = protocol.fairness_to_dict(fairness)
@@ -121,6 +121,8 @@ def _cmd_verify(args, stream) -> int:
         raise InputError(f"--count must be positive, got {args.count}")
     if args.n_max < 2:
         raise InputError(f"--n-max must be at least 2, got {args.n_max}")
+    if args.n_max > MAX_N_MAX:
+        raise InputError(f"--n-max must be at most {MAX_N_MAX}, got {args.n_max}")
     sweep = protocol.property_sweep(args.count, args.n_max, args.seed)
     params = {"count": args.count, "n_max": args.n_max}
     report = {
@@ -270,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=20,
         dest="n_max",
-        help="largest district count (default: %(default)s)",
+        help=f"largest district count, 2..{MAX_N_MAX} (default: %(default)s)",
     )
     _add_common(p)
     p.set_defaults(func=_cmd_verify)

@@ -21,20 +21,14 @@ the band count grows.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
 
-from .model import Party, Side, ratio_str
-from .protocol import (
-    TARGET_BOUND,
-    OutcomeKind,
-    ProtocolRun,
-    preferences_from_totals,
-    resolve_from_totals,
-    run_to_dict,
-)
+from .model import Party, ratio_str
+from .protocol import TARGET_BOUND, OutcomeKind, ProtocolRun, resolve_optimal, run_to_dict
 
 Cell = tuple[int, int]  # (row, column), 1-indexed from the top-left
 District = frozenset[Cell]
@@ -269,6 +263,8 @@ def _plan_wins(grid: GridState, plan: Sequence[frozenset[Cell]], party: Party) -
 # --- exhaustive plan search -------------------------------------------------
 
 DEFAULT_BRUTEFORCE_CAP = 16
+# A connected district walls in a cell with its 4 neighbours and 3 corners.
+_HOLE_MIN_CELLS = 7
 
 
 def _grow_districts(
@@ -282,7 +278,7 @@ def _grow_districts(
     ``seen`` holds every cell ever put on the list along the current branch.
     A cell that would stretch the district past the z-by-z box is dropped,
     since every larger set holding it would overflow too; the hole test
-    runs once, on each complete district.
+    runs once, on each complete district of ``_HOLE_MIN_CELLS`` or more.
     """
     if d == 1:
         return [frozenset((anchor,))]
@@ -300,7 +296,7 @@ def _grow_districts(
             cells.append(cell)
             if len(cells) == d:
                 district = frozenset(cells)
-                if not _has_hole(district):
+                if d < _HOLE_MIN_CELLS or not _has_hole(district):
                     found.append(district)
             else:
                 fresh = [nb for nb in _neighbors(cell) if nb in allowed and nb not in seen]
@@ -403,18 +399,20 @@ class GridSplitSequence:
         return universe - self.left_cells(k)
 
 
-def _band_group(band: int) -> frozenset[Cell]:
-    base = BAND * (band - 1)
-    cells = {(base + i, j) for i in range(1, 6) for j in range(1, 11)}
-    cells.add((base + 6, 1))
-    return frozenset(cells)
+def _band_bases(delta: int) -> range:
+    """The row just above each band, so that a band's top row is base + 1."""
+    if delta < 1:
+        raise GridError(f"delta must be at least 1, got {delta}")
+    return range(0, BAND * delta, BAND)
 
 
 def geodelta_groups(delta: int) -> tuple[frozenset[Cell], ...]:
     """The 51-cell support groups, one per band."""
-    if delta < 1:
-        raise GridError(f"delta must be at least 1, got {delta}")
-    return tuple(_band_group(band) for band in range(1, delta + 1))
+    return tuple(
+        frozenset({(base + i, j) for i in range(1, 6) for j in range(1, 11)})
+        | {(base + 6, 1)}
+        for base in _band_bases(delta)
+    )
 
 
 def _banded_grid(
@@ -518,50 +516,6 @@ def geodelta_split_index(delta: int, cell: Cell) -> int:
     return delta + 1 + ((i - 1) * m + j - 1 - taken) // 100
 
 
-def _step_counts(indices: list[int], length: int, above: bool) -> tuple[int, ...]:
-    """Entry k, for k below ``length``: how many of ``indices`` are at most
-    k, or above k when ``above`` is set.  Built run by run, so every entry
-    of a run shares one int."""
-    total = len(indices)
-    counts: list[int] = []
-    for below, index in enumerate(sorted(indices)):
-        counts += [total - below if above else below] * (index - len(counts))
-    counts += [0 if above else total] * (length - len(counts))
-    return tuple(counts)
-
-
-def geodelta_group_counts(delta: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``side_group_counts(geodelta_groups(delta), make_geodelta(delta)[1])``
-    from the 51 * delta support cells alone, without the grid.
-
-    A group lies wholly right until the split of its smallest index, and
-    wholly left from the split of its largest.
-    """
-    first, last = [], []
-    for group in geodelta_groups(delta):
-        indices = [geodelta_split_index(delta, cell) for cell in group]
-        first.append(min(indices))
-        last.append(max(indices))
-    length = 4 * delta * delta + 1
-    wholly_left = _step_counts(last, length, above=False)
-    return wholly_left, _step_counts(first, length, above=True)
-
-
-def geodelta_total_wins(delta: int, k: int, party: Party, side: Side) -> int:
-    """Total wins for ``party`` when it districts ``side`` of split ``k`` and
-    the opponent districts the rest."""
-    wholly_left, wholly_right = geodelta_group_counts(delta)
-    split_count = len(wholly_left) - 1
-    if not 0 <= k <= split_count:
-        raise ValueError(f"split index {k} out of range 0..{split_count}")
-    # A wins one district per support group wholly on the side it districts;
-    # B splits every group on its side, leaving A nothing there.
-    if party is Party.A:
-        return wholly_left[k] if side is Side.LEFT else wholly_right[k]
-    # B's total complements A's when A districts the opposite side.
-    return split_count - (wholly_right[k] if side is Side.LEFT else wholly_left[k])
-
-
 def geodelta_winning_plan(delta: int) -> DistrictPlan:
     """A plan achieving one win per band for A: the aligned 10x10 block
     tiling.  Each block is trivially connected, hole-free, and inside the
@@ -569,15 +523,11 @@ def geodelta_winning_plan(delta: int) -> DistrictPlan:
     if delta < 1:
         raise GridError(f"delta must be at least 1, got {delta}")
     m = BAND * delta
-    plan = []
-    for bi in range(0, m, 10):
-        for bj in range(0, m, 10):
-            plan.append(
-                frozenset(
-                    (bi + i, bj + j) for i in range(1, 11) for j in range(1, 11)
-                )
-            )
-    return tuple(plan)
+    return tuple(
+        frozenset((bi + i, bj + j) for i in range(1, 11) for j in range(1, 11))
+        for bi in range(0, m, 10)
+        for bj in range(0, m, 10)
+    )
 
 
 @dataclass(frozen=True)
@@ -603,11 +553,17 @@ def geodelta_report(delta: int, seed: int) -> GeodeltaReport:
     worst candidate sits delta/2 below A's geometric target.  Past delta 4
     that gap breaks the bound that holds without geometric constraints.
     """
-    wholly_left, wholly_right = geodelta_group_counts(delta)
-    # A carries one district per group wholly on the side it districts and
-    # nothing on the side B districts, so its totals are the group counts.
-    prefs = preferences_from_totals(wholly_left, wholly_right)
-    run = resolve_from_totals(prefs, wholly_left, wholly_right, seed)
+    # A carries one district per group wholly on its side.  A group lies
+    # wholly right until the split adding its first cell, (base+1, 1), and
+    # wholly left from the split adding its last, (base+5, 10).
+    bases = _band_bases(delta)
+    firsts = sorted(geodelta_split_index(delta, (base + 1, 1)) for base in bases)
+    lasts = sorted(geodelta_split_index(delta, (base + 5, 10)) for base in bases)
+    districts = 4 * delta * delta
+    splits = sorted({0, 1, districts - 1, districts, *firsts, *lasts})
+    wholly_left = [bisect_right(lasts, k) for k in splits]
+    wholly_right = [delta - bisect_right(firsts, k) for k in splits]
+    run = resolve_optimal(splits, wholly_left, wholly_right, seed)
     if run.outcome is not OutcomeKind.COIN_FLIP:
         raise GridError(
             f"expected a coin flip, protocol settled with {run.outcome.value}"
@@ -621,7 +577,7 @@ def geodelta_report(delta: int, seed: int) -> GeodeltaReport:
         delta=delta,
         m=BAND * delta,
         d=100,
-        districts=len(wholly_left) - 1,
+        districts=districts,
         total_support_a=GROUP_SUPPORT * delta,
         target_a=target_a,
         run=run,

@@ -9,8 +9,10 @@ The first matching outcome rule resolves the run:
 4. coin flip      - preferences cross between consecutive splits; one of the
                     four (split, assignment) candidates is drawn at random
 
-Outcome rules scan k = 0..n ascending, so runs are deterministic given the
-profile, the preference table, and the seed.
+Under optimal play B always prefers the opposite of A, so rules 1 and 2
+never fire and ``resolve_optimal`` settles a run in one pass over A's
+totals.  ``classify_outcome`` scans k = 0..n of any preference table and is
+its reference.  Runs are deterministic given the totals and the seed.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from typing import Callable, Iterable, Sequence
 from . import strategy, targets
 from .model import (
     Party,
-    Side,
     SplitProfile,
     ensure_valid,
     is_half_integer,
@@ -84,11 +85,6 @@ class Assignment:
     def __post_init__(self):
         if self.option is Preference.INDIFFERENT:
             raise ProtocolError("an assignment needs a concrete option")
-
-    def districter(self, side: Side) -> Party:
-        if self.option is Preference.OPTION1:
-            return Party.A if side is Side.LEFT else Party.B
-        return Party.B if side is Side.LEFT else Party.A
 
 
 @dataclass(frozen=True)
@@ -184,18 +180,17 @@ def assignment_wins(profile: SplitProfile, assignment: Assignment) -> tuple[int,
 
 
 def _candidates(
-    k: int, a_left: Sequence[int], a_right: Sequence[int]
+    k: int, n: int, lefts: Sequence[int], rights: Sequence[int]
 ) -> tuple[CoinFlipCandidate, ...]:
-    n = len(a_left) - 1
-    candidates = [
+    """The crossing's candidates from A's totals at k-1 and k, per side."""
+    return tuple(
         CoinFlipCandidate(Assignment(split, option), wins_a, n - wins_a)
-        for split in (k - 1, k)
+        for split, wins_left, wins_right in zip((k - 1, k), lefts, rights)
         for option, wins_a in (
-            (Preference.OPTION1, a_left[split]),
-            (Preference.OPTION2, a_right[split]),
+            (Preference.OPTION1, wins_left),
+            (Preference.OPTION2, wins_right),
         )
-    ]
-    return tuple(candidates)
+    )
 
 
 def coinflip_options(
@@ -207,7 +202,8 @@ def coinflip_options(
     wins = profile.win_table.a
     if not 1 <= k <= profile.n:
         raise ValueError(f"split index {k} out of range 1..{profile.n}")
-    return _candidates(k, wins.left_total, wins.right_total)
+    window = slice(k - 1, k + 1)
+    return _candidates(k, profile.n, wins.left_total[window], wins.right_total[window])
 
 
 def resolve_protocol(
@@ -223,6 +219,23 @@ def resolve_protocol(
     return resolve_from_totals(prefs, wins.left_total, wins.right_total, seed)
 
 
+def _drawn_run(
+    kind: OutcomeKind, k: int, n: int, lefts: Sequence[int], rights: Sequence[int],
+    seed: int,
+) -> ProtocolRun:
+    """Outcome 3 or 4 fired at split k, settled from ``seed``; ``lefts`` and
+    ``rights`` are A's totals up to k, the last entry at k."""
+    if kind is OutcomeKind.COIN_FLIP:
+        candidates = _candidates(k, n, lefts, rights)
+        chosen = candidates[seed % 4]
+        return ProtocolRun(
+            kind, k, chosen.assignment, chosen.wins_a, chosen.wins_b, candidates, seed
+        )
+    option = Preference.OPTION1 if seed % 2 == 0 else Preference.OPTION2
+    wins_a = lefts[-1] if option is Preference.OPTION1 else rights[-1]
+    return ProtocolRun(kind, k, Assignment(k, option), wins_a, n - wins_a, None, seed)
+
+
 def resolve_from_totals(
     prefs: PreferenceTable, a_left: Sequence[int], a_right: Sequence[int], seed: int
 ) -> ProtocolRun:
@@ -235,23 +248,49 @@ def resolve_from_totals(
     """
     n = len(a_left) - 1
     kind, k = classify_outcome(prefs)
-    if kind is OutcomeKind.COIN_FLIP:
-        candidates = _candidates(k, a_left, a_right)
-        chosen = candidates[seed % 4]
-        return ProtocolRun(
-            kind, k, chosen.assignment, chosen.wins_a, chosen.wins_b, candidates, seed
-        )
-    pa, pb = prefs[k]
-    used_seed = None
-    if kind is OutcomeKind.AGREEMENT:
-        option = pa
-    elif kind is OutcomeKind.DEFERRED:
-        option = pb if pa is Preference.INDIFFERENT else pa
-    else:
-        option = Preference.OPTION1 if seed % 2 == 0 else Preference.OPTION2
-        used_seed = seed
+    if kind in (OutcomeKind.BOTH_INDIFFERENT, OutcomeKind.COIN_FLIP):
+        window = slice(max(k - 1, 0), k + 1)
+        return _drawn_run(kind, k, n, a_left[window], a_right[window], seed)
+    pa, pb = prefs[k]  # agreement, or one party defers to the other
+    option = pb if pa is Preference.INDIFFERENT else pa
     wins_a = a_left[k] if option is Preference.OPTION1 else a_right[k]
-    return ProtocolRun(kind, k, Assignment(k, option), wins_a, n - wins_a, None, used_seed)
+    return ProtocolRun(kind, k, Assignment(k, option), wins_a, n - wins_a, None, None)
+
+
+def resolve_optimal(
+    splits: Sequence[int], a_left: Sequence[int], a_right: Sequence[int], seed: int
+) -> ProtocolRun:
+    """``resolve_from_totals`` over ``preferences_from_totals``, in one pass.
+
+    ``a_left[i]`` and ``a_right[i]`` are A's totals at split ``splits[i]``
+    and hold until the next sampled split.  ``splits`` rises from 0 to n
+    and holds 1 and n - 1, where a turn would hide behind the preferences
+    pinned at 0 and n; a profile passes ``range(n + 1)``.  B prefers the
+    opposite of A, so only the first interior tie (both indifferent) or else
+    A's first turn from right to left (coin flip) can settle the run.
+    """
+    last = len(splits) - 1
+    n = splits[last]
+    if splits[0] != 0 or n > 0 and (splits[1] != 1 or splits[last - 1] != n - 1):
+        raise ProtocolError("sampled splits must include 0, 1, n-1 and n")
+    if last == 0:
+        raise ProtocolError("no outcome rule applies to this preference table")
+    kind, fired = OutcomeKind.COIN_FLIP, last
+    for i in range(1, last):
+        if a_left[i] == a_right[i]:
+            kind, fired = OutcomeKind.BOTH_INDIFFERENT, i
+            break
+        if fired == last and a_left[i] > a_right[i]:
+            fired = i
+    # Sample fired - 1 holds A's totals at the split just before splits[fired].
+    window = slice(fired - 1, fired + 1)
+    return _drawn_run(kind, splits[fired], n, a_left[window], a_right[window], seed)
+
+
+def optimal_run(profile: SplitProfile, seed: int) -> ProtocolRun:
+    """``resolve_optimal`` over every split of a profile."""
+    wins = profile.win_table.a
+    return resolve_optimal(range(profile.n + 1), wins.left_total, wins.right_total, seed)
 
 
 # --- fairness ---------------------------------------------------------------

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import time
+import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 
@@ -219,6 +220,43 @@ def test_verify_rejects_bad_count(capsys):
     code, _ = run_cli("verify", "--count", "0")
     assert code == 2
     assert "--count" in capsys.readouterr().err
+
+
+def test_verify_rejects_oversized_n_max(capsys):
+    # the bound is checked before any profile is drawn
+    for n_max in (cli.MAX_N_MAX + 1, 10**9):
+        start = time.perf_counter()
+        code, text = run_cli("verify", "--count", "1", "--n-max", str(n_max))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert text == ""
+        assert "--n-max" in capsys.readouterr().err
+
+
+def test_verify_accepts_n_max_at_the_bound():
+    code, text = run_cli("verify", "--count", "1", "--n-max", str(cli.MAX_N_MAX))
+    assert code == 0
+    assert json.loads(text)["nMax"] == cli.MAX_N_MAX
+
+
+def test_geodelta_at_max_delta_is_fast_and_small():
+    argv = ("geodelta", "--delta", str(cli.MAX_DELTA))
+    start = time.perf_counter()
+    code, text = run_cli(*argv)
+    elapsed = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        traced = run_cli(*argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert traced == (code, text)
+    doc = json.loads(text)
+    assert doc["run"]["crossingPair"] == [999, 1000]
+    assert doc["worstGapA"] == "500"
+    assert elapsed < 1.0
+    assert peak < 40 * 2**20
 
 
 def test_geodelta_json_report():

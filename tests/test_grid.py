@@ -8,7 +8,12 @@ import pytest
 
 from lry import grid, oracle
 from lry.model import Party, Side
-from lry.protocol import OutcomeKind, mix_seed
+from lry.protocol import (
+    OutcomeKind,
+    mix_seed,
+    preferences_from_totals,
+    resolve_from_totals,
+)
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -268,6 +273,57 @@ class TestDirectEnumeration:
         assert assert_same_plans(g, ring) == 0
         assert assert_same_plans(g, (ring | {(2, 2)}) - {(1, 1)}) == 1
 
+    def test_disconnected_plus_encloses_its_centre(self):
+        # Four cells around (2, 2), none touching another: the hole test
+        # still finds the centre walled in.  validate_plan stops at the
+        # connectivity test, which fails first.
+        plus = frozenset({(1, 2), (2, 1), (2, 3), (3, 2)})
+        g = make_grid([[0] * 4 for _ in range(4)], d=4)
+        assert grid._has_hole(plus)
+        messages = [v.message for v in grid.validate_plan(g, (plus,), region=plus)]
+        assert messages == ["district 0 is not connected"]
+
+    def test_seven_connected_cells_enclose_a_hole(self):
+        # The fewest cells a connected district needs to wall in (2, 2): its
+        # four neighbours and three corners joining them.
+        hook = frozenset({(1, 1), (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)})
+        g = make_grid([[0] * 7 for _ in range(7)], d=7)
+        messages = [v.message for v in grid.validate_plan(g, (hook,), region=hook)]
+        assert messages == ["district 0 encloses a hole"]
+        square = frozenset((i, j) for i in range(1, 4) for j in range(1, 4))
+        grown = grid._grow_districts((1, 1), square - {(1, 1)}, g.d, g.z)
+        assert grown and hook not in grown
+        assert all(not grid._has_hole(district) for district in grown)
+
+    def test_skipping_small_hole_tests_keeps_every_plan(self, monkeypatch):
+        # The oracle's grids (d of 2 or 4) and every side of the analogue
+        # (d = 4) yield the same plans, in the same order, when the hole test
+        # also runs below 7 cells.
+        regions = []
+        for index in range(25):
+            g = oracle.random_small_grid(random.Random(mix_seed(0, index)))
+            regions.append((g, g.all_cells()))
+        analogue, splits, _ = grid.make_shrunk_analogue()
+        universe = analogue.all_cells()
+        for k in range(splits.split_count + 1):
+            for side in (splits.left_cells(k), splits.right_cells(k, universe)):
+                if side:
+                    regions.append((analogue, side))
+        calls = Counter()
+        has_hole = grid._has_hole
+
+        def counted(cells):
+            calls[grid._HOLE_MIN_CELLS] += 1
+            return has_hole(cells)
+
+        monkeypatch.setattr(grid, "_has_hole", counted)
+        skipped = [list(grid.enumerate_region_plans(g, r)) for g, r in regions]
+        monkeypatch.setattr(grid, "_HOLE_MIN_CELLS", 0)
+        tested = [list(grid.enumerate_region_plans(g, r)) for g, r in regions]
+        assert tested == skipped
+        assert sum(map(len, skipped)) > 0
+        assert calls[7] == 0 and calls[0] > 0
+
     def test_compactness_box_decides(self):
         # z = 4 for d = 5, so the straight pentomino is never a district
         g = make_grid([[0] * 10 for _ in range(10)], d=5)
@@ -498,42 +554,108 @@ class TestGeodeltaConstruction:
         assert len(frozenset().union(*groups)) == 153
 
 
+# Dense references for the geodelta counts: every support cell mapped to its
+# split, and count tuples with one entry per split.
+
+
+def _step_counts(indices, length, above):
+    """Entry k, for k below ``length``: how many of ``indices`` are at most
+    k, or above k when ``above`` is set."""
+    total = len(indices)
+    counts = []
+    for below, index in enumerate(sorted(indices)):
+        counts += [total - below if above else below] * (index - len(counts))
+    counts += [0 if above else total] * (length - len(counts))
+    return tuple(counts)
+
+
+def geodelta_group_counts(delta):
+    """Per split of ``make_geodelta(delta)``: the groups wholly left and
+    wholly right, from the split of every one of the 51 * delta support cells.
+    A group lies wholly right until the split of its smallest index, and
+    wholly left from the split of its largest."""
+    first, last = [], []
+    for group in grid.geodelta_groups(delta):
+        indices = [grid.geodelta_split_index(delta, cell) for cell in group]
+        first.append(min(indices))
+        last.append(max(indices))
+    length = 4 * delta * delta + 1
+    return _step_counts(last, length, above=False), _step_counts(first, length, above=True)
+
+
+def geodelta_total_wins(delta, k, party, side):
+    """Total wins for ``party`` when it districts ``side`` of split ``k`` and
+    the opponent districts the rest."""
+    wholly_left, wholly_right = geodelta_group_counts(delta)
+    split_count = len(wholly_left) - 1
+    if not 0 <= k <= split_count:
+        raise ValueError(f"split index {k} out of range 0..{split_count}")
+    # A wins one district per support group wholly on the side it districts;
+    # B splits every group on its side, leaving A nothing there.
+    if party is Party.A:
+        return wholly_left[k] if side is Side.LEFT else wholly_right[k]
+    # B's total complements A's when A districts the opposite side.
+    return split_count - (wholly_right[k] if side is Side.LEFT else wholly_left[k])
+
+
+def dense_geodelta_report(delta, seed):
+    """``geodelta_report`` over one preference per split of the dense counts."""
+    wholly_left, wholly_right = geodelta_group_counts(delta)
+    prefs = preferences_from_totals(wholly_left, wholly_right)
+    run = resolve_from_totals(prefs, wholly_left, wholly_right, seed)
+    target_a = Fraction(delta, 2)
+    worst_wins = min(c.wins_a for c in run.candidates)
+    return grid.GeodeltaReport(
+        delta=delta,
+        m=20 * delta,
+        d=100,
+        districts=len(wholly_left) - 1,
+        total_support_a=51 * delta,
+        target_a=target_a,
+        run=run,
+        worst_wins_a=worst_wins,
+        worst_gap_a=target_a - worst_wins,
+        unconstrained_bound=Fraction(2),
+        gap_exceeds_unconstrained_bound=target_a - worst_wins > 2,
+    )
+
+
 class TestGeodeltaSideWins:
     # A wins one district per group wholly on the side it districts and
     # nothing where B districts, so A's totals count whole groups per side.
     def test_right_side_keeps_untouched_groups(self):
-        assert grid.geodelta_total_wins(3, 1, Party.A, Side.RIGHT) == 2
+        assert geodelta_total_wins(3, 1, Party.A, Side.RIGHT) == 2
 
     def test_severed_left_side_wins_nothing(self):
-        assert grid.geodelta_total_wins(3, 1, Party.A, Side.LEFT) == 0
+        assert geodelta_total_wins(3, 1, Party.A, Side.LEFT) == 0
 
     def test_single_band_block(self):
-        assert grid.geodelta_total_wins(1, 1, Party.A, Side.LEFT) == 1
+        assert geodelta_total_wins(1, 1, Party.A, Side.LEFT) == 1
 
     def test_opponent_districting_denies_everything(self):
         # B districting the left leaves A only a group wholly on the right,
         # which exists at k = 0 alone; B carries every other district.
         for k in range(5):
-            assert grid.geodelta_total_wins(1, k, Party.B, Side.LEFT) == (3 if k == 0 else 4)
+            assert geodelta_total_wins(1, k, Party.B, Side.LEFT) == (3 if k == 0 else 4)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            grid.geodelta_total_wins(1, 5, Party.A, Side.LEFT)
+            geodelta_total_wins(1, 5, Party.A, Side.LEFT)
 
     def test_totals_for_two_bands(self):
         # A's total wins: 0 on L1, 1 on R1, 1 on L2, 0 on R2
-        assert grid.geodelta_total_wins(2, 1, Party.A, Side.LEFT) == 0
-        assert grid.geodelta_total_wins(2, 1, Party.A, Side.RIGHT) == 1
-        assert grid.geodelta_total_wins(2, 2, Party.A, Side.LEFT) == 1
-        assert grid.geodelta_total_wins(2, 2, Party.A, Side.RIGHT) == 0
+        assert geodelta_total_wins(2, 1, Party.A, Side.LEFT) == 0
+        assert geodelta_total_wins(2, 1, Party.A, Side.RIGHT) == 1
+        assert geodelta_total_wins(2, 2, Party.A, Side.LEFT) == 1
+        assert geodelta_total_wins(2, 2, Party.A, Side.RIGHT) == 0
 
     def test_totals_complement(self):
         districts = 16
         for k in range(districts + 1):
             for side in Side:
                 other = Side.RIGHT if side is Side.LEFT else Side.LEFT
-                a = grid.geodelta_total_wins(2, k, Party.A, side)
-                b = grid.geodelta_total_wins(2, k, Party.B, other)
+                a = geodelta_total_wins(2, k, Party.A, side)
+                b = geodelta_total_wins(2, k, Party.B, other)
                 assert a + b == districts
 
 
@@ -543,7 +665,7 @@ class TestSparseGeodelta:
     def test_counts_match_dense_grid(self, delta):
         _, splits = grid.make_geodelta(delta)
         dense = grid.side_group_counts(grid.geodelta_groups(delta), splits)
-        assert grid.geodelta_group_counts(delta) == dense
+        assert geodelta_group_counts(delta) == dense
 
     @pytest.mark.parametrize("delta", range(1, 7))
     def test_every_cell_lands_in_its_split(self, delta):
@@ -572,14 +694,33 @@ class TestSparseGeodelta:
             }
             for side in Side:
                 other = Side.RIGHT if side is Side.LEFT else Side.LEFT
-                assert grid.geodelta_total_wins(delta, k, Party.A, side) == inside[side]
+                assert geodelta_total_wins(delta, k, Party.A, side) == inside[side]
                 assert (
-                    grid.geodelta_total_wins(delta, k, Party.B, side)
+                    geodelta_total_wins(delta, k, Party.B, side)
                     == splits.split_count - inside[other]
                 )
 
 
 class TestGeodeltaReport:
+    @pytest.mark.parametrize("delta", range(1, 41))
+    def test_first_and_last_cells_bound_each_group(self, delta):
+        # The report reads a group's first split at (base+1, 1) and its last
+        # at (base+5, 10); every other cell of the group lies between them.
+        for band, group in enumerate(grid.geodelta_groups(delta), start=1):
+            base = 20 * (band - 1)
+            indices = [grid.geodelta_split_index(delta, cell) for cell in group]
+            assert min(indices) == grid.geodelta_split_index(delta, (base + 1, 1))
+            assert max(indices) == grid.geodelta_split_index(delta, (base + 5, 10))
+
+    @pytest.mark.parametrize("delta", range(1, 41))
+    def test_matches_the_dense_counts(self, delta):
+        for seed in range(4):
+            assert grid.geodelta_report(delta, seed) == dense_geodelta_report(delta, seed)
+
+    def test_delta_validation(self):
+        with pytest.raises(grid.GridError, match="delta must be at least 1"):
+            grid.geodelta_report(0, 0)
+
     @pytest.mark.parametrize("delta", [1, 2, 5])
     def test_gap_grows_linearly(self, delta):
         report = grid.geodelta_report(delta, seed=0)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lry import model, protocol
 from lry.model import SplitProfile
@@ -16,7 +17,11 @@ from lry.protocol import (
     fairness_report,
     mix_seed,
     optimal_preferences,
+    optimal_run,
+    preferences_from_totals,
     property_sweep,
+    resolve_from_totals,
+    resolve_optimal,
     resolve_protocol,
 )
 
@@ -153,6 +158,88 @@ class TestResolve:
     def test_table_must_cover_profile(self, two_gap):
         with pytest.raises(ProtocolError):
             resolve_protocol(two_gap, table((OPT2, OPT1), (OPT1, OPT2)), 0)
+
+
+def reference_runs(a_left, a_right):
+    """The runs for seeds 0..3 through the preference table and all four
+    outcome rules, or the ``ProtocolError`` they raise."""
+    try:
+        prefs = preferences_from_totals(a_left, a_right)
+        return [resolve_from_totals(prefs, a_left, a_right, s) for s in range(4)]
+    except ProtocolError:
+        return ProtocolError
+
+
+def one_pass_runs(splits, a_left, a_right):
+    try:
+        return [resolve_optimal(splits, a_left, a_right, s) for s in range(4)]
+    except ProtocolError:
+        return ProtocolError
+
+
+# Totals drawn from 0..3, so that ties are common everywhere, also at k = 0
+# and k = n, where the preference is pinned.
+tied_totals = st.integers(0, 12).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.integers(0, 3), min_size=n + 1, max_size=n + 1),
+        st.lists(st.integers(0, 3), min_size=n + 1, max_size=n + 1),
+    )
+)
+
+
+@st.composite
+def step_totals(draw):
+    """Totals on 0..n that change only at the drawn breakpoints, with the
+    breakpoints and the values there."""
+    n = draw(st.integers(0, 60))
+    inner = draw(st.sets(st.integers(0, n), max_size=8))
+    splits = sorted({0, 1, n - 1, n, *inner} & set(range(n + 1)))
+    lefts = draw(st.lists(st.integers(0, 4), min_size=len(splits), max_size=len(splits)))
+    rights = draw(st.lists(st.integers(0, 4), min_size=len(splits), max_size=len(splits)))
+    dense_left, dense_right = [], []
+    for i, k in enumerate(splits):
+        run = (splits[i + 1] if i + 1 < len(splits) else n + 1) - k
+        dense_left += [lefts[i]] * run
+        dense_right += [rights[i]] * run
+    return splits, lefts, rights, dense_left, dense_right
+
+
+class TestResolveOptimal:
+    @settings(max_examples=400)
+    @given(tied_totals)
+    @example(([2], [2]))  # n = 0
+    @example(([1, 2], [1, 2]))  # ties at k = 0 and k = n only
+    @example(([3, 0, 3], [3, 2, 3]))  # ties at both ends, a turn nowhere inside
+    @example(([0, 2, 2, 1], [1, 1, 2, 2]))  # a turn before the first tie
+    def test_every_split_matches_the_preference_table(self, totals):
+        a_left, a_right = totals
+        expected = reference_runs(a_left, a_right)
+        assert one_pass_runs(range(len(a_left)), a_left, a_right) == expected
+
+    @settings(max_examples=300)
+    @given(step_totals())
+    def test_breakpoints_match_the_dense_totals(self, drawn):
+        splits, lefts, rights, dense_left, dense_right = drawn
+        expected = reference_runs(dense_left, dense_right)
+        assert one_pass_runs(range(len(dense_left)), dense_left, dense_right) == expected
+        assert one_pass_runs(splits, lefts, rights) == expected
+
+    @pytest.mark.parametrize("splits", [[0, 2, 3], [0, 1, 3], [1, 2, 3], [0, 3]])
+    def test_samples_must_hold_the_pinned_neighbours(self, splits):
+        # n = 3: splits 0, 1, 2 and 3 must all be sampled
+        totals = [0] * len(splits)
+        with pytest.raises(ProtocolError, match="must include"):
+            resolve_optimal(splits, totals, totals, 0)
+
+    def test_profiles_match_resolve_protocol(self, two_gap):
+        profiles = [two_gap, SplitProfile(2, (Fraction("0.3"), Fraction("0.3")))]
+        profiles += [
+            protocol.random_profile(random.Random(mix_seed(5, i)), 30) for i in range(60)
+        ]
+        for profile in profiles:
+            prefs = optimal_preferences(profile)
+            for seed in range(4):
+                assert optimal_run(profile, seed) == resolve_protocol(profile, prefs, seed)
 
 
 class TestFairness:

@@ -61,7 +61,9 @@ def _load_profile(path: str) -> model.SplitProfile:
             doc = json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read --input {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON, bad UTF-8, an integer past str()'s limit
+    except (ValueError, RecursionError) as exc:
+        # Bad JSON, bad UTF-8, an integer past str()'s limit, or nesting
+        # deeper than the decoder's recursion allows.
         raise InputError(f"--input {path} is not valid JSON: {exc}") from exc
     try:
         return model.profile_from_dict(doc)

@@ -320,9 +320,16 @@ def profile_from_dict(doc: object) -> SplitProfile:
     if not isinstance(raw, list):
         raise FormatError("profile field 'segments_a' must be a list")
     segments = []
+    scale = 1  # the win table's scale: the lcm of the denominators so far
     for idx, entry in enumerate(raw, start=1):
         try:
             segments.append(parse_ratio(entry))
+            if scale % segments[-1].denominator:
+                scale = math.lcm(scale, segments[-1].denominator)
+            if scale >= _INT_LIMIT:
+                raise FormatError(
+                    f"common denominator of more than {MAX_RATIO_LENGTH} digits"
+                )
         except FormatError as exc:
             raise FormatError(f"segments_a[{idx}]: {exc}") from exc
     return SplitProfile(n, tuple(segments))

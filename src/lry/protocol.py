@@ -11,8 +11,9 @@ The first matching outcome rule resolves the run:
 
 Under optimal play B always prefers the opposite of A, so rules 1 and 2
 never fire and ``resolve_optimal`` settles a run in one pass over A's
-totals.  ``classify_outcome`` scans k = 0..n of any preference table and is
-its reference.  Runs are deterministic given the totals and the seed.
+totals; every command and the invariant sweep take their outcome from it.
+``classify_outcome`` scans k = 0..n of any preference table and is its
+reference.  Runs are deterministic given the totals and the seed.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import strategy, targets
 from .model import (
@@ -433,10 +434,11 @@ class SweepReport:
 
 
 class _Recorder:
-    """Collects failed checks and counts every check performed.
+    """Counts the checks performed and collects the failed ones.
 
-    Detail texts, and the profile document a violation carries, are built
-    only for checks that fail.
+    Callers add each block's check count up front and call ``fail`` only for
+    a failed check, so a detail text and its profile document are built
+    only then.
     """
 
     def __init__(self, profile: SplitProfile | None):
@@ -444,12 +446,9 @@ class _Recorder:
         self.checks = 0
         self.violations: list[SweepViolation] = []
 
-    def expect(self, ok: bool, prop: str, detail: Callable[[], str] | str) -> None:
-        self.checks += 1
-        if not ok:
-            text = detail() if callable(detail) else detail
-            doc = profile_to_dict(self.profile) if self.profile is not None else None
-            self.violations.append(SweepViolation(prop, text, doc))
+    def fail(self, prop: str, detail: str) -> None:
+        doc = profile_to_dict(self.profile) if self.profile is not None else None
+        self.violations.append(SweepViolation(prop, detail, doc))
 
 
 def check_floor_ceiling_bounds(r: Fraction, s: Fraction, rec: _Recorder) -> None:
@@ -461,22 +460,20 @@ def check_floor_ceiling_bounds(r: Fraction, s: Fraction, rec: _Recorder) -> None
         ("floor_mixed", math.floor(t) - (math.ceil(r) + math.floor(s))),
         ("floor_floor", math.floor(t) - (math.floor(r) + math.floor(s))),
     )
+    rec.checks += len(combos)
     for name, diff in combos:
-        rec.expect(
-            abs(diff) <= 1,
-            f"floor_ceiling_sum.{name}",
-            lambda: f"r={ratio_str(r)} s={ratio_str(s)} diff={diff}",
-        )
+        if abs(diff) > 1:
+            detail = f"r={ratio_str(r)} s={ratio_str(s)} diff={diff}"
+            rec.fail(f"floor_ceiling_sum.{name}", detail)
 
 
 def check_win_identity(x: Fraction, y: Fraction, size: int, rec: _Recorder) -> None:
     """min(floor(2x), size) + max(ceil(y - x), 0) == size whenever x + y == size."""
     total = strategy.optimal_wins(x, size) + strategy.opponent_wins(y, x)
-    rec.expect(
-        total == size,
-        "win_identity",
-        lambda: f"x={ratio_str(x)} y={ratio_str(y)} size={size} got {total}",
-    )
+    rec.checks += 1
+    if total != size:
+        detail = f"x={ratio_str(x)} y={ratio_str(y)} size={size} got {total}"
+        rec.fail("win_identity", detail)
 
 
 def check_profile(
@@ -485,6 +482,7 @@ def check_profile(
     """Run every cross-module invariant on one profile.
 
     Returns (checks performed, violations, outcome kind under optimal play).
+    The outcome comes from ``optimal_run``, the path every command takes.
     """
     table = profile.win_table
     rec = _Recorder(profile)
@@ -492,29 +490,28 @@ def check_profile(
     a, b = table.a, table.b
     parties = ((Party.A, a), (Party.B, b))
 
+    rec.checks += 4 * (n + 1)
     for k in range(n + 1):
         # Districter plus shut-out opponent account for every district on a side.
-        rec.expect(
-            a.left_districting[k] + b.left_opposed[k] == k,
-            "win_identity",
-            lambda: f"k={k} left: {a.left_districting[k]}+{b.left_opposed[k]} != {k}",
-        )
-        rec.expect(
-            b.right_districting[k] + a.right_opposed[k] == n - k,
-            "win_identity",
-            lambda: f"k={k} right: {b.right_districting[k]}+{a.right_opposed[k]}"
-            f" != {n - k}",
-        )
-        rec.expect(
-            a.left_total[k] + b.right_total[k] == n,
-            "conservation",
-            lambda: f"k={k}: A(L)={a.left_total[k]} B(R)={b.right_total[k]}",
-        )
-        rec.expect(
-            a.right_total[k] + b.left_total[k] == n,
-            "conservation",
-            lambda: f"k={k}: A(R)={a.right_total[k]} B(L)={b.left_total[k]}",
-        )
+        if a.left_districting[k] + b.left_opposed[k] != k:
+            rec.fail(
+                "win_identity",
+                f"k={k} left: {a.left_districting[k]}+{b.left_opposed[k]} != {k}",
+            )
+        if b.right_districting[k] + a.right_opposed[k] != n - k:
+            rec.fail(
+                "win_identity",
+                f"k={k} right: {b.right_districting[k]}+{a.right_opposed[k]}"
+                f" != {n - k}",
+            )
+        if a.left_total[k] + b.right_total[k] != n:
+            rec.fail(
+                "conservation", f"k={k}: A(L)={a.left_total[k]} B(R)={b.right_total[k]}"
+            )
+        if a.right_total[k] + b.left_total[k] != n:
+            rec.fail(
+                "conservation", f"k={k}: A(R)={a.right_total[k]} B(L)={b.left_total[k]}"
+            )
 
     # Sign of A's support in each segment minus 1/2; B's is the opposite.
     a_lean = [2 * seg.numerator - seg.denominator for seg in profile.segments_a]
@@ -525,44 +522,37 @@ def check_profile(
             lean = sign * a_lean[k - 1]
             d_step = ld[k] - ld[k - 1]
             o_step = ro[k] - ro[k - 1]
-            if lean < 0:
-                rec.expect(
-                    0 <= d_step <= 1,
-                    "minority_segment_districting_step",
-                    lambda: f"{party.value} k={k} step={d_step}",
-                )
-                rec.expect(
-                    0 <= o_step <= 1,
-                    "minority_segment_opponent_step",
-                    lambda: f"{party.value} k={k} step={o_step}",
-                )
-            elif lean > 0:
-                rec.expect(
-                    1 <= d_step <= 2,
-                    "majority_segment_districting_step",
-                    lambda: f"{party.value} k={k} step={d_step}",
-                )
-                rec.expect(
-                    -1 <= o_step <= 0,
-                    "majority_segment_opponent_step",
-                    lambda: f"{party.value} k={k} step={o_step}",
-                )
+            # A minority segment steps both counts by 0 or 1; a majority one
+            # steps the districter's by 1 or 2 and the opponent's by 0 or -1.
             # Segments of exactly 1/2 carry no step bound.
-            rec.expect(
-                ltot[k - 1] <= ltot[k] <= ltot[k - 1] + 2,
-                "left_total_step",
-                lambda: f"{party.value} k={k}: {ltot[k - 1]} -> {ltot[k]}",
-            )
-            rec.expect(
-                rtot[k] <= rtot[k - 1] <= rtot[k] + 2,
-                "right_total_step",
-                lambda: f"{party.value} k={k}: {rtot[k - 1]} -> {rtot[k]}",
-            )
-            rec.expect(
-                not (ltot[k - 1] > rtot[k - 1] and ltot[k] < rtot[k]),
-                "crossing_direction",
-                lambda: f"{party.value} k={k}: left-preferring then right-preferring",
-            )
+            rec.checks += 5 if lean else 3
+            if lean:
+                segment, d_low, o_low = (
+                    ("minority", 0, 0) if lean < 0 else ("majority", 1, -1)
+                )
+                if not d_low <= d_step <= d_low + 1:
+                    rec.fail(
+                        f"{segment}_segment_districting_step",
+                        f"{party.value} k={k} step={d_step}",
+                    )
+                if not o_low <= o_step <= o_low + 1:
+                    rec.fail(
+                        f"{segment}_segment_opponent_step",
+                        f"{party.value} k={k} step={o_step}",
+                    )
+            if not ltot[k - 1] <= ltot[k] <= ltot[k - 1] + 2:
+                rec.fail(
+                    "left_total_step", f"{party.value} k={k}: {ltot[k - 1]} -> {ltot[k]}"
+                )
+            if not rtot[k] <= rtot[k - 1] <= rtot[k] + 2:
+                rec.fail(
+                    "right_total_step", f"{party.value} k={k}: {rtot[k - 1]} -> {rtot[k]}"
+                )
+            if ltot[k - 1] > rtot[k - 1] and ltot[k] < rtot[k]:
+                rec.fail(
+                    "crossing_direction",
+                    f"{party.value} k={k}: left-preferring then right-preferring",
+                )
 
     geo = {p: targets.geometric_target(profile, p) for p in Party}
     # Twice each target as an exact ratio num/den, so that the bounds below
@@ -571,145 +561,116 @@ def check_profile(
     for party, wins in parties:
         ltot, rtot = wins.left_total, wins.right_total
         g_num, g_den = twice_geo[party]
-        rec.expect(
-            g_num == (ltot[n] + ltot[0]) * g_den,
-            "target_average_identity",
-            lambda: f"{party.value}: geo={ratio_str(geo[party])}"
-            f" best={ltot[n]} worst={ltot[0]}",
-        )
+        rec.checks += 1 + 2 * (n + 1)
+        if g_num != (ltot[n] + ltot[0]) * g_den:
+            rec.fail(
+                "target_average_identity",
+                f"{party.value}: geo={ratio_str(geo[party])}"
+                f" best={ltot[n]} worst={ltot[0]}",
+            )
         for k in range(n + 1):
             doubled_split_target = ltot[k] + rtot[k]
-            rec.expect(
-                abs(g_num - doubled_split_target * g_den) <= g_den,
-                "target_vs_split_target",
-                lambda: f"{party.value} k={k}: geo={ratio_str(geo[party])}"
-                f" split target={ratio_str(Fraction(doubled_split_target, 2))}",
-            )
-            rec.expect(
-                2 * max(ltot[k], rtot[k]) >= doubled_split_target,
-                "good_choice",
-                lambda: f"{party.value} k={k}",
-            )
+            if abs(g_num - doubled_split_target * g_den) > g_den:
+                rec.fail(
+                    "target_vs_split_target",
+                    f"{party.value} k={k}: geo={ratio_str(geo[party])}"
+                    f" split target={ratio_str(Fraction(doubled_split_target, 2))}",
+                )
+            if 2 * max(ltot[k], rtot[k]) < doubled_split_target:
+                rec.fail("good_choice", f"{party.value} k={k}")
+    rec.checks += n + 1
     for k in range(n + 1):
-        rec.expect(
-            (a.left_total[k] + a.right_total[k]) + (b.left_total[k] + b.right_total[k])
-            == 2 * n,
-            "split_target_sum",
-            lambda: f"k={k}",
-        )
+        doubled_a = a.left_total[k] + a.right_total[k]
+        if doubled_a + b.left_total[k] + b.right_total[k] != 2 * n:
+            rec.fail("split_target_sum", f"k={k}")
+    rec.checks += 3
     for k, party in ((0, Party.A), (n // 2, Party.B), (n, Party.A)):
         wins = table.party(party)
-        rec.expect(
-            targets.k_split_target(profile, party, k)
-            == Fraction(wins.left_total[k] + wins.right_total[k], 2),
-            "split_target_definition",
-            lambda: f"{party.value} k={k}",
-        )
-    rec.expect(
-        k_targets_are_half_integers(profile, geo),
-        "target_half_integer",
-        "a target is not an integer multiple of 1/2",
-    )
+        split_target = Fraction(wins.left_total[k] + wins.right_total[k], 2)
+        if targets.k_split_target(profile, party, k) != split_target:
+            rec.fail("split_target_definition", f"{party.value} k={k}")
+    # Split targets are halves of integer totals, so only the geometric
+    # targets can miss the half-integer grid.
+    rec.checks += 1
+    if not all(is_half_integer(g) and 0 <= g <= n for g in geo.values()):
+        rec.fail("target_half_integer", "a target is not an integer multiple of 1/2")
 
-    prefs = optimal_preferences(profile)
-    for k in range(n + 1):
-        pa, pb = prefs[k]
-        rec.expect(
-            not (pa is pb and pa is not Preference.INDIFFERENT),
-            "shared_model_opposition",
-            lambda: f"k={k}: both prefer {pa.value}",
-        )
+    # A's preference from A's totals against B's from B's own totals; at k = 0
+    # and k = n each party is pinned to district the whole state, so they
+    # cannot share an option there.
+    rec.checks += n + 1
+    for k in range(1, n):
+        a_wants_left = a.left_total[k] - a.right_total[k]  # > 0: A prefers option 1
+        b_wants_right = b.right_total[k] - b.left_total[k]  # > 0: B prefers option 1
+        if a_wants_left * b_wants_right > 0:
+            shared = Preference.OPTION1 if a_wants_left > 0 else Preference.OPTION2
+            rec.fail("shared_model_opposition", f"k={k}: both prefer {shared.value}")
     try:
-        kind, trigger = classify_outcome(prefs)
+        run = optimal_run(profile, 0)
     except ProtocolError:
-        rec.expect(False, "outcome_exists", "no outcome under optimal play")
+        rec.checks += 1
+        rec.fail("outcome_exists", "no outcome under optimal play")
         return rec.checks, rec.violations, None
 
+    kind, trigger = run.outcome, run.trigger_k
     if kind is OutcomeKind.COIN_FLIP:
         for party, wins in parties:
             ltot, rtot = wins.left_total, wins.right_total
             g_num, g_den = twice_geo[party]
-            rec.expect(
-                rtot[trigger - 1] - ltot[trigger - 1] <= 3,
-                "coinflip_gap_at_most_3",
-                lambda: f"{party.value} at k={trigger - 1}:"
-                f" {rtot[trigger - 1]} - {ltot[trigger - 1]}",
-            )
-            rec.expect(
-                ltot[trigger] - rtot[trigger] <= 3,
-                "coinflip_gap_at_most_3",
-                lambda: f"{party.value} at k={trigger}:"
-                f" {ltot[trigger]} - {rtot[trigger]}",
-            )
+            rec.checks += 10
+            # The party's margin for the right side, then the left, at the crossing.
+            for i, high, low in ((trigger - 1, rtot, ltot), (trigger, ltot, rtot)):
+                if high[i] - low[i] > 3:
+                    detail = f"{party.value} at k={i}: {high[i]} - {low[i]}"
+                    rec.fail("coinflip_gap_at_most_3", detail)
             for i in (trigger - 1, trigger):
                 doubled_split_target = ltot[i] + rtot[i]
                 for wins_i in (ltot[i], rtot[i]):
-                    rec.expect(
-                        abs(doubled_split_target - 2 * wins_i) <= 3,
-                        "coinflip_split_target_bound",
-                        lambda: f"{party.value} i={i} wins={wins_i}",
-                    )
-                    rec.expect(
-                        abs(g_num - 2 * wins_i * g_den) <= 4 * g_den,
-                        "coinflip_target_bound",
-                        lambda: f"{party.value} i={i} wins={wins_i}",
-                    )
-        candidates = coinflip_options(profile, trigger)
-        order_ok = tuple(
-            (c.assignment.k, c.assignment.option) for c in candidates
-        ) == (
-            (trigger - 1, Preference.OPTION1),
-            (trigger - 1, Preference.OPTION2),
-            (trigger, Preference.OPTION1),
-            (trigger, Preference.OPTION2),
-        )
-        rec.expect(order_ok, "coinflip_candidate_order", lambda: f"trigger={trigger}")
-        for cand in candidates:
-            rec.expect(
-                cand.wins_a + cand.wins_b == n,
-                "conservation",
-                lambda: f"candidate k={cand.assignment.k}"
-                f" {cand.assignment.option.value}",
-            )
-    else:
-        # A satisfied party (preference honored, or indifferent between equal
-        # options) reaches at least its split target, hence lands within 1/2
-        # of the geometric target.
-        run = resolve_protocol(profile, prefs, 0)
-        report = fairness_report(profile, run)
-        pa, pb = prefs[run.trigger_k]
-        for party, pref in ((Party.A, pa), (Party.B, pb)):
-            stats = report.party(party)
-            if pref is Preference.INDIFFERENT:
-                rec.expect(
-                    stats.split_target_delta == 0,
-                    "indifference_is_exact",
-                    lambda: f"{party.value}: indifferent but wins differ from"
-                    " split target",
+                    if abs(doubled_split_target - 2 * wins_i) > 3:
+                        rec.fail(
+                            "coinflip_split_target_bound",
+                            f"{party.value} i={i} wins={wins_i}",
+                        )
+                    if abs(g_num - 2 * wins_i * g_den) > 4 * g_den:
+                        rec.fail(
+                            "coinflip_target_bound", f"{party.value} i={i} wins={wins_i}"
+                        )
+        order = [(c.assignment.k, c.assignment.option) for c in run.candidates]
+        options = (Preference.OPTION1, Preference.OPTION2)
+        rec.checks += 1 + len(run.candidates)
+        if order != [(i, option) for i in (trigger - 1, trigger) for option in options]:
+            rec.fail("coinflip_candidate_order", f"trigger={trigger}")
+        for cand in run.candidates:
+            if cand.wins_a + cand.wins_b != n:
+                rec.fail(
+                    "conservation",
+                    f"candidate k={cand.assignment.k} {cand.assignment.option.value}",
                 )
-            rec.expect(
-                stats.split_target_delta <= 0,
-                "good_choice_realized",
-                lambda: f"{party.value}: wins below split target in outcome"
-                f" {kind.value}",
-            )
-            rec.expect(
-                stats.target_delta <= Fraction(1, 2),
-                "settled_outcome_target_gap",
-                lambda: f"{party.value}: gap {ratio_str(stats.target_delta)}",
-            )
+    else:
+        # Otherwise both parties are indifferent at the trigger, so each wins
+        # exactly its split target there, within 1/2 of its geometric target.
+        for party, wins in parties:
+            won = run.wins_a if party is Party.A else run.wins_b
+            doubled_split_target = wins.left_total[trigger] + wins.right_total[trigger]
+            g_num, g_den = twice_geo[party]
+            rec.checks += 3
+            if doubled_split_target != 2 * won:
+                rec.fail(
+                    "indifference_is_exact",
+                    f"{party.value}: indifferent but wins differ from split target",
+                )
+            if doubled_split_target > 2 * won:
+                rec.fail(
+                    "good_choice_realized",
+                    f"{party.value}: wins below split target in outcome {kind.value}",
+                )
+            if g_num - 2 * won * g_den > g_den:
+                rec.fail(
+                    "settled_outcome_target_gap",
+                    f"{party.value}: gap {ratio_str(geo[party] - won)}",
+                )
 
     return rec.checks, rec.violations, kind
-
-
-def k_targets_are_half_integers(profile: SplitProfile, geo: dict) -> bool:
-    if not all(is_half_integer(g) and 0 <= g <= profile.n for g in geo.values()):
-        return False
-    for k in (0, profile.n):
-        for party in Party:
-            if not is_half_integer(targets.k_split_target(profile, party, k)):
-                return False
-    return True
 
 
 def property_sweep(count: int, n_max: int, seed: int) -> SweepReport:

@@ -178,6 +178,31 @@ def test_simulate_accepts_thousand_digit_denominators(tmp_path):
     ]
 
 
+def test_simulate_rejects_a_huge_common_denominator(tmp_path, capsys):
+    # Distinct 998-digit denominators: their lcm, the win table's scale,
+    # passes 2000 digits at the third segment.
+    dens = [10**997 + 2 * i + 1 for i in range(300)]
+    path = tmp_path / "lcm.json"
+    path.write_text(json.dumps({"n": 300, "segments_a": [f"1/{d}" for d in dens]}))
+    start = time.perf_counter()
+    code, text = run_cli("simulate", "--input", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert text == ""
+    assert "segments_a[3]" in capsys.readouterr().err
+
+
+def test_simulate_deeply_nested_input_exits_two(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, text = run_cli("simulate", "--input", str(path))
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert "--input" in err
+    assert "not valid JSON" in err
+
+
 def test_bad_seed_exits_two(capsys):
     code, _ = run_cli("example-2gap", "--seed", "-1")
     assert code == 2

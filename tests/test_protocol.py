@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lry import model, protocol
-from lry.model import SplitProfile
+from lry import model, protocol, targets
+from lry.model import Party, SplitProfile, is_half_integer, ratio_str
 from lry.protocol import (
     Assignment,
     OutcomeKind,
@@ -272,6 +272,308 @@ class TestFairness:
         other = SplitProfile(2, (Fraction("0.3"), Fraction("0.4")))
         with pytest.raises(ProtocolError):
             fairness_report(other, run)
+
+
+class ExpectRecorder(protocol._Recorder):
+    def expect(self, ok, prop, detail):
+        self.checks += 1
+        if not ok:
+            self.fail(prop, detail() if callable(detail) else detail)
+
+
+def targets_are_half_integers(profile, geo):
+    if not all(is_half_integer(g) and 0 <= g <= profile.n for g in geo.values()):
+        return False
+    for k in (0, profile.n):
+        for party in Party:
+            if not is_half_integer(targets.k_split_target(profile, party, k)):
+                return False
+    return True
+
+
+def reference_check_profile(profile):
+    """``protocol.check_profile`` as it was before it took its outcome from
+    ``optimal_run``: the outcome through the preference table and every
+    outcome rule, and each check through ``expect`` with a lazy detail."""
+    table = profile.win_table
+    rec = ExpectRecorder(profile)
+    n = profile.n
+    a, b = table.a, table.b
+    parties = ((Party.A, a), (Party.B, b))
+
+    for k in range(n + 1):
+        # Districter plus shut-out opponent account for every district on a side.
+        rec.expect(
+            a.left_districting[k] + b.left_opposed[k] == k,
+            "win_identity",
+            lambda: f"k={k} left: {a.left_districting[k]}+{b.left_opposed[k]} != {k}",
+        )
+        rec.expect(
+            b.right_districting[k] + a.right_opposed[k] == n - k,
+            "win_identity",
+            lambda: f"k={k} right: {b.right_districting[k]}+{a.right_opposed[k]}"
+            f" != {n - k}",
+        )
+        rec.expect(
+            a.left_total[k] + b.right_total[k] == n,
+            "conservation",
+            lambda: f"k={k}: A(L)={a.left_total[k]} B(R)={b.right_total[k]}",
+        )
+        rec.expect(
+            a.right_total[k] + b.left_total[k] == n,
+            "conservation",
+            lambda: f"k={k}: A(R)={a.right_total[k]} B(L)={b.left_total[k]}",
+        )
+
+    # Sign of A's support in each segment minus 1/2; B's is the opposite.
+    a_lean = [2 * seg.numerator - seg.denominator for seg in profile.segments_a]
+    for (party, wins), sign in zip(parties, (1, -1)):
+        ld, ro = wins.left_districting, wins.right_opposed
+        ltot, rtot = wins.left_total, wins.right_total
+        for k in range(1, n + 1):
+            lean = sign * a_lean[k - 1]
+            d_step = ld[k] - ld[k - 1]
+            o_step = ro[k] - ro[k - 1]
+            if lean < 0:
+                rec.expect(
+                    0 <= d_step <= 1,
+                    "minority_segment_districting_step",
+                    lambda: f"{party.value} k={k} step={d_step}",
+                )
+                rec.expect(
+                    0 <= o_step <= 1,
+                    "minority_segment_opponent_step",
+                    lambda: f"{party.value} k={k} step={o_step}",
+                )
+            elif lean > 0:
+                rec.expect(
+                    1 <= d_step <= 2,
+                    "majority_segment_districting_step",
+                    lambda: f"{party.value} k={k} step={d_step}",
+                )
+                rec.expect(
+                    -1 <= o_step <= 0,
+                    "majority_segment_opponent_step",
+                    lambda: f"{party.value} k={k} step={o_step}",
+                )
+            # Segments of exactly 1/2 carry no step bound.
+            rec.expect(
+                ltot[k - 1] <= ltot[k] <= ltot[k - 1] + 2,
+                "left_total_step",
+                lambda: f"{party.value} k={k}: {ltot[k - 1]} -> {ltot[k]}",
+            )
+            rec.expect(
+                rtot[k] <= rtot[k - 1] <= rtot[k] + 2,
+                "right_total_step",
+                lambda: f"{party.value} k={k}: {rtot[k - 1]} -> {rtot[k]}",
+            )
+            rec.expect(
+                not (ltot[k - 1] > rtot[k - 1] and ltot[k] < rtot[k]),
+                "crossing_direction",
+                lambda: f"{party.value} k={k}: left-preferring then right-preferring",
+            )
+
+    geo = {p: targets.geometric_target(profile, p) for p in Party}
+    # Twice each target as an exact ratio num/den, so that the bounds below
+    # compare integers.
+    twice_geo = {p: (2 * g).as_integer_ratio() for p, g in geo.items()}
+    for party, wins in parties:
+        ltot, rtot = wins.left_total, wins.right_total
+        g_num, g_den = twice_geo[party]
+        rec.expect(
+            g_num == (ltot[n] + ltot[0]) * g_den,
+            "target_average_identity",
+            lambda: f"{party.value}: geo={ratio_str(geo[party])}"
+            f" best={ltot[n]} worst={ltot[0]}",
+        )
+        for k in range(n + 1):
+            doubled_split_target = ltot[k] + rtot[k]
+            rec.expect(
+                abs(g_num - doubled_split_target * g_den) <= g_den,
+                "target_vs_split_target",
+                lambda: f"{party.value} k={k}: geo={ratio_str(geo[party])}"
+                f" split target={ratio_str(Fraction(doubled_split_target, 2))}",
+            )
+            rec.expect(
+                2 * max(ltot[k], rtot[k]) >= doubled_split_target,
+                "good_choice",
+                lambda: f"{party.value} k={k}",
+            )
+    for k in range(n + 1):
+        rec.expect(
+            (a.left_total[k] + a.right_total[k]) + (b.left_total[k] + b.right_total[k])
+            == 2 * n,
+            "split_target_sum",
+            lambda: f"k={k}",
+        )
+    for k, party in ((0, Party.A), (n // 2, Party.B), (n, Party.A)):
+        wins = table.party(party)
+        rec.expect(
+            targets.k_split_target(profile, party, k)
+            == Fraction(wins.left_total[k] + wins.right_total[k], 2),
+            "split_target_definition",
+            lambda: f"{party.value} k={k}",
+        )
+    rec.expect(
+        targets_are_half_integers(profile, geo),
+        "target_half_integer",
+        "a target is not an integer multiple of 1/2",
+    )
+
+    prefs = optimal_preferences(profile)
+    for k in range(n + 1):
+        pa, pb = prefs[k]
+        rec.expect(
+            not (pa is pb and pa is not Preference.INDIFFERENT),
+            "shared_model_opposition",
+            lambda: f"k={k}: both prefer {pa.value}",
+        )
+    try:
+        kind, trigger = classify_outcome(prefs)
+    except ProtocolError:
+        rec.expect(False, "outcome_exists", "no outcome under optimal play")
+        return rec.checks, rec.violations, None
+
+    if kind is OutcomeKind.COIN_FLIP:
+        for party, wins in parties:
+            ltot, rtot = wins.left_total, wins.right_total
+            g_num, g_den = twice_geo[party]
+            rec.expect(
+                rtot[trigger - 1] - ltot[trigger - 1] <= 3,
+                "coinflip_gap_at_most_3",
+                lambda: f"{party.value} at k={trigger - 1}:"
+                f" {rtot[trigger - 1]} - {ltot[trigger - 1]}",
+            )
+            rec.expect(
+                ltot[trigger] - rtot[trigger] <= 3,
+                "coinflip_gap_at_most_3",
+                lambda: f"{party.value} at k={trigger}:"
+                f" {ltot[trigger]} - {rtot[trigger]}",
+            )
+            for i in (trigger - 1, trigger):
+                doubled_split_target = ltot[i] + rtot[i]
+                for wins_i in (ltot[i], rtot[i]):
+                    rec.expect(
+                        abs(doubled_split_target - 2 * wins_i) <= 3,
+                        "coinflip_split_target_bound",
+                        lambda: f"{party.value} i={i} wins={wins_i}",
+                    )
+                    rec.expect(
+                        abs(g_num - 2 * wins_i * g_den) <= 4 * g_den,
+                        "coinflip_target_bound",
+                        lambda: f"{party.value} i={i} wins={wins_i}",
+                    )
+        candidates = coinflip_options(profile, trigger)
+        order_ok = tuple(
+            (c.assignment.k, c.assignment.option) for c in candidates
+        ) == (
+            (trigger - 1, Preference.OPTION1),
+            (trigger - 1, Preference.OPTION2),
+            (trigger, Preference.OPTION1),
+            (trigger, Preference.OPTION2),
+        )
+        rec.expect(order_ok, "coinflip_candidate_order", lambda: f"trigger={trigger}")
+        for cand in candidates:
+            rec.expect(
+                cand.wins_a + cand.wins_b == n,
+                "conservation",
+                lambda: f"candidate k={cand.assignment.k}"
+                f" {cand.assignment.option.value}",
+            )
+    else:
+        # A satisfied party (preference honored, or indifferent between equal
+        # options) reaches at least its split target, hence lands within 1/2
+        # of the geometric target.
+        run = resolve_protocol(profile, prefs, 0)
+        report = fairness_report(profile, run)
+        pa, pb = prefs[run.trigger_k]
+        for party, pref in ((Party.A, pa), (Party.B, pb)):
+            stats = report.party(party)
+            if pref is Preference.INDIFFERENT:
+                rec.expect(
+                    stats.split_target_delta == 0,
+                    "indifference_is_exact",
+                    lambda: f"{party.value}: indifferent but wins differ from"
+                    " split target",
+                )
+            rec.expect(
+                stats.split_target_delta <= 0,
+                "good_choice_realized",
+                lambda: f"{party.value}: wins below split target in outcome"
+                f" {kind.value}",
+            )
+            rec.expect(
+                stats.target_delta <= Fraction(1, 2),
+                "settled_outcome_target_gap",
+                lambda: f"{party.value}: gap {ratio_str(stats.target_delta)}",
+            )
+
+    return rec.checks, rec.violations, kind
+
+
+def k_targets_are_half_integers(profile: SplitProfile, geo: dict) -> bool:
+    if not all(is_half_integer(g) and 0 <= g <= profile.n for g in geo.values()):
+        return False
+    for k in (0, profile.n):
+        for party in Party:
+            if not is_half_integer(targets.k_split_target(profile, party, k)):
+                return False
+    return True
+
+
+def corrupted_profiles(deltas, count=2000):
+    """Seeded random profiles, nine in ten with one win-table entry of one
+    party moved by a step drawn from ``deltas``."""
+    for i in range(count):
+        rng = random.Random(mix_seed(11, i))
+        profile = protocol.random_profile(rng, 12)
+        if rng.random() < 0.9:
+            table = profile.win_table
+            party = rng.choice(table._fields)
+            wins = getattr(table, party)
+            field = rng.choice(wins._fields)
+            values = list(getattr(wins, field))
+            values[rng.randrange(len(values))] += rng.choice(deltas)
+            wins = wins._replace(**{field: tuple(values)})
+            profile.__dict__["win_table"] = table._replace(**{party: wins})
+        yield profile
+
+
+def checked(result):
+    checks, violations, kind = result
+    return checks, [(v.prop, v.detail) for v in violations], kind
+
+
+# Every property that the off-by-one corpus below makes fail.
+OFF_BY_ONE_PROPERTIES = {
+    "coinflip_gap_at_most_3", "coinflip_split_target_bound", "coinflip_target_bound",
+    "conservation", "good_choice_realized", "indifference_is_exact", "left_total_step",
+    "majority_segment_districting_step", "majority_segment_opponent_step",
+    "minority_segment_districting_step", "minority_segment_opponent_step",
+    "right_total_step", "settled_outcome_target_gap", "split_target_sum",
+    "target_average_identity", "target_vs_split_target", "win_identity",
+}
+
+
+class TestCheckProfileReference:
+    def test_off_by_one_tables_match_the_reference(self):
+        fired = set()
+        for profile in corrupted_profiles((-1, 1)):
+            result = checked(protocol.check_profile(profile))
+            assert result == checked(reference_check_profile(profile))
+            fired.update(prop for prop, _ in result[1])
+        assert fired == OFF_BY_ONE_PROPERTIES
+
+    def test_wider_errors_add_only_the_opposition_check(self):
+        # The reference reads B's preference off A's totals, so it cannot
+        # see B's totals disagree; with one entry moved by 2 or 3 they can.
+        opposed = 0
+        for profile in corrupted_profiles((-3, -2, 2, 3)):
+            checks, violations, kind = checked(protocol.check_profile(profile))
+            kept = [v for v in violations if v[0] != "shared_model_opposition"]
+            opposed += len(violations) - len(kept)
+            assert (checks, kept, kind) == checked(reference_check_profile(profile))
+        assert opposed > 0
 
 
 class TestSweep:

@@ -9,12 +9,17 @@ produce byte-identical output.
 
 Exit status: 0 on success, 1 when violations or mismatches were found, 2 on
 bad input.
+
+``main`` may be called any number of times in one process: every call
+shares one parser, built on the first call, and each call's output depends
+only on its own arguments.  ``build_parser`` returns a new parser each time.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -312,11 +317,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser ``main`` uses in this process.  ``parse_args`` leaves
+    a parser as it found it, and building one costs more than most requests
+    that use it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None, stdout: io.TextIOBase | None = None) -> int:
     stream = stdout if stdout is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse prints its own message; keep its code
         return int(exc.code or 0)
     if not 0 <= args.seed <= MAX_SEED:

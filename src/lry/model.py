@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 if TYPE_CHECKING:
     from .strategy import WinTable
@@ -189,13 +189,8 @@ class SplitProfile:
     def scaled_prefix_a(self) -> tuple[int, tuple[int, ...]]:
         """``(L, P)``: L is the lcm of the segment denominators and
         ``P[k] = L * prefix_a[k]``, so every sum is an exact integer."""
-        # Unpacking a list, not a generator: CPython grows a generator's
-        # argument tuple by resizing, and every resized tuple it frees stays
-        # on a free list; over a sweep that adds megabytes of peak memory.
-        scale = math.lcm(*[seg.denominator for seg in self.segments_a])
-        sums = [0]
-        for seg in self.segments_a:
-            sums.append(sums[-1] + seg.numerator * (scale // seg.denominator))
+        pairs = [(seg.numerator, seg.denominator) for seg in self.segments_a]
+        scale, sums = scaled_sums(pairs)
         return scale, tuple(sums)
 
     @cached_property
@@ -241,27 +236,48 @@ def _check(profile: SplitProfile):
                 None, k, f"segment {k} support {ratio_str(seg)} outside [0, 1]"
             )
     scale, prefix = profile.scaled_prefix_a
-    total = prefix[-1]
-    # Cumulative sums may never be integer multiples of 1/2; only the empty
-    # sides (left of split 0, right of split n) are exempt.  A sum P/L is one
-    # exactly when L divides 2P.
-    for k in range(1, profile.n + 1):
+    for side, k, scaled in half_integer_sums(scale, prefix):
+        where = "left" if side is Side.LEFT else "right"
+        value = ratio_str(Fraction(scaled, scale))
+        yield Violation(
+            side,
+            k,
+            f"support {where} of split {k} is {value}, an integer multiple of 1/2",
+        )
+
+
+def scaled_sums(segments: list[tuple[int, int]]) -> tuple[int, list[int]]:
+    """``(L, P)`` for segments given as ``(p, q)`` pairs, in lowest terms or
+    not: L is the lcm of the q's and ``P[k]`` is L times the sum of the first
+    k segments, so every sum is an exact integer."""
+    # Unpacking a list, not a generator: CPython grows a generator's
+    # argument tuple by resizing, and every resized tuple it frees stays on a
+    # free list; over a sweep that adds megabytes of peak memory.
+    scale = math.lcm(*[den for _, den in segments])
+    sums = [0]
+    for num, den in segments:
+        sums.append(sums[-1] + num * (scale // den))
+    return scale, sums
+
+
+def half_integer_sums(
+    scale: int, prefix: Sequence[int]
+) -> Iterator[tuple[Side, int, int]]:
+    """Yield ``(side, k, L * sum)`` for each cumulative sum that is an integer
+    multiple of 1/2, left sums first, from the ``(L, P)`` of ``scaled_sums``.
+
+    A valid profile has none; only the empty sides (left of split 0, right of
+    split n) are exempt.  A sum P/L is one exactly when L divides 2P, which
+    holds for any common multiple L of the denominators.
+    """
+    n = len(prefix) - 1
+    for k in range(1, n + 1):
         if 2 * prefix[k] % scale == 0:
-            value = ratio_str(Fraction(prefix[k], scale))
-            yield Violation(
-                Side.LEFT,
-                k,
-                f"support left of split {k} is {value}, an integer multiple of 1/2",
-            )
-    for k in range(profile.n):
-        suffix = total - prefix[k]
+            yield Side.LEFT, k, prefix[k]
+    for k in range(n):
+        suffix = prefix[n] - prefix[k]
         if 2 * suffix % scale == 0:
-            value = ratio_str(Fraction(suffix, scale))
-            yield Violation(
-                Side.RIGHT,
-                k,
-                f"support right of split {k} is {value}, an integer multiple of 1/2",
-            )
+            yield Side.RIGHT, k, suffix
 
 
 def validate_profile(profile: SplitProfile) -> tuple[Violation, ...]:

@@ -30,11 +30,13 @@ from .model import (
     Party,
     SplitProfile,
     ensure_valid,
+    half_integer_sums,
     is_half_integer,
     left,
     profile_to_dict,
     ratio_str,
     right,
+    scaled_sums,
 )
 
 
@@ -400,18 +402,21 @@ def random_profile(
 ) -> SplitProfile:
     """A random valid profile with 2 <= n <= n_max.
 
-    Segments are p/q with q <= max_denominator; whole candidates are
-    rejected until no cumulative sum lands on a half-integer.
+    Segments are p/q with 2 <= q <= max_denominator and 0 <= p <= q.  Each
+    candidate draws all n pairs, then is rejected on integers while some
+    cumulative sum lands on a half-integer (``model.half_integer_sums``);
+    only the accepted candidate becomes Fractions and a ``SplitProfile``.
+    Every candidate makes its 2n RNG calls whether or not it is rejected, so
+    a seed fixes both the profile and the generator's state after it.
     """
     n = rng.randint(2, n_max)
     while True:
-        segments = []
+        pairs = []
         for _ in range(n):
             den = rng.randint(2, max_denominator)
-            segments.append(Fraction(rng.randint(0, den), den))
-        profile = SplitProfile(n, tuple(segments))
-        if profile.is_valid:
-            return profile
+            pairs.append((rng.randint(0, den), den))
+        if next(half_integer_sums(*scaled_sums(pairs)), None) is None:
+            return SplitProfile(n, tuple([Fraction(num, den) for num, den in pairs]))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import json
 import time
 import tracemalloc
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from lry import cli, model
@@ -40,6 +41,60 @@ def test_byte_identical_reruns():
         first = run_cli(*argv)
         second = run_cli(*argv)
         assert first == second, argv
+
+
+@pytest.fixture
+def fresh_parser():
+    """Each test starts and ends without the process's cached parser."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_main_builds_the_parser_once(fresh_parser, monkeypatch, tmp_path):
+    built = []
+    original = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(model.profile_to_dict(model.two_gap_profile())))
+    requests = [
+        ["simulate", "--input", str(path)],
+        ["example-2gap", "--format", "csv"],
+        ["verify", "--count", "2", "--n-max", "5"],
+        ["geodelta", "--delta", "3"],
+        ["oracle", "--count", "1", "--oracle-cap", "4"],
+    ]
+    for seed in range(10):
+        for argv in requests:
+            assert run_cli(*argv, "--seed", str(seed))[0] == 0, argv
+    assert len(built) == 1
+
+
+def test_failed_and_help_requests_leave_the_parser_unchanged(fresh_parser, capsys):
+    requests = [
+        ["geodelta", "--delta", "3", "--format", "csv", "--seed", "5"],
+        ["verify", "--count", "4", "--n-max", "7"],
+        ["example-2gap"],
+    ]
+    fresh = []
+    for argv in requests:
+        cli._parser.cache_clear()
+        fresh.append(run_cli(*argv))
+    assert run_cli("geodelta", "--delta", "x")[0] == 2
+    assert run_cli("--help")[0] == 0
+    assert run_cli("verify", "--help")[0] == 0
+    capsys.readouterr()
+    for argv, expected in zip(requests, fresh):
+        assert run_cli(*argv) == expected, argv
+
+
+def test_build_parser_returns_a_new_parser():
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def test_seeds_walk_the_candidates():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lry import model, protocol, targets
-from lry.model import Party, SplitProfile, is_half_integer, ratio_str
+from lry.model import Party, Side, SplitProfile, is_half_integer, ratio_str
 from lry.protocol import (
     Assignment,
     OutcomeKind,
@@ -617,6 +617,68 @@ class TestSweep:
             profile = protocol.random_profile(rng, 15)
             assert profile.is_valid
             assert 2 <= profile.n <= 15
+
+
+def reference_random_profile(
+    rng: random.Random, n_max: int, max_denominator: int = 12
+) -> SplitProfile:
+    """The draw ``random_profile`` must match, RNG state included: it builds
+    Fractions and a ``SplitProfile`` for every candidate and asks
+    ``is_valid``."""
+    n = rng.randint(2, n_max)
+    while True:
+        segments = []
+        for _ in range(n):
+            den = rng.randint(2, max_denominator)
+            segments.append(Fraction(rng.randint(0, den), den))
+        profile = SplitProfile(n, tuple(segments))
+        if profile.is_valid:
+            return profile
+
+
+@st.composite
+def unreduced_pairs(draw):
+    """Segments as (p, q) with 0 <= p <= q, often not in lowest terms."""
+    pairs = []
+    for _ in range(draw(st.integers(1, 8))):
+        q = draw(st.integers(1, 12))
+        factor = draw(st.integers(1, 4))
+        pairs.append((factor * draw(st.integers(0, q)), factor * q))
+    return pairs
+
+
+class TestRandomProfileReference:
+    def test_draws_match_the_reference(self):
+        for index in range(20000):
+            n_max = (2, 3, 20, 60)[index % 4]
+            rng = random.Random(mix_seed(17, index))
+            ref_rng = random.Random(mix_seed(17, index))
+            profile = protocol.random_profile(rng, n_max)
+            expected = reference_random_profile(ref_rng, n_max)
+            assert (profile.n, profile.segments_a) == (expected.n, expected.segments_a)
+            assert rng.getstate() == ref_rng.getstate(), index
+            assert profile.is_valid
+
+    @settings(max_examples=300, deadline=None)
+    @given(unreduced_pairs())
+    @example([(2, 4), (1, 3), (1, 5)])  # only the first prefix, 1/2
+    @example([(1, 3), (1, 5), (3, 6)])  # only the last suffix, 1/2
+    @example([(1, 4), (3, 4)])  # only the whole sum, 1
+    def test_integer_rule_matches_fractions(self, pairs):
+        n = len(pairs)
+        scale, prefix = model.scaled_sums(pairs)
+        found = list(model.half_integer_sums(scale, prefix))
+        profile = SplitProfile(n, tuple(Fraction(p, q) for p, q in pairs))
+        sums = profile.prefix_a
+        expected = [
+            (Side.LEFT, k, sums[k]) for k in range(1, n + 1) if is_half_integer(sums[k])
+        ] + [
+            (Side.RIGHT, k, sums[n] - sums[k])
+            for k in range(n)
+            if is_half_integer(sums[n] - sums[k])
+        ]
+        assert [(side, k, Fraction(v, scale)) for side, k, v in found] == expected
+        assert (not found) == profile.is_valid
 
 
 class TestSerialization:

@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lry import cli, model
+from lry import cli, model, oracle, protocol
 
 
 def run_cli(*argv):
@@ -548,3 +548,76 @@ def test_help_mentions_defaults(capsys):
     out = capsys.readouterr().out
     assert "default: 10000" in out
     assert "default: 0" in out
+
+
+def _sweep_with_violations(real):
+    """``property_sweep`` as it is, plus one violation with a profile and
+    one without."""
+
+    def sweep(count, n_max, seed):
+        report = real(count, n_max, seed)
+        report.violations.append(
+            protocol.SweepViolation("conservation", "winsA + winsB = 4 != 5", {"n": 5})
+        )
+        report.violations.append(protocol.SweepViolation("geo_target", "r=3/2", None))
+        return report
+
+    return sweep
+
+
+# SHA-256 of the stdout of `verify --count 20 --n-max 6 --seed 2` and of
+# `oracle --count 3 --seed 5` when each reports a failure, recorded before
+# the commands shared one report writer.
+VERIFY_VIOLATION_GOLDEN = {
+    "json": "735fe831615bb8acf5a83abd14f4d48d7a231fc511ee99740b41b6d89e463d25",
+    "csv": "1a2ce3170a0102a423f894e4bc7433e5414501a37c84080b27f5665aa8b08151",
+}
+ORACLE_MISMATCH_GOLDEN = {
+    "json": "9473cc0d16bd93d23a925adf0b21b41df920ac70bea1476940ce72076f2cc5e0",
+    "csv": "73fb82bb2ebbac965a2eb0cc12237e214b4e1d28f8d10f12e91b143cdce77906",
+}
+
+
+def test_verify_violation_output_is_golden(monkeypatch):
+    monkeypatch.setattr(
+        protocol, "property_sweep", _sweep_with_violations(protocol.property_sweep)
+    )
+    for fmt, digest in VERIFY_VIOLATION_GOLDEN.items():
+        code, text = run_cli(
+            "verify", "--count", "20", "--n-max", "6", "--seed", "2", "--format", fmt
+        )
+        assert code == 1
+        if fmt == "json":
+            assert [v["property"] for v in json.loads(text)["violations"]] == [
+                "conservation",
+                "geo_target",
+            ]
+        else:
+            assert text.splitlines()[-3:] == [
+                "property,detail,profile",
+                'conservation,winsA + winsB = 4 != 5,"{""n"":5}"',
+                "geo_target,r=3/2,",
+            ]
+        assert sha256(text) == digest, fmt
+
+
+def test_oracle_mismatch_output_is_golden(monkeypatch):
+    bad = [
+        {"kind": "unwitnessed_max", "detail": "instance 1: reported 3, best plan 2"},
+        {"kind": "analogue", "detail": "k=2 |side|=8 analytic=3 bruteforce=2"},
+    ]
+    monkeypatch.setattr(oracle, "grid_oracle_mismatches", lambda count, seed, cap: (count, bad))
+    for fmt, digest in ORACLE_MISMATCH_GOLDEN.items():
+        code, text = run_cli("oracle", "--count", "3", "--seed", "5", "--format", fmt)
+        assert code == 1
+        if fmt == "json":
+            doc = json.loads(text)
+            assert doc["grid"]["mismatches"] == bad
+            assert doc["strategy"]["mismatches"] == []
+        else:
+            assert text.splitlines()[-3:] == [
+                "kind,detail",
+                'unwitnessed_max,"instance 1: reported 3, best plan 2"',
+                "analogue,k=2 |side|=8 analytic=3 bruteforce=2",
+            ]
+        assert sha256(text) == digest, fmt

@@ -7,6 +7,9 @@ cross-checks.  Reports embed the seed and a digest of the canonical input so
 any run can be reproduced from its output alone.  Identical inputs and seed
 produce byte-identical output.
 
+Each ``_cmd_*`` function returns what its command found as a ``_Report``
+and prints nothing; ``_write`` prints every report, as JSON or as CSV.
+
 Exit status: 0 on success, 1 when violations or mismatches were found, 2 on
 bad input.
 
@@ -24,15 +27,20 @@ import hashlib
 import io
 import json
 import sys
+from dataclasses import dataclass, field
+from typing import Callable
 
 from . import grid as grid_mod
-from . import model, oracle, protocol, strategy
+from . import model, oracle, protocol
 from .oracle import random_small_grid  # noqa: F401  (bench/ looks it up on cli)
 
 MAX_SEED = 2**64 - 1
 # geodelta's time and memory grow as delta: it reads O(delta) breakpoints.
 MAX_DELTA = 1000
 MAX_N_MAX = 10000  # verify holds up to --n-max exact Fractions per profile
+# simulate reads at most this much of --input; the largest profile the
+# benchmark feeds it is about 1 MB.
+MAX_INPUT_BYTES = 64 * 2**20
 
 
 def _canonical_json(doc: object) -> str:
@@ -43,17 +51,34 @@ def _digest(doc: object) -> str:
     return hashlib.sha256(_canonical_json(doc).encode("utf-8")).hexdigest()
 
 
-def _emit_json(stream, doc: dict) -> None:
-    stream.write(json.dumps(doc, sort_keys=True, indent=2))
-    stream.write("\n")
+@dataclass
+class _Report:
+    """What a command found: the value ``inputDigest`` hashes, the JSON body,
+    the extra CSV preamble entries, the CSV field names (None: no CSV table,
+    so the report is written as JSON), the CSV rows, made only for a CSV
+    report, and the exit status."""
+
+    digested: object
+    body: dict
+    preamble: dict = field(default_factory=dict)
+    fields: list[str] | None = None
+    rows: Callable[[], list[dict]] = list
+    code: int = 0
 
 
-def _emit_csv(stream, preamble: dict, fieldnames: list[str], rows: list[dict]) -> None:
-    for key in sorted(preamble):
-        stream.write(f"# {key}: {preamble[key]}\n")
-    writer = csv.DictWriter(stream, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
+def _write(report: _Report, args, stream) -> int:
+    """Writes ``report`` with the command, seed and input digest added."""
+    header = {"seed": args.seed, "inputDigest": _digest(report.digested)}
+    if args.format == "json" or report.fields is None:
+        doc = {"command": args.command, **header, **report.body}
+        stream.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    else:
+        preamble = {**header, **report.preamble}
+        stream.writelines(f"# {key}: {preamble[key]}\n" for key in sorted(preamble))
+        writer = csv.DictWriter(stream, fieldnames=report.fields, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(report.rows())
+    return report.code
 
 
 class InputError(Exception):
@@ -62,10 +87,14 @@ class InputError(Exception):
 
 def _load_profile(path: str) -> model.SplitProfile:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+        with open(path, "rb") as handle:
+            data = handle.read(MAX_INPUT_BYTES + 1)
     except OSError as exc:
         raise InputError(f"cannot read --input {path}: {exc}") from exc
+    if len(data) > MAX_INPUT_BYTES:
+        raise InputError(f"--input {path} is longer than {MAX_INPUT_BYTES} bytes")
+    try:
+        doc = json.load(io.StringIO(data.decode("utf-8")))
     except (ValueError, RecursionError) as exc:
         # Bad JSON, bad UTF-8, an integer past str()'s limit, or nesting
         # deeper than the decoder's recursion allows.
@@ -76,54 +105,30 @@ def _load_profile(path: str) -> model.SplitProfile:
         raise InputError(f"--input {path}: {exc}") from exc
 
 
-_SIM_FIELDS = [
-    "k",
-    "option",
-    "winsA",
-    "winsB",
-    "deltaGeoA",
-    "deltaGeoKA",
-    "deltaGeoB",
-    "deltaGeoKB",
-]
+_SIM_FIELDS = ["k", "option", "winsA", "winsB", "deltaGeoA", "deltaGeoKA", "deltaGeoB", "deltaGeoKB"]
 
 
-def _cmd_simulate(args, stream) -> int:
+def _cmd_simulate(args) -> _Report:
     """``simulate`` and ``example-2gap``: the profile comes from the
     subcommand's ``load_profile`` default."""
     profile = args.load_profile(args)
     profile_doc = model.profile_to_dict(profile)
-    report = {
-        "command": args.command,
-        "seed": args.seed,
-        "inputDigest": _digest(profile_doc),
-        "profile": profile_doc,
-    }
+    body = {"profile": profile_doc}
     violations = model.validate_profile(profile)
     if violations:
-        report["profileViolations"] = [
-            {
-                "side": v.side.value if v.side is not None else None,
-                "k": v.k,
-                "message": v.message,
-            }
+        body["profileViolations"] = [
+            {"side": v.side.value if v.side else None, "k": v.k, "message": v.message}
             for v in violations
         ]
-        _emit_json(stream, report)
-        return 1
+        return _Report(profile_doc, body, code=1)
     run = protocol.optimal_run(profile, args.seed)
-    fairness = protocol.fairness_report(profile, run)
-    report["run"] = protocol.run_to_dict(run)
-    report["fairness"] = protocol.fairness_to_dict(fairness)
-    if args.format == "json":
-        _emit_json(stream, report)
-    else:
-        preamble = {"seed": args.seed, "inputDigest": report["inputDigest"]}
-        _emit_csv(stream, preamble, _SIM_FIELDS, protocol.candidate_rows(profile, run))
-    return 0
+    body["run"] = protocol.run_to_dict(run)
+    body["fairness"] = protocol.fairness_to_dict(protocol.fairness_report(profile, run))
+    rows = functools.partial(protocol.candidate_rows, profile, run)
+    return _Report(profile_doc, body, fields=_SIM_FIELDS, rows=rows)
 
 
-def _cmd_verify(args, stream) -> int:
+def _cmd_verify(args) -> _Report:
     if args.count < 1:
         raise InputError(f"--count must be positive, got {args.count}")
     if args.n_max < 2:
@@ -131,55 +136,36 @@ def _cmd_verify(args, stream) -> int:
     if args.n_max > MAX_N_MAX:
         raise InputError(f"--n-max must be at most {MAX_N_MAX}, got {args.n_max}")
     sweep = protocol.property_sweep(args.count, args.n_max, args.seed)
-    params = {"count": args.count, "n_max": args.n_max}
-    report = {
-        "command": "verify",
-        "seed": args.seed,
-        "inputDigest": _digest(params),
-        "count": args.count,
-        "nMax": args.n_max,
-    }
-    report.update(protocol.sweep_to_dict(sweep))
-    if args.format == "json":
-        _emit_json(stream, report)
-    else:
-        preamble = {
-            "seed": args.seed,
-            "inputDigest": report["inputDigest"],
-            "instances": sweep.instances,
-            "checks": sweep.checks,
-        }
-        rows = [
+    return _Report(
+        {"count": args.count, "n_max": args.n_max},
+        {"count": args.count, "nMax": args.n_max, **protocol.sweep_to_dict(sweep)},
+        {"instances": sweep.instances, "checks": sweep.checks},
+        ["property", "detail", "profile"],
+        lambda: [
             {
                 "property": v.prop,
                 "detail": v.detail,
                 "profile": _canonical_json(v.profile) if v.profile else "",
             }
             for v in sweep.violations
-        ]
-        _emit_csv(stream, preamble, ["property", "detail", "profile"], rows)
-    return 0 if sweep.ok else 1
+        ],
+        0 if sweep.ok else 1,
+    )
 
 
-def _cmd_geodelta(args, stream) -> int:
+def _cmd_geodelta(args) -> _Report:
     if args.delta < 1:
         raise InputError(f"--delta must be at least 1, got {args.delta}")
     if args.delta > MAX_DELTA:
         raise InputError(f"--delta must be at most {MAX_DELTA}, got {args.delta}")
     report = grid_mod.geodelta_report(args.delta, args.seed)
-    doc = grid_mod.geodelta_report_to_dict(report)
-    doc["command"] = "geodelta"
-    doc["seed"] = args.seed
-    doc["inputDigest"] = _digest({"delta": args.delta})
-    if args.format == "json":
-        _emit_json(stream, doc)
-    else:
-        preamble = {
-            "seed": args.seed,
-            "inputDigest": doc["inputDigest"],
-            "geoA": doc["geoA"],
-        }
-        rows = [
+    body = grid_mod.geodelta_report_to_dict(report)
+    return _Report(
+        {"delta": args.delta},
+        body,
+        {"geoA": body["geoA"]},
+        ["k", "option", "winsA", "winsB", "gapA"],
+        lambda: [
             {
                 "k": c.assignment.k,
                 "option": c.assignment.option.value,
@@ -188,27 +174,20 @@ def _cmd_geodelta(args, stream) -> int:
                 "gapA": model.ratio_str(report.target_a - c.wins_a),
             }
             for c in report.run.candidates
-        ]
-        _emit_csv(stream, preamble, ["k", "option", "winsA", "winsB", "gapA"], rows)
-    return 0
+        ],
+    )
 
 
-def _cmd_oracle(args, stream) -> int:
+def _cmd_oracle(args) -> _Report:
     if args.count < 1:
         raise InputError(f"--count must be positive, got {args.count}")
     if args.oracle_cap < 1:
         raise InputError(f"--oracle-cap must be positive, got {args.oracle_cap}")
-    strategy_checked, strategy_bad = oracle.strategy_oracle_mismatches(
-        strategy.DEFAULT_GRANULARITY
-    )
+    strategy_checked, strategy_bad = oracle.strategy_oracle_mismatches()
     grid_checked, grid_bad = oracle.grid_oracle_mismatches(
         args.count, args.seed, args.oracle_cap
     )
-    params = {"count": args.count, "oracle_cap": args.oracle_cap}
-    report = {
-        "command": "oracle",
-        "seed": args.seed,
-        "inputDigest": _digest(params),
+    body = {
         "strategy": {"configs": strategy_checked, "mismatches": strategy_bad},
         "grid": {
             "instances": grid_checked,
@@ -216,19 +195,15 @@ def _cmd_oracle(args, stream) -> int:
             "mismatches": grid_bad,
         },
     }
-    ok = not strategy_bad and not grid_bad
-    if args.format == "json":
-        _emit_json(stream, report)
-    else:
-        preamble = {
-            "seed": args.seed,
-            "inputDigest": report["inputDigest"],
-            "strategyConfigs": strategy_checked,
-            "gridInstances": grid_checked,
-        }
-        rows = strategy_bad + grid_bad
-        _emit_csv(stream, preamble, ["kind", "detail"], rows)
-    return 0 if ok else 1
+    bad = strategy_bad + grid_bad
+    return _Report(
+        {"count": args.count, "oracle_cap": args.oracle_cap},
+        body,
+        {"strategyConfigs": strategy_checked, "gridInstances": grid_checked},
+        ["kind", "detail"],
+        lambda: bad,
+        1 if bad else 0,
+    )
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -335,7 +310,7 @@ def main(argv: list[str] | None = None, stdout: io.TextIOBase | None = None) -> 
         print(f"error: --seed must be in 0..2^64-1, got {args.seed}", file=sys.stderr)
         return 2
     try:
-        return args.func(args, stream)
+        return _write(args.func(args), args, stream)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

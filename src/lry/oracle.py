@@ -19,11 +19,12 @@ from .model import Party, ratio_str
 from .protocol import mix_seed
 
 
-def strategy_oracle_mismatches(granularity: int) -> tuple[int, list[dict]]:
+def strategy_oracle_mismatches() -> tuple[int, list[dict]]:
     """Exhaustively compare the closed forms with the allocation search,
     which tries every split of the units up to bin order, for every side of
     up to 4 districts and every non-half-integer support on the
-    1/granularity grid."""
+    1/``strategy.DEFAULT_GRANULARITY`` grid."""
+    granularity = strategy.DEFAULT_GRANULARITY
     checked = 0
     mismatches = []
     for size in range(1, strategy.MAX_ORACLE_DISTRICTS + 1):

@@ -397,12 +397,10 @@ def mix_seed(seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def random_profile(
-    rng: random.Random, n_max: int, max_denominator: int = 12
-) -> SplitProfile:
+def random_profile(rng: random.Random, n_max: int) -> SplitProfile:
     """A random valid profile with 2 <= n <= n_max.
 
-    Segments are p/q with 2 <= q <= max_denominator and 0 <= p <= q.  Each
+    Segments are p/q with 2 <= q <= 12 and 0 <= p <= q.  Each
     candidate draws all n pairs, then is rejected on integers while some
     cumulative sum lands on a half-integer (``model.half_integer_sums``);
     only the accepted candidate becomes Fractions and a ``SplitProfile``.
@@ -413,7 +411,7 @@ def random_profile(
     while True:
         pairs = []
         for _ in range(n):
-            den = rng.randint(2, max_denominator)
+            den = rng.randint(2, 12)
             pairs.append((rng.randint(0, den), den))
         if next(half_integer_sums(*scaled_sums(pairs)), None) is None:
             return SplitProfile(n, tuple([Fraction(num, den) for num, den in pairs]))

@@ -155,10 +155,10 @@ def _support_units(support: Fraction, granularity: int) -> int:
     return units.numerator
 
 
-def _check_oracle_size(districts: int, max_districts: int) -> None:
-    if districts > max_districts:
+def _check_oracle_size(districts: int) -> None:
+    if districts > MAX_ORACLE_DISTRICTS:
         raise ValueError(
-            f"oracle limited to sides of {max_districts} districts, got {districts}"
+            f"oracle limited to sides of {MAX_ORACLE_DISTRICTS} districts, got {districts}"
         )
 
 
@@ -166,11 +166,10 @@ def bruteforce_districting_wins(
     support: Fraction,
     districts: int,
     granularity: int = DEFAULT_GRANULARITY,
-    max_districts: int = MAX_ORACLE_DISTRICTS,
 ) -> int:
     """Best win count over every allocation of the districting party's units,
     up to the order of the districts."""
-    _check_oracle_size(districts, max_districts)
+    _check_oracle_size(districts)
     units = _support_units(support, granularity)
     best = 0
     for allocation in _allocations(units, districts, granularity):
@@ -183,7 +182,6 @@ def bruteforce_opponent_wins(
     support: Fraction,
     opponent_support: Fraction,
     granularity: int = DEFAULT_GRANULARITY,
-    max_districts: int = MAX_ORACLE_DISTRICTS,
 ) -> int:
     """Worst-case win count over every allocation of the opponent's units,
     up to the order of the districts.
@@ -196,7 +194,7 @@ def bruteforce_opponent_wins(
     if total.denominator != 1:
         raise ValueError("side supports must sum to a whole number of districts")
     districts = total.numerator
-    _check_oracle_size(districts, max_districts)
+    _check_oracle_size(districts)
     opp_units = _support_units(opponent_support, granularity)
     worst = districts
     for allocation in _allocations(opp_units, districts, granularity):

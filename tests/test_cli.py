@@ -247,6 +247,32 @@ def test_simulate_rejects_a_huge_common_denominator(tmp_path, capsys):
     assert "segments_a[3]" in capsys.readouterr().err
 
 
+def test_simulate_endless_input_exits_two(capsys):
+    start = time.perf_counter()
+    code, text = run_cli("simulate", "--input", "/dev/zero")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert "--input" in err
+    assert "Traceback" not in err
+
+
+def test_simulate_input_size_bound(tmp_path, monkeypatch, capsys):
+    doc = json.dumps(SIMULATE_PROFILE)
+    monkeypatch.setattr(cli, "MAX_INPUT_BYTES", len(doc))
+    path = tmp_path / "profile.json"
+    path.write_text(doc)
+    code, text = run_cli("simulate", "--input", str(path))
+    assert code == 0
+    assert json.loads(text)["profile"] == SIMULATE_PROFILE
+    path.write_text(doc + " ")  # still valid JSON, one byte over the bound
+    code, text = run_cli("simulate", "--input", str(path))
+    assert code == 2
+    assert text == ""
+    assert "--input" in capsys.readouterr().err
+
+
 def test_simulate_deeply_nested_input_exits_two(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000)

@@ -54,9 +54,8 @@ def _digest(doc: object) -> str:
 @dataclass
 class _Report:
     """What a command found: the value ``inputDigest`` hashes, the JSON body,
-    the extra CSV preamble entries, the CSV field names (None: no CSV table,
-    so the report is written as JSON), the CSV rows, made only for a CSV
-    report, and the exit status."""
+    the CSV preamble entries, field names (None: no CSV table, so the report
+    is written as JSON) and rows, made only for CSV, and the exit status."""
 
     digested: object
     body: dict
@@ -71,7 +70,8 @@ def _write(report: _Report, args, stream) -> int:
     header = {"seed": args.seed, "inputDigest": _digest(report.digested)}
     if args.format == "json" or report.fields is None:
         doc = {"command": args.command, **header, **report.body}
-        stream.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        stream.write(json.dumps(doc, sort_keys=True, indent=2))
+        stream.write("\n")
     else:
         preamble = {**header, **report.preamble}
         stream.writelines(f"# {key}: {preamble[key]}\n" for key in sorted(preamble))
@@ -94,7 +94,7 @@ def _load_profile(path: str) -> model.SplitProfile:
     if len(data) > MAX_INPUT_BYTES:
         raise InputError(f"--input {path} is longer than {MAX_INPUT_BYTES} bytes")
     try:
-        doc = json.load(io.StringIO(data.decode("utf-8")))
+        doc = json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     except (ValueError, RecursionError) as exc:
         # Bad JSON, bad UTF-8, an integer past str()'s limit, or nesting
         # deeper than the decoder's recursion allows.

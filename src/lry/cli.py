@@ -26,6 +26,7 @@ import functools
 import hashlib
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from typing import Callable
@@ -38,9 +39,7 @@ MAX_SEED = 2**64 - 1
 # geodelta's time and memory grow as delta: it reads O(delta) breakpoints.
 MAX_DELTA = 1000
 MAX_N_MAX = 10000  # verify holds up to --n-max exact Fractions per profile
-# simulate reads at most this much of --input; the largest profile the
-# benchmark feeds it is about 1 MB.
-MAX_INPUT_BYTES = 64 * 2**20
+MAX_INPUT_BYTES = 64 * 2**20  # of --input; the benchmark's largest profile is ~1 MB
 
 
 def _canonical_json(doc: object) -> str:
@@ -53,9 +52,8 @@ def _digest(doc: object) -> str:
 
 @dataclass
 class _Report:
-    """What a command found: the value ``inputDigest`` hashes, the JSON body,
-    the CSV preamble entries, field names (None: no CSV table, so the report
-    is written as JSON) and rows, made only for CSV, and the exit status."""
+    """What a command found: the value ``inputDigest`` hashes, the JSON body, the CSV
+    preamble, fields (None: no table, write JSON) and rows (made only for CSV), the exit code."""
 
     digested: object
     body: dict
@@ -88,7 +86,11 @@ class InputError(Exception):
 def _load_profile(path: str) -> model.SplitProfile:
     try:
         with open(path, "rb") as handle:
-            data = handle.read(MAX_INPUT_BYTES + 1)
+            # Sized by st_size, as read() would be; a device or a pipe reports 0.
+            hint = min(os.fstat(handle.fileno()).st_size, MAX_INPUT_BYTES) + 1
+            data = handle.read(hint)
+            if len(data) == hint:
+                data += handle.read(MAX_INPUT_BYTES + 1 - hint)
     except OSError as exc:
         raise InputError(f"cannot read --input {path}: {exc}") from exc
     if len(data) > MAX_INPUT_BYTES:
@@ -105,7 +107,7 @@ def _load_profile(path: str) -> model.SplitProfile:
         raise InputError(f"--input {path}: {exc}") from exc
 
 
-_SIM_FIELDS = ["k", "option", "winsA", "winsB", "deltaGeoA", "deltaGeoKA", "deltaGeoB", "deltaGeoKB"]
+_SIM_FIELDS = "k option winsA winsB deltaGeoA deltaGeoKA deltaGeoB deltaGeoKB".split()
 
 
 def _cmd_simulate(args) -> _Report:
@@ -184,9 +186,7 @@ def _cmd_oracle(args) -> _Report:
     if args.oracle_cap < 1:
         raise InputError(f"--oracle-cap must be positive, got {args.oracle_cap}")
     strategy_checked, strategy_bad = oracle.strategy_oracle_mismatches()
-    grid_checked, grid_bad = oracle.grid_oracle_mismatches(
-        args.count, args.seed, args.oracle_cap
-    )
+    grid_checked, grid_bad = oracle.grid_oracle_mismatches(args.count, args.seed, args.oracle_cap)
     body = {
         "strategy": {"configs": strategy_checked, "mismatches": strategy_bad},
         "grid": {

@@ -2,6 +2,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import threading
 import time
 import tracemalloc
 
@@ -255,7 +257,22 @@ def test_simulate_endless_input_exits_two(capsys):
     assert text == ""
     err = capsys.readouterr().err
     assert "--input" in err
-    assert "Traceback" not in err
+    assert f"longer than {cli.MAX_INPUT_BYTES} bytes" in err
+
+
+def test_simulate_reads_a_pipe(tmp_path):
+    # A pipe reports no size, so the whole bound is read from it.
+    fifo = tmp_path / "profile.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(
+        target=fifo.write_text, args=(json.dumps(SIMULATE_PROFILE),), daemon=True
+    )
+    writer.start()
+    code, text = run_cli("simulate", "--input", str(fifo))
+    writer.join(timeout=5)
+    assert not writer.is_alive()
+    assert code == 0
+    assert json.loads(text)["profile"] == SIMULATE_PROFILE
 
 
 def test_simulate_input_size_bound(tmp_path, monkeypatch, capsys):

@@ -39,7 +39,7 @@ MAX_SEED = 2**64 - 1
 # geodelta's time and memory grow as delta: it reads O(delta) breakpoints.
 MAX_DELTA = 1000
 MAX_N_MAX = 10000  # verify holds up to --n-max exact Fractions per profile
-MAX_INPUT_BYTES = 64 * 2**20  # of --input; the benchmark's largest profile is ~1 MB
+_MAX_INPUT_BYTES = 64 * 2**20  # simulate's --input; the largest benchmark profile is 1 MB
 
 
 def _canonical_json(doc: object) -> str:
@@ -52,8 +52,8 @@ def _digest(doc: object) -> str:
 
 @dataclass
 class _Report:
-    """What a command found: the value ``inputDigest`` hashes, the JSON body, the CSV
-    preamble, fields (None: no table, write JSON) and rows (made only for CSV), the exit code."""
+    """What a command found: the value ``inputDigest`` hashes, the JSON body, the CSV preamble,
+    field names (None: no table, so JSON) and rows (made only for CSV), and the exit status."""
 
     digested: object
     body: dict
@@ -87,14 +87,14 @@ def _load_profile(path: str) -> model.SplitProfile:
     try:
         with open(path, "rb") as handle:
             # Sized by st_size, as read() would be; a device or a pipe reports 0.
-            hint = min(os.fstat(handle.fileno()).st_size, MAX_INPUT_BYTES) + 1
+            hint = min(os.fstat(handle.fileno()).st_size, _MAX_INPUT_BYTES) + 1
             data = handle.read(hint)
             if len(data) == hint:
-                data += handle.read(MAX_INPUT_BYTES + 1 - hint)
+                data += handle.read(_MAX_INPUT_BYTES + 1 - hint)
     except OSError as exc:
         raise InputError(f"cannot read --input {path}: {exc}") from exc
-    if len(data) > MAX_INPUT_BYTES:
-        raise InputError(f"--input {path} is longer than {MAX_INPUT_BYTES} bytes")
+    if len(data) > _MAX_INPUT_BYTES:
+        raise InputError(f"--input {path} is longer than {_MAX_INPUT_BYTES} bytes")
     try:
         doc = json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     except (ValueError, RecursionError) as exc:

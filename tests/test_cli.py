@@ -257,11 +257,11 @@ def test_simulate_endless_input_exits_two(capsys):
     assert text == ""
     err = capsys.readouterr().err
     assert "--input" in err
-    assert f"longer than {cli.MAX_INPUT_BYTES} bytes" in err
+    assert f"longer than {cli._MAX_INPUT_BYTES} bytes" in err
 
 
 def test_simulate_reads_a_pipe(tmp_path):
-    # A pipe reports no size, so the whole bound is read from it.
+    # A pipe reports a size of 0, so the read must go on past that hint.
     fifo = tmp_path / "profile.fifo"
     os.mkfifo(fifo)
     writer = threading.Thread(
@@ -277,7 +277,7 @@ def test_simulate_reads_a_pipe(tmp_path):
 
 def test_simulate_input_size_bound(tmp_path, monkeypatch, capsys):
     doc = json.dumps(SIMULATE_PROFILE)
-    monkeypatch.setattr(cli, "MAX_INPUT_BYTES", len(doc))
+    monkeypatch.setattr(cli, "_MAX_INPUT_BYTES", len(doc))
     path = tmp_path / "profile.json"
     path.write_text(doc)
     code, text = run_cli("simulate", "--input", str(path))

@@ -12,6 +12,9 @@ district is decided once per ``GridState``: the verdicts are kept in
 ``grid.verdicts``, filled on first use and dropped with the grid.
 ``validate_plan``, ``count_wins`` and ``max_wins_bruteforce`` read them, so a
 district shared by many plans of one grid is checked and summed only once.
+The hole test runs only on districts of ``_HOLE_MIN_CELLS`` cells or more,
+the fewest that can wall one in.  ``max_wins_bruteforce`` lists no plans: it
+memoizes the best win count of each set of cells left unassigned.
 
 The banded construction built here drives the protocol toward a coin flip
 whose losing candidates fall arbitrarily far below the geometric target as
@@ -177,7 +180,7 @@ def _district_violations(grid: GridState, cells: frozenset[Cell]) -> Iterator[st
     if not _is_connected(cells):
         yield "is not connected"
         return
-    if _has_hole(cells):
+    if len(cells) >= _HOLE_MIN_CELLS and _has_hole(cells):
         yield "encloses a hole"
     height, width = _bounding_box(cells)
     if height > grid.z or width > grid.z:
@@ -311,16 +314,9 @@ def _grow_districts(
     return found
 
 
-def enumerate_region_plans(
-    grid: GridState, region: frozenset[Cell]
-) -> Iterator[DistrictPlan]:
-    """Every partition of ``region`` into valid districts, each plan once.
-
-    Every valid district of the region is first filed under its smallest
-    cell, grown from that cell over the cells after it.  A plan then takes,
-    for the smallest cell still unassigned, each district filed under that
-    cell that uses only unassigned cells, and recurses on the rest.
-    """
+def _districts_by_anchor(grid: GridState, region: frozenset[Cell]) -> dict[Cell, list]:
+    """Every valid district of ``region``, filed under its smallest cell and
+    grown from that cell over the cells after it."""
     if len(region) % grid.d != 0:
         raise GridError(
             f"region of {len(region)} cells cannot split into {grid.d}-cell districts"
@@ -329,10 +325,21 @@ def enumerate_region_plans(
     for cell in cells:
         if not grid.on_grid(cell):
             raise GridError(f"region cell {cell} is off the {grid.m}x{grid.m} grid")
-    by_anchor = {
+    return {
         anchor: _grow_districts(anchor, frozenset(cells[index + 1 :]), grid.d, grid.z)
         for index, anchor in enumerate(cells)
     }
+
+
+def enumerate_region_plans(
+    grid: GridState, region: frozenset[Cell]
+) -> Iterator[DistrictPlan]:
+    """Every partition of ``region`` into valid districts, each plan once.
+
+    A plan takes, for the smallest cell still unassigned, each district filed
+    under that cell that uses only unassigned cells, and recurses on the rest.
+    """
+    by_anchor = _districts_by_anchor(grid, region)
 
     def recurse(remaining: frozenset[Cell]) -> Iterator[tuple[District, ...]]:
         if not remaining:
@@ -352,15 +359,30 @@ def max_wins_bruteforce(
     party: Party,
     cap: int = DEFAULT_BRUTEFORCE_CAP,
 ) -> int:
-    """Best win count for ``party`` over every valid plan of ``region``.
-
-    Exhaustive, so only for regions of at most ``cap`` cells.
-    """
+    """Best win count for ``party`` over every valid plan of ``region``, 0
+    when it has none.  Exhaustive, so only for regions of at most ``cap``
+    cells; each set of cells left unassigned is searched once."""
     if len(region) > cap:
         raise GridError(f"region of {len(region)} cells exceeds the cap of {cap}")
-    best = 0
-    for plan in enumerate_region_plans(grid, region):
-        best = max(best, _plan_wins(grid, plan, party))
+    by_anchor = _districts_by_anchor(grid, region)
+    return max(_best_wins(grid, party, by_anchor, frozenset(region), {frozenset(): 0}), 0)
+
+
+def _best_wins(
+    grid: GridState, party: Party, by_anchor: dict, remaining: frozenset[Cell], memo: dict
+) -> int:
+    """The most wins for ``party`` over the plans of ``remaining``, -1 when it
+    has none; ``memo`` maps each set of cells already searched to its answer."""
+    best = memo.get(remaining)
+    if best is None:
+        best = -1
+        for district in by_anchor[min(remaining)]:
+            if district <= remaining:
+                rest = _best_wins(grid, party, by_anchor, remaining - district, memo)
+                if rest >= 0:
+                    won = district_verdict(grid, district).winner is party
+                    best = max(best, rest + won)
+        memo[remaining] = best
     return best
 
 

@@ -73,8 +73,8 @@ def grid_oracle_mismatches(count: int, seed: int, cap: int) -> tuple[int, list[d
     exhaustive search on the shrunk analogue.
 
     Each plan is validated once, then its wins are counted without
-    validating it again; ``max_wins_bruteforce`` searches on its own, so its
-    maximum is checked against this enumeration's.
+    validating it again.  ``max_wins_bruteforce`` is a memoized search that
+    lists no plans, so its maximum is checked against this enumeration's.
     """
     mismatches = []
     instances = 0

@@ -10,15 +10,19 @@ integer arithmetic, evaluated once per profile at every split and cached on
 the profile as ``SplitProfile.win_table``.  ``wins_when_districting``,
 ``wins_when_opponent_districts`` and ``total_wins`` are reads of that table.
 
-A small exhaustive allocation search over discretized support doubles as an
-independent check of the closed forms on tiny sides.
+A small exhaustive allocation search over discretized support, tabulated once
+per side size, doubles as an independent check of the closed forms on tiny
+sides.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from bisect import bisect_left
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from itertools import combinations_with_replacement
+from typing import NamedTuple, Sequence
 
 from .model import Party, Side, SideRef, SplitProfile, _check_split_index
 
@@ -117,49 +121,43 @@ def total_wins(profile: SplitProfile, party: Party, side: SideRef) -> int:
 
 # --- exhaustive allocation oracle -----------------------------------------
 #
-# Supports are discretized into units of 1/granularity and every way of
-# spreading the units over the side's districts, up to the order of the
-# districts, is enumerated.  A district holding exactly half its units
-# counts for the party drawing the lines: the side total is never an exact
-# half-integer, so the districter always has surplus somewhere to break such
-# a tie in its own favor.  Exponential cost keeps this to tiny sides; it
-# exists to cross-check the closed forms, not for production use.
+# Supports are discretized into units of 1/granularity.  ``_held_counts``
+# spreads the units over the side's districts in every way, up to the order
+# of the districts, once per process for each side size, and the oracles read
+# its table.  A district holding exactly half its units counts for the party
+# drawing the lines: the side total is never an exact half-integer, so the
+# districter always has surplus somewhere to break such a tie in its own
+# favor.  Exponential cost keeps this to tiny sides; it exists to
+# cross-check the closed forms, not for production use.
 
 DEFAULT_GRANULARITY = 20
 MAX_ORACLE_DISTRICTS = 4
 
 
-def _allocations(units: int, parts: int, capacity: int) -> Iterator[tuple[int, ...]]:
-    """Every split of ``units`` into ``parts`` bins of at most ``capacity``
-    each, up to bin order: each split once, with its loads non-increasing.
-
-    The oracles count held bins, which no reordering changes, so the search
-    stays exhaustive.  The first bin holds at least its share,
-    ceil(units / parts), and caps every later bin.
-    """
-    if parts == 0:
-        if units == 0:
-            yield ()
-        return
-    for first in range(-(-units // parts), min(capacity, units) + 1):
-        for rest in _allocations(units - first, parts - 1, first):
-            yield (first,) + rest
+@functools.cache
+def _held_counts(parts: int, capacity: int) -> dict[int, frozenset[int]]:
+    """By unit total, how many of ``parts`` bins of ``capacity`` hold at
+    least half, for each split of the total: each split once, up to bin
+    order, since no reordering changes how many bins are held."""
+    table: dict[int, set[int]] = {}
+    half = -(-capacity // 2)
+    for loads in combinations_with_replacement(range(capacity + 1), parts):
+        table.setdefault(sum(loads), set()).add(parts - bisect_left(loads, half))
+    return {units: frozenset(held) for units, held in table.items()}
 
 
-def _support_units(support: Fraction, granularity: int) -> int:
-    units = support * granularity
-    if units.denominator != 1:
-        raise ValueError(
-            f"support {support} is not a multiple of 1/{granularity}"
-        )
-    return units.numerator
-
-
-def _check_oracle_size(districts: int) -> None:
+def _support_units(support: Fraction, districts: int, granularity: int) -> int:
+    """``support`` in units of 1/``granularity``, on a side of ``districts``."""
     if districts > MAX_ORACLE_DISTRICTS:
         raise ValueError(
             f"oracle limited to sides of {MAX_ORACLE_DISTRICTS} districts, got {districts}"
         )
+    if not 0 <= support <= districts:
+        raise ValueError(f"support {support} outside [0, {districts}]")
+    units = support * granularity
+    if units.denominator != 1:
+        raise ValueError(f"support {support} is not a multiple of 1/{granularity}")
+    return units.numerator
 
 
 def bruteforce_districting_wins(
@@ -169,13 +167,8 @@ def bruteforce_districting_wins(
 ) -> int:
     """Best win count over every allocation of the districting party's units,
     up to the order of the districts."""
-    _check_oracle_size(districts)
-    units = _support_units(support, granularity)
-    best = 0
-    for allocation in _allocations(units, districts, granularity):
-        held = sum(1 for u in allocation if 2 * u >= granularity)
-        best = max(best, held)
-    return best
+    units = _support_units(support, districts, granularity)
+    return max(_held_counts(districts, granularity)[units])
 
 
 def bruteforce_opponent_wins(
@@ -194,10 +187,5 @@ def bruteforce_opponent_wins(
     if total.denominator != 1:
         raise ValueError("side supports must sum to a whole number of districts")
     districts = total.numerator
-    _check_oracle_size(districts)
-    opp_units = _support_units(opponent_support, granularity)
-    worst = districts
-    for allocation in _allocations(opp_units, districts, granularity):
-        held = sum(1 for u in allocation if 2 * u < granularity)
-        worst = min(worst, held)
-    return worst
+    opp_units = _support_units(opponent_support, districts, granularity)
+    return districts - max(_held_counts(districts, granularity)[opp_units])

@@ -149,6 +149,22 @@ class TestCountWins:
             grid.count_wins(g, (frozenset({(1, 1), (1, 2)}),), Party.A)
 
 
+def oracle_regions(seed):
+    """The whole grid of each of the oracle's 25 grids at ``seed``, and every
+    non-empty side of the shrunk analogue."""
+    regions = []
+    for index in range(25):
+        g = oracle.random_small_grid(random.Random(mix_seed(seed, index)))
+        regions.append((g, g.all_cells()))
+    analogue, splits, _ = grid.make_shrunk_analogue()
+    universe = analogue.all_cells()
+    for k in range(splits.split_count + 1):
+        for side in (splits.left_cells(k), splits.right_cells(k, universe)):
+            if side:
+                regions.append((analogue, side))
+    return regions
+
+
 class TestBruteforce:
     def test_two_by_two_enumerates_both_plans(self):
         g = make_grid([[1, 1], [0, 0]], d=2)
@@ -203,6 +219,42 @@ class TestBruteforce:
                 assert grid.validate_plan(g, plan) == ()
                 best = max(best, grid.count_wins(g, plan, Party.A))
             assert best == grid.max_wins_bruteforce(g, region, Party.A)
+
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_memoized_search_matches_enumeration(self, seed):
+        for g, region in oracle_regions(seed):
+            plans = list(grid.enumerate_region_plans(g, region))
+            assert plans
+            for party in Party:
+                expected = max(grid._plan_wins(g, plan, party) for plan in plans)
+                assert grid.max_wins_bruteforce(g, region, party) == expected
+
+    def test_region_without_a_plan(self):
+        g = make_grid([[1] * 4 for _ in range(4)], d=8)
+        ring = frozenset(
+            {(1, 1), (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2), (3, 3)}
+        )
+        assert list(grid.enumerate_region_plans(g, ring)) == []
+        assert grid.max_wins_bruteforce(g, ring, Party.A) == 0
+
+    def test_wins_on_a_dead_end_do_not_count(self):
+        # The first two districts, both won by A, leave two cells that
+        # touch nothing.
+        g = make_grid([[1] * 4 for _ in range(4)], d=2)
+        region = frozenset({(1, 1), (1, 2), (1, 3), (1, 4), (3, 1), (3, 3)})
+        assert list(grid.enumerate_region_plans(g, region)) == []
+        assert grid.max_wins_bruteforce(g, region, Party.A) == 0
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_six_by_six(self, d):
+        # Every 6x6 plan has 36/d districts: A wins all of them where every
+        # cell backs A, none where no cell does, and nobody wins at 1/2.
+        for support, wins_a, wins_b in ((1, 36 // d, 0), (0, 0, 36 // d), ("1/2", 0, 0)):
+            g = make_grid([[support] * 6 for _ in range(6)], d=d)
+            region = g.all_cells()
+            assert grid.max_wins_bruteforce(g, region, Party.A, cap=36) == wins_a
+            assert grid.max_wins_bruteforce(g, region, Party.B, cap=36) == wins_b
 
 
 def reference_plans(g, region):
@@ -299,16 +351,7 @@ class TestDirectEnumeration:
         # The oracle's grids (d of 2 or 4) and every side of the analogue
         # (d = 4) yield the same plans, in the same order, when the hole test
         # also runs below 7 cells.
-        regions = []
-        for index in range(25):
-            g = oracle.random_small_grid(random.Random(mix_seed(0, index)))
-            regions.append((g, g.all_cells()))
-        analogue, splits, _ = grid.make_shrunk_analogue()
-        universe = analogue.all_cells()
-        for k in range(splits.split_count + 1):
-            for side in (splits.left_cells(k), splits.right_cells(k, universe)):
-                if side:
-                    regions.append((analogue, side))
+        regions = oracle_regions(0)
         calls = Counter()
         has_hole = grid._has_hole
 
@@ -323,6 +366,34 @@ class TestDirectEnumeration:
         assert tested == skipped
         assert sum(map(len, skipped)) > 0
         assert calls[7] == 0 and calls[0] > 0
+
+    def test_validation_ignores_the_hole_threshold(self, monkeypatch):
+        # validate_plan finds the same violations when it tests every
+        # district for holes, on a fresh grid so that no verdict is cached.
+        cases = []
+        for index in range(25):
+            g = oracle.random_small_grid(random.Random(mix_seed(0, index)))
+            by_anchor = grid._districts_by_anchor(g, g.all_cells())
+            cases += [(g, district) for found in by_anchor.values() for district in found]
+        square = frozenset((i, j) for i in range(1, 4) for j in range(1, 4))
+        plus = frozenset({(1, 2), (2, 1), (2, 3), (3, 2)})
+        hook = frozenset({(1, 1), (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)})
+        four = make_grid([[0] * 4 for _ in range(4)], d=4)
+        cases += [(four, frozenset(c)) for c in combinations(sorted(square), 4)]
+        cases += [(four, plus), (four, square - {(2, 2)})]
+        cases.append((make_grid([[0] * 7 for _ in range(7)], d=7), hook))
+
+        def violations():
+            return [
+                grid.validate_plan(grid.GridState(g.m, g.d, g.cells), (cells,), cells)
+                for g, cells in cases
+            ]
+
+        skipped = violations()
+        monkeypatch.setattr(grid, "_HOLE_MIN_CELLS", 0)
+        assert violations() == skipped
+        holes = [v for found in skipped for v in found if v.message.endswith("hole")]
+        assert len(holes) == 2 and len(cases) > 300
 
     def test_compactness_box_decides(self):
         # z = 4 for d = 5, so the straight pentomino is never a district
@@ -518,9 +589,11 @@ class TestVerdictCache:
             plans += len(enumerated)
             districts += len({district for plan in enumerated for district in plan})
         assert len(kept) == plans
-        for counter in checks.values():
-            assert len(counter) == districts
-            assert set(counter.values()) == {1}
+        # Every oracle grid has d <= 4, below the fewest cells that wall in
+        # a hole, so validation runs no hole test.
+        assert len(checks["connected"]) == districts
+        assert set(checks["connected"].values()) == {1}
+        assert checks["hole"] == Counter()
 
 
 class TestGeodeltaConstruction:

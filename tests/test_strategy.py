@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lry import model, strategy
+from lry import model, oracle, strategy
 from lry.model import Party, Side, SplitProfile, Violation, left, right
 from lry.protocol import mix_seed, random_profile
 
@@ -237,10 +237,52 @@ class TestBruteforceOracle:
 @pytest.mark.parametrize("granularity", [20, 7])
 @pytest.mark.parametrize("parts", [1, 2, 3, 4])
 def test_allocations_are_every_ordered_split_up_to_order(parts, granularity):
-    by_units = defaultdict(set)
+    # The held-count table against every ordered allocation of the units.
+    held = defaultdict(set)
     for ordered in product(range(granularity + 1), repeat=parts):
-        by_units[sum(ordered)].add(tuple(sorted(ordered, reverse=True)))
-    for units in range(parts * granularity + 2):
-        got = list(strategy._allocations(units, parts, granularity))
-        assert len(got) == len(set(got)), units
-        assert set(got) == by_units[units], units
+        held[sum(ordered)].add(sum(2 * u >= granularity for u in ordered))
+    assert strategy._held_counts(parts, granularity) == held
+
+
+class TestImpossibleSupports:
+    def test_districting_support_above_the_side(self):
+        with pytest.raises(ValueError, match=r"support 3 outside \[0, 2\]"):
+            strategy.bruteforce_districting_wins(Fraction(3), 2)
+
+    def test_districting_support_below_zero(self):
+        with pytest.raises(ValueError, match="outside"):
+            strategy.bruteforce_districting_wins(Fraction(-1, 20), 2)
+
+    def test_opponent_support_below_zero(self):
+        # The closed form would give 4 wins out of 2 districts.
+        assert strategy.opponent_wins(Fraction(3), Fraction(-1)) == 4
+        with pytest.raises(ValueError, match=r"support -1 outside \[0, 2\]"):
+            strategy.bruteforce_opponent_wins(Fraction(3), Fraction(-1))
+
+    def test_opponent_support_above_the_side(self):
+        with pytest.raises(ValueError, match="outside"):
+            strategy.bruteforce_opponent_wins(Fraction(-1, 20), Fraction(41, 20))
+
+    def test_table_has_no_default(self):
+        table = strategy._held_counts(2, 20)
+        assert set(table) == set(range(41))
+        for units in (-1, 41):
+            with pytest.raises(KeyError):
+                table[units]
+
+
+@pytest.mark.parametrize(
+    "name, kind", [("optimal_wins", "districting"), ("opponent_wins", "opponent")]
+)
+def test_oracle_catches_a_wrong_closed_form(monkeypatch, name, kind):
+    right = getattr(strategy, name)
+
+    def off_by_one_at_size_3(support, other):
+        size = support + other if name == "opponent_wins" else other
+        return right(support, other) + (size == 3)
+
+    monkeypatch.setattr(strategy, name, off_by_one_at_size_3)
+    checked, mismatches = oracle.strategy_oracle_mismatches()
+    assert checked == 180
+    assert mismatches and {m["kind"] for m in mismatches} == {kind}
+    assert all("size=3 " in m["detail"] for m in mismatches)

@@ -550,6 +550,17 @@ SIMULATE_GOLDEN = {
     ("csv", 3): "f092b5ad6f15c6119bf723904ffa2d3d985e6fa3f121f505c9ac578b15eb7df0",
 }
 SIMULATE_INVALID_GOLDEN = "af33d7162349037a503b1174ba3ae6f871d07497ece3c9ae7ff756023dbc6dd1"
+# A valid five-district profile whose optimal play ends with both parties
+# indifferent at k = 2: a settled run, one CSV row and no candidate spans.
+SETTLED_PROFILE = {"n": 5, "segments_a": ["3/10", "4/5", "1/5", "2/5", "1/5"]}
+# SHA-256 of the stdout of `simulate` on SETTLED_PROFILE, recorded while the
+# report rows, candidates and fairness deltas were still built separately.
+SIMULATE_SETTLED_GOLDEN = {
+    ("json", 0): "fdf1b95fe69e33ce09486c561a0cb1e667197c4bef7fc090af9cc52d7244fe84",
+    ("json", 1): "6aab6e751cb783a685d7cf7679d488cd20f333a5dc8aaeba4978517579c4a5a5",
+    ("csv", 0): "a20fc559f60cec58693c829d9907f860c78db29b8b8bc63aada1df5df6bbaf93",
+    ("csv", 1): "6cdba3bd623dff5c1a860b5103c6115f8a79c8872948febf29b96846a223da8e",
+}
 
 
 def sha256(text):
@@ -572,6 +583,19 @@ def test_simulate_output_is_golden(tmp_path):
             "simulate", "--input", str(path), "--seed", str(seed), "--format", fmt
         )
         assert code == 0
+        assert sha256(text) == digest, (fmt, seed)
+
+
+def test_simulate_settled_output_is_golden(tmp_path):
+    path = tmp_path / "settled.json"
+    path.write_text(json.dumps(SETTLED_PROFILE))
+    for (fmt, seed), digest in SIMULATE_SETTLED_GOLDEN.items():
+        code, text = run_cli(
+            "simulate", "--input", str(path), "--seed", str(seed), "--format", fmt
+        )
+        assert code == 0
+        if fmt == "json":
+            assert json.loads(text)["run"]["outcome"] == "both_indifferent"
         assert sha256(text) == digest, (fmt, seed)
 
 

@@ -11,7 +11,7 @@ Each ``_cmd_*`` function returns what its command found as a ``_Report``
 and prints nothing; ``_write`` prints every report, as JSON or as CSV.
 
 Exit status: 0 on success, 1 when violations or mismatches were found, 2 on
-bad input.
+bad input, 141 (128 + SIGPIPE) when the reader closed stdout early.
 
 ``main`` may be called any number of times in one process: every call
 shares one parser, built on the first call, and each call's output depends
@@ -38,7 +38,7 @@ from .oracle import random_small_grid  # noqa: F401  (bench/ looks it up on cli)
 MAX_SEED = 2**64 - 1
 # geodelta's time and memory grow as delta: it reads O(delta) breakpoints.
 MAX_DELTA = 1000
-MAX_N_MAX = 10000  # verify holds up to --n-max exact Fractions per profile
+MAX_N_MAX = model.MAX_DISTRICTS  # verify holds up to --n-max exact Fractions per profile
 _MAX_INPUT_BYTES = 64 * 2**20  # simulate's --input; the largest benchmark profile is 1 MB
 
 
@@ -138,18 +138,15 @@ def _cmd_verify(args) -> _Report:
     if args.n_max > MAX_N_MAX:
         raise InputError(f"--n-max must be at most {MAX_N_MAX}, got {args.n_max}")
     sweep = protocol.property_sweep(args.count, args.n_max, args.seed)
+    body = {"count": args.count, "nMax": args.n_max, **protocol.sweep_to_dict(sweep)}
     return _Report(
         {"count": args.count, "n_max": args.n_max},
-        {"count": args.count, "nMax": args.n_max, **protocol.sweep_to_dict(sweep)},
+        body,
         {"instances": sweep.instances, "checks": sweep.checks},
         ["property", "detail", "profile"],
         lambda: [
-            {
-                "property": v.prop,
-                "detail": v.detail,
-                "profile": _canonical_json(v.profile) if v.profile else "",
-            }
-            for v in sweep.violations
+            {**v, "profile": _canonical_json(v["profile"]) if v["profile"] else ""}
+            for v in body["violations"]
         ],
         0 if sweep.ok else 1,
     )
@@ -168,14 +165,8 @@ def _cmd_geodelta(args) -> _Report:
         {"geoA": body["geoA"]},
         ["k", "option", "winsA", "winsB", "gapA"],
         lambda: [
-            {
-                "k": c.assignment.k,
-                "option": c.assignment.option.value,
-                "winsA": c.wins_a,
-                "winsB": c.wins_b,
-                "gapA": model.ratio_str(report.target_a - c.wins_a),
-            }
-            for c in report.run.candidates
+            {**c, "gapA": model.ratio_str(report.target_a - c["winsA"])}
+            for c in body["run"]["candidates"]
         ],
     )
 
@@ -314,6 +305,14 @@ def main(argv: list[str] | None = None, stdout: io.TextIOBase | None = None) -> 
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader is gone (``| head``).  Point stdout at devnull, so that
+        # the interpreter's final flush of what is left stays quiet.
+        if stream is sys.stdout:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -59,6 +59,8 @@ MAX_RATIO_EXPONENT = 2000
 _INT_LIMIT = 10**MAX_RATIO_LENGTH
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\Z", re.IGNORECASE)
 
+MAX_DISTRICTS = 10000  # a profile's n, and verify --n-max: a profile holds n Fractions
+
 
 def parse_ratio(value: str | int) -> Fraction:
     """Parse a decimal string ("1.9"), a fraction string ("19/10"), or an int.
@@ -332,9 +334,13 @@ def profile_from_dict(doc: object) -> SplitProfile:
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise FormatError(f"profile field 'n' must be a positive integer, got {n!r}")
+    if n > MAX_DISTRICTS:
+        raise FormatError(f"profile field 'n' must be at most {MAX_DISTRICTS}, got {n}")
     raw = doc["segments_a"]
-    if not isinstance(raw, list):
-        raise FormatError("profile field 'segments_a' must be a list")
+    if not isinstance(raw, list) or len(raw) > MAX_DISTRICTS:
+        raise FormatError(
+            f"profile field 'segments_a' must be a list of at most {MAX_DISTRICTS} entries"
+        )
     segments = []
     scale = 1  # the win table's scale: the lcm of the denominators so far
     for idx, entry in enumerate(raw, start=1):

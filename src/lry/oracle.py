@@ -25,6 +25,12 @@ def strategy_oracle_mismatches() -> tuple[int, list[dict]]:
     up to 4 districts and every non-half-integer support on the
     1/``strategy.DEFAULT_GRANULARITY`` grid."""
     granularity = strategy.DEFAULT_GRANULARITY
+    # (kind, closed form, allocation search), each called with the support
+    # and the side size (districting) or the opponent's support (opponent).
+    triples = (
+        ("districting", strategy.optimal_wins, strategy.bruteforce_districting_wins),
+        ("opponent", strategy.opponent_wins, strategy.bruteforce_opponent_wins),
+    )
     checked = 0
     mismatches = []
     for size in range(1, strategy.MAX_ORACLE_DISTRICTS + 1):
@@ -32,28 +38,17 @@ def strategy_oracle_mismatches() -> tuple[int, list[dict]]:
             if (2 * units) % granularity == 0:
                 continue  # excluded by the half-integer convention
             support = Fraction(units, granularity)
-            other = size - support
             checked += 1
-            expect = strategy.optimal_wins(support, size)
-            got = strategy.bruteforce_districting_wins(support, size, granularity)
-            if expect != got:
-                mismatches.append(
-                    {
-                        "kind": "districting",
-                        "detail": f"size={size} support={ratio_str(support)}"
-                        f" formula={expect} bruteforce={got}",
-                    }
-                )
-            expect = strategy.opponent_wins(support, other)
-            got = strategy.bruteforce_opponent_wins(support, other, granularity)
-            if expect != got:
-                mismatches.append(
-                    {
-                        "kind": "opponent",
-                        "detail": f"size={size} support={ratio_str(support)}"
-                        f" formula={expect} bruteforce={got}",
-                    }
-                )
+            for (kind, formula, search), second in zip(triples, (size, size - support)):
+                expect, got = formula(support, second), search(support, second)
+                if expect != got:
+                    mismatches.append(
+                        {
+                            "kind": kind,
+                            "detail": f"size={size} support={ratio_str(support)}"
+                            f" formula={expect} bruteforce={got}",
+                        }
+                    )
     return checked, mismatches
 
 

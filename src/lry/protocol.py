@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import strategy, targets
 from .model import (
@@ -327,40 +327,49 @@ class FairnessReport:
         return self.a if party is Party.A else self.b
 
 
+def _entries(run: ProtocolRun) -> tuple[CoinFlipCandidate, ...]:
+    """The run's coin-flip candidates, or its settled assignment alone."""
+    if run.candidates is not None:
+        return run.candidates
+    return (CoinFlipCandidate(run.assignment, run.wins_a, run.wins_b),)
+
+
+def _deltas(
+    profile: SplitProfile, party: Party, entries: Sequence[CoinFlipCandidate]
+) -> list[tuple[Fraction, Fraction]]:
+    """``party``'s (geometric target - wins, split target - wins) per entry."""
+    target = targets.geometric_target(profile, party)
+    splits = {e.assignment.k for e in entries}
+    split_targets = {k: targets.k_split_target(profile, party, k) for k in splits}
+    deltas = []
+    for entry in entries:
+        wins = entry.wins_a if party is Party.A else entry.wins_b
+        deltas.append((target - wins, split_targets[entry.assignment.k] - wins))
+    return deltas
+
+
 def _party_fairness(
     profile: SplitProfile, run: ProtocolRun, party: Party
 ) -> PartyFairness:
     wins = run.wins_a if party is Party.A else run.wins_b
-    target = targets.geometric_target(profile, party)
-    split_target = targets.k_split_target(profile, party, run.assignment.k)
-    target_delta = target - wins
-    split_delta = split_target - wins
-    candidate_target_deltas = None
-    candidate_split_deltas = None
+    realized = CoinFlipCandidate(run.assignment, run.wins_a, run.wins_b)
+    (target_delta, split_delta), *candidate_deltas = _deltas(
+        profile, party, (realized, *(run.candidates or ()))
+    )
+    spans = (None, None)
     if run.candidates is not None:
-        split_targets = {
-            k: targets.k_split_target(profile, party, k)
-            for k in {c.assignment.k for c in run.candidates}
-        }
-        tds = []
-        sds = []
-        for cand in run.candidates:
-            cand_wins = cand.wins_a if party is Party.A else cand.wins_b
-            tds.append(target - cand_wins)
-            sds.append(split_targets[cand.assignment.k] - cand_wins)
-        candidate_target_deltas = (min(tds), max(tds))
-        candidate_split_deltas = (min(sds), max(sds))
+        spans = [(min(column), max(column)) for column in zip(*candidate_deltas)]
     return PartyFairness(
         party=party,
         wins=wins,
-        target=target,
-        split_target=split_target,
+        target=target_delta + wins,
+        split_target=split_delta + wins,
         target_delta=target_delta,
         split_target_delta=split_delta,
         within_target_bound=abs(target_delta) <= TARGET_BOUND,
         within_split_target_bound=abs(split_delta) <= SPLIT_TARGET_BOUND,
-        candidate_target_deltas=candidate_target_deltas,
-        candidate_split_target_deltas=candidate_split_deltas,
+        candidate_target_deltas=spans[0],
+        candidate_split_target_deltas=spans[1],
     )
 
 
@@ -713,6 +722,11 @@ def property_sweep(count: int, n_max: int, seed: int) -> SweepReport:
 # --- serialization ----------------------------------------------------------
 
 
+def _entry_dict(entry: CoinFlipCandidate) -> dict:
+    k, option = entry.assignment.k, entry.assignment.option.value
+    return {"k": k, "option": option, "winsA": entry.wins_a, "winsB": entry.wins_b}
+
+
 def run_to_dict(run: ProtocolRun) -> dict:
     doc = {
         "outcome": run.outcome.value,
@@ -727,15 +741,7 @@ def run_to_dict(run: ProtocolRun) -> dict:
     if run.crossing_pair is not None:
         doc["crossingPair"] = list(run.crossing_pair)
     if run.candidates is not None:
-        doc["candidates"] = [
-            {
-                "k": c.assignment.k,
-                "option": c.assignment.option.value,
-                "winsA": c.wins_a,
-                "winsB": c.wins_b,
-            }
-            for c in run.candidates
-        ]
+        doc["candidates"] = [_entry_dict(c) for c in run.candidates]
     return doc
 
 
@@ -749,22 +755,17 @@ def _party_fairness_to_dict(stats: PartyFairness) -> dict:
         "withinGeoBound": stats.within_target_bound,
         "withinGeoKBound": stats.within_split_target_bound,
     }
-    if stats.candidate_target_deltas is not None:
-        lo, hi = stats.candidate_target_deltas
-        doc["candidateDeltaGeoMin"] = ratio_str(lo)
-        doc["candidateDeltaGeoMax"] = ratio_str(hi)
-    if stats.candidate_split_target_deltas is not None:
-        lo, hi = stats.candidate_split_target_deltas
-        doc["candidateDeltaGeoKMin"] = ratio_str(lo)
-        doc["candidateDeltaGeoKMax"] = ratio_str(hi)
+    for name, span in (
+        ("candidateDeltaGeo", stats.candidate_target_deltas),
+        ("candidateDeltaGeoK", stats.candidate_split_target_deltas),
+    ):
+        if span is not None:
+            doc[name + "Min"], doc[name + "Max"] = map(ratio_str, span)
     return doc
 
 
 def fairness_to_dict(report: FairnessReport) -> dict:
-    return {
-        "A": _party_fairness_to_dict(report.a),
-        "B": _party_fairness_to_dict(report.b),
-    }
+    return {party.value: _party_fairness_to_dict(report.party(party)) for party in Party}
 
 
 def candidate_rows(
@@ -772,28 +773,12 @@ def candidate_rows(
 ) -> list[dict]:
     """CSV-shaped rows: one per coin-flip candidate, or one for the resolved
     assignment when no coin flip happened."""
-    geo = {p: targets.geometric_target(profile, p) for p in Party}
-    entries: Iterable[tuple[Assignment, int, int]]
-    if run.candidates is not None:
-        entries = [(c.assignment, c.wins_a, c.wins_b) for c in run.candidates]
-    else:
-        entries = [(run.assignment, run.wins_a, run.wins_b)]
-    rows = []
-    for assignment, wins_a, wins_b in entries:
-        split_a = targets.k_split_target(profile, Party.A, assignment.k)
-        split_b = targets.k_split_target(profile, Party.B, assignment.k)
-        rows.append(
-            {
-                "k": assignment.k,
-                "option": assignment.option.value,
-                "winsA": wins_a,
-                "winsB": wins_b,
-                "deltaGeoA": ratio_str(geo[Party.A] - wins_a),
-                "deltaGeoKA": ratio_str(split_a - wins_a),
-                "deltaGeoB": ratio_str(geo[Party.B] - wins_b),
-                "deltaGeoKB": ratio_str(split_b - wins_b),
-            }
-        )
+    entries = _entries(run)
+    rows = [_entry_dict(entry) for entry in entries]
+    for party in Party:
+        for row, (geo, split) in zip(rows, _deltas(profile, party, entries)):
+            row["deltaGeo" + party.value] = ratio_str(geo)
+            row["deltaGeoK" + party.value] = ratio_str(split)
     return rows
 
 

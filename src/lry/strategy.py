@@ -121,7 +121,7 @@ def total_wins(profile: SplitProfile, party: Party, side: SideRef) -> int:
 
 # --- exhaustive allocation oracle -----------------------------------------
 #
-# Supports are discretized into units of 1/granularity.  ``_held_counts``
+# Supports are discretized into units of 1/DEFAULT_GRANULARITY.  ``_held_counts``
 # spreads the units over the side's districts in every way, up to the order
 # of the districts, once per process for each side size, and the oracles read
 # its table.  A district holding exactly half its units counts for the party
@@ -146,36 +146,28 @@ def _held_counts(parts: int, capacity: int) -> dict[int, frozenset[int]]:
     return {units: frozenset(held) for units, held in table.items()}
 
 
-def _support_units(support: Fraction, districts: int, granularity: int) -> int:
-    """``support`` in units of 1/``granularity``, on a side of ``districts``."""
+def _most_held(support: Fraction, districts: int) -> int:
+    """Most of ``districts`` bins that ``support``, in units of
+    1/``DEFAULT_GRANULARITY``, can hold at least half of."""
     if districts > MAX_ORACLE_DISTRICTS:
         raise ValueError(
             f"oracle limited to sides of {MAX_ORACLE_DISTRICTS} districts, got {districts}"
         )
     if not 0 <= support <= districts:
         raise ValueError(f"support {support} outside [0, {districts}]")
-    units = support * granularity
+    units = support * DEFAULT_GRANULARITY
     if units.denominator != 1:
-        raise ValueError(f"support {support} is not a multiple of 1/{granularity}")
-    return units.numerator
+        raise ValueError(f"support {support} is not a multiple of 1/{DEFAULT_GRANULARITY}")
+    return max(_held_counts(districts, DEFAULT_GRANULARITY)[units.numerator])
 
 
-def bruteforce_districting_wins(
-    support: Fraction,
-    districts: int,
-    granularity: int = DEFAULT_GRANULARITY,
-) -> int:
+def bruteforce_districting_wins(support: Fraction, districts: int) -> int:
     """Best win count over every allocation of the districting party's units,
     up to the order of the districts."""
-    units = _support_units(support, districts, granularity)
-    return max(_held_counts(districts, granularity)[units])
+    return _most_held(support, districts)
 
 
-def bruteforce_opponent_wins(
-    support: Fraction,
-    opponent_support: Fraction,
-    granularity: int = DEFAULT_GRANULARITY,
-) -> int:
+def bruteforce_opponent_wins(support: Fraction, opponent_support: Fraction) -> int:
     """Worst-case win count over every allocation of the opponent's units,
     up to the order of the districts.
 
@@ -187,5 +179,4 @@ def bruteforce_opponent_wins(
     if total.denominator != 1:
         raise ValueError("side supports must sum to a whole number of districts")
     districts = total.numerator
-    opp_units = _support_units(opponent_support, districts, granularity)
-    return districts - max(_held_counts(districts, granularity)[opp_units])
+    return districts - _most_held(opponent_support, districts)

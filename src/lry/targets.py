@@ -5,6 +5,10 @@ districts the whole state) and worst case (the opponent does).  The k-split
 variant restricts both cases to plans where every district stays on one side
 of the k-split.  Both are exact half-integers, kept as Fractions so bound
 checks stay exact.
+
+``k_split_target`` reads the profile's ``WinTable``; ``geometric_target``
+does not, but reads the scaled prefix sums, so the sweep's
+``target_average_identity`` check compares two independent computations.
 """
 
 from __future__ import annotations

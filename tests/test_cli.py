@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -128,6 +130,43 @@ def test_simulate_invalid_profile_exits_one(tmp_path):
     doc = json.loads(text)
     assert doc["profileViolations"]
     assert "run" not in doc
+
+
+def test_simulate_district_bound(tmp_path, capsys):
+    # Past the bound the document is refused (2); within it a segment count
+    # that differs from n stays a profile violation (1).
+    path = tmp_path / "big.json"
+    for n, want in ((model.MAX_DISTRICTS + 1, 2), (model.MAX_DISTRICTS, 1)):
+        path.write_text(json.dumps({"n": n, "segments_a": ["0.3"]}))
+        code, text = run_cli("simulate", "--input", str(path))
+        assert code == want, n
+    assert "'n'" in capsys.readouterr().err
+    path.write_text(json.dumps({"n": 5, "segments_a": ["0.3"] * (model.MAX_DISTRICTS + 1)}))
+    code, text = run_cli("simulate", "--input", str(path))
+    assert code == 2
+    assert text == ""
+    assert "'segments_a'" in capsys.readouterr().err
+
+
+def test_closed_stdout_exits_141_quietly(tmp_path):
+    # The report of this profile outgrows a 64 KiB pipe buffer, so the
+    # writer meets the closed pipe after the reader has gone.
+    n = model.MAX_DISTRICTS
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": n, "segments_a": ["1/5"] + ["1/3"] * (n - 2) + ["1/7"]}))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lry.cli", "simulate", "--input", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_simulate_missing_file_exits_two(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -204,6 +205,36 @@ class TestProfileJson:
         with pytest.raises(model.FormatError, match=None) as err:
             model.profile_from_dict(doc)
         assert needle in str(err.value)
+
+    def test_rejects_more_districts_than_the_bound(self):
+        bound = model.MAX_DISTRICTS
+        with pytest.raises(model.FormatError, match=f"'n' must be at most {bound}"):
+            model.profile_from_dict({"n": bound + 1, "segments_a": ["0.3"]})
+
+    def test_rejects_an_overlong_segment_list_before_parsing_it(self):
+        # Entries that fail to parse: the error names the list, not its first
+        # entry, so no entry was read.
+        doc = {"n": 5, "segments_a": ["bogus"] * (model.MAX_DISTRICTS + 1)}
+        start = time.perf_counter()
+        with pytest.raises(model.FormatError) as err:
+            model.profile_from_dict(doc)
+        assert time.perf_counter() - start < 1.0
+        assert f"'segments_a' must be a list of at most {model.MAX_DISTRICTS}" in str(
+            err.value
+        )
+
+    def test_accepts_the_bound(self):
+        n = model.MAX_DISTRICTS
+        # Sums left of each split are 1/5 + j/3 and right of it 1/7 + j/3:
+        # never an integer multiple of 1/2.
+        doc = {"n": n, "segments_a": ["1/5"] + ["1/3"] * (n - 2) + ["1/7"]}
+        profile = model.profile_from_dict(doc)
+        assert profile.n == n
+        assert profile.is_valid
+
+    def test_segment_count_within_the_bound_is_a_violation(self):
+        profile = model.profile_from_dict({"n": model.MAX_DISTRICTS, "segments_a": ["0.3"]})
+        assert not profile.is_valid
 
 
 # JSON-shaped ratios, hostile ones included: integers past the digit bound,

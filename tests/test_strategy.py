@@ -213,9 +213,6 @@ class TestBruteforceOracle:
         with pytest.raises(ValueError):
             strategy.bruteforce_districting_wins(Fraction(1, 3), 2)
 
-    def test_custom_granularity(self):
-        assert strategy.bruteforce_districting_wins(Fraction(3, 4), 1, granularity=4) == 1
-
     def test_opponent_requires_integral_side(self):
         with pytest.raises(ValueError):
             strategy.bruteforce_opponent_wins(Fraction(1, 4), Fraction(1, 2))

@@ -6,15 +6,27 @@ z-by-z axis-aligned square with z = floor(2 * sqrt(d)).  A party wins a
 district only with a strict majority of its cells' support; a district at
 exactly half counts for nobody.
 
-A district's verdict (its violation reasons, none when valid, and which
-party its exact support elects) depends only on the grid.  Each distinct
-district is decided once per ``GridState``: the verdicts are kept in
-``grid.verdicts``, filled on first use and dropped with the grid.
-``validate_plan``, ``count_wins`` and ``max_wins_bruteforce`` read them, so a
-district shared by many plans of one grid is checked and summed only once.
-The hole test runs only on districts of ``_HOLE_MIN_CELLS`` cells or more,
-the fewest that can wall one in.  ``max_wins_bruteforce`` lists no plans: it
-memoizes the best win count of each set of cells left unassigned.
+The plan search works on bitmasks: cell (i, j) is bit (i-1)*m + (j-1), so
+the smallest cell of a set is its lowest set bit.  The valid districts of
+the whole grid with smallest cell c are grown once per ``GridState``, the
+first time a region holds c, and filed under c with their masks and winners
+in ``grid.district_table``; a district of a region filed under c is a
+district of that table filed under c that fits in the region.
+``enumerate_region_plans`` and ``max_wins_bruteforce`` recurse on the mask
+of the cells left unassigned; ``max_wins_bruteforce`` lists no plans but
+memoizes the best win count of each such mask.
+
+A district's verdict (its violation reasons, none when valid, its mask and
+which party its exact support elects) depends only on the grid.  Each
+distinct district is decided once per ``GridState``: the verdicts are kept
+in ``grid.verdicts``, filled on first use and dropped with the grid.  A
+winner compares integer sums of the cells scaled by the lcm of their
+denominators.  ``validate_plan`` first checks a plan on the masks (every
+verdict clean, no two districts overlapping, the region covered) and builds
+cell-level violations only when that fails; ``count_wins`` reads the same
+verdicts, so a district shared by many plans of one grid is checked and
+summed only once.  The hole test runs only on districts of
+``_HOLE_MIN_CELLS`` cells or more, the fewest that can wall one in.
 
 The banded construction built here drives the protocol toward a coin flip
 whose losing candidates fall arbitrarily far below the geometric target as
@@ -52,12 +64,12 @@ def compactness_bound(d: int) -> int:
 
 @dataclass(frozen=True)
 class GridState:
-    """An m-by-m grid of per-cell support for party A, districted in blocks
-    of exactly ``d`` cells."""
+    """An m-by-m grid of per-cell support for party A, each an ``int`` or a
+    ``Fraction`` in [0, 1], districted in blocks of exactly ``d`` cells."""
 
     m: int
     d: int
-    cells: tuple[tuple[Fraction, ...], ...]
+    cells: tuple[tuple[Fraction | int, ...], ...]
 
     def __post_init__(self):
         if self.m < 1:
@@ -74,6 +86,10 @@ class GridState:
             raise GridError(f"cell array is not {self.m}x{self.m}")
         for i, row in enumerate(self.cells, start=1):
             for j, value in enumerate(row, start=1):
+                if not isinstance(value, (int, Fraction)):
+                    raise GridError(
+                        f"cell ({i},{j}) support {value!r} is not an int or a Fraction"
+                    )
                 if not 0 <= value <= 1:
                     raise GridError(
                         f"cell ({i},{j}) support {ratio_str(value)} outside [0, 1]"
@@ -106,6 +122,27 @@ class GridState:
         ``district_verdict``; it lives as long as the grid."""
         return {}
 
+    @cached_property
+    def cell_bits(self) -> dict[Cell, int]:
+        """Each cell's bit, row-major: (i, j) is bit (i-1)*m + (j-1)."""
+        return {cell: 1 << index for index, cell in enumerate(sorted(self.all_cells()))}
+
+    @cached_property
+    def district_table(self) -> dict[int, list[tuple[int, District, Party | None]]]:
+        """Valid districts of the grid as (mask, cells, winner), filed under
+        the bit of their smallest cell, filled one cell at a time by
+        ``_districts_by_anchor``; it lives as long as the grid."""
+        return {}
+
+    @cached_property
+    def _scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """The lcm L of the cells' denominators, and every cell times L."""
+        scale = math.lcm(*(value.denominator for row in self.cells for value in row))
+        return scale, tuple(
+            tuple(value.numerator * (scale // value.denominator) for value in row)
+            for row in self.cells
+        )
+
 
 def _neighbors(cell: Cell) -> tuple[Cell, ...]:
     i, j = cell
@@ -115,14 +152,14 @@ def _neighbors(cell: Cell) -> tuple[Cell, ...]:
 def _is_connected(cells: frozenset[Cell]) -> bool:
     if not cells:
         return True
-    seen = set()
-    stack = [next(iter(cells))]
+    start = next(iter(cells))
+    seen = {start}
+    stack = [start]
     while stack:
-        cur = stack.pop()
-        if cur in seen:
-            continue
-        seen.add(cur)
-        stack.extend(nb for nb in _neighbors(cur) if nb in cells and nb not in seen)
+        for nb in _neighbors(stack.pop()):
+            if nb in cells and nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
     return len(seen) == len(cells)
 
 
@@ -168,6 +205,27 @@ class PlanViolation:
 class DistrictVerdict(NamedTuple):
     reasons: tuple[str, ...]  # why the district is invalid, without its index
     winner: Party | None  # strict majority of the support; None on a tie or off the grid
+    mask: int  # the district's cell bits; 0 off the grid
+
+
+def _cells_mask(grid: GridState, cells: frozenset[Cell]) -> int | None:
+    """The bits of ``cells``, None when one of them is off the grid."""
+    try:
+        return sum(map(grid.cell_bits.__getitem__, cells))
+    except KeyError:
+        return None
+
+
+def _winner(grid: GridState, district: frozenset[Cell]) -> Party | None:
+    """The party with a strict majority of an on-grid district's support:
+    with every cell scaled to an integer by the lcm L of the denominators,
+    A wins when twice its scaled sum exceeds |D| * L, B when it falls short."""
+    scale, scaled = grid._scaled
+    twice_a = 2 * sum(scaled[i - 1][j - 1] for i, j in district)
+    half = len(district) * scale
+    if twice_a == half:
+        return None
+    return Party.A if twice_a > half else Party.B
 
 
 def _district_violations(grid: GridState, cells: frozenset[Cell]) -> Iterator[str]:
@@ -194,12 +252,9 @@ def district_verdict(grid: GridState, district: frozenset[Cell]) -> DistrictVerd
     verdict = grid.verdicts.get(district)
     if verdict is None:
         reasons = tuple(_district_violations(grid, district))
-        winner = None
-        if all(map(grid.on_grid, district)):
-            twice_a = 2 * district_support(grid, district, Party.A)
-            if twice_a != len(district):
-                winner = Party.A if twice_a > len(district) else Party.B
-        verdict = grid.verdicts[district] = DistrictVerdict(reasons, winner)
+        mask = _cells_mask(grid, district)
+        winner = None if mask is None else _winner(grid, district)
+        verdict = grid.verdicts[district] = DistrictVerdict(reasons, winner, mask or 0)
     return verdict
 
 
@@ -207,12 +262,26 @@ def validate_plan(
     grid: GridState, plan: Sequence[frozenset[Cell]], region: frozenset[Cell] | None = None
 ) -> tuple[PlanViolation, ...]:
     """Check that ``plan`` partitions ``region`` (the whole grid by default)
-    into valid districts.  Violations are data, not exceptions."""
+    into valid districts.  Violations are data, not exceptions.
+
+    A plan whose verdicts are all clean, whose masks are disjoint and cover
+    the region's mask exactly has none; only a plan failing that check has
+    its violations listed cell by cell."""
+    verdicts = [district_verdict(grid, district) for district in plan]
+    region_mask = (1 << grid.m * grid.m) - 1 if region is None else _cells_mask(grid, region)
+    covered = 0
+    for verdict in verdicts:
+        if verdict.reasons or covered & verdict.mask:
+            break
+        covered |= verdict.mask
+    else:
+        if covered == region_mask:
+            return ()
     if region is None:
         region = grid.all_cells()
     violations: list[PlanViolation] = []
     claimed: dict[Cell, int] = {}
-    for index, district in enumerate(plan):
+    for index, (district, verdict) in enumerate(zip(plan, verdicts)):
         for cell in district:
             if cell in claimed:
                 violations.append(
@@ -223,8 +292,7 @@ def validate_plan(
                 )
             claimed[cell] = index
         violations.extend(
-            PlanViolation(index, f"district {index} {reason}")
-            for reason in district_verdict(grid, district).reasons
+            PlanViolation(index, f"district {index} {reason}") for reason in verdict.reasons
         )
     missing = region - set(claimed)
     if missing:
@@ -237,11 +305,6 @@ def validate_plan(
             PlanViolation(None, f"{len(extra)} cell(s) outside the region, e.g. {min(extra)}")
         )
     return tuple(violations)
-
-
-def district_support(grid: GridState, district: frozenset[Cell], party: Party) -> Fraction:
-    total = sum((grid.support(cell) for cell in district), Fraction(0))
-    return total if party is Party.A else len(district) - total
 
 
 def count_wins(
@@ -314,21 +377,29 @@ def _grow_districts(
     return found
 
 
-def _districts_by_anchor(grid: GridState, region: frozenset[Cell]) -> dict[Cell, list]:
-    """Every valid district of ``region``, filed under its smallest cell and
-    grown from that cell over the cells after it."""
+def _districts_by_anchor(grid: GridState, region: frozenset[Cell]) -> dict[int, list]:
+    """``grid.district_table``, holding every cell of ``region``.
+
+    A cell's entry lists every valid district of the whole grid grown from
+    that cell over the cells after it, so the districts filed under a cell
+    of ``region`` that fit in ``region`` are exactly the region's districts
+    filed under it.  Each cell is grown once per grid."""
     if len(region) % grid.d != 0:
         raise GridError(
             f"region of {len(region)} cells cannot split into {grid.d}-cell districts"
         )
-    cells = sorted(region)
-    for cell in cells:
-        if not grid.on_grid(cell):
-            raise GridError(f"region cell {cell} is off the {grid.m}x{grid.m} grid")
-    return {
-        anchor: _grow_districts(anchor, frozenset(cells[index + 1 :]), grid.d, grid.z)
-        for index, anchor in enumerate(cells)
-    }
+    table = grid.district_table
+    for anchor in sorted(region):
+        if not grid.on_grid(anchor):
+            raise GridError(f"region cell {anchor} is off the {grid.m}x{grid.m} grid")
+        bit = grid.cell_bits[anchor]
+        if bit not in table:
+            later = frozenset(cell for cell in grid.cell_bits if cell > anchor)
+            table[bit] = [
+                (_cells_mask(grid, district), district, _winner(grid, district))
+                for district in _grow_districts(anchor, later, grid.d, grid.z)
+            ]
+    return table
 
 
 def enumerate_region_plans(
@@ -339,18 +410,18 @@ def enumerate_region_plans(
     A plan takes, for the smallest cell still unassigned, each district filed
     under that cell that uses only unassigned cells, and recurses on the rest.
     """
-    by_anchor = _districts_by_anchor(grid, region)
+    table = _districts_by_anchor(grid, region)
 
-    def recurse(remaining: frozenset[Cell]) -> Iterator[tuple[District, ...]]:
+    def recurse(remaining: int) -> Iterator[tuple[District, ...]]:
         if not remaining:
             yield ()
             return
-        for district in by_anchor[min(remaining)]:
-            if district <= remaining:
-                for rest in recurse(remaining - district):
+        for mask, district, _ in table[remaining & -remaining]:
+            if mask & remaining == mask:
+                for rest in recurse(remaining ^ mask):
                     yield (district,) + rest
 
-    yield from recurse(frozenset(region))
+    yield from recurse(_cells_mask(grid, region))
 
 
 def max_wins_bruteforce(
@@ -364,24 +435,22 @@ def max_wins_bruteforce(
     cells; each set of cells left unassigned is searched once."""
     if len(region) > cap:
         raise GridError(f"region of {len(region)} cells exceeds the cap of {cap}")
-    by_anchor = _districts_by_anchor(grid, region)
-    return max(_best_wins(grid, party, by_anchor, frozenset(region), {frozenset(): 0}), 0)
+    table = _districts_by_anchor(grid, region)
+    return max(_best_wins(table, party, _cells_mask(grid, region), {0: 0}), 0)
 
 
-def _best_wins(
-    grid: GridState, party: Party, by_anchor: dict, remaining: frozenset[Cell], memo: dict
-) -> int:
-    """The most wins for ``party`` over the plans of ``remaining``, -1 when it
-    has none; ``memo`` maps each set of cells already searched to its answer."""
+def _best_wins(table: dict, party: Party, remaining: int, memo: dict[int, int]) -> int:
+    """The most wins for ``party`` over the plans of the cells in the mask
+    ``remaining``, -1 when it has none; ``memo`` maps each mask already
+    searched to its answer."""
     best = memo.get(remaining)
     if best is None:
         best = -1
-        for district in by_anchor[min(remaining)]:
-            if district <= remaining:
-                rest = _best_wins(grid, party, by_anchor, remaining - district, memo)
+        for mask, _, winner in table[remaining & -remaining]:
+            if mask & remaining == mask:
+                rest = _best_wins(table, party, remaining ^ mask, memo)
                 if rest >= 0:
-                    won = district_verdict(grid, district).winner is party
-                    best = max(best, rest + won)
+                    best = max(best, rest + (winner is party))
         memo[remaining] = best
     return best
 

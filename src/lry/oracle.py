@@ -67,9 +67,12 @@ def grid_oracle_mismatches(count: int, seed: int, cap: int) -> tuple[int, list[d
     maximum must be witnessed, and the analytic group counting must match
     exhaustive search on the shrunk analogue.
 
-    Each plan is validated once, then its wins are counted without
-    validating it again.  ``max_wins_bruteforce`` is a memoized search that
-    lists no plans, so its maximum is checked against this enumeration's.
+    Each plan is validated once against the grid's region, then its wins
+    are counted without validating it again.  A valid plan passes on the
+    masks alone (clean verdicts, disjoint districts covering the region);
+    only a failing one is listed cell by cell.  ``max_wins_bruteforce`` is a
+    memoized search that lists no plans, so its maximum is checked against
+    this enumeration's.
     """
     mismatches = []
     instances = 0
@@ -84,7 +87,7 @@ def grid_oracle_mismatches(count: int, seed: int, cap: int) -> tuple[int, list[d
         plans = 0
         for plan in grid_mod.enumerate_region_plans(grid, region):
             plans += 1
-            bad = grid_mod.validate_plan(grid, plan)
+            bad = grid_mod.validate_plan(grid, plan, region)
             if bad:
                 mismatches.append(
                     {

@@ -49,6 +49,19 @@ class TestGridState:
         assert g.support((1, 1)) == 1
         assert len(g.all_cells()) == 4
 
+    @pytest.mark.parametrize("value", [0.5, "1/2", None])
+    def test_cell_must_be_an_int_or_a_fraction(self, value):
+        cells = ((Fraction(1, 2), 1), (value, 0))
+        message = re.escape(f"cell (2,1) support {value!r} is not an int or a Fraction")
+        with pytest.raises(grid.GridError, match=message):
+            grid.GridState(2, 2, cells)
+
+    def test_int_cells_decide_districts(self):
+        g = grid.GridState(2, 2, ((1, 1), (0, 1)))
+        horizontal = (frozenset({(1, 1), (1, 2)}), frozenset({(2, 1), (2, 2)}))
+        assert grid.count_wins(g, horizontal, Party.A) == 1
+        assert grid.count_wins(g, horizontal, Party.B) == 0
+
     @pytest.mark.parametrize("cell", [(0, 1), (1, 0), (3, 1), (1, 3), (-1, -1)])
     def test_support_rejects_off_grid_cell(self, cell):
         # row or column 0 must not wrap to the far edge through cells[-1]
@@ -139,7 +152,7 @@ class TestCountWins:
             ties = sum(
                 1
                 for district in plan
-                if 2 * grid.district_support(g, district, Party.A) == len(district)
+                if 2 * district_support(g, district, Party.A) == len(district)
             )
             assert a + b + ties == g.district_count
 
@@ -162,6 +175,20 @@ def oracle_regions(seed):
         for side in (splits.left_cells(k), splits.right_cells(k, universe)):
             if side:
                 regions.append((analogue, side))
+    return regions
+
+
+def random_subregions():
+    """Fifteen random regions in the top-left 4x4 corner of a zero 12x12 grid
+    for each d from 1 to 4, with every d dividing the region's size."""
+    rng = random.Random(7)
+    cells = [(i, j) for i in range(1, 5) for j in range(1, 5)]
+    regions = []
+    for d in (1, 2, 3, 4):
+        g = make_grid([[0] * 12 for _ in range(12)], d=d)
+        for _ in range(15):
+            size = d * rng.randint(1, 12 // d)
+            regions.append((g, frozenset(rng.sample(cells, size))))
     return regions
 
 
@@ -306,15 +333,7 @@ class TestDirectEnumeration:
             assert_same_plans(g, splits.right_cells(k, universe))
 
     def test_random_subregions_match_reference(self):
-        rng = random.Random(7)
-        cells = [(i, j) for i in range(1, 5) for j in range(1, 5)]
-        found = 0
-        for d in (1, 2, 3, 4):
-            g = make_grid([[0] * 12 for _ in range(12)], d=d)
-            for _ in range(15):
-                size = d * rng.randint(1, 12 // d)
-                found += assert_same_plans(g, frozenset(rng.sample(cells, size)))
-        assert found > 0
+        assert sum(assert_same_plans(g, region) for g, region in random_subregions()) > 0
 
     def test_hole_test_decides(self):
         g = make_grid([[0] * 4 for _ in range(4)], d=8)
@@ -359,10 +378,17 @@ class TestDirectEnumeration:
             calls[grid._HOLE_MIN_CELLS] += 1
             return has_hole(cells)
 
+        def plans():
+            # a fresh grid for each pass, since each grid grows its districts once
+            return [
+                list(grid.enumerate_region_plans(grid.GridState(g.m, g.d, g.cells), r))
+                for g, r in regions
+            ]
+
         monkeypatch.setattr(grid, "_has_hole", counted)
-        skipped = [list(grid.enumerate_region_plans(g, r)) for g, r in regions]
+        skipped = plans()
         monkeypatch.setattr(grid, "_HOLE_MIN_CELLS", 0)
-        tested = [list(grid.enumerate_region_plans(g, r)) for g, r in regions]
+        tested = plans()
         assert tested == skipped
         assert sum(map(len, skipped)) > 0
         assert calls[7] == 0 and calls[0] > 0
@@ -374,7 +400,7 @@ class TestDirectEnumeration:
         for index in range(25):
             g = oracle.random_small_grid(random.Random(mix_seed(0, index)))
             by_anchor = grid._districts_by_anchor(g, g.all_cells())
-            cases += [(g, district) for found in by_anchor.values() for district in found]
+            cases += [(g, cells) for found in by_anchor.values() for _, cells, _ in found]
         square = frozenset((i, j) for i in range(1, 4) for j in range(1, 4))
         plus = frozenset({(1, 2), (2, 1), (2, 3), (3, 2)})
         hook = frozenset({(1, 1), (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)})
@@ -445,11 +471,17 @@ def reference_district(g, index, cells):
         yield f"district {index} spans {height}x{width}, exceeding {g.z}x{g.z}"
 
 
+def district_support(g, district, party):
+    """A party's exact support in a district, summed in ``Fraction``s."""
+    total = sum((g.support(cell) for cell in district), Fraction(0))
+    return total if party is Party.A else len(district) - total
+
+
 def reference_wins(g, plan, party):
     """Wins from the ``Fraction`` sums on a freshly built grid."""
     fresh = grid.GridState(m=g.m, d=g.d, cells=g.cells)
     return sum(
-        2 * grid.district_support(fresh, district, party) > len(district)
+        2 * district_support(fresh, district, party) > len(district)
         for district in plan
     )
 
@@ -594,6 +626,142 @@ class TestVerdictCache:
         assert len(checks["connected"]) == districts
         assert set(checks["connected"].values()) == {1}
         assert checks["hole"] == Counter()
+
+
+def reference_winner(g, district):
+    """The party with the larger ``Fraction`` support, None on a tie."""
+    a, b = (district_support(g, district, party) for party in Party)
+    return Party.A if a > b else Party.B if b > a else None
+
+
+class TestMaskFastPath:
+    """Plans that fail only the mask check give the cell-level violations."""
+
+    def test_valid_districts_sharing_a_cell(self):
+        g = make_grid([[1, 0], [0, 1]], d=2)
+        plan = (frozenset({(1, 1), (1, 2)}), frozenset({(1, 2), (2, 2)}))
+        assert assert_validates_like_reference(g, plan) == [
+            (1, "cell (1, 2) appears in districts 0 and 1"),
+            (None, "1 cell(s) uncovered, e.g. (2, 1)"),
+        ]
+        # together they cover the grid, so only the overlap can fail them
+        covering = (*plan, frozenset({(2, 1), (2, 2)}))
+        assert assert_validates_like_reference(g, covering) == [
+            (1, "cell (1, 2) appears in districts 0 and 1"),
+            (2, "cell (2, 2) appears in districts 1 and 2"),
+        ]
+
+    def test_one_region_cell_uncovered(self):
+        g = make_grid([[0] * 4 for _ in range(4)], d=2)
+        plan = (frozenset({(1, 1), (1, 2)}), frozenset({(2, 1), (2, 2)}))
+        region = frozenset().union(*plan) | {(3, 1)}
+        assert assert_validates_like_reference(g, plan, region) == [
+            (None, "1 cell(s) uncovered, e.g. (3, 1)")
+        ]
+
+    def test_whole_grid_plan_against_a_smaller_region(self):
+        g = make_grid([[1, 0, 0, 1]] * 4, d=4)
+        plan = tuple(frozenset((i, j) for j in range(1, 5)) for i in range(1, 5))
+        assert assert_validates_like_reference(g, plan) == []
+        region = plan[0] | plan[1]
+        assert assert_validates_like_reference(g, plan, region) == [
+            (None, "8 cell(s) outside the region, e.g. (3, 1)")
+        ]
+        assert assert_validates_like_reference(g, plan[:2], region) == []
+
+    def test_region_with_an_off_grid_cell(self):
+        g = make_grid([[0, 0], [0, 0]], d=2)
+        plan = (frozenset({(1, 1), (1, 2)}), frozenset({(2, 1), (2, 2)}))
+        region = g.all_cells() | {(0, 1)}
+        assert assert_validates_like_reference(g, plan, region) == [
+            (None, "1 cell(s) uncovered, e.g. (0, 1)")
+        ]
+        assert assert_validates_like_reference(g, plan, g.all_cells()) == []
+
+
+class TestDistrictTable:
+    """One table of the whole grid's districts serves every region of it."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, "subregions"])
+    def test_fitting_districts_are_the_regions_districts(self, seed):
+        regions = random_subregions() if seed == "subregions" else oracle_regions(seed)
+        for g, region in regions:
+            table = grid._districts_by_anchor(g, region)
+            cells = sorted(region)
+            for index, anchor in enumerate(cells):
+                fitting = {cells for _, cells, _ in table[g.cell_bits[anchor]] if cells <= region}
+                later = frozenset(cells[index + 1 :])
+                assert fitting == set(grid._grow_districts(anchor, later, g.d, g.z))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_masks_and_winners_of_the_oracle_grids(self, seed):
+        for index in range(25):
+            g = oracle.random_small_grid(random.Random(mix_seed(seed, index)))
+            for anchor_bit, found in grid._districts_by_anchor(g, g.all_cells()).items():
+                for mask, district, winner in found:
+                    assert mask == sum(g.cell_bits[cell] for cell in district)
+                    assert mask & -mask == anchor_bit
+                    assert winner == reference_winner(g, district)
+                    assert grid.district_verdict(g, district).winner == winner
+                    assert grid.district_verdict(g, district).mask == mask
+
+    def test_integer_winner_on_thirds_fifths_and_ties(self):
+        third, fifth = Fraction(1, 3), Fraction(1, 5)
+        g = make_grid(
+            [
+                [third, 2 * third, fifth, 4 * fifth],
+                [2 * fifth, 3 * fifth, "1/2", "1/2"],
+                [third, 3 * fifth, 0, 1],
+                [2 * third, fifth, 4 * fifth, 2 * fifth],
+            ],
+            d=2,
+        )
+        assert g._scaled[0] == 30
+        table = grid._districts_by_anchor(g, g.all_cells())
+        winners = {district: winner for found in table.values() for _, district, winner in found}
+        assert len(winners) == 24
+        for district, winner in winners.items():
+            assert winner == reference_winner(g, district)
+        # exactly half: 1/3 + 2/3, 1/5 + 4/5, 1/2 + 1/2 and 0 + 1
+        for tie in ({(1, 1), (1, 2)}, {(1, 3), (1, 4)}, {(2, 3), (2, 4)}, {(3, 3), (3, 4)}):
+            assert winners[frozenset(tie)] is None
+        assert winners[frozenset({(1, 1), (2, 1)})] is Party.B  # 1/3 + 2/5
+        assert winners[frozenset({(1, 2), (2, 2)})] is Party.A  # 2/3 + 3/5
+        assert winners[frozenset({(3, 2), (4, 2)})] is Party.B  # 3/5 + 1/5
+
+    def test_grown_once_per_grid(self, monkeypatch):
+        grown = Counter()
+        grow = grid._grow_districts
+
+        def counted(anchor, allowed, d, z):
+            grown[anchor] += 1
+            return grow(anchor, allowed, d, z)
+
+        monkeypatch.setattr(grid, "_grow_districts", counted)
+        g, splits, _ = grid.make_shrunk_analogue()
+        universe = g.all_cells()
+        for k in range(splits.split_count + 1):
+            for side in (splits.left_cells(k), splits.right_cells(k, universe)):
+                if side:
+                    list(grid.enumerate_region_plans(g, side))
+                    grid.max_wins_bruteforce(g, side, Party.A)
+        assert grown == Counter(universe)
+        other = grid.GridState(g.m, g.d, g.cells)
+        assert other.district_table == {}
+        grid._districts_by_anchor(other, universe)
+        assert sum(grown.values()) == 2 * len(universe)
+        assert other.district_table == g.district_table
+
+    def test_only_the_regions_cells_are_grown(self):
+        # a whole 20x20 grid of 100-cell districts would take far too long
+        g, _ = grid.make_geodelta(1)
+        assert grid.max_wins_bruteforce(g, frozenset(), Party.A) == 0
+        assert list(grid.enumerate_region_plans(g, frozenset())) == [()]
+        assert g.district_table == {}
+        small = make_grid([[1] * 12 for _ in range(12)], d=2)
+        region = frozenset({(5, 5), (5, 6), (6, 5), (6, 6)})
+        assert grid.max_wins_bruteforce(small, region, Party.A) == 2
+        assert set(small.district_table) == {small.cell_bits[cell] for cell in region}
 
 
 class TestGeodeltaConstruction:

@@ -30,7 +30,9 @@ summed only once.  The hole test runs only on districts of
 
 The banded construction built here drives the protocol toward a coin flip
 whose losing candidates fall arbitrarily far below the geometric target as
-the band count grows.
+the band count grows.  ``geodelta_report`` and ``side_group_counts`` count
+the groups wholly on each side of a split by one rule, from each group's
+first and last split, and the oracle checks it on the shrunk analogue.
 """
 
 from __future__ import annotations
@@ -551,37 +553,39 @@ def make_geodelta(delta: int) -> tuple[GridState, GridSplitSequence]:
     return _banded_grid(BAND * delta, 100, support, increments)
 
 
+def _wholly_side_counts(
+    firsts: Sequence[int], lasts: Sequence[int], ks: Sequence[int]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """At each split index of ``ks``: how many groups lie wholly left, and
+    wholly right, given the split that adds each group's first cell and the
+    one that adds its last.  A group lies wholly right until its first split
+    and wholly left from its last."""
+    firsts, lasts = sorted(firsts), sorted(lasts)
+    return (
+        tuple(bisect_right(lasts, k) for k in ks),
+        tuple(len(firsts) - bisect_right(firsts, k) for k in ks),
+    )
+
+
 def side_group_counts(
     groups: Sequence[frozenset[Cell]], splits: GridSplitSequence
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Per split index: how many groups lie wholly left, and wholly right.
 
-    A group is wholly left once every one of its cells has been added, and
-    wholly right until any of them has.
+    A cell lies left from the first increment that adds it; a cell that no
+    increment adds is never added, so its group never lies wholly left.
     """
-    sizes = [len(g) for g in groups]
-    membership: dict[Cell, int] = {}
-    for idx, group in enumerate(groups):
-        for cell in group:
-            membership[cell] = idx
-    seen = [0] * len(groups)
-    wholly_left = [0]
-    wholly_right = [len(groups)]
-    untouched = len(groups)
-    complete = 0
-    for chunk in splits.increments:
+    never = splits.split_count + 1
+    added: dict[Cell, int] = {}
+    for k, chunk in enumerate(splits.increments, start=1):
         for cell in chunk:
-            idx = membership.get(cell)
-            if idx is None:
-                continue
-            if seen[idx] == 0:
-                untouched -= 1
-            seen[idx] += 1
-            if seen[idx] == sizes[idx]:
-                complete += 1
-        wholly_left.append(complete)
-        wholly_right.append(untouched)
-    return tuple(wholly_left), tuple(wholly_right)
+            added.setdefault(cell, k)
+    indices = [[added.get(cell, never) for cell in group] for group in groups]
+    return _wholly_side_counts(
+        [min(ix, default=never) for ix in indices],
+        [max(ix, default=0) for ix in indices],
+        range(never),
+    )
 
 
 def geodelta_split_index(delta: int, cell: Cell) -> int:
@@ -605,20 +609,6 @@ def geodelta_split_index(delta: int, cell: Cell) -> int:
     # all lie left of column j, or (i, j) would be one of them.
     taken = 5 * min(i, top) + 10 * min(max(i - top, 0), 10)
     return delta + 1 + ((i - 1) * m + j - 1 - taken) // 100
-
-
-def geodelta_winning_plan(delta: int) -> DistrictPlan:
-    """A plan achieving one win per band for A: the aligned 10x10 block
-    tiling.  Each block is trivially connected, hole-free, and inside the
-    20x20 compactness square."""
-    if delta < 1:
-        raise GridError(f"delta must be at least 1, got {delta}")
-    m = BAND * delta
-    return tuple(
-        frozenset((bi + i, bj + j) for i in range(1, 11) for j in range(1, 11))
-        for bi in range(0, m, 10)
-        for bj in range(0, m, 10)
-    )
 
 
 @dataclass(frozen=True)
@@ -648,12 +638,11 @@ def geodelta_report(delta: int, seed: int) -> GeodeltaReport:
     # wholly right until the split adding its first cell, (base+1, 1), and
     # wholly left from the split adding its last, (base+5, 10).
     bases = _band_bases(delta)
-    firsts = sorted(geodelta_split_index(delta, (base + 1, 1)) for base in bases)
-    lasts = sorted(geodelta_split_index(delta, (base + 5, 10)) for base in bases)
+    firsts = [geodelta_split_index(delta, (base + 1, 1)) for base in bases]
+    lasts = [geodelta_split_index(delta, (base + 5, 10)) for base in bases]
     districts = 4 * delta * delta
     splits = sorted({0, 1, districts - 1, districts, *firsts, *lasts})
-    wholly_left = [bisect_right(lasts, k) for k in splits]
-    wholly_right = [delta - bisect_right(firsts, k) for k in splits]
+    wholly_left, wholly_right = _wholly_side_counts(firsts, lasts, splits)
     run = resolve_optimal(splits, wholly_left, wholly_right, seed)
     if run.outcome is not OutcomeKind.COIN_FLIP:
         raise GridError(

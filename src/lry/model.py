@@ -308,14 +308,6 @@ def side_support(profile: SplitProfile, party: Party, side: SideRef) -> Fraction
     return a_right if party is Party.A else (profile.n - side.k) - a_right
 
 
-def segment_support(profile: SplitProfile, party: Party, k: int) -> Fraction:
-    """Support for ``party`` in the segment between the (k-1)- and k-splits."""
-    if not 1 <= k <= profile.n:
-        raise ValueError(f"segment index {k} out of range 1..{profile.n}")
-    seg = profile.segments_a[k - 1]
-    return seg if party is Party.A else 1 - seg
-
-
 def profile_to_dict(profile: SplitProfile) -> dict:
     return {"n": profile.n, "segments_a": [ratio_str(s) for s in profile.segments_a]}
 

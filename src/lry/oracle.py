@@ -2,7 +2,7 @@
 
 ``strategy_oracle_mismatches`` compares the unconstrained closed forms with
 the exhaustive allocation search; ``grid_oracle_mismatches`` checks the
-exhaustive plan search on random small grids and the analytic group counting
+exhaustive plan search on small random grids and ``geodelta``'s counting
 on the shrunk analogue.  Each returns how much it checked and a list of
 mismatches, every one a ``{"kind": ..., "detail": ...}`` dict; an empty list
 means every check held.  ``lry oracle`` reports both.

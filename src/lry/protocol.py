@@ -58,27 +58,6 @@ class ProtocolError(ValueError):
 
 
 @dataclass(frozen=True)
-class PreferenceTable:
-    """One (A, B) preference pair per split index 0..n."""
-
-    entries: tuple[tuple[Preference, Preference], ...]
-
-    def __post_init__(self):
-        if not self.entries:
-            raise ProtocolError("preference table is empty")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, k: int) -> tuple[Preference, Preference]:
-        return self.entries[k]
-
-    @property
-    def n(self) -> int:
-        return len(self.entries) - 1
-
-
-@dataclass(frozen=True)
 class Assignment:
     """Which option was adopted at which split."""
 
@@ -122,9 +101,9 @@ _NEITHER = (Preference.INDIFFERENT, Preference.INDIFFERENT)
 
 def preferences_from_totals(
     a_left: Sequence[int], a_right: Sequence[int]
-) -> PreferenceTable:
-    """Both parties' preferences per split from A's total wins when it
-    districts the left side (``a_left[k]``) or the right side (``a_right[k]``).
+) -> tuple[tuple[Preference, Preference], ...]:
+    """The preference table, with the (A, B) pair of split k at index k, from
+    A's total wins districting the left (``a_left[k]``) or right (``a_right[k]``).
 
     Every district goes to one party, so B's totals are the complements of
     A's and B always prefers the opposite of A.
@@ -140,35 +119,31 @@ def preferences_from_totals(
             pairs.append(_A_LEFT)
         else:
             pairs.append(_NEITHER)
-    return PreferenceTable(tuple(pairs))
+    return tuple(pairs)
 
 
-def optimal_preferences(profile: SplitProfile) -> PreferenceTable:
+def optimal_preferences(profile: SplitProfile) -> tuple[tuple[Preference, Preference], ...]:
     """Each party's preference per split when both maximize districts won."""
     wins = profile.win_table.a
     return preferences_from_totals(wins.left_total, wins.right_total)
 
 
-def classify_outcome(prefs: PreferenceTable) -> tuple[OutcomeKind, int]:
-    """First outcome rule that applies, with the split index that fired it."""
-    n = prefs.n
-    for k in range(n + 1):
-        pa, pb = prefs[k]
+def classify_outcome(
+    prefs: Sequence[tuple[Preference, Preference]]
+) -> tuple[OutcomeKind, int]:
+    """First outcome rule that applies to a preference table, with the split
+    index that fired it.  An empty table fires no rule."""
+    for k, (pa, pb) in enumerate(prefs):
         if pa is pb and pa is not Preference.INDIFFERENT:
             return OutcomeKind.AGREEMENT, k
-    for k in range(n + 1):
-        pa, pb = prefs[k]
+    for k, (pa, pb) in enumerate(prefs):
         if (pa is Preference.INDIFFERENT) != (pb is Preference.INDIFFERENT):
             return OutcomeKind.DEFERRED, k
-    for k in range(n + 1):
-        pa, pb = prefs[k]
-        if pa is Preference.INDIFFERENT and pb is Preference.INDIFFERENT:
+    for k, pair in enumerate(prefs):
+        if pair == _NEITHER:
             return OutcomeKind.BOTH_INDIFFERENT, k
-    for k in range(1, n + 1):
-        if prefs[k - 1] == (Preference.OPTION2, Preference.OPTION1) and prefs[k] == (
-            Preference.OPTION1,
-            Preference.OPTION2,
-        ):
+    for k in range(1, len(prefs)):
+        if prefs[k - 1] == _A_RIGHT and prefs[k] == _A_LEFT:
             return OutcomeKind.COIN_FLIP, k
     raise ProtocolError("no outcome rule applies to this preference table")
 
@@ -210,14 +185,14 @@ def coinflip_options(
 
 
 def resolve_protocol(
-    profile: SplitProfile, prefs: PreferenceTable, seed: int
+    profile: SplitProfile, prefs: Sequence[tuple[Preference, Preference]], seed: int
 ) -> ProtocolRun:
     """Run the outcome rules on a profile under optimal play; see
     ``resolve_from_totals``."""
     wins = profile.win_table.a
     if len(prefs) != profile.n + 1:
         raise ProtocolError(
-            f"preference table covers 0..{prefs.n} but profile has n={profile.n}"
+            f"preference table covers 0..{len(prefs) - 1} but profile has n={profile.n}"
         )
     return resolve_from_totals(prefs, wins.left_total, wins.right_total, seed)
 
@@ -240,7 +215,8 @@ def _drawn_run(
 
 
 def resolve_from_totals(
-    prefs: PreferenceTable, a_left: Sequence[int], a_right: Sequence[int], seed: int
+    prefs: Sequence[tuple[Preference, Preference]], a_left: Sequence[int],
+    a_right: Sequence[int], seed: int,
 ) -> ProtocolRun:
     """Run the outcome rules and settle any randomness from ``seed``, given
     A's total wins per split when it districts the left or the right side.

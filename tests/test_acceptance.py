@@ -110,7 +110,12 @@ def test_criterion_5_constrained_gap_family():
             if delta == 10:
                 assert elapsed < 10.0, f"delta=10 took {elapsed:.1f}s"
         g, _ = grid.make_geodelta(1)
-        plan = grid.geodelta_winning_plan(1)
+        # the four 10x10 quadrants: one win for A, the best case per band
+        plan = tuple(
+            frozenset((bi + i, bj + j) for i in range(1, 11) for j in range(1, 11))
+            for bi in (0, 10)
+            for bj in (0, 10)
+        )
         assert grid.validate_plan(g, plan) == ()
         assert grid.count_wins(g, plan, Party.A) == 1
 

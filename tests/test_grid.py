@@ -24,6 +24,17 @@ def make_grid(rows, d):
     return grid.GridState(m=len(rows), d=d, cells=cells)
 
 
+def geodelta_winning_plan(delta):
+    """The aligned 10x10 block tiling of ``make_geodelta(delta)``: one win per
+    band for A, each block connected, hole-free and inside the 20x20 square."""
+    m = 20 * delta
+    return tuple(
+        frozenset((bi + i, bj + j) for i in range(1, 11) for j in range(1, 11))
+        for bi in range(0, m, 10)
+        for bj in range(0, m, 10)
+    )
+
+
 @pytest.mark.parametrize("d, z", [(100, 20), (4, 4), (2, 2), (1, 2), (5, 4)])
 def test_compactness_bound(d, z):
     assert grid.compactness_bound(d) == z
@@ -122,7 +133,7 @@ class TestValidatePlan:
 
     def test_quadrant_plan_for_single_band(self):
         g, _ = grid.make_geodelta(1)
-        plan = grid.geodelta_winning_plan(1)
+        plan = geodelta_winning_plan(1)
         assert len(plan) == 4
         assert grid.validate_plan(g, plan) == ()
 
@@ -980,7 +991,7 @@ class TestGeodeltaReport:
 
     def test_winning_plan_achieves_target_best_case(self):
         g, _ = grid.make_geodelta(2)
-        plan = grid.geodelta_winning_plan(2)
+        plan = geodelta_winning_plan(2)
         assert grid.validate_plan(g, plan) == ()
         assert grid.count_wins(g, plan, Party.A) == 2
 
@@ -1007,3 +1018,75 @@ class TestShrunkAnalogue:
         wholly_left, wholly_right = grid.side_group_counts(groups, splits)
         assert wholly_left == (0, 0, 1, 2, 2)
         assert wholly_right == (2, 1, 0, 0, 0)
+
+    def test_shifted_count_fails_the_oracle_and_geodelta(self, monkeypatch):
+        # side_group_counts and geodelta_report share one counting rule, so
+        # the analogue check guards the counts that geodelta reports.  The
+        # shift hits split 2: a candidate of geodelta(3)'s crossing at (2, 3),
+        # and an analogue side that brute force searches.
+        counts = grid._wholly_side_counts
+
+        def shifted(firsts, lasts, ks):
+            wholly_left, wholly_right = counts(firsts, lasts, ks)
+            return wholly_left, (*wholly_right[:2], wholly_right[2] + 1, *wholly_right[3:])
+
+        monkeypatch.setattr(grid, "_wholly_side_counts", shifted)
+        _, mismatches = oracle.grid_oracle_mismatches(1, 0, 16)
+        assert "analogue" in {m["kind"] for m in mismatches}
+        assert grid.geodelta_report(3, 0) != dense_geodelta_report(3, 0)
+
+
+def brute_side_group_counts(groups, splits, universe):
+    """Per split: the groups inside its left cells, and inside the rest of
+    ``universe``."""
+    lefts = [splits.left_cells(k) for k in range(splits.split_count + 1)]
+    return (
+        tuple(sum(group <= left for group in groups) for left in lefts),
+        tuple(sum(group <= universe - left for group in groups) for left in lefts),
+    )
+
+
+class TestSideGroupCounts:
+    UNIVERSE = frozenset((i, j) for i in range(1, 4) for j in range(1, 4))
+
+    @pytest.mark.parametrize(
+        "groups, increments, wholly_left",
+        [
+            # two groups sharing the cell (1, 2)
+            (
+                [{(1, 1), (1, 2)}, {(1, 2), (2, 2)}],
+                [[(1, 1), (1, 2)], [(2, 1), (2, 2)]],
+                (0, 1, 2),
+            ),
+            # a cell added twice lies left from the first increment adding it
+            ([{(1, 1), (1, 2)}], [[(1, 1)], [(1, 1)], [(1, 2)]], (0, 0, 0, 1)),
+            # no increment adds (2, 2), so its group never lies wholly left
+            ([{(1, 1)}, {(1, 2), (2, 2)}], [[(1, 1)], [(1, 2), (2, 1)]], (0, 1, 1)),
+            # no increment adds (3, 3), so its group stays wholly right
+            ([{(1, 1), (1, 2)}, {(3, 3)}], [[(1, 2)], [(1, 1), (2, 1)]], (0, 0, 1)),
+        ],
+    )
+    def test_matches_brute_force(self, groups, increments, wholly_left):
+        groups = tuple(frozenset(g) for g in groups)
+        splits = grid.GridSplitSequence(tuple(tuple(chunk) for chunk in increments))
+        counts = grid.side_group_counts(groups, splits)
+        assert counts == brute_side_group_counts(groups, splits, self.UNIVERSE)
+        assert counts[0] == wholly_left
+
+    def test_random_groups_match_brute_force(self):
+        cells = sorted(self.UNIVERSE)
+        for seed in range(200):
+            rng = random.Random(seed)
+            groups = tuple(
+                frozenset(rng.sample(cells, rng.randint(0, 4)))
+                for _ in range(rng.randint(1, 4))
+            )
+            splits = grid.GridSplitSequence(
+                tuple(
+                    tuple(rng.sample(cells, rng.randint(0, 3)))
+                    for _ in range(rng.randint(0, 5))
+                )
+            )
+            assert grid.side_group_counts(groups, splits) == brute_side_group_counts(
+                groups, splits, self.UNIVERSE
+            ), seed

@@ -10,7 +10,6 @@ from lry.protocol import (
     Assignment,
     OutcomeKind,
     Preference,
-    PreferenceTable,
     ProtocolError,
     classify_outcome,
     coinflip_options,
@@ -36,7 +35,8 @@ def two_gap():
 
 
 def table(*pairs):
-    return PreferenceTable(tuple(pairs))
+    """A hand-built preference table: the (A, B) pair of split k at index k."""
+    return pairs
 
 
 class TestOptimalPreferences:
@@ -87,6 +87,10 @@ class TestClassifyOutcome:
         prefs = table((OPT1, OPT2), (OPT2, OPT1))
         with pytest.raises(ProtocolError):
             classify_outcome(prefs)
+
+    def test_empty_table_is_an_error(self):
+        with pytest.raises(ProtocolError, match="no outcome rule"):
+            classify_outcome(())
 
 
 class TestCoinflipOptions:

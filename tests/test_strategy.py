@@ -16,6 +16,12 @@ def two_gap():
     return model.two_gap_profile()
 
 
+def segment_support(profile, party, k):
+    """Support for ``party`` in the segment between the (k-1)- and k-splits."""
+    seg = profile.segments_a[k - 1]
+    return seg if party is Party.A else 1 - seg
+
+
 class TestDistrictingWins:
     def test_minority_packs_three_of_five(self, two_gap):
         # A holds 1.9 of the 5 left districts
@@ -97,7 +103,7 @@ def test_step_bounds_on_random_profiles(seed):
     half = Fraction(1, 2)
     for party in Party:
         for k in range(1, profile.n + 1):
-            seg = model.segment_support(profile, party, k)
+            seg = segment_support(profile, party, k)
             d_step = strategy.wins_when_districting(
                 profile, party, left(k)
             ) - strategy.wins_when_districting(profile, party, left(k - 1))

@@ -124,9 +124,10 @@ def _cmd_simulate(args) -> _Report:
         ]
         return _Report(profile_doc, body, code=1)
     run = protocol.optimal_run(profile, args.seed)
+    fairness = protocol.fairness_report(profile, run)
     body["run"] = protocol.run_to_dict(run)
-    body["fairness"] = protocol.fairness_to_dict(protocol.fairness_report(profile, run))
-    rows = functools.partial(protocol.candidate_rows, profile, run)
+    body["fairness"] = protocol.fairness_to_dict(fairness)
+    rows = functools.partial(protocol.candidate_rows, run, fairness)
     return _Report(profile_doc, body, fields=_SIM_FIELDS, rows=rows)
 
 

@@ -7,14 +7,14 @@ district only with a strict majority of its cells' support; a district at
 exactly half counts for nobody.
 
 The plan search works on bitmasks: cell (i, j) is bit (i-1)*m + (j-1), so
-the smallest cell of a set is its lowest set bit.  The valid districts of
-the whole grid with smallest cell c are grown once per ``GridState``, the
-first time a region holds c, and filed under c with their masks and winners
-in ``grid.district_table``; a district of a region filed under c is a
-district of that table filed under c that fits in the region.
-``enumerate_region_plans`` and ``max_wins_bruteforce`` recurse on the mask
-of the cells left unassigned; ``max_wins_bruteforce`` lists no plans but
-memoizes the best win count of each such mask.
+the smallest cell of a set is its lowest set bit.  The valid districts of a
+region with smallest cell c are grown over the region's own cells once per
+``GridState`` and region, and filed under c with their masks and winners in
+``grid.district_table``, keyed by the region's mask; so the work grows with
+the region, not with the grid.  ``enumerate_region_plans`` and
+``max_wins_bruteforce`` share that table and recurse on the mask of the
+cells left unassigned; ``max_wins_bruteforce`` lists no plans but memoizes
+the best win count of each such mask.
 
 A district's verdict (its violation reasons, none when valid, its mask and
 which party its exact support elects) depends only on the grid.  Each
@@ -130,10 +130,10 @@ class GridState:
         return {cell: 1 << index for index, cell in enumerate(sorted(self.all_cells()))}
 
     @cached_property
-    def district_table(self) -> dict[int, list[tuple[int, District, Party | None]]]:
-        """Valid districts of the grid as (mask, cells, winner), filed under
-        the bit of their smallest cell, filled one cell at a time by
-        ``_districts_by_anchor``; it lives as long as the grid."""
+    def district_table(self) -> dict[int, dict[int, list[tuple[int, District, Party | None]]]]:
+        """Per region mask: the region's valid districts as (mask, cells,
+        winner), filed under the bit of their smallest cell, filled one region
+        at a time by ``_districts_by_anchor``; it lives as long as the grid."""
         return {}
 
     @cached_property
@@ -380,27 +380,29 @@ def _grow_districts(
 
 
 def _districts_by_anchor(grid: GridState, region: frozenset[Cell]) -> dict[int, list]:
-    """``grid.district_table``, holding every cell of ``region``.
-
-    A cell's entry lists every valid district of the whole grid grown from
-    that cell over the cells after it, so the districts filed under a cell
-    of ``region`` that fit in ``region`` are exactly the region's districts
-    filed under it.  Each cell is grown once per grid."""
+    """``region``'s table in ``grid.district_table``: every valid district of
+    ``region``, grown from each of its cells over the region's cells after
+    it and filed under that cell's bit.  Each region is grown once per grid."""
     if len(region) % grid.d != 0:
         raise GridError(
             f"region of {len(region)} cells cannot split into {grid.d}-cell districts"
         )
-    table = grid.district_table
-    for anchor in sorted(region):
-        if not grid.on_grid(anchor):
-            raise GridError(f"region cell {anchor} is off the {grid.m}x{grid.m} grid")
-        bit = grid.cell_bits[anchor]
-        if bit not in table:
-            later = frozenset(cell for cell in grid.cell_bits if cell > anchor)
-            table[bit] = [
+    region_mask = _cells_mask(grid, region)
+    if region_mask is None:
+        cell = min(cell for cell in region if not grid.on_grid(cell))
+        raise GridError(f"region cell {cell} is off the {grid.m}x{grid.m} grid")
+    table = grid.district_table.get(region_mask)
+    if table is None:
+        cells = sorted(region)
+        table = grid.district_table[region_mask] = {
+            grid.cell_bits[anchor]: [
                 (_cells_mask(grid, district), district, _winner(grid, district))
-                for district in _grow_districts(anchor, later, grid.d, grid.z)
+                for district in _grow_districts(
+                    anchor, frozenset(cells[index + 1 :]), grid.d, grid.z
+                )
             ]
+            for index, anchor in enumerate(cells)
+        }
     return table
 
 

@@ -14,6 +14,11 @@ never fire and ``resolve_optimal`` settles a run in one pass over A's
 totals; every command and the invariant sweep take their outcome from it.
 ``classify_outcome`` scans k = 0..n of any preference table and is its
 reference.  Runs are deterministic given the totals and the seed.
+
+A run's entries are ``Assignment`` records (split, option and both parties'
+wins): the four coin-flip candidates, or the settled assignment alone.
+``fairness_report`` checks each entry against the profile's win table and
+computes each party's deltas per entry once; the CSV rows read them.
 """
 
 from __future__ import annotations
@@ -32,10 +37,8 @@ from .model import (
     ensure_valid,
     half_integer_sums,
     is_half_integer,
-    left,
     profile_to_dict,
     ratio_str,
-    right,
     scaled_sums,
 )
 
@@ -59,10 +62,12 @@ class ProtocolError(ValueError):
 
 @dataclass(frozen=True)
 class Assignment:
-    """Which option was adopted at which split."""
+    """The option adopted at split k, with each party's wins under it."""
 
     k: int
     option: Preference
+    wins_a: int
+    wins_b: int
 
     def __post_init__(self):
         if self.option is Preference.INDIFFERENT:
@@ -70,27 +75,12 @@ class Assignment:
 
 
 @dataclass(frozen=True)
-class CoinFlipCandidate:
-    assignment: Assignment
-    wins_a: int
-    wins_b: int
-
-
-@dataclass(frozen=True)
 class ProtocolRun:
     outcome: OutcomeKind
     trigger_k: int
     assignment: Assignment
-    wins_a: int
-    wins_b: int
-    candidates: tuple[CoinFlipCandidate, ...] | None
+    candidates: tuple[Assignment, ...] | None  # coin flips only, canonical order
     seed: int | None  # None when no randomness was consumed
-
-    @property
-    def crossing_pair(self) -> tuple[int, int] | None:
-        if self.outcome is OutcomeKind.COIN_FLIP:
-            return (self.trigger_k - 1, self.trigger_k)
-        return None
 
 
 # (A, B) preference pairs.  Option 1 hands A the left side and B the right.
@@ -148,32 +138,25 @@ def classify_outcome(
     raise ProtocolError("no outcome rule applies to this preference table")
 
 
-def assignment_wins(profile: SplitProfile, assignment: Assignment) -> tuple[int, int]:
-    """(A wins, B wins) under an assignment, both parties playing optimally."""
-    side = left(assignment.k) if assignment.option is Preference.OPTION1 else right(
-        assignment.k
-    )
-    wins_a = strategy.total_wins(profile, Party.A, side)
-    return wins_a, profile.n - wins_a
+def _adopt(k: int, option: Preference, n: int, wins_left: int, wins_right: int) -> Assignment:
+    """``option`` at split k, where A wins ``wins_left`` districting the left
+    side and ``wins_right`` districting the right."""
+    wins_a = wins_left if option is Preference.OPTION1 else wins_right
+    return Assignment(k, option, wins_a, n - wins_a)
 
 
 def _candidates(
     k: int, n: int, lefts: Sequence[int], rights: Sequence[int]
-) -> tuple[CoinFlipCandidate, ...]:
+) -> tuple[Assignment, ...]:
     """The crossing's candidates from A's totals at k-1 and k, per side."""
     return tuple(
-        CoinFlipCandidate(Assignment(split, option), wins_a, n - wins_a)
+        _adopt(split, option, n, wins_left, wins_right)
         for split, wins_left, wins_right in zip((k - 1, k), lefts, rights)
-        for option, wins_a in (
-            (Preference.OPTION1, wins_left),
-            (Preference.OPTION2, wins_right),
-        )
+        for option in (Preference.OPTION1, Preference.OPTION2)
     )
 
 
-def coinflip_options(
-    profile: SplitProfile, k: int
-) -> tuple[CoinFlipCandidate, ...]:
+def coinflip_options(profile: SplitProfile, k: int) -> tuple[Assignment, ...]:
     """The four coin-flip candidates for a crossing at (k-1, k), in canonical
     order: option 1 then 2 of the (k-1)-split, then option 1 then 2 of the
     k-split."""
@@ -205,13 +188,9 @@ def _drawn_run(
     ``rights`` are A's totals up to k, the last entry at k."""
     if kind is OutcomeKind.COIN_FLIP:
         candidates = _candidates(k, n, lefts, rights)
-        chosen = candidates[seed % 4]
-        return ProtocolRun(
-            kind, k, chosen.assignment, chosen.wins_a, chosen.wins_b, candidates, seed
-        )
+        return ProtocolRun(kind, k, candidates[seed % 4], candidates, seed)
     option = Preference.OPTION1 if seed % 2 == 0 else Preference.OPTION2
-    wins_a = lefts[-1] if option is Preference.OPTION1 else rights[-1]
-    return ProtocolRun(kind, k, Assignment(k, option), wins_a, n - wins_a, None, seed)
+    return ProtocolRun(kind, k, _adopt(k, option, n, lefts[-1], rights[-1]), None, seed)
 
 
 def resolve_from_totals(
@@ -232,8 +211,7 @@ def resolve_from_totals(
         return _drawn_run(kind, k, n, a_left[window], a_right[window], seed)
     pa, pb = prefs[k]  # agreement, or one party defers to the other
     option = pb if pa is Preference.INDIFFERENT else pa
-    wins_a = a_left[k] if option is Preference.OPTION1 else a_right[k]
-    return ProtocolRun(kind, k, Assignment(k, option), wins_a, n - wins_a, None, None)
+    return ProtocolRun(kind, k, _adopt(k, option, n, a_left[k], a_right[k]), None, None)
 
 
 def resolve_optimal(
@@ -292,6 +270,8 @@ class PartyFairness:
     # candidate measured against the split target of its own split.
     candidate_target_deltas: tuple[Fraction, Fraction] | None
     candidate_split_target_deltas: tuple[Fraction, Fraction] | None
+    # (target - wins, split target - wins) per entry of the run, in order.
+    entry_deltas: tuple[tuple[Fraction, Fraction], ...]
 
 
 @dataclass(frozen=True)
@@ -303,65 +283,66 @@ class FairnessReport:
         return self.a if party is Party.A else self.b
 
 
-def _entries(run: ProtocolRun) -> tuple[CoinFlipCandidate, ...]:
+def _entries(run: ProtocolRun) -> tuple[Assignment, ...]:
     """The run's coin-flip candidates, or its settled assignment alone."""
-    if run.candidates is not None:
-        return run.candidates
-    return (CoinFlipCandidate(run.assignment, run.wins_a, run.wins_b),)
-
-
-def _deltas(
-    profile: SplitProfile, party: Party, entries: Sequence[CoinFlipCandidate]
-) -> list[tuple[Fraction, Fraction]]:
-    """``party``'s (geometric target - wins, split target - wins) per entry."""
-    target = targets.geometric_target(profile, party)
-    splits = {e.assignment.k for e in entries}
-    split_targets = {k: targets.k_split_target(profile, party, k) for k in splits}
-    deltas = []
-    for entry in entries:
-        wins = entry.wins_a if party is Party.A else entry.wins_b
-        deltas.append((target - wins, split_targets[entry.assignment.k] - wins))
-    return deltas
+    return run.candidates or (run.assignment,)
 
 
 def _party_fairness(
     profile: SplitProfile, run: ProtocolRun, party: Party
 ) -> PartyFairness:
-    wins = run.wins_a if party is Party.A else run.wins_b
-    realized = CoinFlipCandidate(run.assignment, run.wins_a, run.wins_b)
-    (target_delta, split_delta), *candidate_deltas = _deltas(
-        profile, party, (realized, *(run.candidates or ()))
-    )
+    """One geometric target, one split target per distinct split of the
+    entries, and every entry's deltas from them."""
+    entries = _entries(run)
+    target = targets.geometric_target(profile, party)
+    split_targets = {
+        k: targets.k_split_target(profile, party, k) for k in {e.k for e in entries}
+    }
+    deltas = []
+    for entry in entries:
+        won = entry.wins_a if party is Party.A else entry.wins_b
+        deltas.append((target - won, split_targets[entry.k] - won))
+    realized = run.assignment
+    target_delta, split_delta = deltas[entries.index(realized)]
     spans = (None, None)
     if run.candidates is not None:
-        spans = [(min(column), max(column)) for column in zip(*candidate_deltas)]
+        spans = [(min(column), max(column)) for column in zip(*deltas)]
     return PartyFairness(
         party=party,
-        wins=wins,
-        target=target_delta + wins,
-        split_target=split_delta + wins,
+        wins=realized.wins_a if party is Party.A else realized.wins_b,
+        target=target,
+        split_target=split_targets[realized.k],
         target_delta=target_delta,
         split_target_delta=split_delta,
         within_target_bound=abs(target_delta) <= TARGET_BOUND,
         within_split_target_bound=abs(split_delta) <= SPLIT_TARGET_BOUND,
         candidate_target_deltas=spans[0],
         candidate_split_target_deltas=spans[1],
+        entry_deltas=tuple(deltas),
     )
 
 
 def fairness_report(profile: SplitProfile, run: ProtocolRun) -> FairnessReport:
-    """Exact target deltas and bound flags for a finished run."""
+    """Exact target deltas and bound flags for a finished run, whose every
+    entry must match the profile's win table."""
     ensure_valid(profile)
-    try:
-        expected = assignment_wins(profile, run.assignment)
-    except ValueError as exc:
-        raise ProtocolError(f"run does not belong to this profile: {exc}") from exc
-    if expected != (run.wins_a, run.wins_b):
-        raise ProtocolError(
-            "run does not belong to this profile: assignment"
-            f" k={run.assignment.k} {run.assignment.option.value} yields"
-            f" {expected}, run records {(run.wins_a, run.wins_b)}"
-        )
+    a, n = profile.win_table.a, profile.n
+    entries = _entries(run)
+    for entry in entries:
+        k = entry.k
+        if not 0 <= k <= n:
+            raise ProtocolError(
+                f"run does not belong to this profile: entry k={k} outside 0..{n}"
+            )
+        expected = _adopt(k, entry.option, n, a.left_total[k], a.right_total[k])
+        if entry != expected:
+            raise ProtocolError(
+                f"run does not belong to this profile: entry k={k} {entry.option.value}"
+                f" yields {(expected.wins_a, expected.wins_b)},"
+                f" run records {(entry.wins_a, entry.wins_b)}"
+            )
+    if run.assignment not in entries:
+        raise ProtocolError("the run's assignment is not one of its candidates")
     return FairnessReport(
         a=_party_fairness(profile, run, Party.A),
         b=_party_fairness(profile, run, Party.B),
@@ -623,22 +604,19 @@ def check_profile(
                         rec.fail(
                             "coinflip_target_bound", f"{party.value} i={i} wins={wins_i}"
                         )
-        order = [(c.assignment.k, c.assignment.option) for c in run.candidates]
+        order = [(c.k, c.option) for c in run.candidates]
         options = (Preference.OPTION1, Preference.OPTION2)
         rec.checks += 1 + len(run.candidates)
         if order != [(i, option) for i in (trigger - 1, trigger) for option in options]:
             rec.fail("coinflip_candidate_order", f"trigger={trigger}")
         for cand in run.candidates:
             if cand.wins_a + cand.wins_b != n:
-                rec.fail(
-                    "conservation",
-                    f"candidate k={cand.assignment.k} {cand.assignment.option.value}",
-                )
+                rec.fail("conservation", f"candidate k={cand.k} {cand.option.value}")
     else:
         # Otherwise both parties are indifferent at the trigger, so each wins
         # exactly its split target there, within 1/2 of its geometric target.
         for party, wins in parties:
-            won = run.wins_a if party is Party.A else run.wins_b
+            won = run.assignment.wins_a if party is Party.A else run.assignment.wins_b
             doubled_split_target = wins.left_total[trigger] + wins.right_total[trigger]
             g_num, g_den = twice_geo[party]
             rec.checks += 3
@@ -698,9 +676,10 @@ def property_sweep(count: int, n_max: int, seed: int) -> SweepReport:
 # --- serialization ----------------------------------------------------------
 
 
-def _entry_dict(entry: CoinFlipCandidate) -> dict:
-    k, option = entry.assignment.k, entry.assignment.option.value
-    return {"k": k, "option": option, "winsA": entry.wins_a, "winsB": entry.wins_b}
+def _entry_dict(entry: Assignment) -> dict:
+    return {
+        "k": entry.k, "option": entry.option.value, "winsA": entry.wins_a, "winsB": entry.wins_b
+    }
 
 
 def run_to_dict(run: ProtocolRun) -> dict:
@@ -708,15 +687,14 @@ def run_to_dict(run: ProtocolRun) -> dict:
         "outcome": run.outcome.value,
         "triggerK": run.trigger_k,
         "assignment": {"k": run.assignment.k, "option": run.assignment.option.value},
-        "winsA": run.wins_a,
-        "winsB": run.wins_b,
+        "winsA": run.assignment.wins_a,
+        "winsB": run.assignment.wins_b,
         "seedConsumed": run.seed is not None,
     }
     if run.seed is not None:
         doc["seed"] = run.seed
-    if run.crossing_pair is not None:
-        doc["crossingPair"] = list(run.crossing_pair)
     if run.candidates is not None:
+        doc["crossingPair"] = [run.trigger_k - 1, run.trigger_k]
         doc["candidates"] = [_entry_dict(c) for c in run.candidates]
     return doc
 
@@ -744,15 +722,12 @@ def fairness_to_dict(report: FairnessReport) -> dict:
     return {party.value: _party_fairness_to_dict(report.party(party)) for party in Party}
 
 
-def candidate_rows(
-    profile: SplitProfile, run: ProtocolRun
-) -> list[dict]:
+def candidate_rows(run: ProtocolRun, report: FairnessReport) -> list[dict]:
     """CSV-shaped rows: one per coin-flip candidate, or one for the resolved
-    assignment when no coin flip happened."""
-    entries = _entries(run)
-    rows = [_entry_dict(entry) for entry in entries]
+    assignment when no coin flip happened, with ``report``'s deltas."""
+    rows = [_entry_dict(entry) for entry in _entries(run)]
     for party in Party:
-        for row, (geo, split) in zip(rows, _deltas(profile, party, entries)):
+        for row, (geo, split) in zip(rows, report.party(party).entry_deltas):
             row["deltaGeo" + party.value] = ratio_str(geo)
             row["deltaGeoK" + party.value] = ratio_str(split)
     return rows

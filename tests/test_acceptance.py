@@ -102,7 +102,7 @@ def test_criterion_5_constrained_gap_family():
             elapsed = time.perf_counter() - start
             assert report.total_support_a == 51 * delta
             assert report.target_a == Fraction(delta, 2)
-            assert report.run.crossing_pair == (delta - 1, delta)
+            assert protocol.run_to_dict(report.run)["crossingPair"] == [delta - 1, delta]
             if delta >= 2:
                 assert [c.wins_a for c in report.run.candidates] == [0, 1, 1, 0]
             assert report.worst_gap_a == Fraction(delta, 2)

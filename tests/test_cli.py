@@ -12,7 +12,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lry import cli, model, oracle, protocol
+from lry import cli, model, oracle, protocol, targets
 
 
 def run_cli(*argv):
@@ -623,6 +623,23 @@ def test_simulate_output_is_golden(tmp_path):
         )
         assert code == 0
         assert sha256(text) == digest, (fmt, seed)
+
+
+def test_fairness_targets_are_computed_once(monkeypatch):
+    # One geometric target per party, one split target per party and
+    # distinct split (5 and 6), shared by the JSON body and the CSV rows.
+    calls = {"geometric_target": 0, "k_split_target": 0}
+    for name in calls:
+        original = getattr(targets, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(targets, name, counted)
+    code, _ = run_cli("example-2gap", "--format", "csv")
+    assert code == 0
+    assert calls == {"geometric_target": 2, "k_split_target": 4}
 
 
 def test_simulate_settled_output_is_golden(tmp_path):

@@ -741,6 +741,8 @@ class TestDistrictTable:
         assert winners[frozenset({(3, 2), (4, 2)})] is Party.B  # 3/5 + 1/5
 
     def test_grown_once_per_grid(self, monkeypatch):
+        # Once per grid and region: each side of the analogue grows each of
+        # its cells once, however often it is searched.
         grown = Counter()
         grow = grid._grow_districts
 
@@ -751,28 +753,52 @@ class TestDistrictTable:
         monkeypatch.setattr(grid, "_grow_districts", counted)
         g, splits, _ = grid.make_shrunk_analogue()
         universe = g.all_cells()
-        for k in range(splits.split_count + 1):
-            for side in (splits.left_cells(k), splits.right_cells(k, universe)):
-                if side:
-                    list(grid.enumerate_region_plans(g, side))
-                    grid.max_wins_bruteforce(g, side, Party.A)
-        assert grown == Counter(universe)
+        sides = [
+            side
+            for k in range(splits.split_count + 1)
+            for side in (splits.left_cells(k), splits.right_cells(k, universe))
+            if side
+        ]
+        for side in sides:
+            list(grid.enumerate_region_plans(g, side))
+            grid.max_wins_bruteforce(g, side, Party.A)
+        distinct = set(sides)
+        assert len(distinct) < len(sides)
+        assert grown == Counter(cell for side in distinct for cell in side)
+        assert set(g.district_table) == {grid._cells_mask(g, side) for side in distinct}
         other = grid.GridState(g.m, g.d, g.cells)
         assert other.district_table == {}
-        grid._districts_by_anchor(other, universe)
-        assert sum(grown.values()) == 2 * len(universe)
+        for side in distinct:
+            grid._districts_by_anchor(other, side)
+        assert sum(grown.values()) == 2 * sum(map(len, distinct))
         assert other.district_table == g.district_table
 
-    def test_only_the_regions_cells_are_grown(self):
+    def test_only_the_regions_cells_are_grown(self, monkeypatch):
         # a whole 20x20 grid of 100-cell districts would take far too long
         g, _ = grid.make_geodelta(1)
         assert grid.max_wins_bruteforce(g, frozenset(), Party.A) == 0
         assert list(grid.enumerate_region_plans(g, frozenset())) == [()]
-        assert g.district_table == {}
+        assert g.district_table == {0: {}}
         small = make_grid([[1] * 12 for _ in range(12)], d=2)
         region = frozenset({(5, 5), (5, 6), (6, 5), (6, 6)})
         assert grid.max_wins_bruteforce(small, region, Party.A) == 2
-        assert set(small.district_table) == {small.cell_bits[cell] for cell in region}
+        table = small.district_table[grid._cells_mask(small, region)]
+        assert set(table) == {small.cell_bits[cell] for cell in region}
+        # A 2x4 corner of a 12x12 grid at d = 8: grown over the whole grid,
+        # each of its anchors would reach thousands of 8-cell districts.
+        allowed_sets = []
+        grow = grid._grow_districts
+
+        def recorded(anchor, allowed, d, z):
+            allowed_sets.append(allowed)
+            return grow(anchor, allowed, d, z)
+
+        monkeypatch.setattr(grid, "_grow_districts", recorded)
+        wide = make_grid([[1] * 12 for _ in range(12)], d=8)
+        corner = frozenset((i, j) for i in (1, 2) for j in range(1, 5))
+        assert grid.max_wins_bruteforce(wide, corner, Party.A) == 1
+        assert len(allowed_sets) == len(corner)
+        assert all(allowed <= corner for allowed in allowed_sets)
 
 
 class TestGeodeltaConstruction:
@@ -979,7 +1005,7 @@ class TestGeodeltaReport:
         assert report.total_support_a == 51 * delta
         assert report.target_a == Fraction(delta, 2)
         assert report.run.outcome is OutcomeKind.COIN_FLIP
-        assert report.run.crossing_pair == (delta - 1, delta)
+        assert report.run.trigger_k == delta
         assert [c.wins_a for c in report.run.candidates] == [0, 1, 1, 0]
         assert report.worst_gap_a == Fraction(delta, 2)
         assert report.gap_exceeds_unconstrained_bound == (delta >= 5)
@@ -987,7 +1013,7 @@ class TestGeodeltaReport:
     def test_seed_selects_candidate(self):
         for seed in range(4):
             report = grid.geodelta_report(2, seed=seed)
-            assert report.run.wins_a == [0, 1, 1, 0][seed]
+            assert report.run.assignment.wins_a == [0, 1, 1, 0][seed]
 
     def test_winning_plan_achieves_target_best_case(self):
         g, _ = grid.make_geodelta(2)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -96,7 +97,7 @@ class TestClassifyOutcome:
 class TestCoinflipOptions:
     def test_canonical_order_and_values(self, two_gap):
         cands = coinflip_options(two_gap, 6)
-        assert [(c.assignment.k, c.assignment.option) for c in cands] == [
+        assert [(c.k, c.option) for c in cands] == [
             (5, OPT1),
             (5, OPT2),
             (6, OPT1),
@@ -119,17 +120,17 @@ class TestResolve:
     def test_seed_three_picks_worst_candidate(self, two_gap):
         run = resolve_protocol(two_gap, optimal_preferences(two_gap), 3)
         assert run.outcome is OutcomeKind.COIN_FLIP
-        assert run.crossing_pair == (5, 6)
-        assert (run.wins_a, run.wins_b) == (2, 8)
+        assert protocol.run_to_dict(run)["crossingPair"] == [5, 6]
+        assert (run.assignment.wins_a, run.assignment.wins_b) == (2, 8)
         assert run.seed == 3
 
     def test_seed_two_even_split(self, two_gap):
         run = resolve_protocol(two_gap, optimal_preferences(two_gap), 2)
-        assert (run.wins_a, run.wins_b) == (5, 5)
+        assert (run.assignment.wins_a, run.assignment.wins_b) == (5, 5)
 
     def test_seeds_cycle_candidates(self, two_gap):
         prefs = optimal_preferences(two_gap)
-        winners = [resolve_protocol(two_gap, prefs, s).wins_a for s in range(8)]
+        winners = [resolve_protocol(two_gap, prefs, s).assignment.wins_a for s in range(8)]
         assert winners == [3, 4, 5, 2, 3, 4, 5, 2]
 
     def test_agreement_ignores_seed(self, two_gap):
@@ -148,7 +149,7 @@ class TestResolve:
         prefs[2] = (INDIFF, OPT2)
         run = resolve_protocol(two_gap, table(*prefs), 0)
         assert run.outcome is OutcomeKind.DEFERRED
-        assert run.assignment == Assignment(2, OPT2)
+        assert run.assignment == Assignment(2, OPT2, 6, 4)
 
     def test_both_indifferent_uses_parity(self):
         profile = SplitProfile(2, (Fraction("0.3"), Fraction("0.3")))
@@ -276,6 +277,48 @@ class TestFairness:
         other = SplitProfile(2, (Fraction("0.3"), Fraction("0.4")))
         with pytest.raises(ProtocolError):
             fairness_report(other, run)
+        # Candidate 1 (k=5, option 2) truly gives A 4 and B 6; swapped, A's
+        # span would read (-2, 2) and that row's deltaGeoKA -5/2.
+        cands = list(run.candidates)
+        cands[1] = dataclasses.replace(cands[1], wins_a=6, wins_b=4)
+        tampered = dataclasses.replace(run, candidates=tuple(cands))
+        with pytest.raises(ProtocolError, match="entry k=5 option2 yields"):
+            fairness_report(two_gap, tampered)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_deltas_match_the_targets_computed_directly(self, seed):
+        # Every entry's deltas, CSV row and span against the targets
+        # computed from scratch, over both outcomes optimal play reaches.
+        seen = set()
+        for index in range(200):
+            profile = protocol.random_profile(random.Random(mix_seed(seed, index)), 20)
+            run = optimal_run(profile, seed)
+            seen.add(run.outcome)
+            report = fairness_report(profile, run)
+            entries = run.candidates or (run.assignment,)
+            rows = protocol.candidate_rows(run, report)
+            for party in Party:
+                stats = report.party(party)
+                geo = targets.geometric_target(profile, party)
+                expected = []
+                for entry in entries:
+                    won = entry.wins_a if party is Party.A else entry.wins_b
+                    split = targets.k_split_target(profile, party, entry.k)
+                    expected.append((geo - won, split - won))
+                assert list(stats.entry_deltas) == expected
+                assert [
+                    (row["deltaGeo" + party.value], row["deltaGeoK" + party.value])
+                    for row in rows
+                ] == [(ratio_str(g), ratio_str(k)) for g, k in expected]
+                realized = expected[entries.index(run.assignment)]
+                assert (stats.target_delta, stats.split_target_delta) == realized
+                assert stats.target == geo
+                spans = (stats.candidate_target_deltas, stats.candidate_split_target_deltas)
+                if run.candidates is None:
+                    assert spans == (None, None)
+                else:
+                    assert spans == tuple((min(c), max(c)) for c in zip(*expected))
+        assert seen == {OutcomeKind.COIN_FLIP, OutcomeKind.BOTH_INDIFFERENT}
 
 
 class ExpectRecorder(protocol._Recorder):
@@ -469,7 +512,7 @@ def reference_check_profile(profile):
                     )
         candidates = coinflip_options(profile, trigger)
         order_ok = tuple(
-            (c.assignment.k, c.assignment.option) for c in candidates
+            (c.k, c.option) for c in candidates
         ) == (
             (trigger - 1, Preference.OPTION1),
             (trigger - 1, Preference.OPTION2),
@@ -481,8 +524,7 @@ def reference_check_profile(profile):
             rec.expect(
                 cand.wins_a + cand.wins_b == n,
                 "conservation",
-                lambda: f"candidate k={cand.assignment.k}"
-                f" {cand.assignment.option.value}",
+                lambda: f"candidate k={cand.k} {cand.option.value}",
             )
     else:
         # A satisfied party (preference honored, or indifferent between equal
@@ -704,7 +746,7 @@ class TestSerialization:
 
     def test_candidate_rows(self, two_gap):
         run = resolve_protocol(two_gap, optimal_preferences(two_gap), 0)
-        rows = protocol.candidate_rows(two_gap, run)
+        rows = protocol.candidate_rows(run, fairness_report(two_gap, run))
         assert len(rows) == 4
         assert rows[3] == {
             "k": 6,
@@ -721,6 +763,6 @@ class TestSerialization:
         prefs = [(OPT2, OPT1)] * 11
         prefs[4] = (OPT1, OPT1)
         run = resolve_protocol(two_gap, table(*prefs), 0)
-        rows = protocol.candidate_rows(two_gap, run)
+        rows = protocol.candidate_rows(run, fairness_report(two_gap, run))
         assert len(rows) == 1
         assert rows[0]["k"] == 4

@@ -16,16 +16,10 @@ the region, not with the grid.  ``enumerate_region_plans`` and
 cells left unassigned; ``max_wins_bruteforce`` lists no plans but memoizes
 the best win count of each such mask.
 
-A district's verdict (its violation reasons, none when valid, its mask and
-which party its exact support elects) depends only on the grid.  Each
-distinct district is decided once per ``GridState``: the verdicts are kept
-in ``grid.verdicts``, filled on first use and dropped with the grid.  A
-winner compares integer sums of the cells scaled by the lcm of their
-denominators.  ``validate_plan`` first checks a plan on the masks (every
-verdict clean, no two districts overlapping, the region covered) and builds
-cell-level violations only when that fails; ``count_wins`` reads the same
-verdicts, so a district shared by many plans of one grid is checked and
-summed only once.  The hole test runs only on districts of
+``validate_plan`` checks a plan cell by cell and lists every violation
+with its district's index; ``count_wins`` validates the plan, then sums
+each district's winner.  A winner compares integer sums of the cells scaled
+by the lcm of their denominators.  The hole test runs only on districts of
 ``_HOLE_MIN_CELLS`` cells or more, the fewest that can wall one in.
 
 The banded construction built here drives the protocol toward a coin flip
@@ -42,7 +36,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from .model import Party, ratio_str
 from .protocol import TARGET_BOUND, OutcomeKind, ProtocolRun, resolve_optimal, run_to_dict
@@ -101,10 +95,6 @@ class GridState:
     def z(self) -> int:
         return compactness_bound(self.d)
 
-    @property
-    def district_count(self) -> int:
-        return (self.m * self.m) // self.d
-
     def on_grid(self, cell: Cell) -> bool:
         return 1 <= cell[0] <= self.m and 1 <= cell[1] <= self.m
 
@@ -117,12 +107,6 @@ class GridState:
         return frozenset(
             (i, j) for i in range(1, self.m + 1) for j in range(1, self.m + 1)
         )
-
-    @cached_property
-    def verdicts(self) -> dict[District, DistrictVerdict]:
-        """Every district decided on this grid so far, filled by
-        ``district_verdict``; it lives as long as the grid."""
-        return {}
 
     @cached_property
     def cell_bits(self) -> dict[Cell, int]:
@@ -204,12 +188,6 @@ class PlanViolation:
     message: str
 
 
-class DistrictVerdict(NamedTuple):
-    reasons: tuple[str, ...]  # why the district is invalid, without its index
-    winner: Party | None  # strict majority of the support; None on a tie or off the grid
-    mask: int  # the district's cell bits; 0 off the grid
-
-
 def _cells_mask(grid: GridState, cells: frozenset[Cell]) -> int | None:
     """The bits of ``cells``, None when one of them is off the grid."""
     try:
@@ -247,43 +225,16 @@ def _district_violations(grid: GridState, cells: frozenset[Cell]) -> Iterator[st
         yield f"spans {height}x{width}, exceeding {grid.z}x{grid.z}"
 
 
-def district_verdict(grid: GridState, district: frozenset[Cell]) -> DistrictVerdict:
-    """The verdict on ``district``, decided on the first call for this grid
-    and read from ``grid.verdicts`` after that."""
-    district = frozenset(district)
-    verdict = grid.verdicts.get(district)
-    if verdict is None:
-        reasons = tuple(_district_violations(grid, district))
-        mask = _cells_mask(grid, district)
-        winner = None if mask is None else _winner(grid, district)
-        verdict = grid.verdicts[district] = DistrictVerdict(reasons, winner, mask or 0)
-    return verdict
-
-
 def validate_plan(
     grid: GridState, plan: Sequence[frozenset[Cell]], region: frozenset[Cell] | None = None
 ) -> tuple[PlanViolation, ...]:
     """Check that ``plan`` partitions ``region`` (the whole grid by default)
-    into valid districts.  Violations are data, not exceptions.
-
-    A plan whose verdicts are all clean, whose masks are disjoint and cover
-    the region's mask exactly has none; only a plan failing that check has
-    its violations listed cell by cell."""
-    verdicts = [district_verdict(grid, district) for district in plan]
-    region_mask = (1 << grid.m * grid.m) - 1 if region is None else _cells_mask(grid, region)
-    covered = 0
-    for verdict in verdicts:
-        if verdict.reasons or covered & verdict.mask:
-            break
-        covered |= verdict.mask
-    else:
-        if covered == region_mask:
-            return ()
+    into valid districts.  Violations are data, not exceptions."""
     if region is None:
         region = grid.all_cells()
     violations: list[PlanViolation] = []
     claimed: dict[Cell, int] = {}
-    for index, (district, verdict) in enumerate(zip(plan, verdicts)):
+    for index, district in enumerate(plan):
         for cell in district:
             if cell in claimed:
                 violations.append(
@@ -294,7 +245,8 @@ def validate_plan(
                 )
             claimed[cell] = index
         violations.extend(
-            PlanViolation(index, f"district {index} {reason}") for reason in verdict.reasons
+            PlanViolation(index, f"district {index} {reason}")
+            for reason in _district_violations(grid, district)
         )
     missing = region - set(claimed)
     if missing:
@@ -320,12 +272,7 @@ def count_wins(
     violations = validate_plan(grid, plan, region)
     if violations:
         raise GridError("; ".join(v.message for v in violations))
-    return _plan_wins(grid, plan, party)
-
-
-def _plan_wins(grid: GridState, plan: Sequence[frozenset[Cell]], party: Party) -> int:
-    """``count_wins`` for a plan the caller has already validated."""
-    return sum(district_verdict(grid, district).winner is party for district in plan)
+    return sum(_winner(grid, district) is party for district in plan)
 
 
 # --- exhaustive plan search -------------------------------------------------

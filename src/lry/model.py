@@ -141,13 +141,6 @@ class SideRef:
     side: Side
     k: int
 
-    def opposite(self) -> "SideRef":
-        other = Side.RIGHT if self.side is Side.LEFT else Side.LEFT
-        return SideRef(other, self.k)
-
-    def district_count(self, n: int) -> int:
-        return self.k if self.side is Side.LEFT else n - self.k
-
 
 def left(k: int) -> SideRef:
     return SideRef(Side.LEFT, k)

@@ -63,16 +63,16 @@ def random_small_grid(rng: random.Random) -> grid_mod.GridState:
 
 
 def grid_oracle_mismatches(count: int, seed: int, cap: int) -> tuple[int, list[dict]]:
-    """Random small grids: every enumerated plan must validate, the reported
-    maximum must be witnessed, and the analytic group counting must match
-    exhaustive search on the shrunk analogue.
+    """Random small grids: every grown district and every enumerated plan
+    must be valid, the reported maximum must be witnessed, and the analytic
+    group counting must match exhaustive search on the shrunk analogue.
 
-    Each plan is validated once against the grid's region, then its wins
-    are counted without validating it again.  A valid plan passes on the
-    masks alone (clean verdicts, disjoint districts covering the region);
-    only a failing one is listed cell by cell.  ``max_wins_bruteforce`` is a
-    memoized search that lists no plans, so its maximum is checked against
-    this enumeration's.
+    Each district of the region's table is validated once, cell by cell.
+    A plan is then checked on the table's masks: every district must be a
+    valid one of the table, no two may overlap, and together they must cover
+    the region; its wins are summed from the table's winners.
+    ``max_wins_bruteforce`` is a memoized search that lists no plans, so its
+    maximum is checked against this enumeration's.
     """
     mismatches = []
     instances = 0
@@ -83,20 +83,28 @@ def grid_oracle_mismatches(count: int, seed: int, cap: int) -> tuple[int, list[d
         if len(region) > cap:
             continue
         instances += 1
+        valid = {}  # each valid district of the region's table: (mask, winner)
+        faults = []
+        for found in grid_mod._districts_by_anchor(grid, region).values():
+            for mask, district, winner in found:
+                bad = grid_mod.validate_plan(grid, (district,), district)
+                if bad:
+                    faults.append(bad[0].message)
+                else:
+                    valid[district] = mask, winner
+        region_mask = sum(grid.cell_bits[cell] for cell in region)
         best = -1
         plans = 0
         for plan in grid_mod.enumerate_region_plans(grid, region):
             plans += 1
-            bad = grid_mod.validate_plan(grid, plan, region)
-            if bad:
-                mismatches.append(
-                    {
-                        "kind": "invalid_plan",
-                        "detail": f"instance {index}: {bad[0].message}",
-                    }
-                )
-                continue
-            best = max(best, grid_mod._plan_wins(grid, plan, Party.A))
+            fault = _plan_fault(plan, valid, region_mask)
+            if fault:
+                faults.append(fault)
+            else:
+                best = max(best, sum(valid[district][1] is Party.A for district in plan))
+        mismatches += (
+            {"kind": "invalid_plan", "detail": f"instance {index}: {fault}"} for fault in faults
+        )
         reported = grid_mod.max_wins_bruteforce(grid, region, Party.A, cap=cap)
         if plans == 0:
             mismatches.append(
@@ -133,6 +141,20 @@ def grid_oracle_mismatches(count: int, seed: int, cap: int) -> tuple[int, list[d
                     }
                 )
     return instances, mismatches
+
+
+def _plan_fault(plan: grid_mod.DistrictPlan, valid: dict, region_mask: int) -> str | None:
+    """Why ``plan`` is no partition of the region's mask into the districts
+    of ``valid``, read from their masks; None when it is one."""
+    covered = 0
+    for position, district in enumerate(plan):
+        if district not in valid:
+            return f"district {position} is not a valid district of the table"
+        mask = valid[district][0]
+        if covered & mask:
+            return f"district {position} overlaps an earlier one"
+        covered |= mask
+    return None if covered == region_mask else "the plan does not cover the region"
 
 
 def analogue_within_cap(cap: int) -> bool:

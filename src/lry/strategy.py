@@ -146,9 +146,11 @@ def _held_counts(parts: int, capacity: int) -> dict[int, frozenset[int]]:
     return {units: frozenset(held) for units, held in table.items()}
 
 
-def _most_held(support: Fraction, districts: int) -> int:
-    """Most of ``districts`` bins that ``support``, in units of
-    1/``DEFAULT_GRANULARITY``, can hold at least half of."""
+def bruteforce_districting_wins(support: Fraction, districts: int) -> int:
+    """Best win count over every allocation of the districting party's units,
+    up to the order of the districts: the most of ``districts`` bins that
+    ``support``, in units of 1/``DEFAULT_GRANULARITY``, can hold at least
+    half of."""
     if districts > MAX_ORACLE_DISTRICTS:
         raise ValueError(
             f"oracle limited to sides of {MAX_ORACLE_DISTRICTS} districts, got {districts}"
@@ -159,12 +161,6 @@ def _most_held(support: Fraction, districts: int) -> int:
     if units.denominator != 1:
         raise ValueError(f"support {support} is not a multiple of 1/{DEFAULT_GRANULARITY}")
     return max(_held_counts(districts, DEFAULT_GRANULARITY)[units.numerator])
-
-
-def bruteforce_districting_wins(support: Fraction, districts: int) -> int:
-    """Best win count over every allocation of the districting party's units,
-    up to the order of the districts."""
-    return _most_held(support, districts)
 
 
 def bruteforce_opponent_wins(support: Fraction, opponent_support: Fraction) -> int:
@@ -179,4 +175,4 @@ def bruteforce_opponent_wins(support: Fraction, opponent_support: Fraction) -> i
     if total.denominator != 1:
         raise ValueError("side supports must sum to a whole number of districts")
     districts = total.numerator
-    return districts - _most_held(opponent_support, districts)
+    return districts - bruteforce_districting_wins(opponent_support, districts)

@@ -56,5 +56,6 @@ def test_traced_stdout_equals_untraced(traced, tmp_path):
         assert untraced[0] == 0, argv
     for layer in ("protocol.candidate_rows", "protocol.fairness_report",
                   "grid.geodelta_report", "protocol.check_profile",
-                  "grid.max_wins_bruteforce", "cli.serialize"):
+                  "grid.max_wins_bruteforce", "grid.validate_plan",
+                  "grid.enumerate_region_plans", "cli.serialize"):
         assert tracer.layers[layer].calls > 0, layer

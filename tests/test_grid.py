@@ -56,7 +56,6 @@ class TestGridState:
     def test_accessors(self):
         g = make_grid([[1, 0], [0, 0]], d=2)
         assert g.z == 2
-        assert g.district_count == 2
         assert g.support((1, 1)) == 1
         assert len(g.all_cells()) == 4
 
@@ -165,7 +164,7 @@ class TestCountWins:
                 for district in plan
                 if 2 * district_support(g, district, Party.A) == len(district)
             )
-            assert a + b + ties == g.district_count
+            assert a + b + ties == len(plan)
 
     def test_invalid_plan_rejected(self):
         g = make_grid([[1, 1], [0, 0]], d=2)
@@ -265,7 +264,7 @@ class TestBruteforce:
             plans = list(grid.enumerate_region_plans(g, region))
             assert plans
             for party in Party:
-                expected = max(grid._plan_wins(g, plan, party) for plan in plans)
+                expected = max(grid.count_wins(g, plan, party, region) for plan in plans)
                 assert grid.max_wins_bruteforce(g, region, party) == expected
 
     def test_region_without_a_plan(self):
@@ -406,7 +405,7 @@ class TestDirectEnumeration:
 
     def test_validation_ignores_the_hole_threshold(self, monkeypatch):
         # validate_plan finds the same violations when it tests every
-        # district for holes, on a fresh grid so that no verdict is cached.
+        # district for holes.
         cases = []
         for index in range(25):
             g = oracle.random_small_grid(random.Random(mix_seed(0, index)))
@@ -422,7 +421,7 @@ class TestDirectEnumeration:
 
         def violations():
             return [
-                grid.validate_plan(grid.GridState(g.m, g.d, g.cells), (cells,), cells)
+                grid.validate_plan(g, (cells,), cells)
                 for g, cells in cases
             ]
 
@@ -441,8 +440,8 @@ class TestDirectEnumeration:
 
 
 def reference_validate(g, plan, region=None):
-    """``validate_plan`` without the verdict cache: every district of every
-    plan checked from scratch, its messages built with its index."""
+    """``validate_plan`` restated: every district of every plan checked with
+    a hole test at any size, its messages built with its index."""
     if region is None:
         region = frozenset((i, j) for i in range(1, g.m + 1) for j in range(1, g.m + 1))
     found = []
@@ -511,7 +510,8 @@ def assert_validates_like_reference(g, plan, region=None):
 
 
 class TestVerdictCache:
-    """Verdicts cached on a grid give what checking every district afresh gives."""
+    """One grid validated and counted over many plans gives what checking
+    every district afresh gives."""
 
     def test_random_plans_match_reference(self):
         rng = random.Random(5)
@@ -553,8 +553,7 @@ class TestVerdictCache:
             assert f"district {index} has 3 cells, not 4" in messages
         for index in (2, 5):
             assert f"district {index} leaves the grid at [(0, 2)]" in messages
-        # the verdicts are cached by now; a plan naming them elsewhere still
-        # reports its own indices
+        # a plan naming the same districts elsewhere reports its own indices
         assert_validates_like_reference(g, (short, scattered))
 
     def test_one_grid_for_both_parties_and_several_regions(self):
@@ -588,23 +587,14 @@ class TestVerdictCache:
             g, subplan, Party.B
         )
 
-    def test_cache_lives_on_its_grid(self):
-        rows = [[1, 1], [0, 0]]
-        first, second = make_grid(rows, d=2), make_grid(rows, d=2)
-        plan = (frozenset({(1, 1), (1, 2)}), frozenset({(2, 1), (2, 2)}))
-        assert grid.count_wins(first, plan, Party.A) == 1
-        assert set(first.verdicts) == set(plan)
-        assert second.verdicts == {}
-        assert first == second
-
     def test_oracle_decides_each_district_once_per_grid(self, monkeypatch):
+        calls = []  # (grid, plan, region) of every validate_plan call
         validating = []  # the grid validate_plan is checking, if any
-        kept = []  # every validated grid, kept alive so that ids stay distinct
         checks = {"connected": Counter(), "hole": Counter()}
         validate_plan = grid.validate_plan
 
         def counting_validate(g, plan, region=None):
-            kept.append(g)
+            calls.append((g, plan, region))
             validating.append(g)
             try:
                 return validate_plan(g, plan, region)
@@ -625,18 +615,112 @@ class TestVerdictCache:
         instances, mismatches = oracle.grid_oracle_mismatches(25, seed=0, cap=16)
         assert (instances, mismatches) == (25, [])
 
-        plans = districts = 0
-        for index in range(25):
-            g = oracle.random_small_grid(random.Random(mix_seed(0, index)))
-            enumerated = list(grid.enumerate_region_plans(g, g.all_cells()))
-            plans += len(enumerated)
-            districts += len({district for plan in enumerated for district in plan})
-        assert len(kept) == plans
+        # the oracle's grids, in the order it validated them, all kept alive
+        # by ``calls`` so that their ids stay distinct
+        grids = list({id(g): g for g, _, _ in calls}.values())
+        assert len(grids) == 25
+        districts = 0
+        for index, g in enumerate(grids):
+            assert g == oracle.random_small_grid(random.Random(mix_seed(0, index)))
+            table = grid._districts_by_anchor(g, g.all_cells())
+            expected = Counter((district,) for found in table.values() for _, district, _ in found)
+            assert Counter(plan for h, plan, _ in calls if h is g) == expected
+            assert all(region == plan[0] for h, plan, region in calls if h is g)
+            assert set(expected.values()) == {1}
+            districts += len(expected)
+        assert len(calls) == districts
         # Every oracle grid has d <= 4, below the fewest cells that wall in
         # a hole, so validation runs no hole test.
         assert len(checks["connected"]) == districts
         assert set(checks["connected"].values()) == {1}
         assert checks["hole"] == Counter()
+
+
+DIAGONAL_GRID = ((1, 0), (0, 1))
+ROWS = (frozenset({(1, 1), (1, 2)}), frozenset({(2, 1), (2, 2)}))
+COLUMNS = (frozenset({(1, 1), (2, 1)}), frozenset({(1, 2), (2, 2)}))
+
+
+class TestGridOracleMismatches:
+    """Each kind of grid-oracle mismatch fires when its check fails.  Every
+    instance is the 2x2 grid with A's support on the diagonal, whose two
+    plans, rows and columns, both leave A with no win."""
+
+    @pytest.fixture(autouse=True)
+    def diagonal(self, monkeypatch):
+        monkeypatch.setattr(
+            oracle, "random_small_grid", lambda rng: grid.GridState(2, 2, DIAGONAL_GRID)
+        )
+
+    def kinds(self, count=2):
+        instances, mismatches = oracle.grid_oracle_mismatches(count, seed=0, cap=16)
+        assert instances == count
+        return [(m["kind"], m["detail"]) for m in mismatches]
+
+    def test_clean_run(self):
+        assert self.kinds() == []
+
+    def test_disconnected_district(self, monkeypatch):
+        # Growth also files each diagonal pair under its smaller cell.  A
+        # wins the main diagonal, so the memoized search reports a win that
+        # no valid plan witnesses.
+        grow = grid._grow_districts
+        diagonals = {(1, 1): frozenset({(1, 1), (2, 2)}), (1, 2): frozenset({(1, 2), (2, 1)})}
+
+        def with_diagonal(anchor, allowed, d, z):
+            found = grow(anchor, allowed, d, z)
+            return found + [diagonals[anchor]] if anchor in diagonals else found
+
+        monkeypatch.setattr(grid, "_grow_districts", with_diagonal)
+        assert self.kinds(1) == [
+            ("invalid_plan", "instance 0: district 0 is not connected"),
+            ("invalid_plan", "instance 0: district 0 is not connected"),
+            ("invalid_plan", "instance 0: district 0 is not a valid district of the table"),
+            ("unwitnessed_max", "instance 0: reported 1, best plan 0"),
+        ]
+
+    def test_invalid_plans(self, monkeypatch):
+        overlapping = (ROWS[0], COLUMNS[0])
+        foreign = (ROWS[0], frozenset({(2, 1)}))
+        plans = (ROWS, overlapping, ROWS[:1], foreign, COLUMNS)
+        monkeypatch.setattr(grid, "enumerate_region_plans", lambda g, region: iter(plans))
+        assert self.kinds(1) == [
+            ("invalid_plan", "instance 0: district 1 overlaps an earlier one"),
+            ("invalid_plan", "instance 0: the plan does not cover the region"),
+            ("invalid_plan", "instance 0: district 1 is not a valid district of the table"),
+        ]
+
+    def test_no_plans(self, monkeypatch):
+        monkeypatch.setattr(grid, "enumerate_region_plans", lambda g, region: iter(()))
+        assert self.kinds() == [
+            ("no_plans", "instance 0: nothing enumerated"),
+            ("no_plans", "instance 1: nothing enumerated"),
+        ]
+
+    def test_unwitnessed_max(self, monkeypatch):
+        search = grid.max_wins_bruteforce
+        monkeypatch.setattr(
+            grid, "max_wins_bruteforce", lambda *args, **kwargs: search(*args, **kwargs) + 1
+        )
+        found = self.kinds()
+        assert found[:2] == [
+            ("unwitnessed_max", "instance 0: reported 1, best plan 0"),
+            ("unwitnessed_max", "instance 1: reported 1, best plan 0"),
+        ]
+        # the analogue is searched by the same function
+        assert found[2:] and {kind for kind, _ in found[2:]} == {"analogue"}
+
+    def test_analogue(self, monkeypatch):
+        counts = grid.side_group_counts
+
+        def off_by_one(groups, splits):
+            left, right = counts(groups, splits)
+            return tuple(c + 1 for c in left), right
+
+        monkeypatch.setattr(grid, "side_group_counts", off_by_one)
+        found = self.kinds()
+        assert found and {kind for kind, _ in found} == {"analogue"}
+        assert found[0] == ("analogue", "k=1 |side|=4 analytic=1 bruteforce=0")
 
 
 def reference_winner(g, district):
@@ -646,7 +730,8 @@ def reference_winner(g, district):
 
 
 class TestMaskFastPath:
-    """Plans that fail only the mask check give the cell-level violations."""
+    """Plans of valid districts that overlap, miss a region cell or leave the
+    region give the reference's violations."""
 
     def test_valid_districts_sharing_a_cell(self):
         g = make_grid([[1, 0], [0, 1]], d=2)
@@ -713,8 +798,6 @@ class TestDistrictTable:
                     assert mask == sum(g.cell_bits[cell] for cell in district)
                     assert mask & -mask == anchor_bit
                     assert winner == reference_winner(g, district)
-                    assert grid.district_verdict(g, district).winner == winner
-                    assert grid.district_verdict(g, district).mask == mask
 
     def test_integer_winner_on_thirds_fifths_and_ties(self):
         third, fifth = Fraction(1, 3), Fraction(1, 5)

@@ -82,14 +82,6 @@ def test_party_opponent_involution():
         assert party.opponent.opponent is party
 
 
-def test_side_ref_counts_and_opposite():
-    ref = left(3)
-    assert ref.district_count(10) == 3
-    assert ref.opposite() == right(3)
-    assert right(3).district_count(10) == 7
-    assert ref.opposite().opposite() == ref
-
-
 class TestValidation:
     def test_two_gap_profile_is_valid(self):
         profile = model.two_gap_profile()

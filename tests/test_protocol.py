@@ -557,16 +557,6 @@ def reference_check_profile(profile):
     return rec.checks, rec.violations, kind
 
 
-def k_targets_are_half_integers(profile: SplitProfile, geo: dict) -> bool:
-    if not all(is_half_integer(g) and 0 <= g <= profile.n for g in geo.values()):
-        return False
-    for k in (0, profile.n):
-        for party in Party:
-            if not is_half_integer(targets.k_split_target(profile, party, k)):
-                return False
-    return True
-
-
 def corrupted_profiles(deltas, count=2000):
     """Seeded random profiles, nine in ten with one win-table entry of one
     party moved by a step drawn from ``deltas``."""

@@ -151,16 +151,18 @@ def test_win_table_matches_fraction_closed_forms(profile):
     for party in Party:
         wins = profile.win_table.party(party)
         for k in range(n + 1):
-            for side, districting, opposed, total in (
-                (left(k), wins.left_districting, wins.left_opposed, wins.left_total),
-                (right(k), wins.right_districting, wins.right_opposed, wins.right_total),
+            for side, other, size, districting, opposed, total in (
+                (left(k), right(k), k, wins.left_districting, wins.left_opposed, wins.left_total),
+                (
+                    right(k), left(k), n - k,
+                    wins.right_districting, wins.right_opposed, wins.right_total,
+                ),
             ):
                 mine = model.side_support(profile, party, side)
                 theirs = model.side_support(profile, party.opponent, side)
-                drawing = strategy.optimal_wins(mine, side.district_count(n))
+                drawing = strategy.optimal_wins(mine, size)
                 assert districting[k] == drawing
                 assert opposed[k] == strategy.opponent_wins(mine, theirs)
-                other = side.opposite()
                 assert total[k] == drawing + strategy.opponent_wins(
                     model.side_support(profile, party, other),
                     model.side_support(profile, party.opponent, other),

@@ -7,11 +7,12 @@ district only with a strict majority of its cells' support; a district at
 exactly half counts for nobody.
 
 The plan search works on bitmasks: cell (i, j) is bit (i-1)*m + (j-1), so
-the smallest cell of a set is its lowest set bit.  The valid districts of a
-region with smallest cell c are grown over the region's own cells once per
-``GridState`` and region, and filed under c with their masks and winners in
-``grid.district_table``, keyed by the region's mask; so the work grows with
-the region, not with the grid.  ``enumerate_region_plans`` and
+the smallest cell of a set is its lowest set bit.  ``_region_districts``
+grows the valid districts of a region over its own cells, reading only the
+grid's shape, and files each with its mask under the bit of its smallest
+cell; ``_districts_by_anchor`` adds their winners once per ``GridState``
+and region, in ``grid.district_table``, or takes grown districts from a
+grid of the same shape.  ``enumerate_region_plans`` and
 ``max_wins_bruteforce`` share that table and recurse on the mask of the
 cells left unassigned; ``max_wins_bruteforce`` lists no plans but memoizes
 the best win count of each such mask.
@@ -326,10 +327,24 @@ def _grow_districts(
     return found
 
 
-def _districts_by_anchor(grid: GridState, region: frozenset[Cell]) -> dict[int, list]:
-    """``region``'s table in ``grid.district_table``: every valid district of
-    ``region``, grown from each of its cells over the region's cells after
-    it and filed under that cell's bit.  Each region is grown once per grid."""
+def _region_districts(grid: GridState, region: frozenset[Cell]) -> dict[int, list]:
+    """Every valid district of ``region`` as (mask, cells), grown from each
+    of its cells over the region's cells after it and filed under that
+    cell's bit.  Only the grid's shape is read, never its supports."""
+    cells = sorted(region)
+    return {
+        grid.cell_bits[anchor]: [
+            (_cells_mask(grid, district), district)
+            for district in _grow_districts(anchor, frozenset(cells[i + 1 :]), grid.d, grid.z)
+        ]
+        for i, anchor in enumerate(cells)
+    }
+
+
+def _districts_by_anchor(grid: GridState, region: frozenset[Cell], grown=None) -> dict:
+    """``region``'s table in ``grid.district_table``, filled once per region:
+    its ``_region_districts``, or ``grown`` when a grid of the same shape has
+    grown them already, each district with its winner on this grid."""
     if len(region) % grid.d != 0:
         raise GridError(
             f"region of {len(region)} cells cannot split into {grid.d}-cell districts"
@@ -340,15 +355,11 @@ def _districts_by_anchor(grid: GridState, region: frozenset[Cell]) -> dict[int, 
         raise GridError(f"region cell {cell} is off the {grid.m}x{grid.m} grid")
     table = grid.district_table.get(region_mask)
     if table is None:
-        cells = sorted(region)
+        if grown is None:
+            grown = _region_districts(grid, region)
         table = grid.district_table[region_mask] = {
-            grid.cell_bits[anchor]: [
-                (_cells_mask(grid, district), district, _winner(grid, district))
-                for district in _grow_districts(
-                    anchor, frozenset(cells[index + 1 :]), grid.d, grid.z
-                )
-            ]
-            for index, anchor in enumerate(cells)
+            bit: [(mask, district, _winner(grid, district)) for mask, district in found]
+            for bit, found in grown.items()
         }
     return table
 

@@ -56,9 +56,7 @@ def random_small_grid(rng: random.Random) -> grid_mod.GridState:
     """A random grid of at most 16 cells with d of 2 or 4 dividing it."""
     m, d = rng.choice([(2, 2), (2, 4), (4, 2), (4, 4)])
     choices = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)]
-    cells = tuple(
-        tuple(rng.choice(choices) for _ in range(m)) for _ in range(m)
-    )
+    cells = tuple(tuple(rng.choice(choices) for _ in range(m)) for _ in range(m))
     return grid_mod.GridState(m=m, d=d, cells=cells)
 
 
@@ -67,46 +65,32 @@ def grid_oracle_mismatches(count: int, seed: int, cap: int) -> tuple[int, list[d
     must be valid, the reported maximum must be witnessed, and the analytic
     group counting must match exhaustive search on the shrunk analogue.
 
-    Each district of the region's table is validated once, cell by cell.
-    A plan is then checked on the table's masks: every district must be a
-    valid one of the table, no two may overlap, and together they must cover
-    the region; its wins are summed from the table's winners.
-    ``max_wins_bruteforce`` is a memoized search that lists no plans, so its
-    maximum is checked against this enumeration's.
+    A grid's districts and plans depend on its shape (m, d) alone, so one
+    call checks them once per shape (``_shape_checks``).  Each grid sums its
+    own winners over its shape's valid plans, compares the best with the
+    memoized ``max_wins_bruteforce``, which lists no plans, and reports its
+    shape's faults as its own.
     """
     mismatches = []
     instances = 0
+    shapes = {}  # (m, d): what _shape_checks found on the first such grid
     for index in range(count):
-        rng = random.Random(mix_seed(seed, index))
-        grid = random_small_grid(rng)
+        grid = random_small_grid(random.Random(mix_seed(seed, index)))
         region = grid.all_cells()
         if len(region) > cap:
             continue
         instances += 1
-        valid = {}  # each valid district of the region's table: (mask, winner)
-        faults = []
-        for found in grid_mod._districts_by_anchor(grid, region).values():
-            for mask, district, winner in found:
-                bad = grid_mod.validate_plan(grid, (district,), district)
-                if bad:
-                    faults.append(bad[0].message)
-                else:
-                    valid[district] = mask, winner
-        region_mask = sum(grid.cell_bits[cell] for cell in region)
-        best = -1
-        plans = 0
-        for plan in grid_mod.enumerate_region_plans(grid, region):
-            plans += 1
-            fault = _plan_fault(plan, valid, region_mask)
-            if fault:
-                faults.append(fault)
-            else:
-                best = max(best, sum(valid[district][1] is Party.A for district in plan))
+        if (grid.m, grid.d) not in shapes:
+            shapes[grid.m, grid.d] = _shape_checks(grid, region)
+        grown, faults, plans, plan_count = shapes[grid.m, grid.d]
+        table = grid_mod._districts_by_anchor(grid, region, grown)
+        wins = {mask: winner is Party.A for found in table.values() for mask, _, winner in found}
+        best = max((sum(map(wins.__getitem__, plan)) for plan in plans), default=-1)
         mismatches += (
             {"kind": "invalid_plan", "detail": f"instance {index}: {fault}"} for fault in faults
         )
         reported = grid_mod.max_wins_bruteforce(grid, region, Party.A, cap=cap)
-        if plans == 0:
+        if plan_count == 0:
             mismatches.append(
                 {"kind": "no_plans", "detail": f"instance {index}: nothing enumerated"}
             )
@@ -118,9 +102,7 @@ def grid_oracle_mismatches(count: int, seed: int, cap: int) -> tuple[int, list[d
                 }
             )
     analogue_grid, analogue_splits, analogue_groups = grid_mod.make_shrunk_analogue()
-    wholly_left, wholly_right = grid_mod.side_group_counts(
-        analogue_groups, analogue_splits
-    )
+    wholly_left, wholly_right = grid_mod.side_group_counts(analogue_groups, analogue_splits)
     universe = analogue_grid.all_cells()
     for k in range(analogue_splits.split_count + 1):
         for side_cells, expected in (
@@ -129,9 +111,7 @@ def grid_oracle_mismatches(count: int, seed: int, cap: int) -> tuple[int, list[d
         ):
             if not side_cells or len(side_cells) > cap:
                 continue
-            got = grid_mod.max_wins_bruteforce(
-                analogue_grid, side_cells, Party.A, cap=cap
-            )
+            got = grid_mod.max_wins_bruteforce(analogue_grid, side_cells, Party.A, cap=cap)
             if got != expected:
                 mismatches.append(
                     {
@@ -143,6 +123,34 @@ def grid_oracle_mismatches(count: int, seed: int, cap: int) -> tuple[int, list[d
     return instances, mismatches
 
 
+def _shape_checks(grid: grid_mod.GridState, region: frozenset) -> tuple:
+    """What ``grid``'s shape alone decides: the region's grown districts, the
+    faults of its districts, then of its plans, its valid plans as tuples of
+    district masks, and how many plans were enumerated."""
+    grown = grid_mod._region_districts(grid, region)
+    valid = {}  # each valid grown district: its mask
+    faults = []
+    for found in grown.values():
+        for mask, district in found:
+            bad = grid_mod.validate_plan(grid, (district,), district)
+            if bad:
+                faults.append(bad[0].message)
+            else:
+                valid[district] = mask
+    grid_mod._districts_by_anchor(grid, region, grown)  # so enumeration grows nothing
+    region_mask = grid_mod._cells_mask(grid, region)
+    plans = []
+    plan_count = 0
+    for plan in grid_mod.enumerate_region_plans(grid, region):
+        plan_count += 1
+        fault = _plan_fault(plan, valid, region_mask)
+        if fault:
+            faults.append(fault)
+        else:
+            plans.append(tuple(map(valid.__getitem__, plan)))
+    return grown, faults, plans, plan_count
+
+
 def _plan_fault(plan: grid_mod.DistrictPlan, valid: dict, region_mask: int) -> str | None:
     """Why ``plan`` is no partition of the region's mask into the districts
     of ``valid``, read from their masks; None when it is one."""
@@ -150,7 +158,7 @@ def _plan_fault(plan: grid_mod.DistrictPlan, valid: dict, region_mask: int) -> s
     for position, district in enumerate(plan):
         if district not in valid:
             return f"district {position} is not a valid district of the table"
-        mask = valid[district][0]
+        mask = valid[district]
         if covered & mask:
             return f"district {position} overlaps an earlier one"
         covered |= mask

@@ -588,6 +588,9 @@ class TestVerdictCache:
         )
 
     def test_oracle_decides_each_district_once_per_grid(self, monkeypatch):
+        # At most once per grid: each district of a shape (m, d) is validated
+        # once per call, on the first grid of that shape, and again by the
+        # next call, which keeps nothing from this one.
         calls = []  # (grid, plan, region) of every validate_plan call
         validating = []  # the grid validate_plan is checking, if any
         checks = {"connected": Counter(), "hole": Counter()}
@@ -604,7 +607,8 @@ class TestVerdictCache:
         def counted(name, check):
             def wrapper(cells):
                 if validating:
-                    checks[name][id(validating[-1]), cells] += 1
+                    shape = validating[-1].m, validating[-1].d
+                    checks[name][shape, cells] += 1
                 return check(cells)
 
             return wrapper
@@ -612,28 +616,26 @@ class TestVerdictCache:
         monkeypatch.setattr(grid, "validate_plan", counting_validate)
         monkeypatch.setattr(grid, "_is_connected", counted("connected", grid._is_connected))
         monkeypatch.setattr(grid, "_has_hole", counted("hole", grid._has_hole))
-        instances, mismatches = oracle.grid_oracle_mismatches(25, seed=0, cap=16)
-        assert (instances, mismatches) == (25, [])
-
-        # the oracle's grids, in the order it validated them, all kept alive
-        # by ``calls`` so that their ids stay distinct
-        grids = list({id(g): g for g, _, _ in calls}.values())
-        assert len(grids) == 25
-        districts = 0
-        for index, g in enumerate(grids):
-            assert g == oracle.random_small_grid(random.Random(mix_seed(0, index)))
-            table = grid._districts_by_anchor(g, g.all_cells())
-            expected = Counter((district,) for found in table.values() for _, district, _ in found)
-            assert Counter(plan for h, plan, _ in calls if h is g) == expected
-            assert all(region == plan[0] for h, plan, region in calls if h is g)
-            assert set(expected.values()) == {1}
-            districts += len(expected)
-        assert len(calls) == districts
-        # Every oracle grid has d <= 4, below the fewest cells that wall in
-        # a hole, so validation runs no hole test.
-        assert len(checks["connected"]) == districts
-        assert set(checks["connected"].values()) == {1}
-        assert checks["hole"] == Counter()
+        grids = [oracle.random_small_grid(random.Random(mix_seed(0, i))) for i in range(25)]
+        first = {}  # each shape's first grid, in the oracle's order
+        for g in grids:
+            first.setdefault((g.m, g.d), g)
+        expected = Counter()
+        for shape, g in first.items():
+            for found in grid._region_districts(g, g.all_cells()).values():
+                expected.update((shape, district) for _, district in found)
+        assert len(first) == 4 and set(expected.values()) == {1}
+        for repeat in (1, 2):
+            instances, mismatches = oracle.grid_oracle_mismatches(25, seed=0, cap=16)
+            assert (instances, mismatches) == (25, [])
+            assert all(region == plan[0] and len(plan) == 1 for _, plan, region in calls)
+            assert all(g == first[g.m, g.d] for g, _, _ in calls)
+            validated = Counter(((g.m, g.d), plan[0]) for g, plan, _ in calls)
+            assert validated == Counter({key: repeat for key in expected})
+            # Every oracle grid has d <= 4, below the fewest cells that wall
+            # in a hole, so validation runs no hole test.
+            assert checks["connected"] == validated
+            assert checks["hole"] == Counter()
 
 
 DIAGONAL_GRID = ((1, 0), (0, 1))
@@ -660,7 +662,7 @@ class TestGridOracleMismatches:
     def test_clean_run(self):
         assert self.kinds() == []
 
-    def test_disconnected_district(self, monkeypatch):
+    def grow_diagonals(self, monkeypatch):
         # Growth also files each diagonal pair under its smaller cell.  A
         # wins the main diagonal, so the memoized search reports a win that
         # no valid plan witnesses.
@@ -672,12 +674,25 @@ class TestGridOracleMismatches:
             return found + [diagonals[anchor]] if anchor in diagonals else found
 
         monkeypatch.setattr(grid, "_grow_districts", with_diagonal)
-        assert self.kinds(1) == [
-            ("invalid_plan", "instance 0: district 0 is not connected"),
-            ("invalid_plan", "instance 0: district 0 is not connected"),
-            ("invalid_plan", "instance 0: district 0 is not a valid district of the table"),
-            ("unwitnessed_max", "instance 0: reported 1, best plan 0"),
+
+    @staticmethod
+    def diagonal_faults(index):
+        return [
+            ("invalid_plan", f"instance {index}: district 0 is not connected"),
+            ("invalid_plan", f"instance {index}: district 0 is not connected"),
+            ("invalid_plan", f"instance {index}: district 0 is not a valid district of the table"),
+            ("unwitnessed_max", f"instance {index}: reported 1, best plan 0"),
         ]
+
+    def test_disconnected_district(self, monkeypatch):
+        self.grow_diagonals(monkeypatch)
+        assert self.kinds(1) == self.diagonal_faults(0)
+
+    def test_disconnected_district_in_every_instance(self, monkeypatch):
+        # Both instances share one shape, validated once; each still reports
+        # the shape's faults as its own.
+        self.grow_diagonals(monkeypatch)
+        assert self.kinds(2) == self.diagonal_faults(0) + self.diagonal_faults(1)
 
     def test_invalid_plans(self, monkeypatch):
         overlapping = (ROWS[0], COLUMNS[0])
@@ -721,6 +736,102 @@ class TestGridOracleMismatches:
         found = self.kinds()
         assert found and {kind for kind, _ in found} == {"analogue"}
         assert found[0] == ("analogue", "k=1 |side|=4 analytic=1 bruteforce=0")
+
+
+def reference_grid_oracle(count, seed, cap):
+    """The grids' part of ``oracle.grid_oracle_mismatches`` with no work
+    shared between grids: each grid grows and validates its own districts
+    and enumerates and checks its own plans."""
+    mismatches = []
+    instances = 0
+    for index in range(count):
+        g = oracle.random_small_grid(random.Random(mix_seed(seed, index)))
+        region = g.all_cells()
+        if len(region) > cap:
+            continue
+        instances += 1
+        valid = {}  # each valid district of the grid: (mask, winner)
+        faults = []
+        for found in grid._districts_by_anchor(g, region).values():
+            for mask, district, winner in found:
+                bad = grid.validate_plan(g, (district,), district)
+                if bad:
+                    faults.append(bad[0].message)
+                else:
+                    valid[district] = mask, winner
+        masks = {district: mask for district, (mask, _) in valid.items()}
+        best = -1
+        plans = 0
+        for plan in grid.enumerate_region_plans(g, region):
+            plans += 1
+            fault = oracle._plan_fault(plan, masks, grid._cells_mask(g, region))
+            if fault:
+                faults.append(fault)
+            else:
+                best = max(best, sum(valid[district][1] is Party.A for district in plan))
+        mismatches += (
+            {"kind": "invalid_plan", "detail": f"instance {index}: {fault}"} for fault in faults
+        )
+        reported = grid.max_wins_bruteforce(g, region, Party.A, cap=cap)
+        if plans == 0:
+            mismatches.append({"kind": "no_plans", "detail": f"instance {index}: nothing enumerated"})
+        elif best != reported:
+            mismatches.append(
+                {
+                    "kind": "unwitnessed_max",
+                    "detail": f"instance {index}: reported {reported}, best plan {best}",
+                }
+            )
+    return instances, mismatches
+
+
+def grid_instances_checked(count, seed, cap):
+    """``oracle.grid_oracle_mismatches`` without its analogue mismatches."""
+    instances, mismatches = oracle.grid_oracle_mismatches(count, seed, cap)
+    return instances, [m for m in mismatches if m["kind"] != "analogue"]
+
+
+class TestGridOracleReference:
+    """The grid oracle, which shares each shape's districts and plans
+    between its grids, reports what checking every grid afresh reports."""
+
+    @pytest.mark.parametrize("cap", [4, 8, 16])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_the_per_grid_reference(self, monkeypatch, seed, cap):
+        # The searched maxima must agree too: a grid handed another shape's
+        # districts would search them consistently and report nothing.
+        maxima = []
+        search = grid.max_wins_bruteforce
+
+        def recorded(*args, **kwargs):
+            maxima.append(search(*args, **kwargs))
+            return maxima[-1]
+
+        monkeypatch.setattr(grid, "max_wins_bruteforce", recorded)
+        instances, mismatches = grid_instances_checked(25, seed, cap)
+        searched, maxima[:] = maxima[:], []
+        assert (instances, mismatches) == reference_grid_oracle(25, seed, cap)
+        assert searched[: len(maxima)] == maxima
+        assert instances > 0
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_with_a_disconnected_district(self, monkeypatch, seed):
+        # Corner (1, 1) also grows itself with the last d - 1 cells after it,
+        # which no grid of the oracle's shapes connects but a 2x2 grid at
+        # d = 4, where it is the whole grid.
+        grow = grid._grow_districts
+
+        def with_scattered(anchor, allowed, d, z):
+            found = grow(anchor, allowed, d, z)
+            scattered = frozenset({anchor, *sorted(allowed)[1 - d :]})
+            return found + [scattered] if anchor == (1, 1) else found
+
+        monkeypatch.setattr(grid, "_grow_districts", with_scattered)
+        got = grid_instances_checked(25, seed, 16)
+        assert got == reference_grid_oracle(25, seed, 16)
+        faulty = {m["detail"].split(":")[0] for m in got[1] if m["kind"] == "invalid_plan"}
+        grids = [oracle.random_small_grid(random.Random(mix_seed(seed, i))) for i in range(25)]
+        assert faulty == {f"instance {i}" for i, g in enumerate(grids) if g.d < g.m * g.m}
 
 
 def reference_winner(g, district):
@@ -855,6 +966,33 @@ class TestDistrictTable:
             grid._districts_by_anchor(other, side)
         assert sum(grown.values()) == 2 * sum(map(len, distinct))
         assert other.district_table == g.district_table
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_grown_districts_serve_every_grid_of_the_shape(self, monkeypatch, seed):
+        # Growth reads the shape alone, so districts grown on one grid give
+        # another grid of its shape the table it would grow for itself.
+        grids = [oracle.random_small_grid(random.Random(mix_seed(seed, i))) for i in range(25)]
+        first = {}
+        for g in grids:
+            first.setdefault((g.m, g.d), g)
+        grown = {
+            shape: grid._region_districts(g, g.all_cells()) for shape, g in first.items()
+        }
+        for g in grids:
+            assert grid._region_districts(g, g.all_cells()) == grown[g.m, g.d]
+        own = [
+            grid._districts_by_anchor(grid.GridState(g.m, g.d, g.cells), g.all_cells())
+            for g in grids
+        ]
+        growths = []
+        grow = grid._grow_districts
+        monkeypatch.setattr(
+            grid, "_grow_districts", lambda *args: growths.append(args) or grow(*args)
+        )
+        for g, table in zip(grids, own):
+            assert grid._districts_by_anchor(g, g.all_cells(), grown[g.m, g.d]) == table
+        assert growths == []
+        assert len({g.cells for g in grids}) > len(first)
 
     def test_only_the_regions_cells_are_grown(self, monkeypatch):
         # a whole 20x20 grid of 100-cell districts would take far too long

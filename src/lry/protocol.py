@@ -39,7 +39,6 @@ from .model import (
     is_half_integer,
     profile_to_dict,
     ratio_str,
-    scaled_sums,
 )
 
 
@@ -363,23 +362,47 @@ def mix_seed(seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def random_profile(rng: random.Random, n_max: int) -> SplitProfile:
-    """A random valid profile with 2 <= n <= n_max.
+def _randbelow(rng: random.Random, width: int) -> int:
+    """``rng.randrange(width)``, consuming the generator exactly as CPython's
+    ``Random._randbelow_with_getrandbits`` does: draw k = width.bit_length()
+    bits and redraw while the value is >= width."""
+    if width < 1:
+        raise ValueError(f"empty range of width {width}")
+    k = width.bit_length()
+    r = rng.getrandbits(k)
+    while r >= width:
+        r = rng.getrandbits(k)
+    return r
 
-    Segments are p/q with 2 <= q <= 12 and 0 <= p <= q.  Each
-    candidate draws all n pairs, then is rejected on integers while some
-    cumulative sum lands on a half-integer (``model.half_integer_sums``);
-    only the accepted candidate becomes Fractions and a ``SplitProfile``.
-    Every candidate makes its 2n RNG calls whether or not it is rejected, so
-    a seed fixes both the profile and the generator's state after it.
+
+_DRAW_SCALE = 27720  # lcm(2..12)
+
+
+def random_profile(rng: random.Random, n_max: int) -> SplitProfile:
+    """A random valid profile with 2 <= n <= n_max; ValueError if n_max < 2.
+
+    Segments are p/q with 2 <= q <= 12 and 0 <= p <= q, drawn on
+    ``rng.getrandbits`` exactly as ``rng.randint`` would draw them.  A whole
+    candidate is drawn and summed on the scale 27720, then rejected while
+    some cumulative sum is a half-integer (``model.half_integer_sums``), so a
+    seed fixes the profile and the generator's state after it.  Only the
+    accepted candidate becomes Fractions and a ``SplitProfile``.
     """
-    n = rng.randint(2, n_max)
+    n = 2 + _randbelow(rng, n_max - 1)
+    bits = rng.getrandbits
     while True:
-        pairs = []
+        pairs, prefix = [], [0]
         for _ in range(n):
-            den = rng.randint(2, 12)
-            pairs.append((rng.randint(0, den), den))
-        if next(half_integer_sums(*scaled_sums(pairs)), None) is None:
+            d = bits(4)  # randint(2, 12): 11 values on 4 bits
+            while d >= 11:
+                d = bits(4)
+            den, k = d + 2, (d + 3).bit_length()  # randint(0, den): den + 1 values
+            num = bits(k)
+            while num > den:
+                num = bits(k)
+            pairs.append((num, den))
+            prefix.append(prefix[-1] + num * (_DRAW_SCALE // den))
+        if next(half_integer_sums(_DRAW_SCALE, prefix), None) is None:
             return SplitProfile(n, tuple([Fraction(num, den) for num, den in pairs]))
 
 
@@ -460,37 +483,29 @@ def check_profile(
     parties = ((Party.A, a), (Party.B, b))
 
     rec.checks += 4 * (n + 1)
-    for k in range(n + 1):
+    columns = zip(a.left_districting, b.left_opposed, b.right_districting, a.right_opposed,
+                  a.left_total, b.right_total, a.right_total, b.left_total)
+    for k, (ald, blo, brd, aro, alt, brt, art, blt) in enumerate(columns):
         # Districter plus shut-out opponent account for every district on a side.
-        if a.left_districting[k] + b.left_opposed[k] != k:
-            rec.fail(
-                "win_identity",
-                f"k={k} left: {a.left_districting[k]}+{b.left_opposed[k]} != {k}",
-            )
-        if b.right_districting[k] + a.right_opposed[k] != n - k:
-            rec.fail(
-                "win_identity",
-                f"k={k} right: {b.right_districting[k]}+{a.right_opposed[k]}"
-                f" != {n - k}",
-            )
-        if a.left_total[k] + b.right_total[k] != n:
-            rec.fail(
-                "conservation", f"k={k}: A(L)={a.left_total[k]} B(R)={b.right_total[k]}"
-            )
-        if a.right_total[k] + b.left_total[k] != n:
-            rec.fail(
-                "conservation", f"k={k}: A(R)={a.right_total[k]} B(L)={b.left_total[k]}"
-            )
+        if ald + blo != k:
+            rec.fail("win_identity", f"k={k} left: {ald}+{blo} != {k}")
+        if brd + aro != n - k:
+            rec.fail("win_identity", f"k={k} right: {brd}+{aro} != {n - k}")
+        if alt + brt != n:
+            rec.fail("conservation", f"k={k}: A(L)={alt} B(R)={brt}")
+        if art + blt != n:
+            rec.fail("conservation", f"k={k}: A(R)={art} B(L)={blt}")
 
     # Sign of A's support in each segment minus 1/2; B's is the opposite.
     a_lean = [2 * seg.numerator - seg.denominator for seg in profile.segments_a]
     for (party, wins), sign in zip(parties, (1, -1)):
         ld, ro = wins.left_districting, wins.right_opposed
         ltot, rtot = wins.left_total, wins.right_total
-        for k in range(1, n + 1):
-            lean = sign * a_lean[k - 1]
-            d_step = ld[k] - ld[k - 1]
-            o_step = ro[k] - ro[k - 1]
+        steps = zip(a_lean, ld, ld[1:], ro, ro[1:], ltot, ltot[1:], rtot, rtot[1:])
+        for k, (a_seg, d0, d1, o0, o1, lt0, lt1, rt0, rt1) in enumerate(steps, 1):
+            lean = sign * a_seg
+            d_step = d1 - d0
+            o_step = o1 - o0
             # A minority segment steps both counts by 0 or 1; a majority one
             # steps the districter's by 1 or 2 and the opponent's by 0 or -1.
             # Segments of exactly 1/2 carry no step bound.
@@ -509,15 +524,11 @@ def check_profile(
                         f"{segment}_segment_opponent_step",
                         f"{party.value} k={k} step={o_step}",
                     )
-            if not ltot[k - 1] <= ltot[k] <= ltot[k - 1] + 2:
-                rec.fail(
-                    "left_total_step", f"{party.value} k={k}: {ltot[k - 1]} -> {ltot[k]}"
-                )
-            if not rtot[k] <= rtot[k - 1] <= rtot[k] + 2:
-                rec.fail(
-                    "right_total_step", f"{party.value} k={k}: {rtot[k - 1]} -> {rtot[k]}"
-                )
-            if ltot[k - 1] > rtot[k - 1] and ltot[k] < rtot[k]:
+            if not lt0 <= lt1 <= lt0 + 2:
+                rec.fail("left_total_step", f"{party.value} k={k}: {lt0} -> {lt1}")
+            if not rt1 <= rt0 <= rt1 + 2:
+                rec.fail("right_total_step", f"{party.value} k={k}: {rt0} -> {rt1}")
+            if lt0 > rt0 and lt1 < rt1:
                 rec.fail(
                     "crossing_direction",
                     f"{party.value} k={k}: left-preferring then right-preferring",
@@ -537,20 +548,20 @@ def check_profile(
                 f"{party.value}: geo={ratio_str(geo[party])}"
                 f" best={ltot[n]} worst={ltot[0]}",
             )
-        for k in range(n + 1):
-            doubled_split_target = ltot[k] + rtot[k]
-            if abs(g_num - doubled_split_target * g_den) > g_den:
+        for k, (lt, rt) in enumerate(zip(ltot, rtot)):
+            doubled_split_target = lt + rt
+            if not -g_den <= g_num - doubled_split_target * g_den <= g_den:
                 rec.fail(
                     "target_vs_split_target",
                     f"{party.value} k={k}: geo={ratio_str(geo[party])}"
                     f" split target={ratio_str(Fraction(doubled_split_target, 2))}",
                 )
-            if 2 * max(ltot[k], rtot[k]) < doubled_split_target:
+            if 2 * (lt if lt > rt else rt) < doubled_split_target:
                 rec.fail("good_choice", f"{party.value} k={k}")
     rec.checks += n + 1
-    for k in range(n + 1):
-        doubled_a = a.left_total[k] + a.right_total[k]
-        if doubled_a + b.left_total[k] + b.right_total[k] != 2 * n:
+    totals = zip(a.left_total, a.right_total, b.left_total, b.right_total)
+    for k, (alt, art, blt, brt) in enumerate(totals):
+        if alt + art + blt + brt != 2 * n:
             rec.fail("split_target_sum", f"k={k}")
     rec.checks += 3
     for k, party in ((0, Party.A), (n // 2, Party.B), (n, Party.A)):
@@ -568,9 +579,10 @@ def check_profile(
     # and k = n each party is pinned to district the whole state, so they
     # cannot share an option there.
     rec.checks += n + 1
-    for k in range(1, n):
-        a_wants_left = a.left_total[k] - a.right_total[k]  # > 0: A prefers option 1
-        b_wants_right = b.right_total[k] - b.left_total[k]  # > 0: B prefers option 1
+    inner = zip(a.left_total[1:n], a.right_total[1:n], b.left_total[1:n], b.right_total[1:n])
+    for k, (alt, art, blt, brt) in enumerate(inner, 1):
+        a_wants_left = alt - art  # > 0: A prefers option 1
+        b_wants_right = brt - blt  # > 0: B prefers option 1
         if a_wants_left * b_wants_right > 0:
             shared = Preference.OPTION1 if a_wants_left > 0 else Preference.OPTION2
             rec.fail("shared_model_opposition", f"k={k}: both prefer {shared.value}")
@@ -661,12 +673,12 @@ def property_sweep(count: int, n_max: int, seed: int) -> SweepReport:
         if kind is not None:
             outcomes[kind.value] += 1
         rec = _Recorder(None)
-        r = Fraction(rng.randint(1, 400), rng.randint(1, 20))
-        s = Fraction(rng.randint(1, 400), rng.randint(1, 20))
+        r = Fraction(1 + _randbelow(rng, 400), 1 + _randbelow(rng, 20))
+        s = Fraction(1 + _randbelow(rng, 400), 1 + _randbelow(rng, 20))
         check_floor_ceiling_bounds(r, s, rec)
-        size = rng.randint(0, n_max)
-        den = rng.randint(1, 20)
-        x = Fraction(rng.randint(0, size * den), den)
+        size = _randbelow(rng, n_max + 1)
+        den = 1 + _randbelow(rng, 20)
+        x = Fraction(_randbelow(rng, size * den + 1), den)
         check_win_identity(x, size - x, size, rec)
         total_checks += rec.checks
         violations.extend(rec.violations)

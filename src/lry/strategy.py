@@ -55,20 +55,24 @@ class PartyWins(NamedTuple):
     def from_scaled(cls, scale: int, left_support: Sequence[int]) -> "PartyWins":
         """Win counts from the party's support left of each split, scaled by
         ``scale``: ``optimal_wins`` and ``opponent_wins`` with every value
-        multiplied by ``scale``, so floor(2x) is ``2X // scale``."""
+        multiplied by ``scale``, so ``divmod(2X, scale)`` gives floor(2x) and,
+        by its remainder, ceil(2x)."""
         n = len(left_support) - 1
-        total = left_support[n]
-        ld, rd, lo, ro = [], [], [], []
+        twice_total = 2 * left_support[n]
+        rows = []
         for k, x in enumerate(left_support):
-            y = total - x
-            ld.append(min(2 * x // scale, k))
-            rd.append(min(2 * y // scale, n - k))
-            # ceil(x - (k - x)), as a negated floor division
-            lo.append(max(-((k * scale - 2 * x) // scale), 0))
-            ro.append(max(-(((n - k) * scale - 2 * y) // scale), 0))
-        lt = [d + o for d, o in zip(ld, ro)]
-        rt = [d + o for d, o in zip(rd, lo)]
-        return cls(tuple(ld), tuple(rd), tuple(lo), tuple(ro), tuple(lt), tuple(rt))
+            j = n - k
+            # The opponent's wins, ceil(x - (k - x)), are ceil(2x) - k.
+            fx, rx = divmod(2 * x, scale)
+            fy, ry = divmod(twice_total - 2 * x, scale)
+            ox = fx - k + 1 if rx else fx - k
+            oy = fy - j + 1 if ry else fy - j
+            d_left = fx if fx < k else k
+            d_right = fy if fy < j else j
+            o_left = ox if ox > 0 else 0
+            o_right = oy if oy > 0 else 0
+            rows.append((d_left, d_right, o_left, o_right, d_left + o_right, d_right + o_left))
+        return cls(*zip(*rows))  # one tuple per field
 
 
 class WinTable(NamedTuple):

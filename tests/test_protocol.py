@@ -717,6 +717,69 @@ class TestRandomProfileReference:
         assert (not found) == profile.is_valid
 
 
+def reference_tail_draws(count, n_max, seed):
+    """The arguments ``property_sweep`` must hand its two scalar checks,
+    drawn with ``rng.randint`` after ``reference_random_profile`` on each
+    instance's sub-seed."""
+    calls = []
+    for index in range(count):
+        rng = random.Random(mix_seed(seed, index))
+        reference_random_profile(rng, n_max)
+        r = Fraction(rng.randint(1, 400), rng.randint(1, 20))
+        s = Fraction(rng.randint(1, 400), rng.randint(1, 20))
+        calls.append(("floor_ceiling", r, s))
+        size = rng.randint(0, n_max)
+        den = rng.randint(1, 20)
+        x = Fraction(rng.randint(0, size * den), den)
+        calls.append(("win_identity", x, size - x, size))
+    return calls
+
+
+class TestSweepDrawReference:
+    """The sweep draws on ``rng.getrandbits`` as ``randrange`` would.  Both
+    tests depend on CPython's ``Random._randbelow_with_getrandbits`` (the same
+    in 3.10 to 3.13, and the project requires 3.10 or later); they must run,
+    never skipped or expected to fail, on every interpreter, since a change
+    there would change every sweep."""
+
+    def test_randbelow_matches_randrange(self):
+        for seed in range(12):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            for width in range(1, 1025):
+                assert protocol._randbelow(rng, width) == ref_rng.randrange(width)
+                assert rng.getstate() == ref_rng.getstate(), (seed, width)
+
+    def test_empty_width_raises(self):
+        rng = random.Random(0)
+        for width in (0, -1):
+            with pytest.raises(ValueError):
+                protocol._randbelow(rng, width)
+        for n_max in (1, 0):
+            with pytest.raises(ValueError):
+                protocol.random_profile(rng, n_max)
+
+    def test_tail_draws_match_the_reference(self, monkeypatch):
+        calls = []
+        floor_ceiling = protocol.check_floor_ceiling_bounds
+        win_identity = protocol.check_win_identity
+
+        def record_floor_ceiling(r, s, rec):
+            calls.append(("floor_ceiling", r, s))
+            floor_ceiling(r, s, rec)
+
+        def record_win_identity(x, y, size, rec):
+            calls.append(("win_identity", x, y, size))
+            win_identity(x, y, size, rec)
+
+        monkeypatch.setattr(protocol, "check_floor_ceiling_bounds", record_floor_ceiling)
+        monkeypatch.setattr(protocol, "check_win_identity", record_win_identity)
+        for seed in range(4):
+            for n_max in (2, 3, 20, 60):
+                calls.clear()
+                property_sweep(30, n_max, seed)
+                assert calls == reference_tail_draws(30, n_max, seed), (seed, n_max)
+
+
 class TestSerialization:
     def test_run_dict_round_shape(self, two_gap):
         run = resolve_protocol(two_gap, optimal_preferences(two_gap), 3)

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lry import model, oracle, strategy
 from lry.model import Party, Side, SplitProfile, Violation, left, right
@@ -167,6 +167,53 @@ def test_win_table_matches_fraction_closed_forms(profile):
                     model.side_support(profile, party, other),
                     model.side_support(profile, party.opponent, other),
                 )
+
+
+def closed_form_wins(prefix):
+    """``PartyWins`` from the Fraction closed forms, given a party's support
+    left of each split as Fractions."""
+    n = len(prefix) - 1
+    rows = []
+    for k, x in enumerate(prefix):
+        y = prefix[n] - x
+        ld, rd = strategy.optimal_wins(x, k), strategy.optimal_wins(y, n - k)
+        lo, ro = strategy.opponent_wins(x, k - x), strategy.opponent_wins(y, n - k - y)
+        rows.append((ld, rd, lo, ro, ld + ro, rd + lo))
+    return strategy.PartyWins(*map(tuple, zip(*rows)))
+
+
+@st.composite
+def scaled_prefixes(draw):
+    """A scale and a non-decreasing prefix from 0 with steps in [0, scale]:
+    small, non-minimal or 27720 = lcm(2..12) scales, with steps often landing
+    the sums on exact multiples of scale/2."""
+    scale = draw(st.sampled_from((1, 2, 3, 4, 5, 6, 12, 27720))) * draw(st.integers(1, 4))
+    half = scale // 2 if scale % 2 == 0 else scale
+    step = st.one_of(st.sampled_from((0, half, scale)), st.integers(0, scale))
+    prefix = [0]
+    for _ in range(draw(st.integers(1, 10))):
+        prefix.append(prefix[-1] + draw(step))
+    return scale, prefix
+
+
+@settings(deadline=None, max_examples=300)
+@given(scaled_prefixes())
+@example((2, [0, 1, 2, 3]))  # every sum an exact half
+@example((27720, [0, 13860, 27720, 27721]))  # halves on the draw scale
+@example((12, [0, 0, 12, 24]))  # whole sums after an empty segment
+def test_scaled_table_matches_fraction_closed_forms(scaled):
+    scale, prefix = scaled
+    expected = closed_form_wins([Fraction(p, scale) for p in prefix])
+    assert strategy.PartyWins.from_scaled(scale, prefix) == expected
+
+
+def test_random_profile_tables_match_fraction_closed_forms():
+    for index in range(300):
+        profile = random_profile(random.Random(mix_seed(23, index)), 12)
+        prefix_a = profile.prefix_a
+        prefix_b = [k - x for k, x in enumerate(prefix_a)]
+        assert profile.win_table.a == closed_form_wins(prefix_a)
+        assert profile.win_table.b == closed_form_wins(prefix_b)
 
 
 def fraction_violations(profile: SplitProfile) -> list[Violation]:

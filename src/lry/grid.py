@@ -12,10 +12,11 @@ grows the valid districts of a region over its own cells, reading only the
 grid's shape, and files each with its mask under the bit of its smallest
 cell; ``_districts_by_anchor`` adds their winners once per ``GridState``
 and region, in ``grid.district_table``, or takes grown districts from a
-grid of the same shape.  ``enumerate_region_plans`` and
-``max_wins_bruteforce`` share that table and recurse on the mask of the
-cells left unassigned; ``max_wins_bruteforce`` lists no plans but memoizes
-the best win count of each such mask.
+grid of the same shape, or keeps the districts of a region holding it that
+lie inside it.  ``enumerate_region_plans`` and ``max_wins_bruteforce``
+share that table and recurse on the mask of the cells left unassigned;
+``max_wins_bruteforce`` lists no plans but memoizes the best win count of
+each such mask, once per grid and party (``grid.search_memo``).
 
 ``validate_plan`` checks a plan cell by cell and lists every violation
 with its district's index; ``count_wins`` validates the plan, then sums
@@ -87,7 +88,7 @@ class GridState:
                     raise GridError(
                         f"cell ({i},{j}) support {value!r} is not an int or a Fraction"
                     )
-                if not 0 <= value <= 1:
+                if not 0 <= value.numerator <= value.denominator:
                     raise GridError(
                         f"cell ({i},{j}) support {ratio_str(value)} outside [0, 1]"
                     )
@@ -120,6 +121,13 @@ class GridState:
         winner), filed under the bit of their smallest cell, filled one region
         at a time by ``_districts_by_anchor``; it lives as long as the grid."""
         return {}
+
+    @cached_property
+    def search_memo(self) -> dict[Party, dict[int, int]]:
+        """Per party: the most wins over the plans of each cell mask searched
+        so far, -1 for a mask with no plan, shared by every region that
+        ``max_wins_bruteforce`` searches on this grid."""
+        return {party: {0: 0} for party in Party}
 
     @cached_property
     def _scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -343,8 +351,14 @@ def _region_districts(grid: GridState, region: frozenset[Cell]) -> dict[int, lis
 
 def _districts_by_anchor(grid: GridState, region: frozenset[Cell], grown=None) -> dict:
     """``region``'s table in ``grid.district_table``, filled once per region:
-    its ``_region_districts``, or ``grown`` when a grid of the same shape has
-    grown them already, each district with its winner on this grid."""
+    from ``grown`` when a grid of the same shape has grown its districts
+    already, else by filtering the table of a region holding it, else from
+    its ``_region_districts``; each district with its winner on this grid.
+
+    A district's validity reads only its own cells, so the districts of a
+    table that lie inside ``region`` are those ``region`` would grow, in
+    the order it would grow them.
+    """
     if len(region) % grid.d != 0:
         raise GridError(
             f"region of {len(region)} cells cannot split into {grid.d}-cell districts"
@@ -353,14 +367,26 @@ def _districts_by_anchor(grid: GridState, region: frozenset[Cell], grown=None) -
     if region_mask is None:
         cell = min(cell for cell in region if not grid.on_grid(cell))
         raise GridError(f"region cell {cell} is off the {grid.m}x{grid.m} grid")
-    table = grid.district_table.get(region_mask)
-    if table is None:
+    tables = grid.district_table
+    table = tables.get(region_mask)
+    if table is not None:
+        return table
+    outer = None
+    if grown is None:
+        outer = next((t for mask, t in tables.items() if mask & region_mask == region_mask), None)
+    if outer is not None:
+        table = {
+            bit: [entry for entry in outer[bit] if entry[0] & region_mask == entry[0]]
+            for bit in map(grid.cell_bits.__getitem__, sorted(region))
+        }
+    else:
         if grown is None:
             grown = _region_districts(grid, region)
-        table = grid.district_table[region_mask] = {
+        table = {
             bit: [(mask, district, _winner(grid, district)) for mask, district in found]
             for bit, found in grown.items()
         }
+    tables[region_mask] = table
     return table
 
 
@@ -394,11 +420,13 @@ def max_wins_bruteforce(
 ) -> int:
     """Best win count for ``party`` over every valid plan of ``region``, 0
     when it has none.  Exhaustive, so only for regions of at most ``cap``
-    cells; each set of cells left unassigned is searched once."""
+    cells; each set of cells left unassigned is searched once per grid and
+    party, whichever region of the grid it was reached from, since its best
+    count reads only the districts inside it (``grid.search_memo``)."""
     if len(region) > cap:
         raise GridError(f"region of {len(region)} cells exceeds the cap of {cap}")
     table = _districts_by_anchor(grid, region)
-    return max(_best_wins(table, party, _cells_mask(grid, region), {0: 0}), 0)
+    return max(_best_wins(table, party, _cells_mask(grid, region), grid.search_memo[party]), 0)
 
 
 def _best_wins(table: dict, party: Party, remaining: int, memo: dict[int, int]) -> int:

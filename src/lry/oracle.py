@@ -52,11 +52,13 @@ def strategy_oracle_mismatches() -> tuple[int, list[dict]]:
     return checked, mismatches
 
 
+_CELL_VALUES = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(3, 4))
+
+
 def random_small_grid(rng: random.Random) -> grid_mod.GridState:
     """A random grid of at most 16 cells with d of 2 or 4 dividing it."""
     m, d = rng.choice([(2, 2), (2, 4), (4, 2), (4, 4)])
-    choices = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)]
-    cells = tuple(tuple(rng.choice(choices) for _ in range(m)) for _ in range(m))
+    cells = tuple(tuple(rng.choice(_CELL_VALUES) for _ in range(m)) for _ in range(m))
     return grid_mod.GridState(m=m, d=d, cells=cells)
 
 
@@ -69,7 +71,10 @@ def grid_oracle_mismatches(count: int, seed: int, cap: int) -> tuple[int, list[d
     call checks them once per shape (``_shape_checks``).  Each grid sums its
     own winners over its shape's valid plans, compares the best with the
     memoized ``max_wins_bruteforce``, which lists no plans, and reports its
-    shape's faults as its own.
+    shape's faults as its own.  The analogue's whole-grid table comes from
+    its shape's growth when the call has one, and each side's table from
+    the table of a side holding it, so the analogue grows only what no
+    earlier table holds.
     """
     mismatches = []
     instances = 0
@@ -104,6 +109,9 @@ def grid_oracle_mismatches(count: int, seed: int, cap: int) -> tuple[int, list[d
     analogue_grid, analogue_splits, analogue_groups = grid_mod.make_shrunk_analogue()
     wholly_left, wholly_right = grid_mod.side_group_counts(analogue_groups, analogue_splits)
     universe = analogue_grid.all_cells()
+    shape = (analogue_grid.m, analogue_grid.d)
+    if shape in shapes:
+        grid_mod._districts_by_anchor(analogue_grid, universe, shapes[shape][0])
     for k in range(analogue_splits.split_count + 1):
         for side_cells, expected in (
             (analogue_splits.left_cells(k), wholly_left[k]),

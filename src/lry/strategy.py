@@ -159,12 +159,13 @@ def bruteforce_districting_wins(support: Fraction, districts: int) -> int:
         raise ValueError(
             f"oracle limited to sides of {MAX_ORACLE_DISTRICTS} districts, got {districts}"
         )
-    if not 0 <= support <= districts:
+    num, den = support.as_integer_ratio()
+    if not 0 <= num <= districts * den:
         raise ValueError(f"support {support} outside [0, {districts}]")
-    units = support * DEFAULT_GRANULARITY
-    if units.denominator != 1:
+    units, rest = divmod(num * DEFAULT_GRANULARITY, den)
+    if rest:
         raise ValueError(f"support {support} is not a multiple of 1/{DEFAULT_GRANULARITY}")
-    return max(_held_counts(districts, DEFAULT_GRANULARITY)[units.numerator])
+    return max(_held_counts(districts, DEFAULT_GRANULARITY)[units])
 
 
 def bruteforce_opponent_wins(support: Fraction, opponent_support: Fraction) -> int:
@@ -175,8 +176,9 @@ def bruteforce_opponent_wins(support: Fraction, opponent_support: Fraction) -> i
     of it, so the party wins only districts where the opponent placed
     strictly less than half.
     """
-    total = support + opponent_support
-    if total.denominator != 1:
+    num, den = support.as_integer_ratio()
+    opp_num, opp_den = opponent_support.as_integer_ratio()
+    districts, rest = divmod(num * opp_den + opp_num * den, den * opp_den)
+    if rest:
         raise ValueError("side supports must sum to a whole number of districts")
-    districts = total.numerator
     return districts - bruteforce_districting_wins(opponent_support, districts)

@@ -5,9 +5,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lry import grid, oracle
-from lry.model import Party, Side
+from lry.model import Party, Side, ratio_str
 from lry.protocol import (
     OutcomeKind,
     mix_seed,
@@ -17,6 +18,7 @@ from lry.protocol import (
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
+TINY = Fraction(1, 10**30)
 
 
 def make_grid(rows, d):
@@ -65,6 +67,30 @@ class TestGridState:
         message = re.escape(f"cell (2,1) support {value!r} is not an int or a Fraction")
         with pytest.raises(grid.GridError, match=message):
             grid.GridState(2, 2, cells)
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.one_of(
+            st.integers(-3, 3),
+            st.booleans(),
+            st.fractions(-TINY, TINY),
+            st.fractions(-TINY, TINY).map(lambda offset: 1 + offset),
+        )
+    )
+    @example(TINY)
+    @example(-TINY)
+    @example(1 - TINY)
+    @example(1 + TINY)
+    def test_support_range_matches_fraction_comparison(self, value):
+        # The reference is the comparison the integer check replaced.
+        try:
+            grid.GridState(1, 1, ((value,),))
+        except grid.GridError as error:
+            assert str(error) == f"cell (1,1) support {ratio_str(value)} outside [0, 1]"
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == (0 <= value <= 1)
 
     def test_int_cells_decide_districts(self):
         g = grid.GridState(2, 2, ((1, 1), (0, 1)))
@@ -643,6 +669,22 @@ ROWS = (frozenset({(1, 1), (1, 2)}), frozenset({(2, 1), (2, 2)}))
 COLUMNS = (frozenset({(1, 1), (2, 1)}), frozenset({(1, 2), (2, 2)}))
 
 
+def list_random_small_grid(rng):
+    """``oracle.random_small_grid`` as it drew its cells from a fresh list,
+    kept as the reference for the module-level tuple."""
+    m, d = rng.choice([(2, 2), (2, 4), (4, 2), (4, 4)])
+    choices = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)]
+    cells = tuple(tuple(rng.choice(choices) for _ in range(m)) for _ in range(m))
+    return grid.GridState(m=m, d=d, cells=cells)
+
+
+def test_random_small_grid_draws_as_from_a_list():
+    for seed in range(100):
+        rng, reference = random.Random(seed), random.Random(seed)
+        assert oracle.random_small_grid(rng) == list_random_small_grid(reference)
+        assert rng.getstate() == reference.getstate()
+
+
 class TestGridOracleMismatches:
     """Each kind of grid-oracle mismatch fires when its check fails.  Every
     instance is the 2x2 grid with A's support on the diagonal, whose two
@@ -935,8 +977,9 @@ class TestDistrictTable:
         assert winners[frozenset({(3, 2), (4, 2)})] is Party.B  # 3/5 + 1/5
 
     def test_grown_once_per_grid(self, monkeypatch):
-        # Once per grid and region: each side of the analogue grows each of
-        # its cells once, however often it is searched.
+        # Searched in the oracle's order, the analogue's first side is the
+        # whole grid, right of split 0: each cell is grown once, and every
+        # later side filters its table from a table that holds it.
         grown = Counter()
         grow = grid._grow_districts
 
@@ -953,19 +996,17 @@ class TestDistrictTable:
             for side in (splits.left_cells(k), splits.right_cells(k, universe))
             if side
         ]
+        assert sides[0] == universe
         for side in sides:
             list(grid.enumerate_region_plans(g, side))
             grid.max_wins_bruteforce(g, side, Party.A)
-        distinct = set(sides)
-        assert len(distinct) < len(sides)
-        assert grown == Counter(cell for side in distinct for cell in side)
-        assert set(g.district_table) == {grid._cells_mask(g, side) for side in distinct}
+        assert grown == Counter(universe)
+        assert set(g.district_table) == {grid._cells_mask(g, side) for side in sides}
         other = grid.GridState(g.m, g.d, g.cells)
-        assert other.district_table == {}
-        for side in distinct:
+        for side in sides:
             grid._districts_by_anchor(other, side)
-        assert sum(grown.values()) == 2 * sum(map(len, distinct))
         assert other.district_table == g.district_table
+        assert grown == Counter(2 * list(universe))
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_grown_districts_serve_every_grid_of_the_shape(self, monkeypatch, seed):
@@ -1020,6 +1061,136 @@ class TestDistrictTable:
         assert grid.max_wins_bruteforce(wide, corner, Party.A) == 1
         assert len(allowed_sets) == len(corner)
         assert all(allowed <= corner for allowed in allowed_sets)
+
+
+def prefix_and_suffix_regions(g):
+    """Every row-major prefix and suffix of ``g``'s cells whose size d divides."""
+    cells = sorted(g.all_cells())
+    sizes = range(g.d, len(cells) + 1, g.d)
+    return [frozenset(cells[:n]) for n in sizes] + [frozenset(cells[-n:]) for n in sizes]
+
+
+def shape_grids(seed):
+    """The first of the oracle's grids at ``seed`` in each shape, and the
+    shrunk analogue."""
+    first = {}
+    for index in range(25):
+        g = oracle.random_small_grid(random.Random(mix_seed(seed, index)))
+        first.setdefault((g.m, g.d), g)
+    assert len(first) == 4
+    return [*first.values(), grid.make_shrunk_analogue()[0]]
+
+
+def fresh(g):
+    return grid.GridState(g.m, g.d, g.cells)
+
+
+class TestSharedTablesAndMemo:
+    """A region's table filtered from a table holding it, and one search memo
+    per grid and party, give what the region's own growth and a search on a
+    fresh grid give."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_derived_tables_are_the_regions_own(self, monkeypatch, seed):
+        for g in shape_grids(seed):
+            regions = prefix_and_suffix_regions(g)
+            own = [grid._districts_by_anchor(fresh(g), region) for region in regions]
+            warm = fresh(g)
+            grid._districts_by_anchor(warm, warm.all_cells())
+            growths = []
+            with monkeypatch.context() as patch:
+                patch.setattr(grid, "_grow_districts", lambda *args: growths.append(args))
+                derived = [grid._districts_by_anchor(warm, region) for region in regions]
+            assert growths == []
+            assert derived == own  # each anchor's districts in the same order
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_shared_memo_matches_fresh_searches(self, seed):
+        for g in shape_grids(seed):
+            regions = prefix_and_suffix_regions(g)
+            warm = fresh(g)
+            for party in Party:
+                expected = [grid.max_wins_bruteforce(fresh(g), region, party) for region in regions]
+                forwards = [grid.max_wins_bruteforce(warm, region, party) for region in regions]
+                backwards = [
+                    grid.max_wins_bruteforce(warm, region, party) for region in reversed(regions)
+                ]
+                assert forwards == expected
+                assert backwards == expected[::-1]
+
+
+class TestOracleGrowth:
+    """How often one ``grid_oracle_mismatches`` call grows districts."""
+
+    @staticmethod
+    def record(monkeypatch):
+        growths = Counter()
+        grow = grid._grow_districts
+
+        def counted(anchor, allowed, d, z):
+            growths[anchor, d, allowed] += 1
+            return grow(anchor, allowed, d, z)
+
+        monkeypatch.setattr(grid, "_grow_districts", counted)
+        return growths
+
+    @staticmethod
+    def growths_of(region, d):
+        """One growth per cell of ``region``, over the region's later cells."""
+        cells = sorted(region)
+        return Counter((cell, d, frozenset(cells[i + 1 :])) for i, cell in enumerate(cells))
+
+    def shape_growths(self, seed, cap):
+        """One growth per anchor of each shape drawn at ``seed`` within ``cap``."""
+        shapes = {}
+        for index in range(25):
+            g = oracle.random_small_grid(random.Random(mix_seed(seed, index)))
+            if len(g.all_cells()) <= cap:
+                shapes.setdefault((g.m, g.d), g)
+        return sum((self.growths_of(g.all_cells(), g.d) for g in shapes.values()), Counter())
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_each_shape_once_and_the_analogue_never(self, monkeypatch, seed):
+        growths = self.record(monkeypatch)
+        searches = []
+        search = grid.max_wins_bruteforce
+
+        def recorded(g, region, party, cap=grid.DEFAULT_BRUTEFORCE_CAP):
+            searches.append((g, region))
+            return search(g, region, party, cap)
+
+        monkeypatch.setattr(grid, "max_wins_bruteforce", recorded)
+        assert oracle.grid_oracle_mismatches(25, seed, 16) == (25, [])
+        assert growths == self.shape_growths(seed, 16)
+        assert len(searches) == 25 + 8
+        for g, region in searches:
+            own = grid._districts_by_anchor(fresh(g), region)
+            assert g.district_table[grid._cells_mask(g, region)] == own
+            # The oracle searched for A only; B's search must not read A's memo.
+            assert search(g, region, Party.B) == search(fresh(g), region, Party.B)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_analogue_grows_only_the_sides_it_searches(self, monkeypatch, seed):
+        # No 4x4 grid fits a cap of 8, so the analogue grows a side unless
+        # an earlier side it searched holds it.
+        growths = self.record(monkeypatch)
+        assert oracle.grid_oracle_mismatches(25, seed, 8)[1] == []
+        analogue, splits, _ = grid.make_shrunk_analogue()
+        universe = analogue.all_cells()
+        searched = [
+            side
+            for k in range(splits.split_count + 1)
+            for side in (splits.left_cells(k), splits.right_cells(k, universe))
+            if 0 < len(side) <= 8
+        ]
+        grown = [
+            side for i, side in enumerate(searched) if not any(side <= s for s in searched[:i])
+        ]
+        assert len(searched) == 4 and len(grown) == 3
+        expected = self.shape_growths(seed, 8)
+        for side in grown:
+            expected += self.growths_of(side, analogue.d)
+        assert growths == expected
 
 
 class TestGeodeltaConstruction:

@@ -323,6 +323,75 @@ class TestImpossibleSupports:
                 table[units]
 
 
+def fraction_districting_wins(support, districts):
+    """``bruteforce_districting_wins`` as it decoded its arguments in
+    ``Fraction`` arithmetic, kept as the reference for the integer decoding."""
+    if districts > strategy.MAX_ORACLE_DISTRICTS:
+        raise ValueError(
+            f"oracle limited to sides of {strategy.MAX_ORACLE_DISTRICTS} districts,"
+            f" got {districts}"
+        )
+    if not 0 <= support <= districts:
+        raise ValueError(f"support {support} outside [0, {districts}]")
+    units = support * strategy.DEFAULT_GRANULARITY
+    if units.denominator != 1:
+        raise ValueError(
+            f"support {support} is not a multiple of 1/{strategy.DEFAULT_GRANULARITY}"
+        )
+    return max(strategy._held_counts(districts, strategy.DEFAULT_GRANULARITY)[units.numerator])
+
+
+def fraction_opponent_wins(support, opponent_support):
+    total = support + opponent_support
+    if total.denominator != 1:
+        raise ValueError("side supports must sum to a whole number of districts")
+    districts = total.numerator
+    return districts - fraction_districting_wins(opponent_support, districts)
+
+
+def outcome(function, *args):
+    try:
+        return "value", function(*args)
+    except ValueError as error:
+        return "error", str(error)
+
+
+oracle_supports = st.one_of(
+    st.integers(-2, 6),
+    st.builds(Fraction, st.integers(-130, 330), st.integers(1, 60)),
+)
+
+
+@st.composite
+def opponent_arguments(draw):
+    """A support and an opponent support, summing to a whole number of
+    districts from -1 to 4 or to anything at all."""
+    support = draw(oracle_supports)
+    if draw(st.booleans()):
+        return support, draw(st.integers(-1, 4)) - support
+    return support, draw(oracle_supports)
+
+
+@settings(deadline=None, max_examples=500)
+@given(oracle_supports, st.integers(-1, 4))
+@example(Fraction(1, 40), 1)
+@example(4, 4)
+def test_integer_districting_decoding_matches_fractions(support, districts):
+    assert outcome(strategy.bruteforce_districting_wins, support, districts) == outcome(
+        fraction_districting_wins, support, districts
+    )
+
+
+@settings(deadline=None, max_examples=500)
+@given(opponent_arguments())
+@example((Fraction(1, 4), Fraction(1, 2)))
+@example((3, -1))
+def test_integer_opponent_decoding_matches_fractions(arguments):
+    assert outcome(strategy.bruteforce_opponent_wins, *arguments) == outcome(
+        fraction_opponent_wins, *arguments
+    )
+
+
 @pytest.mark.parametrize(
     "name, kind", [("optimal_wins", "districting"), ("opponent_wins", "opponent")]
 )

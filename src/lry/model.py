@@ -71,8 +71,8 @@ def parse_ratio(value: str | int) -> Fraction:
     ``MAX_RATIO_LENGTH`` digits, and values whose ``ratio_str`` is longer than
     ``MAX_RATIO_LENGTH`` are rejected too.
     """
-    result = _parse_ratio(value)
-    if _ratio_length_bound(result) > MAX_RATIO_LENGTH:
+    result, short = _parse_ratio(value)
+    if not short and _ratio_length_bound(result) > MAX_RATIO_LENGTH:
         length = len(ratio_str(result))
         if length > MAX_RATIO_LENGTH:
             raise FormatError(
@@ -81,13 +81,15 @@ def parse_ratio(value: str | int) -> Fraction:
     return result
 
 
-def _parse_ratio(value: str | int) -> Fraction:
+def _parse_ratio(value: str | int) -> tuple[Fraction, bool]:
+    """The value, and whether its ``ratio_str`` is known to be no longer than
+    the string it was read from, which holds for "p/q" and integer strings."""
     if isinstance(value, bool):
         raise FormatError(f"not a ratio: {value!r}")
     if isinstance(value, int):
         if not -_INT_LIMIT < value < _INT_LIMIT:
             raise FormatError(f"integer of more than {MAX_RATIO_LENGTH} digits")
-        return Fraction(value)
+        return Fraction(value), False
     if isinstance(value, float):
         raise FormatError(
             f"floats are inexact; write {value!r} as a string like '0.38' or '19/50'"
@@ -104,10 +106,37 @@ def _parse_ratio(value: str | int) -> Fraction:
                 f"decimal exponent outside -{MAX_RATIO_EXPONENT}..{MAX_RATIO_EXPONENT}"
             )
         try:
-            return Fraction(text)
+            plain = _plain_ratio(text)
+            return (Fraction(text), False) if plain is None else plain
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"not a valid ratio: {value!r}") from exc
     raise FormatError(f"cannot parse a ratio from {type(value).__name__}")
+
+
+def _plain_ratio(text: str) -> tuple[Fraction, bool] | None:
+    """``_parse_ratio`` of a string of ASCII digits in the form "p/q", "p" or
+    "w.f" (every part non-empty), or None for any other form.
+
+    ``Fraction(text)`` gives the same value, or raises the same
+    ZeroDivisionError for q = 0, but first runs its regular expression, which
+    costs more than the two ``int()`` calls.  ``bytes.isdigit`` accepts ASCII
+    digits alone, and runs faster than ``str.isdigit``.
+    """
+    if not text.isascii():
+        return None
+    num, slash, den = text.encode("ascii").partition(b"/")
+    if slash:
+        if num.isdigit() and den.isdigit():
+            return Fraction(int(num), int(den)), True
+        return None
+    whole, point, places = num.partition(b".")
+    if not whole.isdigit():
+        return None
+    if not point:
+        return Fraction(int(whole)), True
+    if places.isdigit():
+        return Fraction(int(whole + places), 10 ** len(places)), False
+    return None
 
 
 def _ratio_length_bound(value: Fraction) -> int:
@@ -121,8 +150,14 @@ def _ratio_length_bound(value: Fraction) -> int:
 
 
 def ratio_str(value: Fraction | int) -> str:
-    """Render an exact value as "p" or "p/q" in lowest terms."""
-    value = Fraction(value)
+    """Render an exact value as "p" or "p/q" in lowest terms.
+
+    Anything but an int or a Fraction raises TypeError: a float would be
+    rendered as its binary value, "3602879701896397/36028797018963968" for
+    0.1.
+    """
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"ratio_str takes an int or a Fraction, not {type(value).__name__}")
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -302,7 +337,17 @@ def side_support(profile: SplitProfile, party: Party, side: SideRef) -> Fraction
 
 
 def profile_to_dict(profile: SplitProfile) -> dict:
-    return {"n": profile.n, "segments_a": [ratio_str(s) for s in profile.segments_a]}
+    """The ``{"n": ..., "segments_a": [...]}`` document, each segment as
+    ``ratio_str`` renders it.  Profiles often share one long denominator, so
+    each distinct denominator is converted to decimal once."""
+    suffixes = {1: ""}
+    segments = []
+    for seg in profile.segments_a:
+        suffix = suffixes.get(seg.denominator)
+        if suffix is None:
+            suffix = suffixes[seg.denominator] = f"/{seg.denominator}"
+        segments.append(f"{seg.numerator}{suffix}")
+    return {"n": profile.n, "segments_a": segments}
 
 
 def profile_from_dict(doc: object) -> SplitProfile:

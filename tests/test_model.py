@@ -1,4 +1,5 @@
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -68,6 +69,127 @@ class TestParseRatio:
         raw = str(digits).rjust(places + 1, "0")
         text = raw[:-places] + "." + raw[-places:]
         assert model.parse_ratio(text) == Fraction(digits, 10**places)
+
+
+def reference_parse_ratio(value: str) -> Fraction:
+    """``parse_ratio`` on strings before the digit-string fast path: every
+    string goes through Fraction's own parser."""
+    text = value.strip()
+    if len(text) > model.MAX_RATIO_LENGTH:
+        raise model.FormatError(
+            f"ratio string of {len(text)} characters exceeds {model.MAX_RATIO_LENGTH}"
+        )
+    exponent = ("e" in text or "E" in text) and model._EXPONENT.search(text)
+    if exponent and abs(int(exponent.group(1))) > model.MAX_RATIO_EXPONENT:
+        raise model.FormatError(
+            f"decimal exponent outside -{model.MAX_RATIO_EXPONENT}..{model.MAX_RATIO_EXPONENT}"
+        )
+    try:
+        result = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise model.FormatError(f"not a valid ratio: {value!r}") from exc
+    if model._ratio_length_bound(result) > model.MAX_RATIO_LENGTH:
+        length = len(str(result))
+        if length > model.MAX_RATIO_LENGTH:
+            raise model.FormatError(
+                f"ratio of {length} characters in lowest terms exceeds {model.MAX_RATIO_LENGTH}"
+            )
+    return result
+
+
+def reference_ratio_str(value) -> str:
+    """``ratio_str`` before it read numerator and denominator directly."""
+    value = Fraction(value)
+    if value.denominator == 1:
+        return str(value.numerator)
+    return f"{value.numerator}/{value.denominator}"
+
+
+def parse_outcome(parse, text):
+    """The value with its type, or the FormatError text."""
+    try:
+        value = parse(text)
+    except model.FormatError as exc:
+        return "FormatError", str(exc)
+    return type(value), value
+
+
+_RATIO_ALPHABET = "0123456789/._+-eE \t١²"
+_digit_runs = st.text("0123456789", max_size=6)
+_ratio_strings = st.one_of(
+    st.text(_RATIO_ALPHABET, max_size=16),
+    # Near the fast path's forms: digit runs joined by one or two separators,
+    # with optional signs and padding.
+    st.tuples(
+        st.sampled_from(["", " ", "\t", "+", "-", " -"]),
+        _digit_runs,
+        st.sampled_from(["", "/", ".", "e", "E-", "_", "/-", "./", "/_", "١", "²", " /"]),
+        _digit_runs,
+        st.sampled_from(["", " ", ".", "/", "e1", "_0", "²", "\t"]),
+    ).map("".join),
+    # Long ASCII "p/q", the shape of a large shared denominator.
+    st.tuples(
+        st.sampled_from(["", "0", "000", " "]),
+        st.integers(10**299, 10**400),
+        st.integers(10**299, 10**400),
+        st.sampled_from(["", " ", "\t"]),
+    ).map(lambda t: f"{t[0]}{t[1]}/{t[2]}{t[3]}"),
+    st.integers(0, 10**400).map(lambda p: f"{p}/0"),
+    st.integers(10**599, 10**1999).map(str),
+)
+
+
+class TestFastPathDifferential:
+    @settings(max_examples=600, deadline=None)
+    @given(_ratio_strings)
+    def test_parse_ratio_matches_fraction_parser(self, text):
+        assert parse_outcome(model.parse_ratio, text) == parse_outcome(
+            reference_parse_ratio, text
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0", "007", "1/0", "0/7", "007/10", " 3/7 ", "\t5\t", "6/9", "+1/3", "-1/3",
+            "1_0/21", "1.5", "0.35", "5.", ".5", "5.5.5", "1/2/3", "1.5/2", "45e-2",
+            "5e-1", "1/ 3", "1 /3", "", "/", ".", "1/", "/1", "0." + "0" * 1997 + "1",
+            "1/" + "7" * 1998, "1/" + "7" * 1999, "9" * 2000, "9" * 2001,
+            # not ASCII: a lone surrogate cannot even be encoded
+            "١/٣", "1/²", "1.²", "\ud800", "1/\ud800",
+        ],
+    )
+    def test_listed_strings_match_fraction_parser(self, text):
+        assert parse_outcome(model.parse_ratio, text) == parse_outcome(
+            reference_parse_ratio, text
+        )
+
+    @given(st.one_of(st.integers(-(10**700), 10**700), st.booleans(), st.fractions()))
+    def test_ratio_str_matches_fraction_copy(self, value):
+        assert model.ratio_str(value) == reference_ratio_str(value)
+
+    @pytest.mark.parametrize("value", [0.1, 1.0, float("nan"), Decimal("0.1"), "1/3", None])
+    def test_ratio_str_rejects_other_types(self, value):
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            model.ratio_str(value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(0, 3),
+                st.integers(0, 3).map(Fraction),
+                st.tuples(
+                    st.integers(0, 10**40), st.sampled_from([3, 10**30 + 1, 7**50])
+                ).map(lambda t: Fraction(*t)),
+                st.fractions(),
+            ),
+            max_size=12,
+        )
+    )
+    def test_profile_to_dict_matches_per_segment_ratio_str(self, segments):
+        profile = SplitProfile(len(segments), tuple(segments))
+        doc = model.profile_to_dict(profile)
+        assert doc == {"n": len(segments), "segments_a": [model.ratio_str(s) for s in segments]}
 
 
 def test_is_half_integer():

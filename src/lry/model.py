@@ -9,7 +9,7 @@ ever rounds.
 from __future__ import annotations
 
 import math
-import re
+import reprlib
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -47,32 +47,63 @@ class ProfileError(ValueError):
         super().__init__(f"invalid profile: {detail}")
 
 
-# Bounds on ratios.  A decimal exponent makes Fraction build 10**exp, so
-# "1e-3000000" alone would cost megabytes and outgrow str(); within these
-# bounds every parsed value has at most 4000 digits.  Integers are held to
-# MAX_RATIO_LENGTH digits by comparison with _INT_LIMIT, not through str(),
-# which refuses integers past 4300 digits.  The canonical form that reports
-# echo is held to MAX_RATIO_LENGTH characters as well, so that every report
-# can be read back: "1e-1999" is 7 characters, its "1/10...0" 2002.
+# Bounds on ratios.  An exponent scales by 10**exp, so "1e-3000000" alone
+# would cost megabytes; within these bounds every parsed value has at most
+# 4000 digits.  Integers are held to MAX_RATIO_LENGTH digits by comparison
+# with _INT_LIMIT, as str() refuses integers past 4300 digits.  So is the
+# canonical form that reports echo, so that every report can be read back:
+# "1e-1999" is 7 characters, its "1/10...0" 2002.
 MAX_RATIO_LENGTH = 2000
 MAX_RATIO_EXPONENT = 2000
 _INT_LIMIT = 10**MAX_RATIO_LENGTH
-_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\Z", re.IGNORECASE)
 
 MAX_DISTRICTS = 10000  # a profile's n, and verify --n-max: a profile holds n Fractions
 
 
 def parse_ratio(value: str | int) -> Fraction:
-    """Parse a decimal string ("1.9"), a fraction string ("19/10"), or an int.
+    """Parse a ratio string ("1.9", "19/10", "-19e-1") or an int.
 
-    Floats are rejected: binary floats are inexact and would silently break
-    the exactness guarantee.  Strings longer than ``MAX_RATIO_LENGTH``, with a
-    decimal exponent beyond ``MAX_RATIO_EXPONENT``, integers of more than
-    ``MAX_RATIO_LENGTH`` digits, and values whose ``ratio_str`` is longer than
-    ``MAX_RATIO_LENGTH`` are rejected too.
+    The string grammar: surrounding whitespace is stripped (``str.strip``);
+    an optional sign follows; then either ``p/q``, or a decimal ``w.f`` (the
+    point is optional; ``w`` or ``f`` may be empty, not both) with an optional
+    exponent ``[eE][+-]?x``.  Every run is decimal digits (``str.isdecimal``,
+    whose Unicode data alone varies with the interpreter), with single
+    underscores allowed only between two digits.
+
+    Floats are inexact, and rejected.  So are strings of more than
+    ``MAX_RATIO_LENGTH`` characters after stripping, integers of more than
+    ``MAX_RATIO_LENGTH`` digits, values whose ``ratio_str`` is longer, and a
+    trailing exponent beyond ``MAX_RATIO_EXPONENT``: that message comes first,
+    even when the rest of the string is malformed.
     """
-    result, short = _parse_ratio(value)
-    if not short and _ratio_length_bound(result) > MAX_RATIO_LENGTH:
+    if isinstance(value, str):
+        text = value.strip()
+        if len(text) > MAX_RATIO_LENGTH:
+            raise FormatError(
+                f"ratio string of {len(text)} characters exceeds {MAX_RATIO_LENGTH}"
+            )
+        try:
+            result = _parse_text(text)
+        except FormatError:
+            raise
+        except (ValueError, ZeroDivisionError) as exc:
+            raise FormatError(f"not a valid ratio: {reprlib.repr(text)}") from exc
+        # Without an exponent, ratio_str is at most 2 * len(text) + 1 long.
+        if 2 * len(text) < MAX_RATIO_LENGTH and "e" not in text and "E" not in text:
+            return result
+    elif isinstance(value, bool):
+        raise FormatError(f"not a ratio: {value!r}")
+    elif isinstance(value, int):
+        if not -_INT_LIMIT < value < _INT_LIMIT:
+            raise FormatError(f"integer of more than {MAX_RATIO_LENGTH} digits")
+        result = Fraction(value)
+    elif isinstance(value, float):
+        raise FormatError(
+            f"floats are inexact; write {value!r} as a string like '0.38' or '19/50'"
+        )
+    else:
+        raise FormatError(f"cannot parse a ratio from {type(value).__name__}")
+    if _ratio_length_bound(result) > MAX_RATIO_LENGTH:
         length = len(ratio_str(result))
         if length > MAX_RATIO_LENGTH:
             raise FormatError(
@@ -81,62 +112,39 @@ def parse_ratio(value: str | int) -> Fraction:
     return result
 
 
-def _parse_ratio(value: str | int) -> tuple[Fraction, bool]:
-    """The value, and whether its ``ratio_str`` is known to be no longer than
-    the string it was read from, which holds for "p/q" and integer strings."""
-    if isinstance(value, bool):
-        raise FormatError(f"not a ratio: {value!r}")
-    if isinstance(value, int):
-        if not -_INT_LIMIT < value < _INT_LIMIT:
-            raise FormatError(f"integer of more than {MAX_RATIO_LENGTH} digits")
-        return Fraction(value), False
-    if isinstance(value, float):
-        raise FormatError(
-            f"floats are inexact; write {value!r} as a string like '0.38' or '19/50'"
-        )
-    if isinstance(value, str):
-        text = value.strip()
-        if len(text) > MAX_RATIO_LENGTH:
-            raise FormatError(
-                f"ratio string of {len(text)} characters exceeds {MAX_RATIO_LENGTH}"
-            )
-        exponent = ("e" in text or "E" in text) and _EXPONENT.search(text)
-        if exponent and abs(int(exponent.group(1))) > MAX_RATIO_EXPONENT:
+def _parse_text(text: str) -> Fraction:
+    """``parse_ratio`` of a stripped string.  Raises ValueError or
+    ZeroDivisionError on a string outside the grammar."""
+    exponent = None
+    if "e" in text or "E" in text:
+        text, _, tail = text.replace("E", "e").rpartition("e")
+        exponent = _digits(tail, signed=True)
+        if abs(exponent) > MAX_RATIO_EXPONENT:
             raise FormatError(
                 f"decimal exponent outside -{MAX_RATIO_EXPONENT}..{MAX_RATIO_EXPONENT}"
             )
-        try:
-            plain = _plain_ratio(text)
-            return (Fraction(text), False) if plain is None else plain
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(f"not a valid ratio: {value!r}") from exc
-    raise FormatError(f"cannot parse a ratio from {type(value).__name__}")
+    num, slash, den = text.partition("/")
+    if slash and exponent is None:
+        num, den = _digits(num, signed=True), _digits(den)
+    else:
+        # int() reads the sign off the joined parts, where a sign or an
+        # underscore next to the point would pass unseen.
+        whole, _, places = num.partition(".")
+        if slash or whole.endswith("_") or places[:1] in ("_", "+", "-"):
+            raise ValueError("not a decimal")
+        num = _digits(whole + places, signed=True)
+        shift = len(places) - places.count("_") - (exponent or 0)
+        num, den = (num, 10**shift) if shift >= 0 else (num * 10**-shift, 1)
+    return Fraction(num, den)
 
 
-def _plain_ratio(text: str) -> tuple[Fraction, bool] | None:
-    """``_parse_ratio`` of a string of ASCII digits in the form "p/q", "p" or
-    "w.f" (every part non-empty), or None for any other form.
-
-    ``Fraction(text)`` gives the same value, or raises the same
-    ZeroDivisionError for q = 0, but first runs its regular expression, which
-    costs more than the two ``int()`` calls.  ``bytes.isdigit`` accepts ASCII
-    digits alone, and runs faster than ``str.isdigit``.
-    """
-    if not text.isascii():
-        return None
-    num, slash, den = text.encode("ascii").partition(b"/")
-    if slash:
-        if num.isdigit() and den.isdigit():
-            return Fraction(int(num), int(den)), True
-        return None
-    whole, point, places = num.partition(b".")
-    if not whole.isdigit():
-        return None
-    if not point:
-        return Fraction(int(whole)), True
-    if places.isdigit():
-        return Fraction(int(whole + places), 10 ** len(places)), False
-    return None
+def _digits(run: str, signed: bool = False) -> int:
+    """``int(run)`` for a grammar run, after a sign if ``signed``: ``int``
+    alone also takes spaces, and a sign where none may be."""
+    head = run[:1].isdecimal() or signed and run.lstrip("+-")[:1].isdecimal()
+    if head and run[-1:].isdecimal():
+        return int(run)
+    raise ValueError("not a run of digits")
 
 
 def _ratio_length_bound(value: Fraction) -> int:
@@ -254,11 +262,8 @@ def _check(profile: SplitProfile):
         yield Violation(None, None, f"n must be positive, got {profile.n}")
         return
     if len(profile.segments_a) != profile.n:
-        yield Violation(
-            None,
-            None,
-            f"expected {profile.n} segments, got {len(profile.segments_a)}",
-        )
+        detail = f"expected {profile.n} segments, got {len(profile.segments_a)}"
+        yield Violation(None, None, detail)
         return
     for k, seg in enumerate(profile.segments_a, start=1):
         if not 0 <= seg.numerator <= seg.denominator:
@@ -356,14 +361,14 @@ def profile_from_dict(doc: object) -> SplitProfile:
         raise FormatError("profile document must be a JSON object")
     unknown = set(doc) - {"n", "segments_a"}
     if unknown:
-        raise FormatError(f"unknown profile field(s): {', '.join(sorted(unknown))}")
+        raise FormatError(f"unknown profile field(s): {reprlib.repr(sorted(unknown))}")
     if "n" not in doc:
         raise FormatError("profile field 'n' is missing")
     if "segments_a" not in doc:
         raise FormatError("profile field 'segments_a' is missing")
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise FormatError(f"profile field 'n' must be a positive integer, got {n!r}")
+        raise FormatError(f"profile field 'n' must be a positive integer, got {reprlib.repr(n)}")
     if n > MAX_DISTRICTS:
         raise FormatError(f"profile field 'n' must be at most {MAX_DISTRICTS}, got {n}")
     raw = doc["segments_a"]
@@ -395,11 +400,5 @@ def two_gap_profile() -> SplitProfile:
     A holds 1.9 left of split 5, 0.9 in segment 6, and 1.4 right of split 6;
     the tail segments are uneven so no cumulative sum lands on a half-integer.
     """
-    segs = [Fraction("0.38")] * 5 + [
-        Fraction("0.9"),
-        Fraction("0.32"),
-        Fraction("0.34"),
-        Fraction("0.36"),
-        Fraction("0.38"),
-    ]
-    return SplitProfile(10, tuple(segs))
+    hundredths = [38] * 5 + [90, 32, 34, 36, 38]
+    return SplitProfile(10, tuple(Fraction(h, 100) for h in hundredths))

@@ -12,6 +12,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import check_ratio_grammar
 from lry import cli, model, oracle, protocol, targets
 
 
@@ -183,8 +184,28 @@ def test_simulate_schema_error_names_field(tmp_path, capsys):
     assert "segments_a[2]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"n": 1, "segments_a": [" " * 3_000_000 + "x"]}, "segments_a[1]"),
+        ({"n": "9" * 3_000_000, "segments_a": []}, "'n'"),
+        ({"n": 1, "segments_a": ["1/3"], "k" * 3_000_000: 0}, "unknown profile field"),
+    ],
+    ids=["padded-entry", "long-n", "long-key"],
+)
+def test_simulate_errors_echo_a_bounded_prefix(tmp_path, capsys, doc, field):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, text = run_cli("simulate", "--input", str(path))
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert field in err
+    assert len(err) < 10_000
+
+
 def test_simulate_hostile_exponent_exits_two(tmp_path, capsys):
-    # 1e-3000000 would make Fraction build 10**3000000 and outgrow str()
+    # 1e-3000000 would scale by 10**3000000 and outgrow str()
     path = tmp_path / "hostile.json"
     path.write_text(json.dumps({"n": 2, "segments_a": ["1e-3000000", "0.3"]}))
     code, text = run_cli("simulate", "--input", str(path))
@@ -601,34 +622,6 @@ SIMULATE_SETTLED_GOLDEN = {
     ("csv", 1): "6cdba3bd623dff5c1a860b5103c6115f8a79c8872948febf29b96846a223da8e",
 }
 
-# A valid six-district profile over one shared odd denominator of 313 digits,
-# each numerator prime to it.
-LARGE_DEN = 7**370
-LARGE_DEN_PROFILE = {
-    "n": 6,
-    "segments_a": [f"{LARGE_DEN // 13 * k + 2}/{LARGE_DEN}" for k in (5, 9, 2, 11, 7, 4)],
-}
-# A valid eight-district profile of entries that reports echo in another form:
-# not in lowest terms, leading zeros, padding, a sign, an underscore, a
-# decimal, an exponent and a JSON integer.
-NONCANONICAL_PROFILE = {
-    "n": 8,
-    "segments_a": ["6/9", "007/10", 0, " 3/7 ", "+1/3", "1_0/21", "0.35", "45e-2"],
-}
-# SHA-256 of the stdout of `simulate` on the two profiles above, recorded
-# while every ratio string still went through Fraction's string parser.
-SIMULATE_PARSE_GOLDEN = {
-    ("large", "json", 0): "ebf45d8822f816f034a507d87cdc48bd846cdae9e875a1855bc1c2bf7a910d35",
-    ("large", "json", 1): "6d2de4bc95c58dc45fcd156accc2e8c483b96359e428693eb5b6cd85204979aa",
-    ("large", "csv", 0): "4baf5f5aabc3f1f313b33b31145728c766c9fba1f9a1ee6ee0ddd849a62decfc",
-    ("large", "csv", 1): "28e9e7b197634290469a0d44aa1fcbc707a36371e7558d2e3d15d4a4e849459e",
-    ("noncanonical", "json", 0): "8c3c938d78a2494bfccced4da55bc97f2e7db8a1fa20276af70b6f59e32059d8",
-    ("noncanonical", "json", 1): "6890a4e491bd0da29cce087a2c62c695ab485cd2eca02412ab377e158d7a4ea2",
-    ("noncanonical", "csv", 0): "8602d4561bf78a6e07ed70eabfed5cd34e62c0868faf9596815b7ac94e6ca947",
-    ("noncanonical", "csv", 1): "0b19440bf01c728f441004cd84e9a6ef1ef7630fb48a5b32745146f54a1a6719",
-}
-
-
 def sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -652,19 +645,22 @@ def test_simulate_output_is_golden(tmp_path):
         assert sha256(text) == digest, (fmt, seed)
 
 
-@pytest.mark.skipif(
-    sys.version_info < (3, 11), reason="Fraction reads underscores from Python 3.11 on"
-)
-def test_simulate_parse_output_is_golden(tmp_path):
-    profiles = {"large": LARGE_DEN_PROFILE, "noncanonical": NONCANONICAL_PROFILE}
-    for (name, fmt, seed), digest in SIMULATE_PARSE_GOLDEN.items():
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(profiles[name]))
-        code, text = run_cli(
-            "simulate", "--input", str(path), "--seed", str(seed), "--format", fmt
-        )
-        assert code == 0
-        assert sha256(text) == digest, (name, fmt, seed)
+def test_simulate_parse_output_is_golden():
+    assert list(check_ratio_grammar.simulate_mismatches()) == []
+
+
+def test_stdlib_grammar_check_passes():
+    # -S leaves site-packages out, so the check must need the stdlib alone.
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
+    proc = subprocess.run(
+        [sys.executable, "-S", os.path.join(tests, "check_ratio_grammar.py")],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert b" 0 mismatches" in proc.stdout
 
 
 def test_python_m_lry_runs_the_cli():

@@ -1,3 +1,6 @@
+import re
+import reprlib
+import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -5,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import check_ratio_grammar
 from lry import model
 from lry.model import Party, Side, SplitProfile, left, right
 
@@ -71,15 +75,20 @@ class TestParseRatio:
         assert model.parse_ratio(text) == Fraction(digits, 10**places)
 
 
+# Fraction's parser scales by 10**exp, so the exponent bound ran first, on
+# the trailing exponent this pattern finds.
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\Z", re.IGNORECASE)
+
+
 def reference_parse_ratio(value: str) -> Fraction:
-    """``parse_ratio`` on strings before the digit-string fast path: every
-    string goes through Fraction's own parser."""
+    """``parse_ratio`` on strings as every string went through Fraction's own
+    parser, whose grammar is the recorded one on Python 3.11 only."""
     text = value.strip()
     if len(text) > model.MAX_RATIO_LENGTH:
         raise model.FormatError(
             f"ratio string of {len(text)} characters exceeds {model.MAX_RATIO_LENGTH}"
         )
-    exponent = ("e" in text or "E" in text) and model._EXPONENT.search(text)
+    exponent = ("e" in text or "E" in text) and _EXPONENT.search(text)
     if exponent and abs(int(exponent.group(1))) > model.MAX_RATIO_EXPONENT:
         raise model.FormatError(
             f"decimal exponent outside -{model.MAX_RATIO_EXPONENT}..{model.MAX_RATIO_EXPONENT}"
@@ -87,7 +96,7 @@ def reference_parse_ratio(value: str) -> Fraction:
     try:
         result = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise model.FormatError(f"not a valid ratio: {value!r}") from exc
+        raise model.FormatError(f"not a valid ratio: {reprlib.repr(text)}") from exc
     if model._ratio_length_bound(result) > model.MAX_RATIO_LENGTH:
         length = len(str(result))
         if length > model.MAX_RATIO_LENGTH:
@@ -139,7 +148,29 @@ _ratio_strings = st.one_of(
 )
 
 
+# Strings whose verdict the Hypothesis strategies above rarely reach.
+LISTED_RATIO_STRINGS = [
+    "0", "007", "1/0", "0/7", "007/10", " 3/7 ", "\t5\t", "6/9", "+1/3", "-1/3",
+    "1_0/21", "1.5", "0.35", "5.", ".5", "5.5.5", "1/2/3", "1.5/2", "45e-2",
+    "5e-1", "1/ 3", "1 /3", "", "/", ".", "1/", "/1", "0." + "0" * 1997 + "1",
+    "1/" + "7" * 1998, "1/" + "7" * 1999, "9" * 2000, "9" * 2001,
+    # not ASCII: a lone surrogate cannot even be encoded
+    "١/٣", "1/²", "1.²", "\ud800", "1/\ud800",
+    # underscores, exponents and signs where the grammar allows none
+    "5.5__0", ".6__0", "1_0.2_5", "1.5e1_0", "1_", "_1",
+    "1/2e0", "1e", "e5", ".e5", "1.e5", "1e+-1",
+    "+-1", "-1/-3", "1/+3", "1 / 3", "١.٥",
+]
+
+# Fraction's string grammar changed in Python 3.11 and again in 3.12; the
+# corpus, replayed by check_ratio_grammar.py, covers the other interpreters.
+fraction_grammar = pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="Fraction(text) is the reference on 3.11 only"
+)
+
+
 class TestFastPathDifferential:
+    @fraction_grammar
     @settings(max_examples=600, deadline=None)
     @given(_ratio_strings)
     def test_parse_ratio_matches_fraction_parser(self, text):
@@ -147,21 +178,19 @@ class TestFastPathDifferential:
             reference_parse_ratio, text
         )
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "0", "007", "1/0", "0/7", "007/10", " 3/7 ", "\t5\t", "6/9", "+1/3", "-1/3",
-            "1_0/21", "1.5", "0.35", "5.", ".5", "5.5.5", "1/2/3", "1.5/2", "45e-2",
-            "5e-1", "1/ 3", "1 /3", "", "/", ".", "1/", "/1", "0." + "0" * 1997 + "1",
-            "1/" + "7" * 1998, "1/" + "7" * 1999, "9" * 2000, "9" * 2001,
-            # not ASCII: a lone surrogate cannot even be encoded
-            "١/٣", "1/²", "1.²", "\ud800", "1/\ud800",
-        ],
-    )
+    @fraction_grammar
+    @pytest.mark.parametrize("text", LISTED_RATIO_STRINGS)
     def test_listed_strings_match_fraction_parser(self, text):
         assert parse_outcome(model.parse_ratio, text) == parse_outcome(
             reference_parse_ratio, text
         )
+
+    @fraction_grammar
+    def test_corpus_records_the_fraction_parser(self):
+        cases = check_ratio_grammar.corpus_cases()
+        assert set(LISTED_RATIO_STRINGS) <= {text for text, *_ in cases}
+        for text, *expected in cases:
+            assert check_ratio_grammar.verdict(text, reference_parse_ratio) == expected, text
 
     @given(st.one_of(st.integers(-(10**700), 10**700), st.booleans(), st.fractions()))
     def test_ratio_str_matches_fraction_copy(self, value):

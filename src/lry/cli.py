@@ -38,7 +38,7 @@ from .oracle import random_small_grid  # noqa: F401  (bench/ looks it up on cli)
 MAX_SEED = 2**64 - 1
 # geodelta's time and memory grow as delta: it reads O(delta) breakpoints.
 MAX_DELTA = 1000
-MAX_N_MAX = model.MAX_DISTRICTS  # verify holds up to --n-max exact Fractions per profile
+MAX_N_MAX = model.MAX_DISTRICTS  # verify holds up to --n-max + 1 integer sums per profile
 _MAX_INPUT_BYTES = 64 * 2**20  # simulate's --input; the largest benchmark profile is 1 MB
 
 

@@ -2,8 +2,8 @@
 
 A state with ``n`` equal-population districts is described by the support
 party A holds in each of the ``n`` population segments between consecutive
-nested splits.  All supports are exact rationals; nothing in this package
-ever rounds.
+nested splits.  All supports are exact rationals, held as integer running
+sums over one common denominator; nothing in this package ever rounds.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ MAX_RATIO_LENGTH = 2000
 MAX_RATIO_EXPONENT = 2000
 _INT_LIMIT = 10**MAX_RATIO_LENGTH
 
-MAX_DISTRICTS = 10000  # a profile's n, and verify --n-max: a profile holds n Fractions
+MAX_DISTRICTS = 10000  # a profile's n, and verify --n-max: a profile holds n + 1 integer sums
 
 
 def parse_ratio(value: str | int) -> Fraction:
@@ -204,32 +204,28 @@ class Violation:
 
 @dataclass(frozen=True)
 class SplitProfile:
-    """Per-segment supports for party A over a state of ``n`` districts.
+    """Party A's support over a state of ``n`` districts.
 
-    ``segments_a[k-1]`` is A's support between the (k-1)- and k-splits, a
-    value in [0, 1].  B's support in the same segment is the complement.
-    Storing segments rather than running sums makes the splits nested by
-    construction.
+    ``prefix_a[k]`` is ``scale`` times A's support left of split k, from
+    ``prefix_a[0] == 0``; segment k, between the (k-1)- and k-splits, holds
+    a value in [0, 1], and B the complement.  ``scale`` is the lcm of the
+    segments' denominators, so profiles are equal when their segments are.
     """
 
     n: int
-    segments_a: tuple[Fraction, ...]
+    scale: int
+    prefix_a: tuple[int, ...]
+
+    @classmethod
+    def of(cls, n: int, segments: Sequence[Fraction]) -> SplitProfile:
+        """The profile whose segment k holds ``segments[k-1]``."""
+        return _from_segments(n, segments, math.lcm(*[seg.denominator for seg in segments]))
 
     @cached_property
-    def prefix_a(self) -> tuple[Fraction, ...]:
-        """A's support left of each split: prefix_a[k] covers segments 1..k."""
-        sums = [Fraction(0)]
-        for seg in self.segments_a:
-            sums.append(sums[-1] + seg)
-        return tuple(sums)
-
-    @cached_property
-    def scaled_prefix_a(self) -> tuple[int, tuple[int, ...]]:
-        """``(L, P)``: L is the lcm of the segment denominators and
-        ``P[k] = L * prefix_a[k]``, so every sum is an exact integer."""
-        pairs = [(seg.numerator, seg.denominator) for seg in self.segments_a]
-        scale, sums = scaled_sums(pairs)
-        return scale, tuple(sums)
+    def segments_a(self) -> tuple[Fraction, ...]:
+        """A's support in each segment, as reports print it."""
+        prefix, scale = self.prefix_a, self.scale
+        return tuple([Fraction(hi - lo, scale) for lo, hi in zip(prefix, prefix[1:])])
 
     @cached_property
     def win_table(self) -> WinTable:
@@ -238,11 +234,11 @@ class SplitProfile:
         from .strategy import WinTable  # strategy imports this module
 
         ensure_valid(self)
-        return WinTable.from_scaled(*self.scaled_prefix_a)
+        return WinTable.from_scaled(self.scale, self.prefix_a)
 
     @property
     def total_a(self) -> Fraction:
-        return self.prefix_a[-1]
+        return Fraction(self.prefix_a[-1], self.scale)
 
     @property
     def total_b(self) -> Fraction:
@@ -257,49 +253,43 @@ class SplitProfile:
         return not self.violations
 
 
+def _from_segments(n: int, segments: Sequence[Fraction], scale: int) -> SplitProfile:
+    """The profile of ``segments`` on ``scale``, the lcm of their denominators."""
+    prefix = [0]
+    for seg in segments:
+        prefix.append(prefix[-1] + seg.numerator * (scale // seg.denominator))
+    profile = SplitProfile(n, scale, tuple(prefix))
+    profile.__dict__["segments_a"] = tuple(segments)  # kept, so as not to derive them again
+    return profile
+
+
 def _check(profile: SplitProfile):
-    if profile.n < 1:
-        yield Violation(None, None, f"n must be positive, got {profile.n}")
+    n, scale, prefix = profile.n, profile.scale, profile.prefix_a
+    if n < 1:
+        yield Violation(None, None, f"n must be positive, got {n}")
         return
-    if len(profile.segments_a) != profile.n:
-        detail = f"expected {profile.n} segments, got {len(profile.segments_a)}"
-        yield Violation(None, None, detail)
+    if scale < 1 or prefix[:1] != (0,):
+        yield Violation(None, None, "scale must be positive and prefix_a must start at 0")
         return
-    for k, seg in enumerate(profile.segments_a, start=1):
-        if not 0 <= seg.numerator <= seg.denominator:
-            yield Violation(
-                None, k, f"segment {k} support {ratio_str(seg)} outside [0, 1]"
-            )
-    scale, prefix = profile.scaled_prefix_a
+    if len(prefix) != n + 1:
+        yield Violation(None, None, f"expected {n} segments, got {len(prefix) - 1}")
+        return
+    for k, (lo, hi) in enumerate(zip(prefix, prefix[1:]), start=1):
+        if not 0 <= hi - lo <= scale:
+            value = ratio_str(Fraction(hi - lo, scale))
+            yield Violation(None, k, f"segment {k} support {value} outside [0, 1]")
     for side, k, scaled in half_integer_sums(scale, prefix):
         where = "left" if side is Side.LEFT else "right"
         value = ratio_str(Fraction(scaled, scale))
-        yield Violation(
-            side,
-            k,
-            f"support {where} of split {k} is {value}, an integer multiple of 1/2",
-        )
-
-
-def scaled_sums(segments: list[tuple[int, int]]) -> tuple[int, list[int]]:
-    """``(L, P)`` for segments given as ``(p, q)`` pairs, in lowest terms or
-    not: L is the lcm of the q's and ``P[k]`` is L times the sum of the first
-    k segments, so every sum is an exact integer."""
-    # Unpacking a list, not a generator: CPython grows a generator's
-    # argument tuple by resizing, and every resized tuple it frees stays on a
-    # free list; over a sweep that adds megabytes of peak memory.
-    scale = math.lcm(*[den for _, den in segments])
-    sums = [0]
-    for num, den in segments:
-        sums.append(sums[-1] + num * (scale // den))
-    return scale, sums
+        detail = f"support {where} of split {k} is {value}, an integer multiple of 1/2"
+        yield Violation(side, k, detail)
 
 
 def half_integer_sums(
     scale: int, prefix: Sequence[int]
 ) -> Iterator[tuple[Side, int, int]]:
     """Yield ``(side, k, L * sum)`` for each cumulative sum that is an integer
-    multiple of 1/2, left sums first, from the ``(L, P)`` of ``scaled_sums``.
+    multiple of 1/2, left sums first, from a profile's ``scale`` L and ``prefix_a`` P.
 
     A valid profile has none; only the empty sides (left of split 0, right of
     split n) are exempt.  A sum P/L is one exactly when L divides 2P, which
@@ -334,11 +324,10 @@ def side_support(profile: SplitProfile, party: Party, side: SideRef) -> Fraction
     """Total support for ``party`` on one side of the k-split, as an exact
     Fraction: the input of the reference closed forms in ``strategy``."""
     _check_split_index(profile, side.k)
-    a_left = profile.prefix_a[side.k]
-    if side.side is Side.LEFT:
-        return a_left if party is Party.A else side.k - a_left
-    a_right = profile.total_a - a_left
-    return a_right if party is Party.A else (profile.n - side.k) - a_right
+    scale, prefix, k = profile.scale, profile.prefix_a, side.k
+    a_side = prefix[k] if side.side is Side.LEFT else prefix[-1] - prefix[k]
+    size = k if side.side is Side.LEFT else profile.n - k
+    return Fraction(a_side if party is Party.A else size * scale - a_side, scale)
 
 
 def profile_to_dict(profile: SplitProfile) -> dict:
@@ -361,16 +350,16 @@ def profile_from_dict(doc: object) -> SplitProfile:
         raise FormatError("profile document must be a JSON object")
     unknown = set(doc) - {"n", "segments_a"}
     if unknown:
-        raise FormatError(f"unknown profile field(s): {reprlib.repr(sorted(unknown))}")
+        raise FormatError(f"unknown profile field(s): {_brief(sorted(unknown, key=_brief))}")
     if "n" not in doc:
         raise FormatError("profile field 'n' is missing")
     if "segments_a" not in doc:
         raise FormatError("profile field 'segments_a' is missing")
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise FormatError(f"profile field 'n' must be a positive integer, got {reprlib.repr(n)}")
+        raise FormatError(f"profile field 'n' must be a positive integer, got {_brief(n)}")
     if n > MAX_DISTRICTS:
-        raise FormatError(f"profile field 'n' must be at most {MAX_DISTRICTS}, got {n}")
+        raise FormatError(f"profile field 'n' must be at most {MAX_DISTRICTS}, got {_brief(n)}")
     raw = doc["segments_a"]
     if not isinstance(raw, list) or len(raw) > MAX_DISTRICTS:
         raise FormatError(
@@ -389,7 +378,15 @@ def profile_from_dict(doc: object) -> SplitProfile:
                 )
         except FormatError as exc:
             raise FormatError(f"segments_a[{idx}]: {exc}") from exc
-    return SplitProfile(n, tuple(segments))
+    return _from_segments(n, tuple(segments), scale)
+
+
+def _brief(value: object) -> str:
+    """``reprlib.repr(value)``, or a placeholder if it holds an int too long for ``repr``."""
+    try:
+        return reprlib.repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to show>"
 
 
 def two_gap_profile() -> SplitProfile:
@@ -401,4 +398,4 @@ def two_gap_profile() -> SplitProfile:
     the tail segments are uneven so no cumulative sum lands on a half-integer.
     """
     hundredths = [38] * 5 + [90, 32, 34, 36, 38]
-    return SplitProfile(10, tuple(Fraction(h, 100) for h in hundredths))
+    return SplitProfile.of(10, [Fraction(h, 100) for h in hundredths])

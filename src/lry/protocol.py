@@ -385,13 +385,13 @@ def random_profile(rng: random.Random, n_max: int) -> SplitProfile:
     ``rng.getrandbits`` exactly as ``rng.randint`` would draw them.  A whole
     candidate is drawn and summed on the scale 27720, then rejected while
     some cumulative sum is a half-integer (``model.half_integer_sums``), so a
-    seed fixes the profile and the generator's state after it.  Only the
-    accepted candidate becomes Fractions and a ``SplitProfile``.
+    seed fixes the profile and the generator's state after it.  The accepted
+    sums over their gcd with 27720 are the profile's, on its denominators' lcm.
     """
     n = 2 + _randbelow(rng, n_max - 1)
     bits = rng.getrandbits
     while True:
-        pairs, prefix = [], [0]
+        prefix = [0]
         for _ in range(n):
             d = bits(4)  # randint(2, 12): 11 values on 4 bits
             while d >= 11:
@@ -400,10 +400,10 @@ def random_profile(rng: random.Random, n_max: int) -> SplitProfile:
             num = bits(k)
             while num > den:
                 num = bits(k)
-            pairs.append((num, den))
             prefix.append(prefix[-1] + num * (_DRAW_SCALE // den))
         if next(half_integer_sums(_DRAW_SCALE, prefix), None) is None:
-            return SplitProfile(n, tuple([Fraction(num, den) for num, den in pairs]))
+            common = math.gcd(_DRAW_SCALE, *prefix)
+            return SplitProfile(n, _DRAW_SCALE // common, tuple([p // common for p in prefix]))
 
 
 @dataclass(frozen=True)
@@ -497,7 +497,8 @@ def check_profile(
             rec.fail("conservation", f"k={k}: A(R)={art} B(L)={blt}")
 
     # Sign of A's support in each segment minus 1/2; B's is the opposite.
-    a_lean = [2 * seg.numerator - seg.denominator for seg in profile.segments_a]
+    prefix, scale = profile.prefix_a, profile.scale
+    a_lean = [2 * (hi - lo) - scale for lo, hi in zip(prefix, prefix[1:])]
     for (party, wins), sign in zip(parties, (1, -1)):
         ld, ro = wins.left_districting, wins.right_opposed
         ltot, rtot = wins.left_total, wins.right_total

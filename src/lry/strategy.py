@@ -5,9 +5,9 @@ lines may spread its support however it likes.  ``optimal_wins`` and
 ``opponent_wins`` state them in exact ``Fraction``s; they are the reference
 that the ``oracle`` command and the tests check everything else against.
 
-Production code reads win counts from a ``WinTable``: the same closed forms in
-integer arithmetic, evaluated once per profile at every split and cached on
-the profile as ``SplitProfile.win_table``.  ``wins_when_districting``,
+Production code reads win counts from a ``WinTable``: the same closed forms on
+the profile's integer sums, evaluated once per profile at every split and
+cached as ``SplitProfile.win_table``.  ``wins_when_districting``,
 ``wins_when_opponent_districts`` and ``total_wins`` are reads of that table.
 
 A small exhaustive allocation search over discretized support, tabulated once

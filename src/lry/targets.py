@@ -7,7 +7,7 @@ of the k-split.  Both are exact half-integers, kept as Fractions so bound
 checks stay exact.
 
 ``k_split_target`` reads the profile's ``WinTable``; ``geometric_target``
-does not, but reads the scaled prefix sums, so the sweep's
+does not, but reads its integer sums, so the sweep's
 ``target_average_identity`` check compares two independent computations.
 """
 
@@ -21,7 +21,7 @@ from .strategy import total_wins
 
 def geometric_target(profile: SplitProfile, party: Party) -> Fraction:
     ensure_valid(profile)
-    scale, prefix_a = profile.scaled_prefix_a
+    scale, prefix_a = profile.scale, profile.prefix_a
     whole = profile.n * scale  # every value below is scaled by L as well
     support = prefix_a[-1] if party is Party.A else whole - prefix_a[-1]
     doubled = 2 * support

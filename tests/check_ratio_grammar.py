@@ -2,8 +2,10 @@
 
 Replays every recorded verdict in ``ratio_corpus.json`` through
 ``model.parse_ratio``, and the ``simulate`` reports of two profiles whose
-entries come in many written forms against their SHA-256 digests, so that
-an interpreter without pytest can be checked too:
+entries come in many written forms against their SHA-256 digests.  Each of
+the two profiles must also read back unchanged from ``profile_to_dict`` and
+equal ``SplitProfile.of`` its parsed entries.  So an interpreter without
+pytest can be checked too:
 
     PYTHONPATH=src python tests/check_ratio_grammar.py
 
@@ -36,6 +38,7 @@ NONCANONICAL_PROFILE = {
     "n": 8,
     "segments_a": ["6/9", "007/10", 0, " 3/7 ", "+1/3", "1_0/21", "0.35", "45e-2"],
 }
+PROFILES = {"large": LARGE_DEN_PROFILE, "noncanonical": NONCANONICAL_PROFILE}
 # SHA-256 of the stdout of `simulate` on the two profiles above, recorded
 # while every ratio string still went through Fraction's string parser.
 SIMULATE_PARSE_GOLDEN = {
@@ -74,12 +77,21 @@ def corpus_mismatches(cases):
             yield f"parse_ratio({text[:60]!r}): expected {expected}, got {got}"
 
 
+def profile_mismatches():
+    for name, doc in PROFILES.items():
+        profile = model.profile_from_dict(doc)
+        if model.profile_from_dict(model.profile_to_dict(profile)) != profile:
+            yield f"{name} profile: changed by profile_to_dict and profile_from_dict"
+        segments = [model.parse_ratio(entry) for entry in doc["segments_a"]]
+        if model.SplitProfile.of(doc["n"], segments) != profile:
+            yield f"{name} profile: differs from SplitProfile.of its parsed entries"
+
+
 def simulate_mismatches():
-    profiles = {"large": LARGE_DEN_PROFILE, "noncanonical": NONCANONICAL_PROFILE}
     with tempfile.TemporaryDirectory() as tmp:
         for (name, fmt, seed), digest in SIMULATE_PARSE_GOLDEN.items():
             path = Path(tmp) / f"{name}.json"
-            path.write_text(json.dumps(profiles[name]))
+            path.write_text(json.dumps(PROFILES[name]))
             out = io.StringIO()
             argv = ["simulate", "--input", str(path), "--seed", str(seed), "--format", fmt]
             code = cli.main(argv, stdout=out)
@@ -90,12 +102,13 @@ def simulate_mismatches():
 
 def main() -> int:
     cases = corpus_cases()
-    failures = [*corpus_mismatches(cases), *simulate_mismatches()]
+    failures = [*corpus_mismatches(cases), *profile_mismatches(), *simulate_mismatches()]
     for line in failures:
         print(line)
     print(
         f"Python {sys.version.split()[0]}: {len(cases)} ratio strings, "
-        f"{len(SIMULATE_PARSE_GOLDEN)} simulate digests, {len(failures)} mismatches"
+        f"{len(PROFILES)} profiles, {len(SIMULATE_PARSE_GOLDEN)} simulate digests, "
+        f"{len(failures)} mismatches"
     )
     return 1 if failures else 0
 

@@ -6,7 +6,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import check_ratio_grammar
 from lry import model
@@ -216,7 +216,7 @@ class TestFastPathDifferential:
         )
     )
     def test_profile_to_dict_matches_per_segment_ratio_str(self, segments):
-        profile = SplitProfile(len(segments), tuple(segments))
+        profile = SplitProfile.of(len(segments), tuple(segments))
         doc = model.profile_to_dict(profile)
         assert doc == {"n": len(segments), "segments_a": [model.ratio_str(s) for s in segments]}
 
@@ -242,26 +242,33 @@ class TestValidation:
         assert model.side_support(profile, Party.A, right(6)) == frac("1.4")
 
     def test_half_integer_prefix_reported(self):
-        profile = SplitProfile(2, (frac("0.25"), frac("0.25")))
+        profile = SplitProfile.of(2, (frac("0.25"), frac("0.25")))
         violations = model.validate_profile(profile)
         assert any(v.side is Side.LEFT and v.k == 2 for v in violations)
 
     def test_all_sums_clean(self):
-        profile = SplitProfile(3, (frac("0.3"), frac("0.3"), frac("0.3")))
+        profile = SplitProfile.of(3, (frac("0.3"), frac("0.3"), frac("0.3")))
         # prefixes 0.3, 0.6, 0.9 and suffixes 0.6, 0.3: nothing half-integer
         assert model.validate_profile(profile) == ()
 
     def test_segment_outside_unit_interval(self):
-        profile = SplitProfile(2, (frac("1.2"), frac("-0.1")))
+        profile = SplitProfile.of(2, (frac("1.2"), frac("-0.1")))
         messages = [v.message for v in model.validate_profile(profile)]
         assert any("outside [0, 1]" in m for m in messages)
 
     def test_segment_count_mismatch(self):
-        profile = SplitProfile(3, (frac("0.3"),))
+        profile = SplitProfile.of(3, (frac("0.3"),))
         assert model.validate_profile(profile)
 
+    @pytest.mark.parametrize("scale, prefix", [(0, (0, 1)), (-6, (0, 1)), (6, (1, 4)), (6, ())])
+    def test_raw_profile_needs_a_positive_scale_and_sums_from_0(self, scale, prefix):
+        profile = SplitProfile(1, scale, prefix)
+        assert [v.message for v in model.validate_profile(profile)] == [
+            "scale must be positive and prefix_a must start at 0"
+        ]
+
     def test_ensure_valid_raises(self):
-        profile = SplitProfile(2, (frac("0.25"), frac("0.25")))
+        profile = SplitProfile.of(2, (frac("0.25"), frac("0.25")))
         with pytest.raises(model.ProfileError):
             model.ensure_valid(profile)
 
@@ -317,7 +324,7 @@ segments_strategy = st.lists(
 
 @given(segments_strategy)
 def test_side_support_additivity_random(segs):
-    profile = SplitProfile(len(segs), tuple(segs))
+    profile = SplitProfile.of(len(segs), tuple(segs))
     for k in range(profile.n + 1):
         for party in Party:
             assert model.side_support(profile, party, left(k)) + model.side_support(
@@ -406,6 +413,10 @@ _profile_docs = st.one_of(
 
 @settings(deadline=None, max_examples=300)
 @given(_profile_docs)
+@example({"n": 10**4400, "segments_a": []})  # too long for str()
+@example({"n": -(10**4400), "segments_a": []})
+@example({"n": 2, "segments_a": [], "x": 1, 5: 2})  # unknown keys that do not sort
+@example({"n": 2, "segments_a": [], 10**4400: 1})
 def test_fuzzed_profile_documents_raise_only_format_error(doc):
     try:
         profile = model.profile_from_dict(doc)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -52,7 +53,7 @@ class TestOptimalPreferences:
         assert prefs[two_gap.n] == (OPT1, OPT2)
 
     def test_equal_totals_mean_both_indifferent(self):
-        profile = SplitProfile(2, (Fraction("0.3"), Fraction("0.3")))
+        profile = SplitProfile.of(2, (Fraction("0.3"), Fraction("0.3")))
         prefs = optimal_preferences(profile)
         assert prefs[1] == (INDIFF, INDIFF)
 
@@ -152,7 +153,7 @@ class TestResolve:
         assert run.assignment == Assignment(2, OPT2, 6, 4)
 
     def test_both_indifferent_uses_parity(self):
-        profile = SplitProfile(2, (Fraction("0.3"), Fraction("0.3")))
+        profile = SplitProfile.of(2, (Fraction("0.3"), Fraction("0.3")))
         prefs = optimal_preferences(profile)
         even = resolve_protocol(profile, prefs, 4)
         odd = resolve_protocol(profile, prefs, 7)
@@ -237,7 +238,7 @@ class TestResolveOptimal:
             resolve_optimal(splits, totals, totals, 0)
 
     def test_profiles_match_resolve_protocol(self, two_gap):
-        profiles = [two_gap, SplitProfile(2, (Fraction("0.3"), Fraction("0.3")))]
+        profiles = [two_gap, SplitProfile.of(2, (Fraction("0.3"), Fraction("0.3")))]
         profiles += [
             protocol.random_profile(random.Random(mix_seed(5, i)), 30) for i in range(60)
         ]
@@ -274,7 +275,7 @@ class TestFairness:
 
     def test_mismatched_run_rejected(self, two_gap):
         run = resolve_protocol(two_gap, optimal_preferences(two_gap), 0)
-        other = SplitProfile(2, (Fraction("0.3"), Fraction("0.4")))
+        other = SplitProfile.of(2, (Fraction("0.3"), Fraction("0.4")))
         with pytest.raises(ProtocolError):
             fairness_report(other, run)
         # Candidate 1 (k=5, option 2) truly gives A 4 and B 6; swapped, A's
@@ -667,9 +668,20 @@ def reference_random_profile(
         for _ in range(n):
             den = rng.randint(2, max_denominator)
             segments.append(Fraction(rng.randint(0, den), den))
-        profile = SplitProfile(n, tuple(segments))
+        profile = SplitProfile.of(n, tuple(segments))
         if profile.is_valid:
             return profile
+
+
+def scaled_sums(segments: list[tuple[int, int]]) -> tuple[int, list[int]]:
+    """``(L, P)`` for segments given as ``(p, q)`` pairs, in lowest terms or
+    not: L is the lcm of the q's and ``P[k]`` is L times the sum of the first
+    k segments."""
+    scale = math.lcm(*[den for _, den in segments])
+    sums = [0]
+    for num, den in segments:
+        sums.append(sums[-1] + num * (scale // den))
+    return scale, sums
 
 
 @st.composite
@@ -702,10 +714,10 @@ class TestRandomProfileReference:
     @example([(1, 4), (3, 4)])  # only the whole sum, 1
     def test_integer_rule_matches_fractions(self, pairs):
         n = len(pairs)
-        scale, prefix = model.scaled_sums(pairs)
+        scale, prefix = scaled_sums(pairs)
         found = list(model.half_integer_sums(scale, prefix))
-        profile = SplitProfile(n, tuple(Fraction(p, q) for p, q in pairs))
-        sums = profile.prefix_a
+        profile = SplitProfile.of(n, tuple(Fraction(p, q) for p, q in pairs))
+        sums = [sum((Fraction(p, q) for p, q in pairs[:k]), Fraction(0)) for k in range(n + 1)]
         expected = [
             (Side.LEFT, k, sums[k]) for k in range(1, n + 1) if is_half_integer(sums[k])
         ] + [

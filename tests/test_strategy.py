@@ -1,3 +1,4 @@
+import math
 import random
 from collections import defaultdict
 from fractions import Fraction
@@ -6,7 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lry import model, oracle, strategy
+from lry import model, oracle, strategy, targets
 from lry.model import Party, Side, SplitProfile, Violation, left, right
 from lry.protocol import mix_seed, random_profile
 
@@ -31,7 +32,7 @@ class TestDistrictingWins:
         assert strategy.wins_when_districting(two_gap, Party.A, left(6)) == 5
 
     def test_majority_sweeps_side(self):
-        profile = SplitProfile(3, (Fraction("0.8"), Fraction("0.9"), Fraction("0.9")))
+        profile = SplitProfile.of(3, (Fraction("0.8"), Fraction("0.9"), Fraction("0.9")))
         assert model.validate_profile(profile) == ()
         # 2.6 of 3: a statewide majority wins every district it draws
         assert strategy.wins_when_districting(profile, Party.A, left(3)) == 3
@@ -43,7 +44,7 @@ class TestDistrictingWins:
         assert strategy.bruteforce_districting_wins(support, 3) == 2
 
     def test_invalid_profile_refused(self):
-        bad = SplitProfile(2, (Fraction(1, 4), Fraction(1, 4)))
+        bad = SplitProfile.of(2, (Fraction(1, 4), Fraction(1, 4)))
         with pytest.raises(model.ProfileError):
             strategy.wins_when_districting(bad, Party.A, left(1))
 
@@ -139,7 +140,7 @@ def coprime_profiles(draw):
     # prime in its denominator, so it is never a half-integer and the
     # profile is valid.
     segs = tuple(Fraction(draw(st.integers(1, d - 1)), d) for d in dens)
-    return SplitProfile(len(segs), segs)
+    return SplitProfile.of(len(segs), segs)
 
 
 @settings(deadline=None, max_examples=150)
@@ -207,10 +208,41 @@ def test_scaled_table_matches_fraction_closed_forms(scaled):
     assert strategy.PartyWins.from_scaled(scale, prefix) == expected
 
 
+@settings(deadline=None, max_examples=300)
+@given(scaled_prefixes(), st.integers(1, 10**30))
+@example((27720, [0, 13860, 27720, 27721]), 7)
+@example((5, [0, 3, 4]), 27720)  # a valid profile
+def test_scaled_results_do_not_depend_on_the_scale(scaled, c):
+    """The win table, the half-integer verdicts, the whole validation and the
+    geometric target are the same at scale L and at c * L."""
+    scale, prefix = scaled
+    big = [c * x for x in prefix]
+    assert strategy.WinTable.from_scaled(c * scale, big) == strategy.WinTable.from_scaled(
+        scale, prefix
+    )
+    assert list(model.half_integer_sums(c * scale, big)) == [
+        (side, k, c * x) for side, k, x in model.half_integer_sums(scale, prefix)
+    ]
+    n = len(prefix) - 1
+    small_profile = SplitProfile(n, scale, tuple(prefix))
+    big_profile = SplitProfile(n, c * scale, tuple(big))
+    assert big_profile.violations == small_profile.violations
+    if small_profile.is_valid:
+        for party in Party:
+            assert targets.geometric_target(big_profile, party) == targets.geometric_target(
+                small_profile, party
+            )
+
+
 def test_random_profile_tables_match_fraction_closed_forms():
     for index in range(300):
         profile = random_profile(random.Random(mix_seed(23, index)), 12)
-        prefix_a = profile.prefix_a
+        segments = profile.segments_a
+        # The draw's sums are on the least scale, so they are the segments'.
+        assert profile == SplitProfile.of(profile.n, segments)
+        assert profile.scale == math.lcm(*[seg.denominator for seg in segments])
+        assert model.profile_from_dict(model.profile_to_dict(profile)) == profile
+        prefix_a = [sum(segments[:k], Fraction(0)) for k in range(profile.n + 1)]
         prefix_b = [k - x for k, x in enumerate(prefix_a)]
         assert profile.win_table.a == closed_form_wins(prefix_a)
         assert profile.win_table.b == closed_form_wins(prefix_b)
@@ -250,7 +282,7 @@ def mixed_profiles(draw):
         st.sampled_from((1, 2, 3, 4, 6, 10) + LARGE_PRIMES), min_size=size, max_size=size
     ))
     segs = tuple(Fraction(draw(st.integers(-1, d + 1)), d) for d in dens)
-    return SplitProfile(size, segs)
+    return SplitProfile.of(size, segs)
 
 
 @settings(deadline=None, max_examples=300)

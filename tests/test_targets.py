@@ -21,12 +21,12 @@ def test_example_target(two_gap):
 
 
 def test_tiny_minority():
-    profile = SplitProfile(1, (Fraction("0.2"),))
+    profile = SplitProfile.of(1, (Fraction("0.2"),))
     assert targets.geometric_target(profile, Party.A) == 0
 
 
 def test_majority_target_from_best_and_worst():
-    profile = SplitProfile(10, (Fraction("0.53"),) * 10)
+    profile = SplitProfile.of(10, (Fraction("0.53"),) * 10)
     assert model.validate_profile(profile) == ()
     # best case 10 wins, worst case ceil(5.3 - 4.7) = 1
     best = strategy.optimal_wins(profile.total_a, 10)
@@ -51,7 +51,7 @@ def test_degenerate_split_equals_target(two_gap):
 
 
 def test_invalid_profile_refused():
-    bad = SplitProfile(2, (Fraction(1, 2), Fraction(1, 4)))
+    bad = SplitProfile.of(2, (Fraction(1, 2), Fraction(1, 4)))
     with pytest.raises(model.ProfileError):
         targets.geometric_target(bad, Party.A)
 

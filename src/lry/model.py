@@ -14,10 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterator, Sequence
-
-if TYPE_CHECKING:
-    from .strategy import WinTable
+from typing import Iterator, Sequence
 
 
 class Party(Enum):
@@ -209,12 +206,20 @@ class SplitProfile:
     ``prefix_a[k]`` is ``scale`` times A's support left of split k, from
     ``prefix_a[0] == 0``; segment k, between the (k-1)- and k-splits, holds
     a value in [0, 1], and B the complement.  ``scale`` is the lcm of the
-    segments' denominators, so profiles are equal when their segments are.
+    segments' denominators, so profiles are equal when their segments are:
+    a larger scale is divided by its gcd with the sums at construction.
     """
 
     n: int
     scale: int
     prefix_a: tuple[int, ...]
+
+    def __post_init__(self):
+        scale, prefix = self.scale, self.prefix_a
+        common = math.gcd(scale, *prefix) if scale > 1 and prefix[:1] == (0,) else 1
+        if common > 1:
+            object.__setattr__(self, "scale", scale // common)
+            object.__setattr__(self, "prefix_a", tuple([p // common for p in prefix]))
 
     @classmethod
     def of(cls, n: int, segments: Sequence[Fraction]) -> SplitProfile:
@@ -228,13 +233,11 @@ class SplitProfile:
         return tuple([Fraction(hi - lo, scale) for lo, hi in zip(prefix, prefix[1:])])
 
     @cached_property
-    def win_table(self) -> WinTable:
+    def win_table(self) -> _strategy.WinTable:
         """Optimal-play win counts at every split, computed once; raises
         ProfileError on an invalid profile."""
-        from .strategy import WinTable  # strategy imports this module
-
         ensure_valid(self)
-        return WinTable.from_scaled(self.scale, self.prefix_a)
+        return _strategy.WinTable.from_scaled(self.scale, self.prefix_a)
 
     @property
     def total_a(self) -> Fraction:
@@ -399,3 +402,6 @@ def two_gap_profile() -> SplitProfile:
     """
     hundredths = [38] * 5 + [90, 32, 34, 36, 38]
     return SplitProfile.of(10, [Fraction(h, 100) for h in hundredths])
+
+
+from . import strategy as _strategy  # noqa: E402  (last, as strategy imports this module)

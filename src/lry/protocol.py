@@ -23,7 +23,6 @@ computes each party's deltas per entry once; the CSV rows read them.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -36,7 +35,6 @@ from .model import (
     SplitProfile,
     ensure_valid,
     half_integer_sums,
-    is_half_integer,
     profile_to_dict,
     ratio_str,
 )
@@ -385,8 +383,8 @@ def random_profile(rng: random.Random, n_max: int) -> SplitProfile:
     ``rng.getrandbits`` exactly as ``rng.randint`` would draw them.  A whole
     candidate is drawn and summed on the scale 27720, then rejected while
     some cumulative sum is a half-integer (``model.half_integer_sums``), so a
-    seed fixes the profile and the generator's state after it.  The accepted
-    sums over their gcd with 27720 are the profile's, on its denominators' lcm.
+    seed fixes the profile and the generator's state after it.  Segments lie
+    in [0, 1] by construction, so the profile comes marked valid.
     """
     n = 2 + _randbelow(rng, n_max - 1)
     bits = rng.getrandbits
@@ -402,8 +400,9 @@ def random_profile(rng: random.Random, n_max: int) -> SplitProfile:
                 num = bits(k)
             prefix.append(prefix[-1] + num * (_DRAW_SCALE // den))
         if next(half_integer_sums(_DRAW_SCALE, prefix), None) is None:
-            common = math.gcd(_DRAW_SCALE, *prefix)
-            return SplitProfile(n, _DRAW_SCALE // common, tuple([p // common for p in prefix]))
+            profile = SplitProfile(n, _DRAW_SCALE, tuple(prefix))  # reduced to the least scale
+            profile.__dict__["violations"] = ()
+            return profile
 
 
 @dataclass(frozen=True)
@@ -443,15 +442,23 @@ class _Recorder:
         self.violations.append(SweepViolation(prop, detail, doc))
 
 
+def _floor_ceiling_combos(r: Fraction, s: Fraction) -> tuple[tuple[str, int], ...]:
+    """Floor/ceiling of r + s minus sums of floors/ceilings of r and s, on integers."""
+    r_num, r_den, s_num, s_den = r.numerator, r.denominator, s.numerator, s.denominator
+    t_num, t_den = r_num * s_den + s_num * r_den, r_den * s_den
+    floor_r, floor_s, floor_t = r_num // r_den, s_num // s_den, t_num // t_den
+    ceil_r, ceil_s, ceil_t = -(-r_num // r_den), -(-s_num // s_den), -(-t_num // t_den)
+    return (
+        ("ceil_ceil", ceil_t - (ceil_r + ceil_s)),
+        ("ceil_mixed", ceil_t - (ceil_r + floor_s)),
+        ("floor_mixed", floor_t - (ceil_r + floor_s)),
+        ("floor_floor", floor_t - (floor_r + floor_s)),
+    )
+
+
 def check_floor_ceiling_bounds(r: Fraction, s: Fraction, rec: _Recorder) -> None:
     """Floor/ceiling of a sum vs. sums of floors/ceilings differ by at most 1."""
-    t = r + s
-    combos = (
-        ("ceil_ceil", math.ceil(t) - (math.ceil(r) + math.ceil(s))),
-        ("ceil_mixed", math.ceil(t) - (math.ceil(r) + math.floor(s))),
-        ("floor_mixed", math.floor(t) - (math.ceil(r) + math.floor(s))),
-        ("floor_floor", math.floor(t) - (math.floor(r) + math.floor(s))),
-    )
+    combos = _floor_ceiling_combos(r, s)
     rec.checks += len(combos)
     for name, diff in combos:
         if abs(diff) > 1:
@@ -536,9 +543,8 @@ def check_profile(
                 )
 
     geo = {p: targets.geometric_target(profile, p) for p in Party}
-    # Twice each target as an exact ratio num/den, so that the bounds below
-    # compare integers.
-    twice_geo = {p: (2 * g).as_integer_ratio() for p, g in geo.items()}
+    # Twice each target as num/den, den > 0, so that the bounds below compare integers.
+    twice_geo = {p: (2 * g.numerator, g.denominator) for p, g in geo.items()}
     for party, wins in parties:
         ltot, rtot = wins.left_total, wins.right_total
         g_num, g_den = twice_geo[party]
@@ -567,13 +573,13 @@ def check_profile(
     rec.checks += 3
     for k, party in ((0, Party.A), (n // 2, Party.B), (n, Party.A)):
         wins = table.party(party)
-        split_target = Fraction(wins.left_total[k] + wins.right_total[k], 2)
-        if targets.k_split_target(profile, party, k) != split_target:
+        target = targets.k_split_target(profile, party, k)
+        if 2 * target.numerator != (wins.left_total[k] + wins.right_total[k]) * target.denominator:
             rec.fail("split_target_definition", f"{party.value} k={k}")
     # Split targets are halves of integer totals, so only the geometric
     # targets can miss the half-integer grid.
     rec.checks += 1
-    if not all(is_half_integer(g) and 0 <= g <= n for g in geo.values()):
+    if not all(g.denominator <= 2 and 0 <= g.numerator <= n * g.denominator for g in geo.values()):
         rec.fail("target_half_integer", "a target is not an integer multiple of 1/2")
 
     # A's preference from A's totals against B's from B's own totals; at k = 0
@@ -665,8 +671,9 @@ def property_sweep(count: int, n_max: int, seed: int) -> SweepReport:
     total_checks = 0
     violations: list[SweepViolation] = []
     outcomes = {kind.value: 0 for kind in OutcomeKind}
+    rng = random.Random()
     for index in range(count):
-        rng = random.Random(mix_seed(seed, index))
+        rng.seed(mix_seed(seed, index))
         profile = random_profile(rng, n_max)
         checks, bad, kind = check_profile(profile)
         total_checks += checks

@@ -3,8 +3,9 @@
 The geometric target for a party is the average of its best case (it
 districts the whole state) and worst case (the opponent does).  The k-split
 variant restricts both cases to plans where every district stays on one side
-of the k-split.  Both are exact half-integers, kept as Fractions so bound
-checks stay exact.
+of the k-split.  Both are exact half-integers, returned as Fractions; the
+invariant sweep compares them through their integer numerators and
+denominators, so its checks stay exact without Fraction arithmetic.
 
 ``k_split_target`` reads the profile's ``WinTable``; ``geometric_target``
 does not, but reads its integer sums, so the sweep's
@@ -15,8 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .model import Party, SplitProfile, ensure_valid, left, right
-from .strategy import total_wins
+from .model import Party, SplitProfile, _check_split_index, ensure_valid
 
 
 def geometric_target(profile: SplitProfile, party: Party) -> Fraction:
@@ -34,6 +34,6 @@ def geometric_target(profile: SplitProfile, party: Party) -> Fraction:
 
 
 def k_split_target(profile: SplitProfile, party: Party, k: int) -> Fraction:
-    return Fraction(
-        total_wins(profile, party, left(k)) + total_wins(profile, party, right(k)), 2
-    )
+    wins = profile.win_table.party(party)
+    _check_split_index(profile, k)
+    return Fraction(wins.left_total[k] + wins.right_total[k], 2)

@@ -1,13 +1,14 @@
-"""Check the ratio grammar with nothing but the standard library.
+"""Check the ratio grammar and the CLI's golden reports with nothing but
+the standard library.
 
 Replays every recorded verdict in ``ratio_corpus.json`` through
-``model.parse_ratio``, and the ``simulate`` reports of two profiles whose
-entries come in many written forms against their SHA-256 digests.  Each of
-the two profiles must also read back unchanged from ``profile_to_dict`` and
-equal ``SplitProfile.of`` its parsed entries.  So an interpreter without
-pytest can be checked too:
+``model.parse_ratio``, the ``simulate`` reports of two profiles whose
+entries come in many written forms, and the ``verify`` sweep report in both
+formats, against their SHA-256 digests.  Each of the two profiles must also
+read back unchanged from ``profile_to_dict`` and equal ``SplitProfile.of``
+its parsed entries.  So an interpreter without pytest can be checked too:
 
-    PYTHONPATH=src python tests/check_ratio_grammar.py
+    PYTHONPATH=src python -S tests/check_goldens.py
 
 Prints each mismatch and exits 1, or exits 0 when everything agrees.
 """
@@ -50,6 +51,13 @@ SIMULATE_PARSE_GOLDEN = {
     ("noncanonical", "json", 1): "6890a4e491bd0da29cce087a2c62c695ab485cd2eca02412ab377e158d7a4ea2",
     ("noncanonical", "csv", 0): "8602d4561bf78a6e07ed70eabfed5cd34e62c0868faf9596815b7ac94e6ca947",
     ("noncanonical", "csv", 1): "0b19440bf01c728f441004cd84e9a6ef1ef7630fb48a5b32745146f54a1a6719",
+}
+# SHA-256 of the stdout of `verify --count 200 --n-max 20 --seed 1`, recorded
+# before the win counts moved to the integer win table.  They pin the report
+# byte for byte, the `checks` count and the outcome histogram included.
+VERIFY_GOLDEN = {
+    "json": "87765a4380364a47ed77b837118b0bfb8004459cd618d7a1b6ba02bb8ecfb914",
+    "csv": "8afc55b7a601e08898d8c1210e1574138e4794d664b5db9f1b306be715edbc7e",
 }
 
 
@@ -100,15 +108,28 @@ def simulate_mismatches():
                 yield f"simulate {name} {fmt} seed {seed}: exit {code}, sha256 {got}"
 
 
+def verify_mismatches():
+    for fmt, digest in VERIFY_GOLDEN.items():
+        out = io.StringIO()
+        argv = ["verify", "--count", "200", "--n-max", "20", "--seed", "1", "--format", fmt]
+        code = cli.main(argv, stdout=out)
+        got = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+        if code != 0 or got != digest:
+            yield f"verify {fmt}: exit {code}, sha256 {got}"
+
+
 def main() -> int:
     cases = corpus_cases()
-    failures = [*corpus_mismatches(cases), *profile_mismatches(), *simulate_mismatches()]
+    failures = [
+        *corpus_mismatches(cases), *profile_mismatches(), *simulate_mismatches(),
+        *verify_mismatches(),
+    ]
     for line in failures:
         print(line)
     print(
         f"Python {sys.version.split()[0]}: {len(cases)} ratio strings, "
         f"{len(PROFILES)} profiles, {len(SIMULATE_PARSE_GOLDEN)} simulate digests, "
-        f"{len(failures)} mismatches"
+        f"{len(VERIFY_GOLDEN)} verify digests, {len(failures)} mismatches"
     )
     return 1 if failures else 0
 

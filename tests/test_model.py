@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import check_ratio_grammar
+import check_goldens
 from lry import model
 from lry.model import Party, Side, SplitProfile, left, right
 
@@ -163,7 +163,7 @@ LISTED_RATIO_STRINGS = [
 ]
 
 # Fraction's string grammar changed in Python 3.11 and again in 3.12; the
-# corpus, replayed by check_ratio_grammar.py, covers the other interpreters.
+# corpus, replayed by check_goldens.py, covers the other interpreters.
 fraction_grammar = pytest.mark.skipif(
     sys.version_info[:2] != (3, 11), reason="Fraction(text) is the reference on 3.11 only"
 )
@@ -187,10 +187,10 @@ class TestFastPathDifferential:
 
     @fraction_grammar
     def test_corpus_records_the_fraction_parser(self):
-        cases = check_ratio_grammar.corpus_cases()
+        cases = check_goldens.corpus_cases()
         assert set(LISTED_RATIO_STRINGS) <= {text for text, *_ in cases}
         for text, *expected in cases:
-            assert check_ratio_grammar.verdict(text, reference_parse_ratio) == expected, text
+            assert check_goldens.verdict(text, reference_parse_ratio) == expected, text
 
     @given(st.one_of(st.integers(-(10**700), 10**700), st.booleans(), st.fractions()))
     def test_ratio_str_matches_fraction_copy(self, value):
@@ -266,6 +266,17 @@ class TestValidation:
         assert [v.message for v in model.validate_profile(profile)] == [
             "scale must be positive and prefix_a must start at 0"
         ]
+
+    @pytest.mark.parametrize(
+        "scale, prefix, segments",
+        [(20, (0, 6, 12), ("3/10", "3/10")), (6, (0, 0, 0), ("0", "0")), (4, (0, -2), ("-1/2",))],
+    )
+    def test_raw_profile_is_reduced_to_the_least_scale(self, scale, prefix, segments):
+        raw = SplitProfile(len(prefix) - 1, scale, prefix)
+        least = SplitProfile.of(len(segments), [frac(seg) for seg in segments])
+        assert raw == least
+        assert hash(raw) == hash(least)
+        assert (raw.scale, raw.prefix_a) == (least.scale, least.prefix_a)
 
     def test_ensure_valid_raises(self):
         profile = SplitProfile.of(2, (frac("0.25"), frac("0.25")))

@@ -27,6 +27,18 @@ def test_import_lry_loads_no_submodule():
     assert proc.stdout.splitlines()[1] == "[]"
 
 
+def test_any_module_can_be_imported_first():
+    # model binds strategy at its end, and strategy imports model.
+    for name in ("model", "strategy", "targets", "protocol", "grid", "oracle", "cli"):
+        proc = run_python(
+            f"import lry.{name}\n"
+            "from lry import model\n"
+            "print(model.two_gap_profile().win_table.a.left_total)\n"
+        )
+        assert proc.returncode == 0, (name, proc.stderr)
+        assert proc.stdout == "(0, 0, 1, 2, 3, 3, 5, 6, 6, 7, 8)\n", name
+
+
 def test_readme_library_snippet_runs():
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
         readme = f.read()

@@ -656,6 +656,72 @@ class TestSweep:
             assert 2 <= profile.n <= 15
 
 
+class TestDrawnProfiles:
+    def test_draws_are_valid_on_the_least_scale(self):
+        # The draw marks its profile valid; the full check must agree.
+        for seed in range(4):
+            for n_max in (2, 3, 20, 60):
+                for index in range(100):
+                    rng = random.Random(mix_seed(seed, index))
+                    profile = protocol.random_profile(rng, n_max)
+                    assert profile.violations == ()
+                    assert tuple(model._check(profile)) == (), (seed, n_max, index)
+                    assert profile == SplitProfile.of(profile.n, profile.segments_a)
+
+
+def reference_floor_ceiling_bounds(r, s, rec):
+    """``protocol.check_floor_ceiling_bounds`` on ``math.floor`` and
+    ``math.ceil`` of Fractions, as it was before it took integer floors."""
+    t = r + s
+    combos = (
+        ("ceil_ceil", math.ceil(t) - (math.ceil(r) + math.ceil(s))),
+        ("ceil_mixed", math.ceil(t) - (math.ceil(r) + math.floor(s))),
+        ("floor_mixed", math.floor(t) - (math.ceil(r) + math.floor(s))),
+        ("floor_floor", math.floor(t) - (math.floor(r) + math.floor(s))),
+    )
+    rec.checks += len(combos)
+    for name, diff in combos:
+        if abs(diff) > 1:
+            detail = f"r={ratio_str(r)} s={ratio_str(s)} diff={diff}"
+            rec.fail(f"floor_ceiling_sum.{name}", detail)
+    return combos
+
+
+ratios = st.one_of(
+    st.fractions(min_value=-50, max_value=50, max_denominator=30),
+    st.fractions(max_denominator=10**12),
+    st.integers(-10**20, 10**20).map(Fraction),
+)
+
+
+class TestFloorCeilingBounds:
+    @settings(max_examples=500, deadline=None)
+    @given(ratios, ratios)
+    @example(Fraction(0), Fraction(0))
+    @example(Fraction(-7, 3), Fraction(7, 3))  # the sum is the integer 0
+    @example(Fraction(-1, 2), Fraction(-1, 2))
+    @example(Fraction(5, 4), Fraction(-3))
+    def test_integer_floors_match_math_floor_and_ceil(self, r, s):
+        rec, ref = protocol._Recorder(None), protocol._Recorder(None)
+        combos = reference_floor_ceiling_bounds(r, s, ref)
+        assert protocol._floor_ceiling_combos(r, s) == combos
+        protocol.check_floor_ceiling_bounds(r, s, rec)
+        assert (rec.checks, rec.violations) == (ref.checks, ref.violations)
+
+    def test_a_wide_combo_fails_with_its_detail(self, monkeypatch):
+        # Exact floors and ceilings never differ by more than 1, so the
+        # failure path is reached through a wrong combo.
+        wrong = (("ceil_ceil", 0), ("ceil_mixed", 2), ("floor_mixed", -1), ("floor_floor", -3))
+        monkeypatch.setattr(protocol, "_floor_ceiling_combos", lambda r, s: wrong)
+        rec = protocol._Recorder(None)
+        protocol.check_floor_ceiling_bounds(Fraction(-7, 3), Fraction(5), rec)
+        assert rec.checks == 4
+        assert [(v.prop, v.detail, v.profile) for v in rec.violations] == [
+            ("floor_ceiling_sum.ceil_mixed", "r=-7/3 s=5 diff=2", None),
+            ("floor_ceiling_sum.floor_floor", "r=-7/3 s=5 diff=-3", None),
+        ]
+
+
 def reference_random_profile(
     rng: random.Random, n_max: int, max_denominator: int = 12
 ) -> SplitProfile:

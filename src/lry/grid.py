@@ -7,16 +7,16 @@ district only with a strict majority of its cells' support; a district at
 exactly half counts for nobody.
 
 The plan search works on bitmasks: cell (i, j) is bit (i-1)*m + (j-1), so
-the smallest cell of a set is its lowest set bit.  ``_region_districts``
-grows the valid districts of a region over its own cells, reading only the
-grid's shape, and files each with its mask under the bit of its smallest
-cell; ``_districts_by_anchor`` adds their winners once per ``GridState``
-and region, in ``grid.district_table``, or takes grown districts from a
-grid of the same shape, or keeps the districts of a region holding it that
-lie inside it.  ``enumerate_region_plans`` and ``max_wins_bruteforce``
-share that table and recurse on the mask of the cells left unassigned;
-``max_wins_bruteforce`` lists no plans but memoizes the best win count of
-each such mask, once per grid and party (``grid.search_memo``).
+the smallest cell of a set is its lowest set bit.  ``_shape_districts``
+grows the valid districts of a region over its own cells and files each
+with its mask under the bit of its smallest cell; it reads only the shape
+(m, d), so it runs once per process for each shape and region.
+``_districts_by_anchor`` adds their winners once per ``GridState`` and
+region, in ``grid.district_table``.  ``enumerate_region_plans`` and
+``max_wins_bruteforce`` share that table and recurse on the mask of the
+cells left unassigned; ``max_wins_bruteforce`` lists no plans but
+memoizes the best win count of each such mask, once per grid and party
+(``grid.search_memo``).
 
 ``validate_plan`` checks a plan cell by cell and lists every violation
 with its district's index; ``count_wins`` validates the plan, then sums
@@ -37,7 +37,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterator, Sequence
 
 from .model import Party, ratio_str
@@ -58,6 +58,11 @@ def compactness_bound(d: int) -> int:
     if d < 1:
         raise GridError(f"district size must be positive, got {d}")
     return math.isqrt(4 * d)
+
+
+def _bit(m: int, cell: Cell) -> int:
+    """Cell (i, j)'s bit on an m-by-m grid, row-major: (i-1)*m + (j-1)."""
+    return 1 << ((cell[0] - 1) * m + cell[1] - 1)
 
 
 @dataclass(frozen=True)
@@ -112,8 +117,8 @@ class GridState:
 
     @cached_property
     def cell_bits(self) -> dict[Cell, int]:
-        """Each cell's bit, row-major: (i, j) is bit (i-1)*m + (j-1)."""
-        return {cell: 1 << index for index, cell in enumerate(sorted(self.all_cells()))}
+        """Each cell's ``_bit``."""
+        return {cell: _bit(self.m, cell) for cell in sorted(self.all_cells())}
 
     @cached_property
     def district_table(self) -> dict[int, dict[int, list[tuple[int, District, Party | None]]]]:
@@ -220,6 +225,8 @@ def _winner(grid: GridState, district: frozenset[Cell]) -> Party | None:
 def _district_violations(grid: GridState, cells: frozenset[Cell]) -> Iterator[str]:
     if len(cells) != grid.d:
         yield f"has {len(cells)} cells, not {grid.d}"
+        if not cells:
+            return
     bad = [c for c in cells if not grid.on_grid(c)]
     if bad:
         yield f"leaves the grid at {sorted(bad)}"
@@ -335,30 +342,28 @@ def _grow_districts(
     return found
 
 
-def _region_districts(grid: GridState, region: frozenset[Cell]) -> dict[int, list]:
-    """Every valid district of ``region`` as (mask, cells), grown from each
-    of its cells over the region's cells after it and filed under that
-    cell's bit.  Only the grid's shape is read, never its supports."""
+@cache
+def _shape_districts(m: int, d: int, region: frozenset[Cell]) -> dict[int, tuple]:
+    """Every valid district of ``region`` on an m-by-m grid of d-cell
+    districts as (mask, cells), grown from each of its cells over the
+    region's cells after it and filed under that cell's bit.  It reads the
+    shape, never the supports, so it runs once per process for each shape
+    and region, like ``strategy._held_counts``; callers share the result."""
+    z = compactness_bound(d)
     cells = sorted(region)
     return {
-        grid.cell_bits[anchor]: [
-            (_cells_mask(grid, district), district)
-            for district in _grow_districts(anchor, frozenset(cells[i + 1 :]), grid.d, grid.z)
-        ]
+        _bit(m, anchor): tuple(
+            (sum(_bit(m, cell) for cell in district), district)
+            for district in _grow_districts(anchor, frozenset(cells[i + 1 :]), d, z)
+        )
         for i, anchor in enumerate(cells)
     }
 
 
-def _districts_by_anchor(grid: GridState, region: frozenset[Cell], grown=None) -> dict:
-    """``region``'s table in ``grid.district_table``, filled once per region:
-    from ``grown`` when a grid of the same shape has grown its districts
-    already, else by filtering the table of a region holding it, else from
-    its ``_region_districts``; each district with its winner on this grid.
-
-    A district's validity reads only its own cells, so the districts of a
-    table that lie inside ``region`` are those ``region`` would grow, in
-    the order it would grow them.
-    """
+def _districts_by_anchor(grid: GridState, region: frozenset[Cell]) -> dict:
+    """``region``'s table in ``grid.district_table``, filled once per grid
+    and region: each district of its ``_shape_districts`` with its winner
+    on this grid."""
     if len(region) % grid.d != 0:
         raise GridError(
             f"region of {len(region)} cells cannot split into {grid.d}-cell districts"
@@ -367,26 +372,12 @@ def _districts_by_anchor(grid: GridState, region: frozenset[Cell], grown=None) -
     if region_mask is None:
         cell = min(cell for cell in region if not grid.on_grid(cell))
         raise GridError(f"region cell {cell} is off the {grid.m}x{grid.m} grid")
-    tables = grid.district_table
-    table = tables.get(region_mask)
-    if table is not None:
-        return table
-    outer = None
-    if grown is None:
-        outer = next((t for mask, t in tables.items() if mask & region_mask == region_mask), None)
-    if outer is not None:
-        table = {
-            bit: [entry for entry in outer[bit] if entry[0] & region_mask == entry[0]]
-            for bit in map(grid.cell_bits.__getitem__, sorted(region))
-        }
-    else:
-        if grown is None:
-            grown = _region_districts(grid, region)
-        table = {
+    table = grid.district_table.get(region_mask)
+    if table is None:
+        table = grid.district_table[region_mask] = {
             bit: [(mask, district, _winner(grid, district)) for mask, district in found]
-            for bit, found in grown.items()
+            for bit, found in _shape_districts(grid.m, grid.d, frozenset(region)).items()
         }
-    tables[region_mask] = table
     return table
 
 
@@ -471,10 +462,7 @@ class GridSplitSequence:
     def left_cells(self, k: int) -> frozenset[Cell]:
         if not 0 <= k <= self.split_count:
             raise ValueError(f"split index {k} out of range 0..{self.split_count}")
-        cells: set[Cell] = set()
-        for chunk in self.increments[:k]:
-            cells.update(chunk)
-        return frozenset(cells)
+        return frozenset(cell for chunk in self.increments[:k] for cell in chunk)
 
     def right_cells(self, k: int, universe: frozenset[Cell]) -> frozenset[Cell]:
         return universe - self.left_cells(k)

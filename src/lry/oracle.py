@@ -71,10 +71,8 @@ def grid_oracle_mismatches(count: int, seed: int, cap: int) -> tuple[int, list[d
     call checks them once per shape (``_shape_checks``).  Each grid sums its
     own winners over its shape's valid plans, compares the best with the
     memoized ``max_wins_bruteforce``, which lists no plans, and reports its
-    shape's faults as its own.  The analogue's whole-grid table comes from
-    its shape's growth when the call has one, and each side's table from
-    the table of a side holding it, so the analogue grows only what no
-    earlier table holds.
+    shape's faults as its own.  Growth itself runs once per process for
+    each shape and region (``grid._shape_districts``).
     """
     mismatches = []
     instances = 0
@@ -87,8 +85,8 @@ def grid_oracle_mismatches(count: int, seed: int, cap: int) -> tuple[int, list[d
         instances += 1
         if (grid.m, grid.d) not in shapes:
             shapes[grid.m, grid.d] = _shape_checks(grid, region)
-        grown, faults, plans, plan_count = shapes[grid.m, grid.d]
-        table = grid_mod._districts_by_anchor(grid, region, grown)
+        faults, plans, plan_count = shapes[grid.m, grid.d]
+        table = grid_mod._districts_by_anchor(grid, region)
         wins = {mask: winner is Party.A for found in table.values() for mask, _, winner in found}
         best = max((sum(map(wins.__getitem__, plan)) for plan in plans), default=-1)
         mismatches += (
@@ -109,9 +107,6 @@ def grid_oracle_mismatches(count: int, seed: int, cap: int) -> tuple[int, list[d
     analogue_grid, analogue_splits, analogue_groups = grid_mod.make_shrunk_analogue()
     wholly_left, wholly_right = grid_mod.side_group_counts(analogue_groups, analogue_splits)
     universe = analogue_grid.all_cells()
-    shape = (analogue_grid.m, analogue_grid.d)
-    if shape in shapes:
-        grid_mod._districts_by_anchor(analogue_grid, universe, shapes[shape][0])
     for k in range(analogue_splits.split_count + 1):
         for side_cells, expected in (
             (analogue_splits.left_cells(k), wholly_left[k]),
@@ -132,20 +127,18 @@ def grid_oracle_mismatches(count: int, seed: int, cap: int) -> tuple[int, list[d
 
 
 def _shape_checks(grid: grid_mod.GridState, region: frozenset) -> tuple:
-    """What ``grid``'s shape alone decides: the region's grown districts, the
-    faults of its districts, then of its plans, its valid plans as tuples of
+    """What ``grid``'s shape alone decides: the faults of the districts of
+    the region's table, then of its plans, its valid plans as tuples of
     district masks, and how many plans were enumerated."""
-    grown = grid_mod._region_districts(grid, region)
-    valid = {}  # each valid grown district: its mask
+    valid = {}  # each valid district of the table: its mask
     faults = []
-    for found in grown.values():
-        for mask, district in found:
+    for found in grid_mod._districts_by_anchor(grid, region).values():
+        for mask, district, _ in found:
             bad = grid_mod.validate_plan(grid, (district,), district)
             if bad:
                 faults.append(bad[0].message)
             else:
                 valid[district] = mask
-    grid_mod._districts_by_anchor(grid, region, grown)  # so enumeration grows nothing
     region_mask = grid_mod._cells_mask(grid, region)
     plans = []
     plan_count = 0
@@ -156,7 +149,7 @@ def _shape_checks(grid: grid_mod.GridState, region: frozenset) -> tuple:
             faults.append(fault)
         else:
             plans.append(tuple(map(valid.__getitem__, plan)))
-    return grown, faults, plans, plan_count
+    return faults, plans, plan_count
 
 
 def _plan_fault(plan: grid_mod.DistrictPlan, valid: dict, region_mask: int) -> str | None:

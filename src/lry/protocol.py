@@ -223,6 +223,9 @@ def resolve_optimal(
     opposite of A, so only the first interior tie (both indifferent) or else
     A's first turn from right to left (coin flip) can settle the run.
     """
+    if not len(splits) == len(a_left) == len(a_right) > 0:
+        counts = f"{len(splits)} splits, {len(a_left)} left and {len(a_right)} right totals"
+        raise ProtocolError(f"{counts}: need one of each per split, and a split")
     last = len(splits) - 1
     n = splits[last]
     if splits[0] != 0 or n > 0 and (splits[1] != 1 or splits[last - 1] != n - 1):

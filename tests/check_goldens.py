@@ -3,10 +3,11 @@ the standard library.
 
 Replays every recorded verdict in ``ratio_corpus.json`` through
 ``model.parse_ratio``, the ``simulate`` reports of two profiles whose
-entries come in many written forms, and the ``verify`` sweep report in both
-formats, against their SHA-256 digests.  Each of the two profiles must also
-read back unchanged from ``profile_to_dict`` and equal ``SplitProfile.of``
-its parsed entries.  So an interpreter without pytest can be checked too:
+entries come in many written forms, the ``verify`` sweep report in both
+formats and three ``oracle`` reports, against their SHA-256 digests.
+Each of the two profiles must also read back unchanged from
+``profile_to_dict`` and equal ``SplitProfile.of`` its parsed entries.  So
+an interpreter without pytest can be checked too:
 
     PYTHONPATH=src python -S tests/check_goldens.py
 
@@ -58,6 +59,17 @@ SIMULATE_PARSE_GOLDEN = {
 VERIFY_GOLDEN = {
     "json": "87765a4380364a47ed77b837118b0bfb8004459cd618d7a1b6ba02bb8ecfb914",
     "csv": "8afc55b7a601e08898d8c1210e1574138e4794d664b5db9f1b306be715edbc7e",
+}
+# SHA-256 of the stdout of `oracle` with these arguments, recorded while the
+# districts were still found by filtering subsets and the allocation search
+# still tried every bin order.
+ORACLE_GOLDEN = {
+    ("--count", "25", "--oracle-cap", "16", "--format", "json", "--seed", "38"):
+        "d2870ffb589983951703000236b72bdb46946e65c6a07a7a561cc1a0800a3178",
+    ("--count", "25", "--oracle-cap", "16", "--format", "json", "--seed", "39"):
+        "e123ffcfead75d5708f208199831a17fe7b5e6660c5fc617ed5e0e6a7a3e6241",
+    ("--count", "5", "--seed", "4", "--format", "csv"):
+        "d17752eace71af3943adaa4c1c332f7458d3a3647f013f8ef36f4c4fb5cf4919",
 }
 
 
@@ -118,18 +130,28 @@ def verify_mismatches():
             yield f"verify {fmt}: exit {code}, sha256 {got}"
 
 
+def oracle_mismatches():
+    for args, digest in ORACLE_GOLDEN.items():
+        out = io.StringIO()
+        code = cli.main(["oracle", *args], stdout=out)
+        got = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+        if code != 0 or got != digest:
+            yield f"oracle {' '.join(args)}: exit {code}, sha256 {got}"
+
+
 def main() -> int:
     cases = corpus_cases()
     failures = [
         *corpus_mismatches(cases), *profile_mismatches(), *simulate_mismatches(),
-        *verify_mismatches(),
+        *verify_mismatches(), *oracle_mismatches(),
     ]
     for line in failures:
         print(line)
     print(
         f"Python {sys.version.split()[0]}: {len(cases)} ratio strings, "
         f"{len(PROFILES)} profiles, {len(SIMULATE_PARSE_GOLDEN)} simulate digests, "
-        f"{len(VERIFY_GOLDEN)} verify digests, {len(failures)} mismatches"
+        f"{len(VERIFY_GOLDEN)} verify digests, {len(ORACLE_GOLDEN)} oracle digests, "
+        f"{len(failures)} mismatches"
     )
     return 1 if failures else 0
 

@@ -21,6 +21,15 @@ ZERO = Fraction(0)
 TINY = Fraction(1, 10**30)
 
 
+@pytest.fixture(autouse=True)
+def fresh_growth():
+    """Every test grows districts afresh, so none keeps, or leaves behind,
+    districts that a patched growth made."""
+    grid._shape_districts.cache_clear()
+    yield
+    grid._shape_districts.cache_clear()
+
+
 def make_grid(rows, d):
     cells = tuple(tuple(Fraction(v) for v in row) for row in rows)
     return grid.GridState(m=len(rows), d=d, cells=cells)
@@ -139,6 +148,14 @@ class TestValidatePlan:
         plan = (frozenset({(1, 1)}), frozenset({(1, 2), (2, 1), (2, 2)}))
         violations = grid.validate_plan(g, plan)
         assert any("cells, not 2" in v.message for v in violations)
+        # an empty district is one more wrong size, reported, not raised
+        assert [v.message for v in grid.validate_plan(g, (frozenset(), *plan))] == [
+            "district 0 has 0 cells, not 2",
+            "district 1 has 1 cells, not 2",
+            "district 2 has 3 cells, not 2",
+        ]
+        with pytest.raises(grid.GridError, match="^district 0 has 0 cells, not 2; 4 cell"):
+            grid.count_wins(g, (frozenset(),), Party.A)
 
     def test_hole_reported(self):
         g = make_grid([[0] * 4 for _ in range(4)], d=8)
@@ -415,7 +432,9 @@ class TestDirectEnumeration:
             return has_hole(cells)
 
         def plans():
-            # a fresh grid for each pass, since each grid grows its districts once
+            # fresh growth and a fresh grid for each pass, since districts are
+            # grown once per process and tabled once per grid
+            grid._shape_districts.cache_clear()
             return [
                 list(grid.enumerate_region_plans(grid.GridState(g.m, g.d, g.cells), r))
                 for g, r in regions
@@ -616,7 +635,7 @@ class TestVerdictCache:
     def test_oracle_decides_each_district_once_per_grid(self, monkeypatch):
         # At most once per grid: each district of a shape (m, d) is validated
         # once per call, on the first grid of that shape, and again by the
-        # next call, which keeps nothing from this one.
+        # next call, which keeps only the growth from this one.
         calls = []  # (grid, plan, region) of every validate_plan call
         validating = []  # the grid validate_plan is checking, if any
         checks = {"connected": Counter(), "hole": Counter()}
@@ -648,7 +667,7 @@ class TestVerdictCache:
             first.setdefault((g.m, g.d), g)
         expected = Counter()
         for shape, g in first.items():
-            for found in grid._region_districts(g, g.all_cells()).values():
+            for found in grid._shape_districts(g.m, g.d, g.all_cells()).values():
                 expected.update((shape, district) for _, district in found)
         assert len(first) == 4 and set(expected.values()) == {1}
         for repeat in (1, 2):
@@ -928,6 +947,54 @@ class TestMaskFastPath:
         assert assert_validates_like_reference(g, plan, g.all_cells()) == []
 
 
+def record_growths(monkeypatch):
+    """Count each ``_grow_districts`` call by its anchor, d and allowed cells."""
+    growths = Counter()
+    grow = grid._grow_districts
+
+    def counted(anchor, allowed, d, z):
+        growths[anchor, d, allowed] += 1
+        return grow(anchor, allowed, d, z)
+
+    monkeypatch.setattr(grid, "_grow_districts", counted)
+    return growths
+
+
+def growths_for(keys):
+    """The growths of each (m, d, region) in ``keys``: one per cell of the
+    region, over the region's later cells."""
+    growths = Counter()
+    for _, d, region in keys:
+        cells = sorted(region)
+        growths.update((cell, d, frozenset(cells[i + 1 :])) for i, cell in enumerate(cells))
+    return growths
+
+
+def analogue_sides():
+    """The shrunk analogue and its non-empty sides, in the oracle's order."""
+    g, splits, _ = grid.make_shrunk_analogue()
+    universe = g.all_cells()
+    return g, [
+        side
+        for k in range(splits.split_count + 1)
+        for side in (splits.left_cells(k), splits.right_cells(k, universe))
+        if side
+    ]
+
+
+def oracle_growth_keys(seed, cap):
+    """The (m, d, region) of every growth a ``grid_oracle_mismatches`` call
+    at ``seed`` and ``cap`` needs: each grid shape within the cap over its
+    whole grid, and each non-empty side of the analogue within it."""
+    keys = set()
+    for index in range(25):
+        g = oracle.random_small_grid(random.Random(mix_seed(seed, index)))
+        if len(g.all_cells()) <= cap:
+            keys.add((g.m, g.d, g.all_cells()))
+    g, sides = analogue_sides()
+    return keys | {(g.m, g.d, side) for side in sides if len(side) <= cap}
+
+
 class TestDistrictTable:
     """One table of the whole grid's districts serves every region of it."""
 
@@ -977,62 +1044,48 @@ class TestDistrictTable:
         assert winners[frozenset({(3, 2), (4, 2)})] is Party.B  # 3/5 + 1/5
 
     def test_grown_once_per_grid(self, monkeypatch):
-        # Searched in the oracle's order, the analogue's first side is the
-        # whole grid, right of split 0: each cell is grown once, and every
-        # later side filters its table from a table that holds it.
-        grown = Counter()
-        grow = grid._grow_districts
-
-        def counted(anchor, allowed, d, z):
-            grown[anchor] += 1
-            return grow(anchor, allowed, d, z)
-
-        monkeypatch.setattr(grid, "_grow_districts", counted)
-        g, splits, _ = grid.make_shrunk_analogue()
-        universe = g.all_cells()
-        sides = [
-            side
-            for k in range(splits.split_count + 1)
-            for side in (splits.left_cells(k), splits.right_cells(k, universe))
-            if side
-        ]
-        assert sides[0] == universe
+        # At most once per grid, since once per process: searched in the
+        # oracle's order, each side of the analogue is grown once over its own
+        # cells, and a second grid of its shape grows nothing and tables the
+        # same districts with the same winners.
+        growths = record_growths(monkeypatch)
+        g, sides = analogue_sides()
+        assert sides[0] == sides[-1] == g.all_cells()
         for side in sides:
             list(grid.enumerate_region_plans(g, side))
             grid.max_wins_bruteforce(g, side, Party.A)
-        assert grown == Counter(universe)
+        expected = growths_for((g.m, g.d, side) for side in set(sides))
+        assert growths == expected
         assert set(g.district_table) == {grid._cells_mask(g, side) for side in sides}
-        other = grid.GridState(g.m, g.d, g.cells)
+        other = fresh(g)
         for side in sides:
             grid._districts_by_anchor(other, side)
         assert other.district_table == g.district_table
-        assert grown == Counter(2 * list(universe))
+        assert growths == expected
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_grown_districts_serve_every_grid_of_the_shape(self, monkeypatch, seed):
-        # Growth reads the shape alone, so districts grown on one grid give
-        # another grid of its shape the table it would grow for itself.
+        # Growth reads the shape alone, so the first grid of a shape grows its
+        # districts, and every later grid of it grows nothing yet gets the
+        # table its own growth would give.
         grids = [oracle.random_small_grid(random.Random(mix_seed(seed, i))) for i in range(25)]
         first = {}
         for g in grids:
             first.setdefault((g.m, g.d), g)
+        growths = record_growths(monkeypatch)
         grown = {
-            shape: grid._region_districts(g, g.all_cells()) for shape, g in first.items()
+            shape: grid._shape_districts(*shape, g.all_cells()) for shape, g in first.items()
         }
+        expected = growths_for((g.m, g.d, g.all_cells()) for g in first.values())
+        assert growths == expected
+        tables = []
         for g in grids:
-            assert grid._region_districts(g, g.all_cells()) == grown[g.m, g.d]
-        own = [
-            grid._districts_by_anchor(grid.GridState(g.m, g.d, g.cells), g.all_cells())
-            for g in grids
-        ]
-        growths = []
-        grow = grid._grow_districts
-        monkeypatch.setattr(
-            grid, "_grow_districts", lambda *args: growths.append(args) or grow(*args)
-        )
-        for g, table in zip(grids, own):
-            assert grid._districts_by_anchor(g, g.all_cells(), grown[g.m, g.d]) == table
-        assert growths == []
+            assert grid._shape_districts(g.m, g.d, g.all_cells()) is grown[g.m, g.d]
+            tables.append(grid._districts_by_anchor(g, g.all_cells()))
+        assert growths == expected
+        for g, table in zip(grids, tables):
+            grid._shape_districts.cache_clear()
+            assert grid._districts_by_anchor(fresh(g), g.all_cells()) == table
         assert len({g.cells for g in grids}) > len(first)
 
     def test_only_the_regions_cells_are_grown(self, monkeypatch):
@@ -1086,9 +1139,10 @@ def fresh(g):
 
 
 class TestSharedTablesAndMemo:
-    """A region's table filtered from a table holding it, and one search memo
-    per grid and party, give what the region's own growth and a search on a
-    fresh grid give."""
+    """A region's table on a grid that already holds another, built from the
+    districts grown for that region earlier in the process, and one search
+    memo per grid and party, give what the region's own growth and a search
+    on a fresh grid give."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_derived_tables_are_the_regions_own(self, monkeypatch, seed):
@@ -1120,38 +1174,12 @@ class TestSharedTablesAndMemo:
 
 
 class TestOracleGrowth:
-    """How often one ``grid_oracle_mismatches`` call grows districts."""
-
-    @staticmethod
-    def record(monkeypatch):
-        growths = Counter()
-        grow = grid._grow_districts
-
-        def counted(anchor, allowed, d, z):
-            growths[anchor, d, allowed] += 1
-            return grow(anchor, allowed, d, z)
-
-        monkeypatch.setattr(grid, "_grow_districts", counted)
-        return growths
-
-    @staticmethod
-    def growths_of(region, d):
-        """One growth per cell of ``region``, over the region's later cells."""
-        cells = sorted(region)
-        return Counter((cell, d, frozenset(cells[i + 1 :])) for i, cell in enumerate(cells))
-
-    def shape_growths(self, seed, cap):
-        """One growth per anchor of each shape drawn at ``seed`` within ``cap``."""
-        shapes = {}
-        for index in range(25):
-            g = oracle.random_small_grid(random.Random(mix_seed(seed, index)))
-            if len(g.all_cells()) <= cap:
-                shapes.setdefault((g.m, g.d), g)
-        return sum((self.growths_of(g.all_cells(), g.d) for g in shapes.values()), Counter())
+    """How often ``grid_oracle_mismatches`` grows districts: once per process
+    for each shape and region it searches."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_each_shape_once_and_the_analogue_never(self, monkeypatch, seed):
-        growths = self.record(monkeypatch)
+    def test_each_shape_and_side_once(self, monkeypatch, seed):
+        growths = record_growths(monkeypatch)
         searches = []
         search = grid.max_wins_bruteforce
 
@@ -1160,9 +1188,14 @@ class TestOracleGrowth:
             return search(g, region, party, cap)
 
         monkeypatch.setattr(grid, "max_wins_bruteforce", recorded)
-        assert oracle.grid_oracle_mismatches(25, seed, 16) == (25, [])
-        assert growths == self.shape_growths(seed, 16)
-        assert len(searches) == 25 + 8
+        keys = oracle_growth_keys(seed, 16)
+        # the analogue's whole grid is the 4x4, d = 4 shape's, grown once
+        assert len(keys) == 4 + len(set(analogue_sides()[1])) - 1
+        for repeat in (1, 2):
+            assert oracle.grid_oracle_mismatches(25, seed, 16) == (25, [])
+            assert growths == growths_for(keys)  # the second call grows nothing
+            assert len(searches) == repeat * (25 + 8)
+        grid._shape_districts.cache_clear()
         for g, region in searches:
             own = grid._districts_by_anchor(fresh(g), region)
             assert g.district_table[grid._cells_mask(g, region)] == own
@@ -1171,26 +1204,24 @@ class TestOracleGrowth:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_analogue_grows_only_the_sides_it_searches(self, monkeypatch, seed):
-        # No 4x4 grid fits a cap of 8, so the analogue grows a side unless
-        # an earlier side it searched holds it.
-        growths = self.record(monkeypatch)
+        # No 4x4 grid fits a cap of 8, so the analogue grows each side it
+        # searches, those of 4 and 8 cells, and no other.
+        growths = record_growths(monkeypatch)
         assert oracle.grid_oracle_mismatches(25, seed, 8)[1] == []
-        analogue, splits, _ = grid.make_shrunk_analogue()
-        universe = analogue.all_cells()
-        searched = [
-            side
-            for k in range(splits.split_count + 1)
-            for side in (splits.left_cells(k), splits.right_cells(k, universe))
-            if 0 < len(side) <= 8
-        ]
-        grown = [
-            side for i, side in enumerate(searched) if not any(side <= s for s in searched[:i])
-        ]
-        assert len(searched) == 4 and len(grown) == 3
-        expected = self.shape_growths(seed, 8)
-        for side in grown:
-            expected += self.growths_of(side, analogue.d)
-        assert growths == expected
+        keys = oracle_growth_keys(seed, 8)
+        assert sorted(len(region) for m, _, region in keys if m == 4) == [4, 4, 8, 8]
+        assert growths == growths_for(keys)
+
+    def test_cache_stays_bounded(self):
+        # An unbounded cache holds one entry per (shape, region) the oracle
+        # can reach: the 4 grid shapes and the analogue's 7 distinct sides,
+        # one of which is the whole 4x4 grid of the 4x4, d = 4 shape.
+        keys = set()
+        for seed in range(10):
+            for cap in (8, 16):
+                assert oracle.grid_oracle_mismatches(25, seed, cap)[1] == []
+                keys |= oracle_growth_keys(seed, cap)
+        assert grid._shape_districts.cache_info().currsize == len(keys) == 10
 
 
 class TestGeodeltaConstruction:

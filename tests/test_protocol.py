@@ -237,6 +237,20 @@ class TestResolveOptimal:
         with pytest.raises(ProtocolError, match="must include"):
             resolve_optimal(splits, totals, totals, 0)
 
+    @pytest.mark.parametrize(
+        "splits, a_left, a_right",
+        [
+            ([], [], []),
+            ([0, 1, 2], [0, 1], [1, 0]),  # a coin flip from short totals
+            ([0, 1, 2], [0, 1, 1], [1, 0]),
+            ([0, 1, 2], [0, 1], [1, 0, 0]),
+            ([0, 1], [0, 1, 1], [1, 0, 0]),
+        ],
+    )
+    def test_totals_must_match_the_splits(self, splits, a_left, a_right):
+        with pytest.raises(ProtocolError, match="need one of each per split, and a split"):
+            resolve_optimal(splits, a_left, a_right, 0)
+
     def test_profiles_match_resolve_protocol(self, two_gap):
         profiles = [two_gap, SplitProfile.of(2, (Fraction("0.3"), Fraction("0.3")))]
         profiles += [

@@ -8,15 +8,16 @@ exactly half counts for nobody.
 
 The plan search works on bitmasks: cell (i, j) is bit (i-1)*m + (j-1), so
 the smallest cell of a set is its lowest set bit.  ``_shape_districts``
-grows the valid districts of a region over its own cells and files each
-with its mask under the bit of its smallest cell; it reads only the shape
-(m, d), so it runs once per process for each shape and region.
-``_districts_by_anchor`` adds their winners once per ``GridState`` and
-region, in ``grid.district_table``.  ``enumerate_region_plans`` and
-``max_wins_bruteforce`` share that table and recurse on the mask of the
-cells left unassigned; ``max_wins_bruteforce`` lists no plans but
-memoizes the best win count of each such mask, once per grid and party
-(``grid.search_memo``).
+grows the valid districts of a region over its own cells, each with its
+mask, in order of its smallest cell; ``_shape_moves`` compiles the region's
+search over them: every set of cells a plan can leave unassigned becomes a
+node listing the districts that can take its smallest cell and the node each
+leaves.  Both read only the shape (m, d) and the region, so each runs once
+per process for each shape and region.  ``enumerate_region_plans`` recurses
+on the mask of the cells left unassigned and lists every plan;
+``max_wins_bruteforce`` lists none, but makes one flat pass over the
+compiled nodes with the districts a party wins on this grid, computed once
+per grid, region and party (``grid.district_wins``).
 
 ``validate_plan`` checks a plan cell by cell and lists every violation
 with its district's index; ``count_wins`` validates the plan, then sums
@@ -38,6 +39,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import product
 from typing import Iterator, Sequence
 
 from .model import Party, ratio_str
@@ -117,30 +119,24 @@ class GridState:
 
     @cached_property
     def cell_bits(self) -> dict[Cell, int]:
-        """Each cell's ``_bit``."""
-        return {cell: _bit(self.m, cell) for cell in sorted(self.all_cells())}
+        """Each cell's ``_bit``, row-major."""
+        cells = range(1, self.m + 1)
+        return {cell: _bit(self.m, cell) for cell in product(cells, cells)}
 
     @cached_property
-    def district_table(self) -> dict[int, dict[int, list[tuple[int, District, Party | None]]]]:
-        """Per region mask: the region's valid districts as (mask, cells,
-        winner), filed under the bit of their smallest cell, filled one region
-        at a time by ``_districts_by_anchor``; it lives as long as the grid."""
+    def district_wins(self) -> dict[tuple[int, Party], tuple[bool, ...]]:
+        """Per (region mask, party): whether the party wins each district of
+        the region, by index, filled by ``_district_wins``; it lives as long
+        as the grid."""
         return {}
 
     @cached_property
-    def search_memo(self) -> dict[Party, dict[int, int]]:
-        """Per party: the most wins over the plans of each cell mask searched
-        so far, -1 for a mask with no plan, shared by every region that
-        ``max_wins_bruteforce`` searches on this grid."""
-        return {party: {0: 0} for party in Party}
-
-    @cached_property
-    def _scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """The lcm L of the cells' denominators, and every cell times L."""
+    def _scaled(self) -> tuple[int, tuple[int, ...]]:
+        """The lcm L of the cells' denominators, and every cell times L,
+        row-major, so that a cell's position is its bit number."""
         scale = math.lcm(*(value.denominator for row in self.cells for value in row))
         return scale, tuple(
-            tuple(value.numerator * (scale // value.denominator) for value in row)
-            for row in self.cells
+            value.numerator * (scale // value.denominator) for row in self.cells for value in row
         )
 
 
@@ -215,7 +211,7 @@ def _winner(grid: GridState, district: frozenset[Cell]) -> Party | None:
     with every cell scaled to an integer by the lcm L of the denominators,
     A wins when twice its scaled sum exceeds |D| * L, B when it falls short."""
     scale, scaled = grid._scaled
-    twice_a = 2 * sum(scaled[i - 1][j - 1] for i, j in district)
+    twice_a = 2 * sum(scaled[(i - 1) * grid.m + j - 1] for i, j in district)
     half = len(district) * scale
     if twice_a == half:
         return None
@@ -343,27 +339,87 @@ def _grow_districts(
 
 
 @cache
-def _shape_districts(m: int, d: int, region: frozenset[Cell]) -> dict[int, tuple]:
+def _shape_districts(m: int, d: int, region: frozenset[Cell]) -> tuple[tuple[int, District], ...]:
     """Every valid district of ``region`` on an m-by-m grid of d-cell
-    districts as (mask, cells), grown from each of its cells over the
-    region's cells after it and filed under that cell's bit.  It reads the
+    districts as (mask, cells), grown from each of its cells in turn over
+    the region's cells after it, so that a district's position in the tuple
+    is its index and its smallest cell its mask's lowest bit.  It reads the
     shape, never the supports, so it runs once per process for each shape
     and region, like ``strategy._held_counts``; callers share the result."""
     z = compactness_bound(d)
     cells = sorted(region)
-    return {
-        _bit(m, anchor): tuple(
-            (sum(_bit(m, cell) for cell in district), district)
-            for district in _grow_districts(anchor, frozenset(cells[i + 1 :]), d, z)
-        )
+    return tuple(
+        (sum(_bit(m, cell) for cell in district), district)
         for i, anchor in enumerate(cells)
-    }
+        for district in _grow_districts(anchor, frozenset(cells[i + 1 :]), d, z)
+    )
 
 
-def _districts_by_anchor(grid: GridState, region: frozenset[Cell]) -> dict:
-    """``region``'s table in ``grid.district_table``, filled once per grid
-    and region: each district of its ``_shape_districts`` with its winner
-    on this grid."""
+def _by_anchor(districts: Sequence[tuple[int, District]]) -> dict[int, list[tuple[int, int]]]:
+    """Each district as (index, mask), filed under its mask's lowest bit."""
+    table: dict[int, list[tuple[int, int]]] = {}
+    for index, (mask, _) in enumerate(districts):
+        table.setdefault(mask & -mask, []).append((index, mask))
+    return table
+
+
+@cache
+def _shape_moves(m: int, d: int, region: frozenset[Cell]) -> tuple[tuple, tuple]:
+    """The plan search of ``region`` compiled once per process for each
+    shape and region, like ``_shape_districts``: each district's cell
+    positions (row-major bit numbers), by index, and the nodes of the search.
+
+    Each set of cells that a plan can leave unassigned is a mask, and the
+    masks reachable from the region's own are walked once, in post-order, so
+    a node comes after every node it leads to.  A node is a tuple of
+    (district index, child node), one for each district filed under the
+    mask's lowest bit that fits in the mask and leaves a mask with a plan;
+    node 0 is the empty mask.  Masks with no plan get no node, and no move
+    leads to them; the nodes are empty when the region itself has no plan,
+    and otherwise its node is the last.
+
+    A district reaches past its smallest cell through that cell's right or
+    lower neighbour, so each anchor's districts are filed again under the
+    anchor's bit with those of the two neighbours a mask still holds, and a
+    mask tests only the districts that use neither neighbour it lacks."""
+    districts = _shape_districts(m, d, region)
+    near = 1 | 2 | 1 << m  # times a cell's bit: the cell and those two neighbours
+    fitting = {}
+    for anchor, filed in _by_anchor(districts).items():
+        right, down = anchor << 1, anchor << m
+        for held in (0, right, down, right | down):
+            lacks = (right | down) ^ held
+            fitting[anchor | held] = [(i, mask) for i, mask in filed if not mask & lacks]
+    nodes: list[tuple[tuple[int, int], ...]] = [()]
+    node_of = {0: 0}  # each mask walked: its node, -1 when it has no plan
+
+    def visit(remaining: int) -> int:
+        moves = []
+        for index, mask in fitting.get(remaining & (remaining & -remaining) * near, ()):
+            if mask & remaining == mask:
+                rest = remaining ^ mask
+                child = node_of.get(rest)
+                if child is None:
+                    child = visit(rest)
+                if child >= 0:
+                    moves.append((index, child))
+        node = -1
+        if moves:
+            node = len(nodes)
+            nodes.append(tuple(moves))
+        node_of[remaining] = node
+        return node
+
+    region_mask = sum(_bit(m, cell) for cell in region)
+    has_plan = not region_mask or visit(region_mask) >= 0
+    del visit  # it calls itself through its closure: free the walk now, not at a collection
+    positions = tuple(tuple((i - 1) * m + j - 1 for i, j in cells) for _, cells in districts)
+    return positions, tuple(nodes) if has_plan else ()
+
+
+def _region_mask(grid: GridState, region: frozenset[Cell]) -> int:
+    """``region``'s mask, once it is known to split into d-cell districts
+    and to lie on the grid; ``GridError`` otherwise."""
     if len(region) % grid.d != 0:
         raise GridError(
             f"region of {len(region)} cells cannot split into {grid.d}-cell districts"
@@ -372,13 +428,27 @@ def _districts_by_anchor(grid: GridState, region: frozenset[Cell]) -> dict:
     if region_mask is None:
         cell = min(cell for cell in region if not grid.on_grid(cell))
         raise GridError(f"region cell {cell} is off the {grid.m}x{grid.m} grid")
-    table = grid.district_table.get(region_mask)
-    if table is None:
-        table = grid.district_table[region_mask] = {
-            bit: [(mask, district, _winner(grid, district)) for mask, district in found]
-            for bit, found in _shape_districts(grid.m, grid.d, frozenset(region)).items()
-        }
-    return table
+    return region_mask
+
+
+def _district_wins(grid: GridState, region: frozenset[Cell], party: Party) -> tuple[bool, ...]:
+    """Whether ``party`` wins each district of ``region``'s
+    ``_shape_districts``, by index, kept in ``grid.district_wins`` once per
+    grid, region and party.  A district's scaled sum is read off
+    ``grid._scaled`` at its cells' positions, as ``_winner`` reads it."""
+    key = _region_mask(grid, region), party
+    won = grid.district_wins.get(key)
+    if won is None:
+        scale, scaled = grid._scaled
+        half = grid.d * scale
+        get = scaled.__getitem__
+        sums = [
+            sum(map(get, cells)) for cells in _shape_moves(grid.m, grid.d, frozenset(region))[0]
+        ]
+        won = grid.district_wins[key] = tuple(
+            [2 * s > half for s in sums] if party is Party.A else [2 * s < half for s in sums]
+        )
+    return won
 
 
 def enumerate_region_plans(
@@ -389,18 +459,20 @@ def enumerate_region_plans(
     A plan takes, for the smallest cell still unassigned, each district filed
     under that cell that uses only unassigned cells, and recurses on the rest.
     """
-    table = _districts_by_anchor(grid, region)
+    region_mask = _region_mask(grid, region)
+    districts = _shape_districts(grid.m, grid.d, frozenset(region))
+    table = _by_anchor(districts)
 
     def recurse(remaining: int) -> Iterator[tuple[District, ...]]:
         if not remaining:
             yield ()
             return
-        for mask, district, _ in table[remaining & -remaining]:
+        for index, mask in table.get(remaining & -remaining, ()):
             if mask & remaining == mask:
                 for rest in recurse(remaining ^ mask):
-                    yield (district,) + rest
+                    yield (districts[index][1],) + rest
 
-    yield from recurse(_cells_mask(grid, region))
+    yield from recurse(region_mask)
 
 
 def max_wins_bruteforce(
@@ -411,29 +483,22 @@ def max_wins_bruteforce(
 ) -> int:
     """Best win count for ``party`` over every valid plan of ``region``, 0
     when it has none.  Exhaustive, so only for regions of at most ``cap``
-    cells; each set of cells left unassigned is searched once per grid and
-    party, whichever region of the grid it was reached from, since its best
-    count reads only the districts inside it (``grid.search_memo``)."""
+    cells.  One flat pass over the nodes of the region's ``_shape_moves``,
+    children first: a node's best is the most, over its moves, of the
+    child's best plus the move's district won (``_district_wins``)."""
     if len(region) > cap:
         raise GridError(f"region of {len(region)} cells exceeds the cap of {cap}")
-    table = _districts_by_anchor(grid, region)
-    return max(_best_wins(table, party, _cells_mask(grid, region), grid.search_memo[party]), 0)
-
-
-def _best_wins(table: dict, party: Party, remaining: int, memo: dict[int, int]) -> int:
-    """The most wins for ``party`` over the plans of the cells in the mask
-    ``remaining``, -1 when it has none; ``memo`` maps each mask already
-    searched to its answer."""
-    best = memo.get(remaining)
-    if best is None:
-        best = -1
-        for mask, _, winner in table[remaining & -remaining]:
-            if mask & remaining == mask:
-                rest = _best_wins(table, party, remaining ^ mask, memo)
-                if rest >= 0:
-                    best = max(best, rest + (winner is party))
-        memo[remaining] = best
-    return best
+    won = _district_wins(grid, region, party)
+    nodes = _shape_moves(grid.m, grid.d, frozenset(region))[1]
+    best = []
+    for moves in nodes:
+        top = 0  # every child has a plan, and a plan wins at least 0
+        for index, child in moves:
+            wins = best[child] + won[index]
+            if wins > top:
+                top = wins
+        best.append(top)
+    return best[-1] if best else 0
 
 
 # --- banded construction ----------------------------------------------------

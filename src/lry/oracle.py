@@ -68,11 +68,14 @@ def grid_oracle_mismatches(count: int, seed: int, cap: int) -> tuple[int, list[d
     group counting must match exhaustive search on the shrunk analogue.
 
     A grid's districts and plans depend on its shape (m, d) alone, so one
-    call checks them once per shape (``_shape_checks``).  Each grid sums its
-    own winners over its shape's valid plans, compares the best with the
-    memoized ``max_wins_bruteforce``, which lists no plans, and reports its
-    shape's faults as its own.  Growth itself runs once per process for
-    each shape and region (``grid._shape_districts``).
+    call checks them once per shape (``_shape_checks``).  Each grid reads
+    which districts A wins (``grid._district_wins``), sums them by district
+    index over its shape's valid plans, compares the best with
+    ``max_wins_bruteforce``, whose pass over the shape's compiled search
+    lists no plans, and reports its shape's faults as its own.  Growth and
+    compiling run once per process for each shape and region
+    (``grid._shape_districts`` and ``grid._shape_moves``); the checks run
+    again on every call.
     """
     mismatches = []
     instances = 0
@@ -86,9 +89,8 @@ def grid_oracle_mismatches(count: int, seed: int, cap: int) -> tuple[int, list[d
         if (grid.m, grid.d) not in shapes:
             shapes[grid.m, grid.d] = _shape_checks(grid, region)
         faults, plans, plan_count = shapes[grid.m, grid.d]
-        table = grid_mod._districts_by_anchor(grid, region)
-        wins = {mask: winner is Party.A for found in table.values() for mask, _, winner in found}
-        best = max((sum(map(wins.__getitem__, plan)) for plan in plans), default=-1)
+        won = grid_mod._district_wins(grid, region, Party.A)
+        best = max((sum(map(won.__getitem__, plan)) for plan in plans), default=-1)
         mismatches += (
             {"kind": "invalid_plan", "detail": f"instance {index}: {fault}"} for fault in faults
         )
@@ -127,18 +129,19 @@ def grid_oracle_mismatches(count: int, seed: int, cap: int) -> tuple[int, list[d
 
 
 def _shape_checks(grid: grid_mod.GridState, region: frozenset) -> tuple:
-    """What ``grid``'s shape alone decides: the faults of the districts of
-    the region's table, then of its plans, its valid plans as tuples of
-    district masks, and how many plans were enumerated."""
-    valid = {}  # each valid district of the table: its mask
+    """What ``grid``'s shape alone decides: the faults of the region's
+    districts, then of its plans, its valid plans as tuples of district
+    indices, and how many plans were enumerated."""
+    districts = grid_mod._shape_districts(grid.m, grid.d, region)
+    valid = {}  # each valid district of the region: its mask
     faults = []
-    for found in grid_mod._districts_by_anchor(grid, region).values():
-        for mask, district, _ in found:
-            bad = grid_mod.validate_plan(grid, (district,), district)
-            if bad:
-                faults.append(bad[0].message)
-            else:
-                valid[district] = mask
+    for mask, district in districts:
+        bad = grid_mod.validate_plan(grid, (district,), district)
+        if bad:
+            faults.append(bad[0].message)
+        else:
+            valid[district] = mask
+    index = {district: i for i, (_, district) in enumerate(districts)}
     region_mask = grid_mod._cells_mask(grid, region)
     plans = []
     plan_count = 0
@@ -148,7 +151,7 @@ def _shape_checks(grid: grid_mod.GridState, region: frozenset) -> tuple:
         if fault:
             faults.append(fault)
         else:
-            plans.append(tuple(map(valid.__getitem__, plan)))
+            plans.append(tuple(map(index.__getitem__, plan)))
     return faults, plans, plan_count
 
 

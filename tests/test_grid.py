@@ -23,11 +23,13 @@ TINY = Fraction(1, 10**30)
 
 @pytest.fixture(autouse=True)
 def fresh_growth():
-    """Every test grows districts afresh, so none keeps, or leaves behind,
-    districts that a patched growth made."""
+    """Every test grows districts and compiles searches afresh, so none
+    keeps, or leaves behind, districts that a patched growth made."""
     grid._shape_districts.cache_clear()
+    grid._shape_moves.cache_clear()
     yield
     grid._shape_districts.cache_clear()
+    grid._shape_moves.cache_clear()
 
 
 def make_grid(rows, d):
@@ -454,8 +456,7 @@ class TestDirectEnumeration:
         cases = []
         for index in range(25):
             g = oracle.random_small_grid(random.Random(mix_seed(0, index)))
-            by_anchor = grid._districts_by_anchor(g, g.all_cells())
-            cases += [(g, cells) for found in by_anchor.values() for _, cells, _ in found]
+            cases += [(g, cells) for _, cells in grid._shape_districts(g.m, g.d, g.all_cells())]
         square = frozenset((i, j) for i in range(1, 4) for j in range(1, 4))
         plus = frozenset({(1, 2), (2, 1), (2, 3), (3, 2)})
         hook = frozenset({(1, 1), (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)})
@@ -667,8 +668,9 @@ class TestVerdictCache:
             first.setdefault((g.m, g.d), g)
         expected = Counter()
         for shape, g in first.items():
-            for found in grid._shape_districts(g.m, g.d, g.all_cells()).values():
-                expected.update((shape, district) for _, district in found)
+            expected.update(
+                (shape, district) for _, district in grid._shape_districts(*shape, g.all_cells())
+            )
         assert len(first) == 4 and set(expected.values()) == {1}
         for repeat in (1, 2):
             instances, mismatches = oracle.grid_oracle_mismatches(25, seed=0, cap=16)
@@ -725,7 +727,7 @@ class TestGridOracleMismatches:
 
     def grow_diagonals(self, monkeypatch):
         # Growth also files each diagonal pair under its smaller cell.  A
-        # wins the main diagonal, so the memoized search reports a win that
+        # wins the main diagonal, so the compiled search reports a win that
         # no valid plan witnesses.
         grow = grid._grow_districts
         diagonals = {(1, 1): frozenset({(1, 1), (2, 2)}), (1, 2): frozenset({(1, 2), (2, 1)})}
@@ -813,13 +815,12 @@ def reference_grid_oracle(count, seed, cap):
         instances += 1
         valid = {}  # each valid district of the grid: (mask, winner)
         faults = []
-        for found in grid._districts_by_anchor(g, region).values():
-            for mask, district, winner in found:
-                bad = grid.validate_plan(g, (district,), district)
-                if bad:
-                    faults.append(bad[0].message)
-                else:
-                    valid[district] = mask, winner
+        for mask, district in grid._shape_districts(g.m, g.d, region):
+            bad = grid.validate_plan(g, (district,), district)
+            if bad:
+                faults.append(bad[0].message)
+            else:
+                valid[district] = mask, reference_winner(g, district)
         masks = {district: mask for district, (mask, _) in valid.items()}
         best = -1
         plans = 0
@@ -982,12 +983,13 @@ def analogue_sides():
     ]
 
 
-def oracle_growth_keys(seed, cap):
+def oracle_growth_keys(seed, cap, count=25):
     """The (m, d, region) of every growth a ``grid_oracle_mismatches`` call
-    at ``seed`` and ``cap`` needs: each grid shape within the cap over its
-    whole grid, and each non-empty side of the analogue within it."""
+    of ``count`` grids at ``seed`` and ``cap`` needs: each grid shape within
+    the cap over its whole grid, and each non-empty side of the analogue
+    within it."""
     keys = set()
-    for index in range(25):
+    for index in range(count):
         g = oracle.random_small_grid(random.Random(mix_seed(seed, index)))
         if len(g.all_cells()) <= cap:
             keys.add((g.m, g.d, g.all_cells()))
@@ -995,17 +997,31 @@ def oracle_growth_keys(seed, cap):
     return keys | {(g.m, g.d, side) for side in sides if len(side) <= cap}
 
 
+def district_winners(g, region):
+    """Each district's winner on ``g``, by index, read off the districts
+    each party wins; no district is won by both."""
+    a, b = (grid._district_wins(g, region, party) for party in Party)
+    assert len(a) == len(b) == len(grid._shape_districts(g.m, g.d, region))
+    assert not any(x and y for x, y in zip(a, b))
+    return tuple(Party.A if x else Party.B if y else None for x, y in zip(a, b))
+
+
 class TestDistrictTable:
-    """One table of the whole grid's districts serves every region of it."""
+    """One growth of a region's districts serves every grid of its shape,
+    and each grid reads which of them each party wins."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, "subregions"])
     def test_fitting_districts_are_the_regions_districts(self, seed):
         regions = random_subregions() if seed == "subregions" else oracle_regions(seed)
         for g, region in regions:
-            table = grid._districts_by_anchor(g, region)
+            districts = grid._shape_districts(g.m, g.d, region)
+            table = grid._by_anchor(districts)
+            assert set(table) <= {g.cell_bits[cell] for cell in region}
             cells = sorted(region)
             for index, anchor in enumerate(cells):
-                fitting = {cells for _, cells, _ in table[g.cell_bits[anchor]] if cells <= region}
+                found = table.get(g.cell_bits[anchor], [])
+                assert all(districts[i][0] == mask for i, mask in found)
+                fitting = {districts[i][1] for i, _ in found if districts[i][1] <= region}
                 later = frozenset(cells[index + 1 :])
                 assert fitting == set(grid._grow_districts(anchor, later, g.d, g.z))
 
@@ -1013,11 +1029,19 @@ class TestDistrictTable:
     def test_masks_and_winners_of_the_oracle_grids(self, seed):
         for index in range(25):
             g = oracle.random_small_grid(random.Random(mix_seed(seed, index)))
-            for anchor_bit, found in grid._districts_by_anchor(g, g.all_cells()).items():
-                for mask, district, winner in found:
-                    assert mask == sum(g.cell_bits[cell] for cell in district)
-                    assert mask & -mask == anchor_bit
-                    assert winner == reference_winner(g, district)
+            region = g.all_cells()
+            districts = grid._shape_districts(g.m, g.d, region)
+            positions = grid._shape_moves(g.m, g.d, region)[0]
+            winners = district_winners(g, region)
+            for (mask, district), cells, winner in zip(districts, positions, winners, strict=True):
+                assert mask == sum(g.cell_bits[cell] for cell in district)
+                assert mask & -mask == g.cell_bits[min(district)]
+                assert sorted(1 << position for position in cells) == sorted(
+                    g.cell_bits[cell] for cell in district
+                )
+                assert winner == reference_winner(g, district)
+            anchors = [min(district) for _, district in districts]
+            assert anchors == sorted(anchors)
 
     def test_integer_winner_on_thirds_fifths_and_ties(self):
         third, fifth = Fraction(1, 3), Fraction(1, 5)
@@ -1031,8 +1055,9 @@ class TestDistrictTable:
             d=2,
         )
         assert g._scaled[0] == 30
-        table = grid._districts_by_anchor(g, g.all_cells())
-        winners = {district: winner for found in table.values() for _, district, winner in found}
+        region = g.all_cells()
+        districts = (district for _, district in grid._shape_districts(g.m, g.d, region))
+        winners = dict(zip(districts, district_winners(g, region), strict=True))
         assert len(winners) == 24
         for district, winner in winners.items():
             assert winner == reference_winner(g, district)
@@ -1045,9 +1070,9 @@ class TestDistrictTable:
 
     def test_grown_once_per_grid(self, monkeypatch):
         # At most once per grid, since once per process: searched in the
-        # oracle's order, each side of the analogue is grown once over its own
-        # cells, and a second grid of its shape grows nothing and tables the
-        # same districts with the same winners.
+        # oracle's order, each side of the analogue is grown and compiled
+        # once over its own cells, and a second grid of its shape grows and
+        # compiles nothing and reads the same wins.
         growths = record_growths(monkeypatch)
         g, sides = analogue_sides()
         assert sides[0] == sides[-1] == g.all_cells()
@@ -1056,18 +1081,21 @@ class TestDistrictTable:
             grid.max_wins_bruteforce(g, side, Party.A)
         expected = growths_for((g.m, g.d, side) for side in set(sides))
         assert growths == expected
-        assert set(g.district_table) == {grid._cells_mask(g, side) for side in sides}
+        masks = {grid._cells_mask(g, side) for side in sides}
+        assert set(g.district_wins) == {(mask, Party.A) for mask in masks}
+        assert grid._shape_moves.cache_info().currsize == len(masks)
         other = fresh(g)
         for side in sides:
-            grid._districts_by_anchor(other, side)
-        assert other.district_table == g.district_table
+            grid.max_wins_bruteforce(other, side, Party.A)
+        assert other.district_wins == g.district_wins
         assert growths == expected
+        assert grid._shape_moves.cache_info().misses == len(masks)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_grown_districts_serve_every_grid_of_the_shape(self, monkeypatch, seed):
         # Growth reads the shape alone, so the first grid of a shape grows its
         # districts, and every later grid of it grows nothing yet gets the
-        # table its own growth would give.
+        # winners its own growth would give.
         grids = [oracle.random_small_grid(random.Random(mix_seed(seed, i))) for i in range(25)]
         first = {}
         for g in grids:
@@ -1081,11 +1109,12 @@ class TestDistrictTable:
         tables = []
         for g in grids:
             assert grid._shape_districts(g.m, g.d, g.all_cells()) is grown[g.m, g.d]
-            tables.append(grid._districts_by_anchor(g, g.all_cells()))
+            tables.append(district_winners(g, g.all_cells()))
         assert growths == expected
         for g, table in zip(grids, tables):
             grid._shape_districts.cache_clear()
-            assert grid._districts_by_anchor(fresh(g), g.all_cells()) == table
+            grid._shape_moves.cache_clear()
+            assert district_winners(fresh(g), g.all_cells()) == table
         assert len({g.cells for g in grids}) > len(first)
 
     def test_only_the_regions_cells_are_grown(self, monkeypatch):
@@ -1093,12 +1122,14 @@ class TestDistrictTable:
         g, _ = grid.make_geodelta(1)
         assert grid.max_wins_bruteforce(g, frozenset(), Party.A) == 0
         assert list(grid.enumerate_region_plans(g, frozenset())) == [()]
-        assert g.district_table == {0: {}}
+        assert g.district_wins == {(0, Party.A): ()}
+        assert grid._shape_moves(g.m, g.d, frozenset()) == ((), ((),))
         small = make_grid([[1] * 12 for _ in range(12)], d=2)
         region = frozenset({(5, 5), (5, 6), (6, 5), (6, 6)})
         assert grid.max_wins_bruteforce(small, region, Party.A) == 2
-        table = small.district_table[grid._cells_mask(small, region)]
-        assert set(table) == {small.cell_bits[cell] for cell in region}
+        districts = grid._shape_districts(small.m, small.d, region)
+        assert len(districts) == 4 and all(cells <= region for _, cells in districts)
+        assert small.district_wins == {(grid._cells_mask(small, region), Party.A): (True,) * 4}
         # A 2x4 corner of a 12x12 grid at d = 8: grown over the whole grid,
         # each of its anchors would reach thousands of 8-cell districts.
         allowed_sets = []
@@ -1139,24 +1170,23 @@ def fresh(g):
 
 
 class TestSharedTablesAndMemo:
-    """A region's table on a grid that already holds another, built from the
-    districts grown for that region earlier in the process, and one search
-    memo per grid and party, give what the region's own growth and a search
-    on a fresh grid give."""
+    """A region's wins and search on a grid that already searched another
+    region, from the districts grown and the search compiled for the region
+    earlier in the process, give what a fresh grid gives."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_derived_tables_are_the_regions_own(self, monkeypatch, seed):
         for g in shape_grids(seed):
             regions = prefix_and_suffix_regions(g)
-            own = [grid._districts_by_anchor(fresh(g), region) for region in regions]
+            own = [district_winners(fresh(g), region) for region in regions]
             warm = fresh(g)
-            grid._districts_by_anchor(warm, warm.all_cells())
+            grid.max_wins_bruteforce(warm, warm.all_cells(), Party.A)
             growths = []
             with monkeypatch.context() as patch:
                 patch.setattr(grid, "_grow_districts", lambda *args: growths.append(args))
-                derived = [grid._districts_by_anchor(warm, region) for region in regions]
+                derived = [district_winners(warm, region) for region in regions]
             assert growths == []
-            assert derived == own  # each anchor's districts in the same order
+            assert derived == own  # each district's winner at the same index
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_shared_memo_matches_fresh_searches(self, seed):
@@ -1171,6 +1201,123 @@ class TestSharedTablesAndMemo:
                 ]
                 assert forwards == expected
                 assert backwards == expected[::-1]
+
+
+def reference_best_wins(table, party, remaining, memo):
+    """The memoized recursion that searched plans before the compiled pass,
+    kept as its reference: the most wins for ``party`` over the plans of the
+    cells in the mask ``remaining``, -1 when it has none.  ``table`` files
+    each district as (mask, cells, winner) under its lowest bit, and ``memo``
+    maps each mask already searched to its answer."""
+    best = memo.get(remaining)
+    if best is None:
+        best = -1
+        for mask, _, winner in table.get(remaining & -remaining, ()):
+            if mask & remaining == mask:
+                rest = reference_best_wins(table, party, remaining ^ mask, memo)
+                if rest >= 0:
+                    best = max(best, rest + (winner is party))
+        memo[remaining] = best
+    return best
+
+
+def reference_winners(g, region):
+    """Each grown district of the region with its ``Fraction`` winner."""
+    return {cells: reference_winner(g, cells) for _, cells in grid._shape_districts(g.m, g.d, region)}
+
+
+def reference_search(g, region, party, winners=None):
+    """``max_wins_bruteforce`` by the memoized recursion over the region's
+    grown districts, each with its ``Fraction`` winner."""
+    if winners is None:
+        winners = reference_winners(g, region)
+    table = {}
+    for mask, cells in grid._shape_districts(g.m, g.d, region):
+        table.setdefault(mask & -mask, []).append((mask, cells, winners[cells]))
+    return max(reference_best_wins(table, party, grid._cells_mask(g, region), {0: 0}), 0)
+
+
+SHAPES = ((2, 2), (2, 4), (4, 2), (4, 4))
+SUPPORTS = st.sampled_from(
+    (*oracle._CELL_VALUES, Fraction(1, 3), Fraction(2, 3), Fraction(2, 5), Fraction(5, 6))
+)
+
+
+@st.composite
+def searched_regions(draw):
+    """A grid of one of the oracle's four shapes with random supports and its
+    whole grid, or the analogue's shape with random supports and one of its
+    nested sides, or either with the empty region."""
+    kind = draw(st.sampled_from(("shape", "analogue side", "empty")))
+    m, d = (4, 4) if kind == "analogue side" else draw(st.sampled_from(SHAPES))
+    rows = draw(st.lists(st.lists(SUPPORTS, min_size=m, max_size=m), min_size=m, max_size=m))
+    g = grid.GridState(m, d, tuple(map(tuple, rows)))
+    if kind == "analogue side":
+        return g, draw(st.sampled_from(analogue_sides()[1]))
+    return g, g.all_cells() if kind == "shape" else frozenset()
+
+
+class TestCompiledSearch:
+    """The flat pass over a shape's compiled search gives what the memoized
+    recursion and the enumerated plans give, and refuses what it refused."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(searched_regions())
+    @example((grid.make_shrunk_analogue()[0], frozenset()))
+    def test_matches_the_recursion_and_the_plans(self, case):
+        g, region = case
+        plans = list(grid.enumerate_region_plans(g, region))
+        winners = reference_winners(g, region)
+        for party in Party:
+            enumerated = max(
+                (sum(winners[district] is party for district in plan) for plan in plans),
+                default=0,
+            )
+            assert grid.max_wins_bruteforce(g, region, party) == enumerated
+            assert reference_search(g, region, party, winners) == enumerated
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_six_by_six_matches_the_recursion(self, d):
+        # One compile serves both parties and a second grid of the shape.
+        rng = random.Random(d)
+        region = frozenset((i, j) for i in range(1, 7) for j in range(1, 7))
+        for _ in range(2):
+            rows = [[rng.choice(oracle._CELL_VALUES) for _ in range(6)] for _ in range(6)]
+            g = grid.GridState(6, d, tuple(map(tuple, rows)))
+            for party in Party:
+                got = grid.max_wins_bruteforce(g, region, party, cap=36)
+                assert got == reference_search(g, region, party)
+        assert grid._shape_moves.cache_info().misses == 1
+
+    def test_no_plan_reads_zero(self):
+        g = make_grid([[1] * 4 for _ in range(4)], d=2)
+        region = frozenset({(1, 1), (1, 2), (1, 3), (1, 4), (3, 1), (3, 3)})
+        assert grid._shape_moves(g.m, g.d, region)[1] == ()
+        assert grid.max_wins_bruteforce(g, region, Party.A) == 0
+        assert reference_search(g, region, Party.A) == 0
+
+    @pytest.mark.parametrize(
+        "region, cap, message",
+        [
+            (frozenset((i, j) for i in range(1, 5) for j in range(1, 5)), 8,
+             "region of 16 cells exceeds the cap of 8"),
+            (frozenset({(0, 1), (1, 1), (1, 2)}), 2, "region of 3 cells exceeds the cap of 2"),
+            (frozenset({(1, 1), (1, 2), (1, 3)}), 16,
+             "region of 3 cells cannot split into 2-cell districts"),
+            (frozenset({(0, 1), (1, 1), (1, 2)}), 16,
+             "region of 3 cells cannot split into 2-cell districts"),
+            (frozenset({(0, 1), (1, 1), (4, 4), (4, 5)}), 16,
+             r"region cell \(0, 1\) is off the 4x4 grid"),
+        ],
+    )
+    def test_refused_regions_compile_nothing(self, region, cap, message):
+        g = make_grid([[1] * 4 for _ in range(4)], d=2)
+        for party in Party:
+            with pytest.raises(grid.GridError, match=f"^{message}$"):
+                grid.max_wins_bruteforce(g, region, party, cap=cap)
+        assert grid._shape_moves.cache_info().currsize == 0
+        assert grid._shape_districts.cache_info().currsize == 0
+        assert g.district_wins == {}
 
 
 class TestOracleGrowth:
@@ -1195,11 +1342,13 @@ class TestOracleGrowth:
             assert oracle.grid_oracle_mismatches(25, seed, 16) == (25, [])
             assert growths == growths_for(keys)  # the second call grows nothing
             assert len(searches) == repeat * (25 + 8)
+        assert grid._shape_moves.cache_info().misses == len(keys)  # compiled once too
         grid._shape_districts.cache_clear()
+        grid._shape_moves.cache_clear()
         for g, region in searches:
-            own = grid._districts_by_anchor(fresh(g), region)
-            assert g.district_table[grid._cells_mask(g, region)] == own
-            # The oracle searched for A only; B's search must not read A's memo.
+            own = grid._district_wins(fresh(g), region, Party.A)
+            assert g.district_wins[grid._cells_mask(g, region), Party.A] == own
+            # The oracle searched for A only; B's search must not read A's wins.
             assert search(g, region, Party.B) == search(fresh(g), region, Party.B)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -1215,13 +1364,15 @@ class TestOracleGrowth:
     def test_cache_stays_bounded(self):
         # An unbounded cache holds one entry per (shape, region) the oracle
         # can reach: the 4 grid shapes and the analogue's 7 distinct sides,
-        # one of which is the whole 4x4 grid of the 4x4, d = 4 shape.
+        # one of which is the whole 4x4 grid of the 4x4, d = 4 shape.  The
+        # compiled searches are kept for the same regions.
         keys = set()
         for seed in range(10):
-            for cap in (8, 16):
-                assert oracle.grid_oracle_mismatches(25, seed, cap)[1] == []
-                keys |= oracle_growth_keys(seed, cap)
+            for count, cap in ((25, 4), (25, 8), (25, 16), (40, 36)):
+                assert oracle.grid_oracle_mismatches(count, seed, cap)[1] == []
+                keys |= oracle_growth_keys(seed, cap, count)
         assert grid._shape_districts.cache_info().currsize == len(keys) == 10
+        assert grid._shape_moves.cache_info().currsize == 10
 
 
 class TestGeodeltaConstruction:

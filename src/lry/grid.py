@@ -7,14 +7,14 @@ district only with a strict majority of its cells' support; a district at
 exactly half counts for nobody.
 
 The plan search works on bitmasks: cell (i, j) is bit (i-1)*m + (j-1), so
-the smallest cell of a set is its lowest set bit.  ``_shape_districts``
-grows the valid districts of a region over its own cells, each with its
-mask, in order of its smallest cell; ``_shape_moves`` compiles the region's
-search over them: every set of cells a plan can leave unassigned becomes a
-node listing the districts that can take its smallest cell and the node each
-leaves.  Both read only the shape (m, d) and the region, so each runs once
-per process for each shape and region.  ``enumerate_region_plans`` recurses
-on the mask of the cells left unassigned and lists every plan;
+the smallest cell of a set is its lowest set bit.  ``_shape`` is the one
+cache of plan structure: once per process for each shape (m, d) and region,
+it checks the region, grows its valid districts over its own cells, each
+with its mask, in order of its smallest cell, files them by that cell, and
+compiles the region's search over them: every set of cells a plan can leave
+unassigned becomes a node listing the districts that can take its smallest
+cell and the node each leaves.  ``enumerate_region_plans`` recurses on the
+mask of the cells left unassigned and lists every plan;
 ``max_wins_bruteforce`` lists none, but makes one flat pass over the
 compiled nodes with the districts a party wins on this grid, computed once
 per grid, region and party (``grid.district_wins``).
@@ -39,7 +39,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import product
 from typing import Iterator, Sequence
 
 from .model import Party, ratio_str
@@ -83,10 +82,6 @@ class GridState:
             raise GridError(f"district size must be positive, got {self.d}")
         if (self.m * self.m) % self.d != 0:
             raise GridError(f"district size {self.d} does not divide {self.m}^2 cells")
-        if self.z * self.z < self.d:
-            raise GridError(
-                f"a {self.d}-cell district cannot fit in a {self.z}x{self.z} square"
-            )
         if len(self.cells) != self.m or any(len(row) != self.m for row in self.cells):
             raise GridError(f"cell array is not {self.m}x{self.m}")
         for i, row in enumerate(self.cells, start=1):
@@ -116,12 +111,6 @@ class GridState:
         return frozenset(
             (i, j) for i in range(1, self.m + 1) for j in range(1, self.m + 1)
         )
-
-    @cached_property
-    def cell_bits(self) -> dict[Cell, int]:
-        """Each cell's ``_bit``, row-major."""
-        cells = range(1, self.m + 1)
-        return {cell: _bit(self.m, cell) for cell in product(cells, cells)}
 
     @cached_property
     def district_wins(self) -> dict[tuple[int, Party], tuple[bool, ...]]:
@@ -196,14 +185,6 @@ def _bounding_box(cells: frozenset[Cell]) -> tuple[int, int]:
 class PlanViolation:
     district: int | None  # index into the plan, or None for plan-level issues
     message: str
-
-
-def _cells_mask(grid: GridState, cells: frozenset[Cell]) -> int | None:
-    """The bits of ``cells``, None when one of them is off the grid."""
-    try:
-        return sum(map(grid.cell_bits.__getitem__, cells))
-    except KeyError:
-        return None
 
 
 def _winner(grid: GridState, district: frozenset[Cell]) -> Party | None:
@@ -338,54 +319,59 @@ def _grow_districts(
     return found
 
 
-@cache
-def _shape_districts(m: int, d: int, region: frozenset[Cell]) -> tuple[tuple[int, District], ...]:
-    """Every valid district of ``region`` on an m-by-m grid of d-cell
-    districts as (mask, cells), grown from each of its cells in turn over
-    the region's cells after it, so that a district's position in the tuple
-    is its index and its smallest cell its mask's lowest bit.  It reads the
-    shape, never the supports, so it runs once per process for each shape
-    and region, like ``strategy._held_counts``; callers share the result."""
-    z = compactness_bound(d)
-    cells = sorted(region)
-    return tuple(
-        (sum(_bit(m, cell) for cell in district), district)
-        for i, anchor in enumerate(cells)
-        for district in _grow_districts(anchor, frozenset(cells[i + 1 :]), d, z)
-    )
-
-
-def _by_anchor(districts: Sequence[tuple[int, District]]) -> dict[int, list[tuple[int, int]]]:
-    """Each district as (index, mask), filed under its mask's lowest bit."""
-    table: dict[int, list[tuple[int, int]]] = {}
-    for index, (mask, _) in enumerate(districts):
-        table.setdefault(mask & -mask, []).append((index, mask))
-    return table
+@dataclass(frozen=True)
+class _Shape:
+    """One region's plan structure on one grid shape, built by ``_shape``."""
+    mask: int  # the region's cells
+    districts: tuple[tuple[int, District], ...]  # (mask, cells), by index
+    positions: tuple[tuple[int, ...], ...]  # each district's bit numbers, by index
+    by_anchor: dict[int, list[tuple[int, int]]]  # (index, mask), under the mask's lowest bit
+    nodes: tuple[tuple[tuple[int, int], ...], ...]  # the compiled search
 
 
 @cache
-def _shape_moves(m: int, d: int, region: frozenset[Cell]) -> tuple[tuple, tuple]:
-    """The plan search of ``region`` compiled once per process for each
-    shape and region, like ``_shape_districts``: each district's cell
-    positions (row-major bit numbers), by index, and the nodes of the search.
+def _shape(m: int, d: int, region: frozenset[Cell]) -> _Shape:
+    """``region``'s plan structure on an m-by-m grid of d-cell districts,
+    once it is known to split into d-cell districts and to lie on the grid;
+    ``GridError`` otherwise, before any growth and with no cache entry.  It
+    reads the shape, never the supports, so it runs once per process for
+    each shape and region, like ``strategy._held_counts``; callers share it.
 
-    Each set of cells that a plan can leave unassigned is a mask, and the
-    masks reachable from the region's own are walked once, in post-order, so
-    a node comes after every node it leads to.  A node is a tuple of
-    (district index, child node), one for each district filed under the
-    mask's lowest bit that fits in the mask and leaves a mask with a plan;
-    node 0 is the empty mask.  Masks with no plan get no node, and no move
-    leads to them; the nodes are empty when the region itself has no plan,
-    and otherwise its node is the last.
+    The districts are grown from each cell of the region in turn over the
+    region's cells after it, so that a district's position in the tuple is
+    its index and its smallest cell its mask's lowest bit.
+
+    The search is compiled into nodes.  Each set of cells that a plan can
+    leave unassigned is a mask, and the masks reachable from the region's
+    own are walked once, in post-order, so a node comes after every node it
+    leads to.  A node is a tuple of (district index, child node), one for
+    each district filed under the mask's lowest bit that fits in the mask
+    and leaves a mask with a plan; node 0 is the empty mask.  Masks with no
+    plan get no node, and no move leads to them; the nodes are empty when
+    the region itself has no plan, and otherwise its node is the last.
 
     A district reaches past its smallest cell through that cell's right or
     lower neighbour, so each anchor's districts are filed again under the
     anchor's bit with those of the two neighbours a mask still holds, and a
     mask tests only the districts that use neither neighbour it lacks."""
-    districts = _shape_districts(m, d, region)
+    if len(region) % d != 0:
+        raise GridError(f"region of {len(region)} cells cannot split into {d}-cell districts")
+    off = [cell for cell in region if not (1 <= cell[0] <= m and 1 <= cell[1] <= m)]
+    if off:
+        raise GridError(f"region cell {min(off)} is off the {m}x{m} grid")
+    z = compactness_bound(d)
+    cells = sorted(region)
+    districts = tuple(
+        (sum(_bit(m, cell) for cell in district), district)
+        for i, anchor in enumerate(cells)
+        for district in _grow_districts(anchor, frozenset(cells[i + 1 :]), d, z)
+    )
+    by_anchor: dict[int, list[tuple[int, int]]] = {}
+    for index, (mask, _) in enumerate(districts):
+        by_anchor.setdefault(mask & -mask, []).append((index, mask))
     near = 1 | 2 | 1 << m  # times a cell's bit: the cell and those two neighbours
     fitting = {}
-    for anchor, filed in _by_anchor(districts).items():
+    for anchor, filed in by_anchor.items():
         right, down = anchor << 1, anchor << m
         for held in (0, right, down, right | down):
             lacks = (right | down) ^ held
@@ -414,37 +400,21 @@ def _shape_moves(m: int, d: int, region: frozenset[Cell]) -> tuple[tuple, tuple]
     has_plan = not region_mask or visit(region_mask) >= 0
     del visit  # it calls itself through its closure: free the walk now, not at a collection
     positions = tuple(tuple((i - 1) * m + j - 1 for i, j in cells) for _, cells in districts)
-    return positions, tuple(nodes) if has_plan else ()
+    return _Shape(region_mask, districts, positions, by_anchor, tuple(nodes) if has_plan else ())
 
 
-def _region_mask(grid: GridState, region: frozenset[Cell]) -> int:
-    """``region``'s mask, once it is known to split into d-cell districts
-    and to lie on the grid; ``GridError`` otherwise."""
-    if len(region) % grid.d != 0:
-        raise GridError(
-            f"region of {len(region)} cells cannot split into {grid.d}-cell districts"
-        )
-    region_mask = _cells_mask(grid, region)
-    if region_mask is None:
-        cell = min(cell for cell in region if not grid.on_grid(cell))
-        raise GridError(f"region cell {cell} is off the {grid.m}x{grid.m} grid")
-    return region_mask
-
-
-def _district_wins(grid: GridState, region: frozenset[Cell], party: Party) -> tuple[bool, ...]:
-    """Whether ``party`` wins each district of ``region``'s
-    ``_shape_districts``, by index, kept in ``grid.district_wins`` once per
+def _district_wins(grid: GridState, shape: _Shape, party: Party) -> tuple[bool, ...]:
+    """Whether ``party`` wins each district of ``shape``, a region's
+    ``_shape`` on this grid, by index, kept in ``grid.district_wins`` once per
     grid, region and party.  A district's scaled sum is read off
     ``grid._scaled`` at its cells' positions, as ``_winner`` reads it."""
-    key = _region_mask(grid, region), party
+    key = shape.mask, party
     won = grid.district_wins.get(key)
     if won is None:
         scale, scaled = grid._scaled
         half = grid.d * scale
         get = scaled.__getitem__
-        sums = [
-            sum(map(get, cells)) for cells in _shape_moves(grid.m, grid.d, frozenset(region))[0]
-        ]
+        sums = [sum(map(get, cells)) for cells in shape.positions]
         won = grid.district_wins[key] = tuple(
             [2 * s > half for s in sums] if party is Party.A else [2 * s < half for s in sums]
         )
@@ -459,9 +429,8 @@ def enumerate_region_plans(
     A plan takes, for the smallest cell still unassigned, each district filed
     under that cell that uses only unassigned cells, and recurses on the rest.
     """
-    region_mask = _region_mask(grid, region)
-    districts = _shape_districts(grid.m, grid.d, frozenset(region))
-    table = _by_anchor(districts)
+    shape = _shape(grid.m, grid.d, frozenset(region))
+    districts, table = shape.districts, shape.by_anchor
 
     def recurse(remaining: int) -> Iterator[tuple[District, ...]]:
         if not remaining:
@@ -472,7 +441,7 @@ def enumerate_region_plans(
                 for rest in recurse(remaining ^ mask):
                     yield (districts[index][1],) + rest
 
-    yield from recurse(region_mask)
+    yield from recurse(shape.mask)
 
 
 def max_wins_bruteforce(
@@ -483,15 +452,15 @@ def max_wins_bruteforce(
 ) -> int:
     """Best win count for ``party`` over every valid plan of ``region``, 0
     when it has none.  Exhaustive, so only for regions of at most ``cap``
-    cells.  One flat pass over the nodes of the region's ``_shape_moves``,
+    cells.  One flat pass over the nodes of the region's ``_shape``,
     children first: a node's best is the most, over its moves, of the
     child's best plus the move's district won (``_district_wins``)."""
     if len(region) > cap:
         raise GridError(f"region of {len(region)} cells exceeds the cap of {cap}")
-    won = _district_wins(grid, region, party)
-    nodes = _shape_moves(grid.m, grid.d, frozenset(region))[1]
+    shape = _shape(grid.m, grid.d, frozenset(region))
+    won = _district_wins(grid, shape, party)
     best = []
-    for moves in nodes:
+    for moves in shape.nodes:
         top = 0  # every child has a plan, and a plan wins at least 0
         for index, child in moves:
             wins = best[child] + won[index]

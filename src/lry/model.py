@@ -63,9 +63,9 @@ def parse_ratio(value: str | int) -> Fraction:
     The string grammar: surrounding whitespace is stripped (``str.strip``);
     an optional sign follows; then either ``p/q``, or a decimal ``w.f`` (the
     point is optional; ``w`` or ``f`` may be empty, not both) with an optional
-    exponent ``[eE][+-]?x``.  Every run is decimal digits (``str.isdecimal``,
-    whose Unicode data alone varies with the interpreter), with single
-    underscores allowed only between two digits.
+    exponent ``[eE][+-]?x``.  Every run is decimal digits of Unicode 13.0, on
+    every interpreter, with single underscores allowed only between two
+    digits.
 
     Floats are inexact, and rejected.  So are strings of more than
     ``MAX_RATIO_LENGTH`` characters after stripping, integers of more than
@@ -135,11 +135,31 @@ def _parse_text(text: str) -> Fraction:
     return Fraction(num, den)
 
 
+# The code points of the 65 zeros of Unicode 13.0, Python 3.10's database:
+# each decimal digit c is its zero plus int(c), and a later version's digits
+# have zeros of their own.  Generated by listing every c with c.isdecimal()
+# and unicodedata.decimal(c) == 0 under Python 3.10.13.
+_UNICODE_13_ZEROS = frozenset((
+    0x30, 0x660, 0x6F0, 0x7C0, 0x966, 0x9E6, 0xA66, 0xAE6, 0xB66, 0xBE6, 0xC66,
+    0xCE6, 0xD66, 0xDE6, 0xE50, 0xED0, 0xF20, 0x1040, 0x1090, 0x17E0, 0x1810,
+    0x1946, 0x19D0, 0x1A80, 0x1A90, 0x1B50, 0x1BB0, 0x1C40, 0x1C50, 0xA620,
+    0xA8D0, 0xA900, 0xA9D0, 0xA9F0, 0xAA50, 0xABF0, 0xFF10, 0x104A0, 0x10D30,
+    0x11066, 0x110F0, 0x11136, 0x111D0, 0x112F0, 0x11450, 0x114D0, 0x11650,
+    0x116C0, 0x11730, 0x118E0, 0x11950, 0x11C50, 0x11D50, 0x11DA0, 0x16A60,
+    0x16B50, 0x1D7CE, 0x1D7D8, 0x1D7E2, 0x1D7EC, 0x1D7F6, 0x1E140, 0x1E2F0,
+    0x1E950, 0x1FBF0,
+))
+
+
 def _digits(run: str, signed: bool = False) -> int:
     """``int(run)`` for a grammar run, after a sign if ``signed``: ``int``
-    alone also takes spaces, and a sign where none may be."""
+    alone also takes spaces, a sign where none may be, and the digits of
+    whatever Unicode version the interpreter has, where only those of
+    Unicode 13.0 may be.  An ASCII run needs no table lookup."""
     head = run[:1].isdecimal() or signed and run.lstrip("+-")[:1].isdecimal()
-    if head and run[-1:].isdecimal():
+    if head and run[-1:].isdecimal() and (
+        run.isascii() or all(c.isascii() or ord(c) - int(c) in _UNICODE_13_ZEROS for c in run)
+    ):
         return int(run)
     raise ValueError("not a run of digits")
 

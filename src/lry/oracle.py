@@ -73,9 +73,8 @@ def grid_oracle_mismatches(count: int, seed: int, cap: int) -> tuple[int, list[d
     index over its shape's valid plans, compares the best with
     ``max_wins_bruteforce``, whose pass over the shape's compiled search
     lists no plans, and reports its shape's faults as its own.  Growth and
-    compiling run once per process for each shape and region
-    (``grid._shape_districts`` and ``grid._shape_moves``); the checks run
-    again on every call.
+    compiling run once per process for each shape and region, in
+    ``grid._shape``; the checks run again on every call.
     """
     mismatches = []
     instances = 0
@@ -86,10 +85,11 @@ def grid_oracle_mismatches(count: int, seed: int, cap: int) -> tuple[int, list[d
         if len(region) > cap:
             continue
         instances += 1
+        shape = grid_mod._shape(grid.m, grid.d, region)
         if (grid.m, grid.d) not in shapes:
-            shapes[grid.m, grid.d] = _shape_checks(grid, region)
+            shapes[grid.m, grid.d] = _shape_checks(grid, shape, region)
         faults, plans, plan_count = shapes[grid.m, grid.d]
-        won = grid_mod._district_wins(grid, region, Party.A)
+        won = grid_mod._district_wins(grid, shape, Party.A)
         best = max((sum(map(won.__getitem__, plan)) for plan in plans), default=-1)
         mismatches += (
             {"kind": "invalid_plan", "detail": f"instance {index}: {fault}"} for fault in faults
@@ -128,26 +128,24 @@ def grid_oracle_mismatches(count: int, seed: int, cap: int) -> tuple[int, list[d
     return instances, mismatches
 
 
-def _shape_checks(grid: grid_mod.GridState, region: frozenset) -> tuple:
-    """What ``grid``'s shape alone decides: the faults of the region's
-    districts, then of its plans, its valid plans as tuples of district
-    indices, and how many plans were enumerated."""
-    districts = grid_mod._shape_districts(grid.m, grid.d, region)
+def _shape_checks(grid: grid_mod.GridState, shape, region: frozenset) -> tuple:
+    """What ``grid``'s shape alone decides, read off the region's ``shape``:
+    the faults of its districts, then of its plans, its valid plans as tuples
+    of district indices, and how many plans were enumerated."""
     valid = {}  # each valid district of the region: its mask
     faults = []
-    for mask, district in districts:
+    for mask, district in shape.districts:
         bad = grid_mod.validate_plan(grid, (district,), district)
         if bad:
             faults.append(bad[0].message)
         else:
             valid[district] = mask
-    index = {district: i for i, (_, district) in enumerate(districts)}
-    region_mask = grid_mod._cells_mask(grid, region)
+    index = {district: i for i, (_, district) in enumerate(shape.districts)}
     plans = []
     plan_count = 0
     for plan in grid_mod.enumerate_region_plans(grid, region):
         plan_count += 1
-        fault = _plan_fault(plan, valid, region_mask)
+        fault = _plan_fault(plan, valid, shape.mask)
         if fault:
             faults.append(fault)
         else:

@@ -2,12 +2,13 @@
 the standard library.
 
 Replays every recorded verdict in ``ratio_corpus.json`` through
-``model.parse_ratio``, the ``simulate`` reports of two profiles whose
-entries come in many written forms, the ``verify`` sweep report in both
-formats and three ``oracle`` reports, against their SHA-256 digests.
-Each of the two profiles must also read back unchanged from
-``profile_to_dict`` and equal ``SplitProfile.of`` its parsed entries.  So
-an interpreter without pytest can be checked too:
+``model.parse_ratio``, and refuses two digits that Unicode added after
+13.0.  Then it replays every command's reports against their SHA-256
+digests: ``simulate`` on two profiles whose entries come in many written
+forms, ``example-2gap``, ``verify`` and ``geodelta`` in both formats, and
+``oracle`` at caps 4, 16 and 36.  Each of the two profiles must also read
+back unchanged from ``profile_to_dict`` and equal ``SplitProfile.of`` its
+parsed entries.  So an interpreter without pytest can be checked too:
 
     PYTHONPATH=src python -S tests/check_goldens.py
 
@@ -41,6 +42,10 @@ NONCANONICAL_PROFILE = {
     "segments_a": ["6/9", "007/10", 0, " 3/7 ", "+1/3", "1_0/21", "0.35", "45e-2"],
 }
 PROFILES = {"large": LARGE_DEN_PROFILE, "noncanonical": NONCANONICAL_PROFILE}
+# Digits that Unicode added after 13.0, Python 3.10's database: a Tangsa digit
+# (14.0) and a Kawi digit (15.0).  Each must be refused on every interpreter,
+# though 3.11 and later know them as digits.
+POST_13_DIGIT_STRINGS = ("\U00016ac1/3", "\U00011f51/3")
 # SHA-256 of the stdout of `simulate` on the two profiles above, recorded
 # while every ratio string still went through Fraction's string parser.
 SIMULATE_PARSE_GOLDEN = {
@@ -60,9 +65,66 @@ VERIFY_GOLDEN = {
     "json": "87765a4380364a47ed77b837118b0bfb8004459cd618d7a1b6ba02bb8ecfb914",
     "csv": "8afc55b7a601e08898d8c1210e1574138e4794d664b5db9f1b306be715edbc7e",
 }
+# SHA-256 of the stdout of `example-2gap --seed S --format F` for seeds 0-3,
+# recorded while `example-2gap` still had its own copy of the simulate command.
+EXAMPLE_2GAP_GOLDEN = {
+    "json": (
+        "5593869318bf06d18f36107e686eb777a8af0453cd928928c87120f765e3cf54",
+        "e273f64634535821d541b67360f7eeab926bcc52a2f6b04984b1b360d81d220a",
+        "c76de86ec3113a0c047890e30d5e719577131e4c24e4877d388b2eefd175244c",
+        "cd4cd11512ce5f9d3bdee90e38c875c9b8a881842a1a20103cf078b09c50083d",
+    ),
+    "csv": (
+        "60b4e7c4634d8b3a872cca76fea5af9c2843c029072de7020b28d54c55879157",
+        "25475ac0e64d4de419d27a4ef454588f433b21fe788da454ff7900f56c8c2eb8",
+        "c4bad814c8b8a8e578b822737b04a8962517ba9dd45b41cc52cdddd66b137d06",
+        "82064166677ff25004adf7db27165c2c008a6f8be26997ae575cae865196722f",
+    ),
+}
+# SHA-256 of the stdout of `geodelta --delta D --seed S --format F`, recorded
+# while the group counts still came from the dense grid of `make_geodelta`.
+GEODELTA_GOLDEN = {
+    ("json", 1): (
+        "02bf4a29a933227deace620c9a688333bf9bd7b9d9cd5909b128942d9a8b58ad",
+        "5b0316b5562153ec0ca8dd66996c6fa6ce787a78481a4f2330687b88e92df415",
+        "d2d0fd7f871e7c49484338721b90f45035867274e88eef8bd3f0ddc2149758c4",
+        "f36b7d7b334b53150059c08e05b7b145f6a76742dda6235f69594a32387eb799",
+    ),
+    ("json", 7): (
+        "342a4f5ea9e7718906563127d805fdc6ae32cba5fd5d5e2150d2f75d83f4eea3",
+        "5ec489e7e4b85dc53e90851a9bce617acf4bfd3313996abbb92b3dd9a2ea6389",
+        "8ad4b60c006edf31305e542bdf7bc023c549c4c002b61ddfc0fcfb9f724c8435",
+        "5b426c99c6d61c2bb825b8db32216fe8d1ff07f90e101e8708b6a04fa4da0197",
+    ),
+    ("json", 40): (
+        "adec3c5a4520cde87d629c442545a3a9ac43239e32cbbbf16fb0b42c1bdc08ad",
+        "b6bd2ab9efa1c599fa212155b815e6604cce014088a00f37555d761eeb03dd57",
+        "97163106889888eb420d43d70935dd69b7d8b693085255fa9f6cbe3bec3bf789",
+        "21e0c7a312774c2880a2a713a49649c17f4e7317be10c9c70bc57eed8b9003fc",
+    ),
+    ("csv", 1): (
+        "c8e2b6488e501a7b6e899746c769edcc234fad2c82f414ee741a59d72d2cd1ba",
+        "19b55cc18ffe0b5df035be4cdd8a93404336ef71e26ac82e177b6c7c799bb6ee",
+        "297363c3e83ba43e9541c9719597d4949c82eb4079d26655526dbe48e57e8199",
+        "c6b277eefda9b3d17e93375484e2a9776ec86f41ad54aeac8eeda3df7073c34e",
+    ),
+    ("csv", 7): (
+        "20308c46abd123c784846f3ed165b98f52bf168d6e1ef57224460b3fece4b16d",
+        "8a2d8eabd3fdd462e04f8a4f051d4e44e26706950cf849f233e43f4ed4b114a6",
+        "96db563c12384b459c4f22e8bcb77b0a509a8bc8799c090672b7af9fac874130",
+        "ea28fefe70d45b27f989cc741431edd7ed3df8066d094c482ecbeaea4099821c",
+    ),
+    ("csv", 40): (
+        "832353427e3c9da07077e272c369cdc276c072393ce250ec0e909cabf89270cf",
+        "cb46b3b1bb0eecbc0f7963bc184a75d1c01da22ecae04c7ef6f3cbbc06cfeeb0",
+        "d3875db8ae2f1915ffc06fc53fe98e209ce6c0275f71f05d92b49e50f4169c86",
+        "12ab7ceffb8b8e52f1171b7b712a0ccd8d4246882202296aac5cf533c6adeed1",
+    ),
+}
 # SHA-256 of the stdout of `oracle` with these arguments, recorded while the
 # districts were still found by filtering subsets and the allocation search
-# still tried every bin order.
+# still tried every bin order; those at caps 4 and 36 while each shape still
+# kept its districts and its compiled search in two caches.
 ORACLE_GOLDEN = {
     ("--count", "25", "--oracle-cap", "16", "--format", "json", "--seed", "38"):
         "d2870ffb589983951703000236b72bdb46946e65c6a07a7a561cc1a0800a3178",
@@ -70,6 +132,12 @@ ORACLE_GOLDEN = {
         "e123ffcfead75d5708f208199831a17fe7b5e6660c5fc617ed5e0e6a7a3e6241",
     ("--count", "5", "--seed", "4", "--format", "csv"):
         "d17752eace71af3943adaa4c1c332f7458d3a3647f013f8ef36f4c4fb5cf4919",
+    ("--count", "25", "--oracle-cap", "4", "--format", "json", "--seed", "40"):
+        "e35ac9c1e9cfb39c24bf103379fb7551fa93a1cdde20a322e281dd426d103f22",
+    ("--count", "40", "--oracle-cap", "36", "--format", "json", "--seed", "41"):
+        "08b2e06f2812a0d67d9062318ffd818f9e3a9ea5015b369ecd0f6148ce371327",
+    ("--count", "40", "--oracle-cap", "36", "--format", "csv", "--seed", "41"):
+        "095f9eae824041e4f0d672b4280e3b0e8603ef03ba1fd7ccfec9e41010f3d28d",
 }
 
 
@@ -97,6 +165,13 @@ def corpus_mismatches(cases):
             yield f"parse_ratio({text[:60]!r}): expected {expected}, got {got}"
 
 
+def digit_mismatches():
+    for text in POST_13_DIGIT_STRINGS:
+        got = verdict(text)
+        if got[0] != "error":
+            yield f"parse_ratio({ascii(text)}): expected a FormatError, got {got}"
+
+
 def profile_mismatches():
     for name, doc in PROFILES.items():
         profile = model.profile_from_dict(doc)
@@ -107,51 +182,67 @@ def profile_mismatches():
             yield f"{name} profile: differs from SplitProfile.of its parsed entries"
 
 
+def digest_mismatches(argv, digest):
+    """The mismatch, if any, of ``lry`` run with ``argv`` against its
+    SHA-256 ``digest``."""
+    out = io.StringIO()
+    code = cli.main(argv, stdout=out)
+    got = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    if code != 0 or got != digest:
+        yield f"{' '.join(argv)}: exit {code}, sha256 {got}"
+
+
 def simulate_mismatches():
     with tempfile.TemporaryDirectory() as tmp:
         for (name, fmt, seed), digest in SIMULATE_PARSE_GOLDEN.items():
             path = Path(tmp) / f"{name}.json"
             path.write_text(json.dumps(PROFILES[name]))
-            out = io.StringIO()
             argv = ["simulate", "--input", str(path), "--seed", str(seed), "--format", fmt]
-            code = cli.main(argv, stdout=out)
-            got = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
-            if code != 0 or got != digest:
-                yield f"simulate {name} {fmt} seed {seed}: exit {code}, sha256 {got}"
+            yield from digest_mismatches(argv, digest)
 
 
 def verify_mismatches():
     for fmt, digest in VERIFY_GOLDEN.items():
-        out = io.StringIO()
         argv = ["verify", "--count", "200", "--n-max", "20", "--seed", "1", "--format", fmt]
-        code = cli.main(argv, stdout=out)
-        got = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
-        if code != 0 or got != digest:
-            yield f"verify {fmt}: exit {code}, sha256 {got}"
+        yield from digest_mismatches(argv, digest)
+
+
+def example_2gap_mismatches():
+    for fmt, digests in EXAMPLE_2GAP_GOLDEN.items():
+        for seed, digest in enumerate(digests):
+            yield from digest_mismatches(
+                ["example-2gap", "--seed", str(seed), "--format", fmt], digest
+            )
+
+
+def geodelta_mismatches():
+    for (fmt, delta), digests in GEODELTA_GOLDEN.items():
+        for seed, digest in enumerate(digests):
+            argv = ["geodelta", "--delta", str(delta), "--seed", str(seed), "--format", fmt]
+            yield from digest_mismatches(argv, digest)
 
 
 def oracle_mismatches():
     for args, digest in ORACLE_GOLDEN.items():
-        out = io.StringIO()
-        code = cli.main(["oracle", *args], stdout=out)
-        got = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
-        if code != 0 or got != digest:
-            yield f"oracle {' '.join(args)}: exit {code}, sha256 {got}"
+        yield from digest_mismatches(["oracle", *args], digest)
 
 
 def main() -> int:
     cases = corpus_cases()
     failures = [
-        *corpus_mismatches(cases), *profile_mismatches(), *simulate_mismatches(),
-        *verify_mismatches(), *oracle_mismatches(),
+        *corpus_mismatches(cases), *digit_mismatches(), *profile_mismatches(),
+        *simulate_mismatches(), *example_2gap_mismatches(), *verify_mismatches(),
+        *geodelta_mismatches(), *oracle_mismatches(),
     ]
     for line in failures:
         print(line)
     print(
         f"Python {sys.version.split()[0]}: {len(cases)} ratio strings, "
-        f"{len(PROFILES)} profiles, {len(SIMULATE_PARSE_GOLDEN)} simulate digests, "
-        f"{len(VERIFY_GOLDEN)} verify digests, {len(ORACLE_GOLDEN)} oracle digests, "
-        f"{len(failures)} mismatches"
+        f"{len(POST_13_DIGIT_STRINGS)} post-13.0 digits, {len(PROFILES)} profiles, "
+        f"{len(SIMULATE_PARSE_GOLDEN)} simulate, "
+        f"{sum(map(len, EXAMPLE_2GAP_GOLDEN.values()))} example-2gap, "
+        f"{len(VERIFY_GOLDEN)} verify, {sum(map(len, GEODELTA_GOLDEN.values()))} geodelta "
+        f"and {len(ORACLE_GOLDEN)} oracle digests, {len(failures)} mismatches"
     )
     return 1 if failures else 0
 

@@ -440,50 +440,9 @@ def test_geodelta_json_report():
     assert "worst candidate 0 wins, geo 3, gap 3 > 2" == doc["summary"]
 
 
-# SHA-256 of the stdout of `geodelta --delta D --seed S --format F`, recorded
-# while the group counts still came from the dense grid of `make_geodelta`.
-GEODELTA_GOLDEN = {
-    ("json", 1): (
-        "02bf4a29a933227deace620c9a688333bf9bd7b9d9cd5909b128942d9a8b58ad",
-        "5b0316b5562153ec0ca8dd66996c6fa6ce787a78481a4f2330687b88e92df415",
-        "d2d0fd7f871e7c49484338721b90f45035867274e88eef8bd3f0ddc2149758c4",
-        "f36b7d7b334b53150059c08e05b7b145f6a76742dda6235f69594a32387eb799",
-    ),
-    ("json", 7): (
-        "342a4f5ea9e7718906563127d805fdc6ae32cba5fd5d5e2150d2f75d83f4eea3",
-        "5ec489e7e4b85dc53e90851a9bce617acf4bfd3313996abbb92b3dd9a2ea6389",
-        "8ad4b60c006edf31305e542bdf7bc023c549c4c002b61ddfc0fcfb9f724c8435",
-        "5b426c99c6d61c2bb825b8db32216fe8d1ff07f90e101e8708b6a04fa4da0197",
-    ),
-    ("json", 40): (
-        "adec3c5a4520cde87d629c442545a3a9ac43239e32cbbbf16fb0b42c1bdc08ad",
-        "b6bd2ab9efa1c599fa212155b815e6604cce014088a00f37555d761eeb03dd57",
-        "97163106889888eb420d43d70935dd69b7d8b693085255fa9f6cbe3bec3bf789",
-        "21e0c7a312774c2880a2a713a49649c17f4e7317be10c9c70bc57eed8b9003fc",
-    ),
-    ("csv", 1): (
-        "c8e2b6488e501a7b6e899746c769edcc234fad2c82f414ee741a59d72d2cd1ba",
-        "19b55cc18ffe0b5df035be4cdd8a93404336ef71e26ac82e177b6c7c799bb6ee",
-        "297363c3e83ba43e9541c9719597d4949c82eb4079d26655526dbe48e57e8199",
-        "c6b277eefda9b3d17e93375484e2a9776ec86f41ad54aeac8eeda3df7073c34e",
-    ),
-    ("csv", 7): (
-        "20308c46abd123c784846f3ed165b98f52bf168d6e1ef57224460b3fece4b16d",
-        "8a2d8eabd3fdd462e04f8a4f051d4e44e26706950cf849f233e43f4ed4b114a6",
-        "96db563c12384b459c4f22e8bcb77b0a509a8bc8799c090672b7af9fac874130",
-        "ea28fefe70d45b27f989cc741431edd7ed3df8066d094c482ecbeaea4099821c",
-    ),
-    ("csv", 40): (
-        "832353427e3c9da07077e272c369cdc276c072393ce250ec0e909cabf89270cf",
-        "cb46b3b1bb0eecbc0f7963bc184a75d1c01da22ecae04c7ef6f3cbbc06cfeeb0",
-        "d3875db8ae2f1915ffc06fc53fe98e209ce6c0275f71f05d92b49e50f4169c86",
-        "12ab7ceffb8b8e52f1171b7b712a0ccd8d4246882202296aac5cf533c6adeed1",
-    ),
-}
-
-
 def test_geodelta_output_is_golden():
-    for (fmt, delta), digests in GEODELTA_GOLDEN.items():
+    # The digests live in check_goldens.py, which CI also runs without pytest.
+    for (fmt, delta), digests in check_goldens.GEODELTA_GOLDEN.items():
         for seed, digest in enumerate(digests):
             code, text = run_cli(
                 "geodelta", "--delta", str(delta), "--seed", str(seed), "--format", fmt
@@ -557,24 +516,10 @@ SIMULATE_PROFILE = {"n": 5, "segments_a": ["4/9", "3/10", "1", "8/9", "7/10"]}
 # Invalid: the cumulative sum 0.5 at split 2 is a half-integer.
 INVALID_PROFILE = {"n": 2, "segments_a": ["0.25", "0.25"]}
 
-# SHA-256 of the stdout of `example-2gap --seed S --format F` for seeds 0-3,
-# of `simulate` on SIMULATE_PROFILE at seeds 1 and 3, and of `simulate` on
-# INVALID_PROFILE (a JSON report whatever --format says), recorded while
-# `example-2gap` still had its own copy of the simulate command.
-EXAMPLE_2GAP_GOLDEN = {
-    "json": (
-        "5593869318bf06d18f36107e686eb777a8af0453cd928928c87120f765e3cf54",
-        "e273f64634535821d541b67360f7eeab926bcc52a2f6b04984b1b360d81d220a",
-        "c76de86ec3113a0c047890e30d5e719577131e4c24e4877d388b2eefd175244c",
-        "cd4cd11512ce5f9d3bdee90e38c875c9b8a881842a1a20103cf078b09c50083d",
-    ),
-    "csv": (
-        "60b4e7c4634d8b3a872cca76fea5af9c2843c029072de7020b28d54c55879157",
-        "25475ac0e64d4de419d27a4ef454588f433b21fe788da454ff7900f56c8c2eb8",
-        "c4bad814c8b8a8e578b822737b04a8962517ba9dd45b41cc52cdddd66b137d06",
-        "82064166677ff25004adf7db27165c2c008a6f8be26997ae575cae865196722f",
-    ),
-}
+# SHA-256 of the stdout of `simulate` on SIMULATE_PROFILE at seeds 1 and 3,
+# and of `simulate` on INVALID_PROFILE (a JSON report whatever --format
+# says), recorded while `example-2gap` still had its own copy of the simulate
+# command.  The `example-2gap` digests live in check_goldens.py.
 SIMULATE_GOLDEN = {
     ("json", 1): "c1548aff3a4f2cde7406e3969ebd5c152f30f51c4d49bf048b8995b5374cc424",
     ("json", 3): "d887710bcbf4109f4c2d31a0c1e7083754baa78c971d28f8bf216555aa69a4fb",
@@ -599,7 +544,7 @@ def sha256(text):
 
 
 def test_example_2gap_output_is_golden():
-    for fmt, digests in EXAMPLE_2GAP_GOLDEN.items():
+    for fmt, digests in check_goldens.EXAMPLE_2GAP_GOLDEN.items():
         for seed, digest in enumerate(digests):
             code, text = run_cli("example-2gap", "--seed", str(seed), "--format", fmt)
             assert code == 0
@@ -645,7 +590,7 @@ def test_python_m_lry_runs_the_cli():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert hashlib.sha256(proc.stdout).hexdigest() == EXAMPLE_2GAP_GOLDEN["json"][0]
+    assert hashlib.sha256(proc.stdout).hexdigest() == check_goldens.EXAMPLE_2GAP_GOLDEN["json"][0]
 
 
 def test_fairness_targets_are_computed_once(monkeypatch):

@@ -25,11 +25,15 @@ TINY = Fraction(1, 10**30)
 def fresh_growth():
     """Every test grows districts and compiles searches afresh, so none
     keeps, or leaves behind, districts that a patched growth made."""
-    grid._shape_districts.cache_clear()
-    grid._shape_moves.cache_clear()
+    grid._shape.cache_clear()
     yield
-    grid._shape_districts.cache_clear()
-    grid._shape_moves.cache_clear()
+    grid._shape.cache_clear()
+
+
+def bits(g, cells):
+    """The mask of ``cells`` on ``g``, cell (i, j) as bit (i-1)*m + (j-1),
+    computed here rather than read off ``grid._shape``."""
+    return sum(1 << ((i - 1) * g.m + j - 1) for i, j in cells)
 
 
 def make_grid(rows, d):
@@ -51,6 +55,9 @@ def geodelta_winning_plan(delta):
 @pytest.mark.parametrize("d, z", [(100, 20), (4, 4), (2, 2), (1, 2), (5, 4)])
 def test_compactness_bound(d, z):
     assert grid.compactness_bound(d) == z
+    # isqrt(4d)^2 >= d, so every d-cell district size has a square to fit in
+    # and GridState needs no check for it.
+    assert all(grid.compactness_bound(n) ** 2 >= n for n in range(1, 10**4 + 1))
 
 
 class TestGridState:
@@ -436,7 +443,7 @@ class TestDirectEnumeration:
         def plans():
             # fresh growth and a fresh grid for each pass, since districts are
             # grown once per process and tabled once per grid
-            grid._shape_districts.cache_clear()
+            grid._shape.cache_clear()
             return [
                 list(grid.enumerate_region_plans(grid.GridState(g.m, g.d, g.cells), r))
                 for g, r in regions
@@ -456,7 +463,7 @@ class TestDirectEnumeration:
         cases = []
         for index in range(25):
             g = oracle.random_small_grid(random.Random(mix_seed(0, index)))
-            cases += [(g, cells) for _, cells in grid._shape_districts(g.m, g.d, g.all_cells())]
+            cases += [(g, cells) for _, cells in grid._shape(g.m, g.d, g.all_cells()).districts]
         square = frozenset((i, j) for i in range(1, 4) for j in range(1, 4))
         plus = frozenset({(1, 2), (2, 1), (2, 3), (3, 2)})
         hook = frozenset({(1, 1), (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)})
@@ -669,7 +676,7 @@ class TestVerdictCache:
         expected = Counter()
         for shape, g in first.items():
             expected.update(
-                (shape, district) for _, district in grid._shape_districts(*shape, g.all_cells())
+                (shape, district) for _, district in grid._shape(*shape, g.all_cells()).districts
             )
         assert len(first) == 4 and set(expected.values()) == {1}
         for repeat in (1, 2):
@@ -815,7 +822,7 @@ def reference_grid_oracle(count, seed, cap):
         instances += 1
         valid = {}  # each valid district of the grid: (mask, winner)
         faults = []
-        for mask, district in grid._shape_districts(g.m, g.d, region):
+        for mask, district in grid._shape(g.m, g.d, region).districts:
             bad = grid.validate_plan(g, (district,), district)
             if bad:
                 faults.append(bad[0].message)
@@ -826,7 +833,7 @@ def reference_grid_oracle(count, seed, cap):
         plans = 0
         for plan in grid.enumerate_region_plans(g, region):
             plans += 1
-            fault = oracle._plan_fault(plan, masks, grid._cells_mask(g, region))
+            fault = oracle._plan_fault(plan, masks, bits(g, region))
             if fault:
                 faults.append(fault)
             else:
@@ -1000,8 +1007,9 @@ def oracle_growth_keys(seed, cap, count=25):
 def district_winners(g, region):
     """Each district's winner on ``g``, by index, read off the districts
     each party wins; no district is won by both."""
-    a, b = (grid._district_wins(g, region, party) for party in Party)
-    assert len(a) == len(b) == len(grid._shape_districts(g.m, g.d, region))
+    shape = grid._shape(g.m, g.d, region)
+    a, b = (grid._district_wins(g, shape, party) for party in Party)
+    assert len(a) == len(b) == len(shape.districts)
     assert not any(x and y for x, y in zip(a, b))
     return tuple(Party.A if x else Party.B if y else None for x, y in zip(a, b))
 
@@ -1014,12 +1022,13 @@ class TestDistrictTable:
     def test_fitting_districts_are_the_regions_districts(self, seed):
         regions = random_subregions() if seed == "subregions" else oracle_regions(seed)
         for g, region in regions:
-            districts = grid._shape_districts(g.m, g.d, region)
-            table = grid._by_anchor(districts)
-            assert set(table) <= {g.cell_bits[cell] for cell in region}
+            shape = grid._shape(g.m, g.d, region)
+            districts, table = shape.districts, shape.by_anchor
+            assert shape.mask == bits(g, region)
+            assert set(table) <= {bits(g, [cell]) for cell in region}
             cells = sorted(region)
             for index, anchor in enumerate(cells):
-                found = table.get(g.cell_bits[anchor], [])
+                found = table.get(bits(g, [anchor]), [])
                 assert all(districts[i][0] == mask for i, mask in found)
                 fitting = {districts[i][1] for i, _ in found if districts[i][1] <= region}
                 later = frozenset(cells[index + 1 :])
@@ -1030,14 +1039,14 @@ class TestDistrictTable:
         for index in range(25):
             g = oracle.random_small_grid(random.Random(mix_seed(seed, index)))
             region = g.all_cells()
-            districts = grid._shape_districts(g.m, g.d, region)
-            positions = grid._shape_moves(g.m, g.d, region)[0]
+            shape = grid._shape(g.m, g.d, region)
+            districts, positions = shape.districts, shape.positions
             winners = district_winners(g, region)
             for (mask, district), cells, winner in zip(districts, positions, winners, strict=True):
-                assert mask == sum(g.cell_bits[cell] for cell in district)
-                assert mask & -mask == g.cell_bits[min(district)]
+                assert mask == bits(g, district)
+                assert mask & -mask == bits(g, [min(district)])
                 assert sorted(1 << position for position in cells) == sorted(
-                    g.cell_bits[cell] for cell in district
+                    bits(g, [cell]) for cell in district
                 )
                 assert winner == reference_winner(g, district)
             anchors = [min(district) for _, district in districts]
@@ -1056,7 +1065,7 @@ class TestDistrictTable:
         )
         assert g._scaled[0] == 30
         region = g.all_cells()
-        districts = (district for _, district in grid._shape_districts(g.m, g.d, region))
+        districts = (district for _, district in grid._shape(g.m, g.d, region).districts)
         winners = dict(zip(districts, district_winners(g, region), strict=True))
         assert len(winners) == 24
         for district, winner in winners.items():
@@ -1081,15 +1090,15 @@ class TestDistrictTable:
             grid.max_wins_bruteforce(g, side, Party.A)
         expected = growths_for((g.m, g.d, side) for side in set(sides))
         assert growths == expected
-        masks = {grid._cells_mask(g, side) for side in sides}
+        masks = {bits(g, side) for side in sides}
         assert set(g.district_wins) == {(mask, Party.A) for mask in masks}
-        assert grid._shape_moves.cache_info().currsize == len(masks)
+        assert grid._shape.cache_info().currsize == len(masks)
         other = fresh(g)
         for side in sides:
             grid.max_wins_bruteforce(other, side, Party.A)
         assert other.district_wins == g.district_wins
         assert growths == expected
-        assert grid._shape_moves.cache_info().misses == len(masks)
+        assert grid._shape.cache_info().misses == len(masks)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_grown_districts_serve_every_grid_of_the_shape(self, monkeypatch, seed):
@@ -1102,18 +1111,17 @@ class TestDistrictTable:
             first.setdefault((g.m, g.d), g)
         growths = record_growths(monkeypatch)
         grown = {
-            shape: grid._shape_districts(*shape, g.all_cells()) for shape, g in first.items()
+            shape: grid._shape(*shape, g.all_cells()).districts for shape, g in first.items()
         }
         expected = growths_for((g.m, g.d, g.all_cells()) for g in first.values())
         assert growths == expected
         tables = []
         for g in grids:
-            assert grid._shape_districts(g.m, g.d, g.all_cells()) is grown[g.m, g.d]
+            assert grid._shape(g.m, g.d, g.all_cells()).districts is grown[g.m, g.d]
             tables.append(district_winners(g, g.all_cells()))
         assert growths == expected
         for g, table in zip(grids, tables):
-            grid._shape_districts.cache_clear()
-            grid._shape_moves.cache_clear()
+            grid._shape.cache_clear()
             assert district_winners(fresh(g), g.all_cells()) == table
         assert len({g.cells for g in grids}) > len(first)
 
@@ -1123,13 +1131,15 @@ class TestDistrictTable:
         assert grid.max_wins_bruteforce(g, frozenset(), Party.A) == 0
         assert list(grid.enumerate_region_plans(g, frozenset())) == [()]
         assert g.district_wins == {(0, Party.A): ()}
-        assert grid._shape_moves(g.m, g.d, frozenset()) == ((), ((),))
+        empty = grid._shape(g.m, g.d, frozenset())
+        assert (empty.mask, empty.districts, empty.by_anchor) == (0, (), {})
+        assert (empty.positions, empty.nodes) == ((), ((),))
         small = make_grid([[1] * 12 for _ in range(12)], d=2)
         region = frozenset({(5, 5), (5, 6), (6, 5), (6, 6)})
         assert grid.max_wins_bruteforce(small, region, Party.A) == 2
-        districts = grid._shape_districts(small.m, small.d, region)
+        districts = grid._shape(small.m, small.d, region).districts
         assert len(districts) == 4 and all(cells <= region for _, cells in districts)
-        assert small.district_wins == {(grid._cells_mask(small, region), Party.A): (True,) * 4}
+        assert small.district_wins == {(bits(small, region), Party.A): (True,) * 4}
         # A 2x4 corner of a 12x12 grid at d = 8: grown over the whole grid,
         # each of its anchors would reach thousands of 8-cell districts.
         allowed_sets = []
@@ -1223,7 +1233,8 @@ def reference_best_wins(table, party, remaining, memo):
 
 def reference_winners(g, region):
     """Each grown district of the region with its ``Fraction`` winner."""
-    return {cells: reference_winner(g, cells) for _, cells in grid._shape_districts(g.m, g.d, region)}
+    districts = grid._shape(g.m, g.d, region).districts
+    return {cells: reference_winner(g, cells) for _, cells in districts}
 
 
 def reference_search(g, region, party, winners=None):
@@ -1232,9 +1243,9 @@ def reference_search(g, region, party, winners=None):
     if winners is None:
         winners = reference_winners(g, region)
     table = {}
-    for mask, cells in grid._shape_districts(g.m, g.d, region):
+    for mask, cells in grid._shape(g.m, g.d, region).districts:
         table.setdefault(mask & -mask, []).append((mask, cells, winners[cells]))
-    return max(reference_best_wins(table, party, grid._cells_mask(g, region), {0: 0}), 0)
+    return max(reference_best_wins(table, party, bits(g, region), {0: 0}), 0)
 
 
 SHAPES = ((2, 2), (2, 4), (4, 2), (4, 4))
@@ -1287,12 +1298,12 @@ class TestCompiledSearch:
             for party in Party:
                 got = grid.max_wins_bruteforce(g, region, party, cap=36)
                 assert got == reference_search(g, region, party)
-        assert grid._shape_moves.cache_info().misses == 1
+        assert grid._shape.cache_info().misses == 1
 
     def test_no_plan_reads_zero(self):
         g = make_grid([[1] * 4 for _ in range(4)], d=2)
         region = frozenset({(1, 1), (1, 2), (1, 3), (1, 4), (3, 1), (3, 3)})
-        assert grid._shape_moves(g.m, g.d, region)[1] == ()
+        assert grid._shape(g.m, g.d, region).nodes == ()
         assert grid.max_wins_bruteforce(g, region, Party.A) == 0
         assert reference_search(g, region, Party.A) == 0
 
@@ -1310,13 +1321,17 @@ class TestCompiledSearch:
              r"region cell \(0, 1\) is off the 4x4 grid"),
         ],
     )
-    def test_refused_regions_compile_nothing(self, region, cap, message):
+    def test_refused_regions_compile_nothing(self, monkeypatch, region, cap, message):
         g = make_grid([[1] * 4 for _ in range(4)], d=2)
+        growths = record_growths(monkeypatch)
         for party in Party:
             with pytest.raises(grid.GridError, match=f"^{message}$"):
                 grid.max_wins_bruteforce(g, region, party, cap=cap)
-        assert grid._shape_moves.cache_info().currsize == 0
-        assert grid._shape_districts.cache_info().currsize == 0
+        if len(region) <= cap:  # refused by _shape itself, for every caller
+            with pytest.raises(grid.GridError, match=f"^{message}$"):
+                list(grid.enumerate_region_plans(g, region))
+        assert growths == Counter()  # refused before any growth
+        assert grid._shape.cache_info().currsize == 0
         assert g.district_wins == {}
 
 
@@ -1342,12 +1357,11 @@ class TestOracleGrowth:
             assert oracle.grid_oracle_mismatches(25, seed, 16) == (25, [])
             assert growths == growths_for(keys)  # the second call grows nothing
             assert len(searches) == repeat * (25 + 8)
-        assert grid._shape_moves.cache_info().misses == len(keys)  # compiled once too
-        grid._shape_districts.cache_clear()
-        grid._shape_moves.cache_clear()
+        assert grid._shape.cache_info().misses == len(keys)  # compiled once too
+        grid._shape.cache_clear()
         for g, region in searches:
-            own = grid._district_wins(fresh(g), region, Party.A)
-            assert g.district_wins[grid._cells_mask(g, region), Party.A] == own
+            own = grid._district_wins(fresh(g), grid._shape(g.m, g.d, region), Party.A)
+            assert g.district_wins[bits(g, region), Party.A] == own
             # The oracle searched for A only; B's search must not read A's wins.
             assert search(g, region, Party.B) == search(fresh(g), region, Party.B)
 
@@ -1364,15 +1378,14 @@ class TestOracleGrowth:
     def test_cache_stays_bounded(self):
         # An unbounded cache holds one entry per (shape, region) the oracle
         # can reach: the 4 grid shapes and the analogue's 7 distinct sides,
-        # one of which is the whole 4x4 grid of the 4x4, d = 4 shape.  The
-        # compiled searches are kept for the same regions.
+        # one of which is the whole 4x4 grid of the 4x4, d = 4 shape.  Each
+        # entry holds the region's districts and its compiled search alike.
         keys = set()
         for seed in range(10):
             for count, cap in ((25, 4), (25, 8), (25, 16), (40, 36)):
                 assert oracle.grid_oracle_mismatches(count, seed, cap)[1] == []
                 keys |= oracle_growth_keys(seed, cap, count)
-        assert grid._shape_districts.cache_info().currsize == len(keys) == 10
-        assert grid._shape_moves.cache_info().currsize == 10
+        assert grid._shape.cache_info().currsize == len(keys) == 10
 
 
 class TestGeodeltaConstruction:

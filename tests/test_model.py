@@ -2,6 +2,7 @@ import re
 import reprlib
 import sys
 import time
+import unicodedata
 from decimal import Decimal
 from fractions import Fraction
 
@@ -34,6 +35,32 @@ class TestParseRatio:
     def test_garbage_rejected(self, bad):
         with pytest.raises(model.FormatError):
             model.parse_ratio(bad)
+
+    @pytest.mark.parametrize(
+        "text",
+        # a Tangsa digit (Unicode 14.0) and a Kawi digit (15.0), alone, inside
+        # a run, after a sign and in an exponent
+        [
+            "\U00016ac1/3", "\U00011f51/3",
+            "1\U00016ac1", "1/3\U00011f51", "-\U00016ac1", "1e\U00011f51",
+        ],
+    )
+    def test_digits_after_unicode_13_rejected(self, text):
+        # Python 3.11 and later know these as digits; 3.10 does not.
+        with pytest.raises(model.FormatError, match="not a valid ratio"):
+            model.parse_ratio(text)
+
+    def test_unicode_13_digits_accepted(self):
+        digits = map(chr, range(sys.maxunicode + 1))
+        zeros = {ord(c) for c in digits if c.isdecimal() and int(c) == 0}
+        assert len(model._UNICODE_13_ZEROS) == 65
+        assert model._UNICODE_13_ZEROS <= zeros
+        if unicodedata.unidata_version == "13.0.0":
+            assert model._UNICODE_13_ZEROS == zeros
+        for zero in model._UNICODE_13_ZEROS:
+            run = "".join(map(chr, range(zero, zero + 10)))
+            assert model.parse_ratio(run) == 123456789
+            assert model.parse_ratio(f"1_{chr(zero + 7)}/{chr(zero + 3)}") == Fraction(17, 3)
 
     def test_float_rejected(self):
         with pytest.raises(model.FormatError):

@@ -149,7 +149,7 @@ def _cmd_verify(args) -> _Report:
             {**v, "profile": _canonical_json(v["profile"]) if v["profile"] else ""}
             for v in body["violations"]
         ],
-        0 if sweep.ok else 1,
+        1 if sweep.violations else 0,
     )
 
 
@@ -314,7 +314,3 @@ def main(argv: list[str] | None = None, stdout: io.TextIOBase | None = None) -> 
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         return 141
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -14,10 +14,10 @@ with its mask, in order of its smallest cell, files them by that cell, and
 compiles the region's search over them: every set of cells a plan can leave
 unassigned becomes a node listing the districts that can take its smallest
 cell and the node each leaves.  ``enumerate_region_plans`` recurses on the
-mask of the cells left unassigned and lists every plan;
-``max_wins_bruteforce`` lists none, but makes one flat pass over the
-compiled nodes with the districts a party wins on this grid, computed once
-per grid, region and party (``grid.district_wins``).
+mask of the cells left unassigned and lists every plan; ``max_wins_bruteforce``
+lists none, but makes one flat pass over the compiled nodes with the districts
+a party wins on this grid, computed once per grid, region and party
+(``grid.district_wins``), and raises ``GridError`` on a region with no plan.
 
 ``validate_plan`` checks a plan cell by cell and lists every violation
 with its district's index; ``count_wins`` validates the plan, then sums
@@ -78,8 +78,7 @@ class GridState:
     def __post_init__(self):
         if self.m < 1:
             raise GridError(f"grid side must be positive, got {self.m}")
-        if self.d < 1:
-            raise GridError(f"district size must be positive, got {self.d}")
+        compactness_bound(self.d)  # raises GridError on d < 1
         if (self.m * self.m) % self.d != 0:
             raise GridError(f"district size {self.d} does not divide {self.m}^2 cells")
         if len(self.cells) != self.m or any(len(row) != self.m for row in self.cells):
@@ -450,14 +449,16 @@ def max_wins_bruteforce(
     party: Party,
     cap: int = DEFAULT_BRUTEFORCE_CAP,
 ) -> int:
-    """Best win count for ``party`` over every valid plan of ``region``, 0
-    when it has none.  Exhaustive, so only for regions of at most ``cap``
-    cells.  One flat pass over the nodes of the region's ``_shape``,
-    children first: a node's best is the most, over its moves, of the
-    child's best plus the move's district won (``_district_wins``)."""
+    """Best win count for ``party`` over every valid plan of ``region``,
+    ``GridError`` when it has none.  Exhaustive, so only for regions of at
+    most ``cap`` cells.  One flat pass over the nodes of the region's
+    ``_shape``, children first: a node's best is the most, over its moves, of
+    the child's best plus the move's district won (``_district_wins``)."""
     if len(region) > cap:
         raise GridError(f"region of {len(region)} cells exceeds the cap of {cap}")
     shape = _shape(grid.m, grid.d, frozenset(region))
+    if not shape.nodes:  # the empty region has node 0, the empty mask
+        raise GridError(f"region of {len(region)} cells has no valid plan")
     won = _district_wins(grid, shape, party)
     best = []
     for moves in shape.nodes:
@@ -467,7 +468,7 @@ def max_wins_bruteforce(
             if wins > top:
                 top = wins
         best.append(top)
-    return best[-1] if best else 0
+    return best[-1]
 
 
 # --- banded construction ----------------------------------------------------

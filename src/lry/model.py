@@ -84,7 +84,7 @@ def parse_ratio(value: str | int) -> Fraction:
         except FormatError:
             raise
         except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(f"not a valid ratio: {reprlib.repr(text)}") from exc
+            raise FormatError(f"not a valid ratio: {_brief(text)}") from exc
         # Without an exponent, ratio_str is at most 2 * len(text) + 1 long.
         if 2 * len(text) < MAX_RATIO_LENGTH and "e" not in text and "E" not in text:
             return result
@@ -263,17 +263,9 @@ class SplitProfile:
     def total_a(self) -> Fraction:
         return Fraction(self.prefix_a[-1], self.scale)
 
-    @property
-    def total_b(self) -> Fraction:
-        return self.n - self.total_a
-
     @cached_property
     def violations(self) -> tuple[Violation, ...]:
         return tuple(_check(self))
-
-    @property
-    def is_valid(self) -> bool:
-        return not self.violations
 
 
 def _from_segments(n: int, segments: Sequence[Fraction], scale: int) -> SplitProfile:
@@ -404,10 +396,21 @@ def profile_from_dict(doc: object) -> SplitProfile:
     return _from_segments(n, tuple(segments), scale)
 
 
+class _AsciiRepr(reprlib.Repr):
+    """``reprlib.Repr`` cutting ``ascii()``, not ``repr()``: the same on every Unicode database."""
+
+    def repr_str(self, x: str, level: int) -> str:
+        s = ascii(x[:30])
+        if len(s) > 30:  # reprlib's cut at its maxstring, 30: 13 characters, "...", 14
+            s = ascii(x[:13] + x[len(x) - 14 :])
+            s = s[:13] + "..." + s[len(s) - 14 :]
+        return s
+
+
 def _brief(value: object) -> str:
-    """``reprlib.repr(value)``, or a placeholder if it holds an int too long for ``repr``."""
+    """``_AsciiRepr().repr(value)``, or a placeholder if it holds an int too long for ``repr``."""
     try:
-        return reprlib.repr(value)
+        return _AsciiRepr().repr(value)
     except ValueError:
         return f"<{type(value).__name__} too long to show>"
 

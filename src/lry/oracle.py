@@ -72,7 +72,8 @@ def grid_oracle_mismatches(count: int, seed: int, cap: int) -> tuple[int, list[d
     which districts A wins (``grid._district_wins``), sums them by district
     index over its shape's valid plans, compares the best with
     ``max_wins_bruteforce``, whose pass over the shape's compiled search
-    lists no plans, and reports its shape's faults as its own.  Growth and
+    lists no plans, and reports its shape's faults as its own; the search's
+    ``GridError`` on a region with no plan is a mismatch too.  Growth and
     compiling run once per process for each shape and region, in
     ``grid._shape``; the checks run again on every call.
     """
@@ -88,18 +89,18 @@ def grid_oracle_mismatches(count: int, seed: int, cap: int) -> tuple[int, list[d
         shape = grid_mod._shape(grid.m, grid.d, region)
         if (grid.m, grid.d) not in shapes:
             shapes[grid.m, grid.d] = _shape_checks(grid, shape, region)
-        faults, plans, plan_count = shapes[grid.m, grid.d]
+        faults, plans = shapes[grid.m, grid.d]
         won = grid_mod._district_wins(grid, shape, Party.A)
         best = max((sum(map(won.__getitem__, plan)) for plan in plans), default=-1)
         mismatches += (
             {"kind": "invalid_plan", "detail": f"instance {index}: {fault}"} for fault in faults
         )
-        reported = grid_mod.max_wins_bruteforce(grid, region, Party.A, cap=cap)
-        if plan_count == 0:
-            mismatches.append(
-                {"kind": "no_plans", "detail": f"instance {index}: nothing enumerated"}
-            )
-        elif best != reported:
+        try:
+            reported = grid_mod.max_wins_bruteforce(grid, region, Party.A, cap=cap)
+        except grid_mod.GridError as exc:
+            mismatches.append({"kind": "no_plans", "detail": f"instance {index}: {exc}"})
+            continue
+        if best != reported:
             mismatches.append(
                 {
                     "kind": "unwitnessed_max",
@@ -116,7 +117,10 @@ def grid_oracle_mismatches(count: int, seed: int, cap: int) -> tuple[int, list[d
         ):
             if not side_cells or len(side_cells) > cap:
                 continue
-            got = grid_mod.max_wins_bruteforce(analogue_grid, side_cells, Party.A, cap=cap)
+            try:
+                got = grid_mod.max_wins_bruteforce(analogue_grid, side_cells, Party.A, cap=cap)
+            except grid_mod.GridError as exc:
+                got = f"GridError({exc})"
             if got != expected:
                 mismatches.append(
                     {
@@ -130,8 +134,8 @@ def grid_oracle_mismatches(count: int, seed: int, cap: int) -> tuple[int, list[d
 
 def _shape_checks(grid: grid_mod.GridState, shape, region: frozenset) -> tuple:
     """What ``grid``'s shape alone decides, read off the region's ``shape``:
-    the faults of its districts, then of its plans, its valid plans as tuples
-    of district indices, and how many plans were enumerated."""
+    the faults of its districts, then of its plans, and its valid plans as
+    tuples of district indices."""
     valid = {}  # each valid district of the region: its mask
     faults = []
     for mask, district in shape.districts:
@@ -142,15 +146,13 @@ def _shape_checks(grid: grid_mod.GridState, shape, region: frozenset) -> tuple:
             valid[district] = mask
     index = {district: i for i, (_, district) in enumerate(shape.districts)}
     plans = []
-    plan_count = 0
     for plan in grid_mod.enumerate_region_plans(grid, region):
-        plan_count += 1
         fault = _plan_fault(plan, valid, shape.mask)
         if fault:
             faults.append(fault)
         else:
             plans.append(tuple(map(index.__getitem__, plan)))
-    return faults, plans, plan_count
+    return faults, plans
 
 
 def _plan_fault(plan: grid_mod.DistrictPlan, valid: dict, region_mask: int) -> str | None:

@@ -422,10 +422,6 @@ class SweepReport:
     outcomes: dict[str, int]
     violations: list[SweepViolation]
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
 
 class _Recorder:
     """Counts the checks performed and collects the failed ones.

@@ -2,15 +2,16 @@
 the standard library.
 
 Replays every recorded verdict in ``ratio_corpus.json`` through
-``model.parse_ratio``, and refuses two digits that Unicode added after
-13.0.  Then it replays every command's reports against their SHA-256
-digests: ``simulate`` on two profiles whose entries come in many written
-forms, ``example-2gap``, ``verify`` and ``geodelta`` in both formats, and
-``oracle`` at caps 4, 16 and 36.  Each of the two profiles must also read
+``model.parse_ratio``, refuses two digits that Unicode added after 13.0,
+and checks the error text of profiles that echo them.  Then it replays
+every command's reports against their SHA-256 digests: ``simulate`` on two
+profiles whose entries come in many written forms, ``example-2gap``,
+``verify`` and ``geodelta`` in both formats, and ``oracle`` at caps 4, 16
+and 36.  Each of the two profiles must also read
 back unchanged from ``profile_to_dict`` and equal ``SplitProfile.of`` its
 parsed entries.  So an interpreter without pytest can be checked too:
 
-    PYTHONPATH=src python -S tests/check_goldens.py
+    PYTHONPATH=src python -W error -X dev -S tests/check_goldens.py
 
 Prints each mismatch and exits 1, or exits 0 when everything agrees.
 """
@@ -46,6 +47,17 @@ PROFILES = {"large": LARGE_DEN_PROFILE, "noncanonical": NONCANONICAL_PROFILE}
 # (14.0) and a Kawi digit (15.0).  Each must be refused on every interpreter,
 # though 3.11 and later know them as digits.
 POST_13_DIGIT_STRINGS = ("\U00016ac1/3", "\U00011f51/3")
+# The FormatError text of profiles that echo those digits, the same on every
+# interpreter whatever characters its Unicode database prints: each echo is
+# escaped to ASCII before reprlib's cut, which keeps 13 characters, "..." and 14.
+ECHO_GOLDEN = (
+    ({"n": 1, "segments_a": ["\U00016ac1/3"]},
+     "segments_a[1]: not a valid ratio: '\\U00016ac1/3'"),
+    ({"n": 1, "segments_a": ["1/3"], "\U00016ac1": 0},
+     "unknown profile field(s): ['\\U00016ac1']"),
+    ({"n": 1, "segments_a": ["x" * 50 + "\U00011f51"]},
+     "segments_a[1]: not a valid ratio: 'xxxxxxxxxxxx...xxx\\U00011f51'"),
+)
 # SHA-256 of the stdout of `simulate` on the two profiles above, recorded
 # while every ratio string still went through Fraction's string parser.
 SIMULATE_PARSE_GOLDEN = {
@@ -172,6 +184,17 @@ def digit_mismatches():
             yield f"parse_ratio({ascii(text)}): expected a FormatError, got {got}"
 
 
+def echo_mismatches():
+    for doc, expected in ECHO_GOLDEN:
+        try:
+            model.profile_from_dict(doc)
+            got = "no FormatError"
+        except model.FormatError as exc:
+            got = str(exc)
+        if got != expected:
+            yield f"profile_from_dict({ascii(doc)}): expected {ascii(expected)}, got {ascii(got)}"
+
+
 def profile_mismatches():
     for name, doc in PROFILES.items():
         profile = model.profile_from_dict(doc)
@@ -230,15 +253,16 @@ def oracle_mismatches():
 def main() -> int:
     cases = corpus_cases()
     failures = [
-        *corpus_mismatches(cases), *digit_mismatches(), *profile_mismatches(),
-        *simulate_mismatches(), *example_2gap_mismatches(), *verify_mismatches(),
-        *geodelta_mismatches(), *oracle_mismatches(),
+        *corpus_mismatches(cases), *digit_mismatches(), *echo_mismatches(),
+        *profile_mismatches(), *simulate_mismatches(), *example_2gap_mismatches(),
+        *verify_mismatches(), *geodelta_mismatches(), *oracle_mismatches(),
     ]
     for line in failures:
         print(line)
     print(
         f"Python {sys.version.split()[0]}: {len(cases)} ratio strings, "
-        f"{len(POST_13_DIGIT_STRINGS)} post-13.0 digits, {len(PROFILES)} profiles, "
+        f"{len(POST_13_DIGIT_STRINGS)} post-13.0 digits, {len(ECHO_GOLDEN)} echoes, "
+        f"{len(PROFILES)} profiles, "
         f"{len(SIMULATE_PARSE_GOLDEN)} simulate, "
         f"{sum(map(len, EXAMPLE_2GAP_GOLDEN.values()))} example-2gap, "
         f"{len(VERIFY_GOLDEN)} verify, {sum(map(len, GEODELTA_GOLDEN.values()))} geodelta "

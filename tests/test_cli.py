@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import check_goldens
-from lry import cli, model, oracle, protocol, targets
+from lry import cli, grid, model, oracle, protocol, targets
 
 
 def run_cli(*argv):
@@ -158,7 +159,7 @@ def test_closed_stdout_exits_141_quietly(tmp_path):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.Popen(
-        [sys.executable, "-m", "lry.cli", "simulate", "--input", str(path)],
+        [sys.executable, "-m", "lry", "simulate", "--input", str(path)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
@@ -506,6 +507,33 @@ def test_oracle_reports_skipped_analogue():
         assert json.loads(text)["grid"]["analogueChecked"] is checked
 
 
+def test_oracle_reports_a_shape_without_a_plan(monkeypatch, capsys):
+    # Growth that drops the districts of corner (1, 1) on the 2x2 grid at
+    # d = 2 leaves that shape with no plan: each such grid is a no_plans
+    # mismatch carrying the search's error, and the other shapes are clean.
+    grow = grid._grow_districts
+    after_corner = frozenset({(1, 2), (2, 1), (2, 2)})
+
+    def without_corner(anchor, allowed, d, z):
+        return [] if (allowed, d) == (after_corner, 2) else grow(anchor, allowed, d, z)
+
+    monkeypatch.setattr(grid, "_grow_districts", without_corner)
+    grid._shape.cache_clear()
+    try:
+        code, text = run_cli("oracle", "--count", "12", "--seed", "5")
+    finally:
+        grid._shape.cache_clear()
+    assert code == 1
+    assert capsys.readouterr().err == ""
+    drawn = [oracle.random_small_grid(random.Random(protocol.mix_seed(5, i))) for i in range(12)]
+    no_plan = [i for i, g in enumerate(drawn) if (g.m, g.d) == (2, 2)]
+    assert no_plan and len(no_plan) < len(drawn)
+    assert json.loads(text)["grid"]["mismatches"] == [
+        {"kind": "no_plans", "detail": f"instance {i}: region of 4 cells has no valid plan"}
+        for i in no_plan
+    ]
+
+
 def test_oracle_output_is_golden():
     # The digests live in check_goldens.py, which CI also runs without pytest.
     assert list(check_goldens.oracle_mismatches()) == []
@@ -567,11 +595,13 @@ def test_simulate_parse_output_is_golden():
 
 
 def test_stdlib_grammar_check_passes():
-    # -S leaves site-packages out, so the check must need the stdlib alone.
+    # -S leaves site-packages out, so the check must need the stdlib alone;
+    # as in CI, a warning or an unclosed resource fails it.
     tests = os.path.dirname(os.path.abspath(__file__))
     src = os.path.join(os.path.dirname(tests), "src")
     proc = subprocess.run(
-        [sys.executable, "-S", os.path.join(tests, "check_goldens.py")],
+        [sys.executable, "-W", "error", "-X", "dev", "-S",
+         os.path.join(tests, "check_goldens.py")],
         capture_output=True,
         env={**os.environ, "PYTHONPATH": src},
         timeout=120,

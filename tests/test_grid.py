@@ -325,15 +325,31 @@ class TestBruteforce:
             {(1, 1), (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2), (3, 3)}
         )
         assert list(grid.enumerate_region_plans(g, ring)) == []
-        assert grid.max_wins_bruteforce(g, ring, Party.A) == 0
+        with pytest.raises(grid.GridError, match="region of 8 cells has no valid plan"):
+            grid.max_wins_bruteforce(g, ring, Party.A)
 
     def test_wins_on_a_dead_end_do_not_count(self):
         # The first two districts, both won by A, leave two cells that
-        # touch nothing.
+        # touch nothing: the search finds no plan, not a plan of two wins.
         g = make_grid([[1] * 4 for _ in range(4)], d=2)
         region = frozenset({(1, 1), (1, 2), (1, 3), (1, 4), (3, 1), (3, 3)})
         assert list(grid.enumerate_region_plans(g, region)) == []
-        assert grid.max_wins_bruteforce(g, region, Party.A) == 0
+        with pytest.raises(grid.GridError, match="region of 6 cells has no valid plan"):
+            grid.max_wins_bruteforce(g, region, Party.A)
+
+    @pytest.mark.parametrize("row", [1, 5])
+    def test_one_row_side_of_a_five_by_five_grid(self, row):
+        # Row-major splits of a 5x5 grid at d = 5 leave one-row sides; a row
+        # of 5 cells is wider than z = 4, so such a side has no plan, where
+        # a count of 0 once read as a gap of 5/2.
+        g = make_grid([[1] * 5 for _ in range(5)], d=5)
+        side = frozenset((row, j) for j in range(1, 6))
+        assert grid.compactness_bound(5) == 4
+        assert list(grid.enumerate_region_plans(g, side)) == []
+        for party in Party:
+            with pytest.raises(grid.GridError, match="region of 5 cells has no valid plan"):
+                grid.max_wins_bruteforce(g, side, party)
+        assert grid.max_wins_bruteforce(g, g.all_cells(), Party.A, cap=25) == 5
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_six_by_six(self, d):
@@ -550,9 +566,10 @@ def reference_wins(g, plan, party):
 
 
 def reference_max_wins(g, region, party):
+    """The best win count over the reference plans, None when there are none."""
     return max(
         (reference_wins(g, plan, party) for plan in reference_plans(g, region)),
-        default=0,
+        default=None,
     )
 
 
@@ -627,8 +644,12 @@ class TestVerdictCache:
         regions += [frozenset(rng.sample(cells, 2 * rng.randint(1, 5))) for _ in range(6)]
         for region in regions:
             for party in Party:
-                got = grid.max_wins_bruteforce(g, region, party)
-                assert got == reference_max_wins(g, region, party)
+                expected = reference_max_wins(g, region, party)
+                if expected is None:
+                    with pytest.raises(grid.GridError, match="has no valid plan"):
+                        grid.max_wins_bruteforce(g, region, party)
+                else:
+                    assert grid.max_wins_bruteforce(g, region, party) == expected
         for plan in plans:
             assert_validates_like_reference(g, plan)
             for party in Party:
@@ -776,10 +797,29 @@ class TestGridOracleMismatches:
         ]
 
     def test_no_plans(self, monkeypatch):
+        # Nothing enumerated leaves the search's maximum unwitnessed; only
+        # the search decides that a region has no plan.
         monkeypatch.setattr(grid, "enumerate_region_plans", lambda g, region: iter(()))
         assert self.kinds() == [
-            ("no_plans", "instance 0: nothing enumerated"),
-            ("no_plans", "instance 1: nothing enumerated"),
+            ("unwitnessed_max", "instance 0: reported 0, best plan -1"),
+            ("unwitnessed_max", "instance 1: reported 0, best plan -1"),
+        ]
+
+    def test_analogue_side_without_a_plan(self, monkeypatch):
+        # Growth that drops the districts of corner (1, 1) at d = 4 leaves
+        # every side of the analogue that holds the corner with no plan: a
+        # mismatch naming the search's error, not a traceback.  (The grids'
+        # no_plans mismatch is checked through the CLI, in test_cli.py.)
+        grow = grid._grow_districts
+
+        def without_corner(anchor, allowed, d, z):
+            return [] if (anchor, d) == ((1, 1), 4) else grow(anchor, allowed, d, z)
+
+        monkeypatch.setattr(grid, "_grow_districts", without_corner)
+        error = "bruteforce=GridError(region of {} cells has no valid plan)"
+        assert self.kinds() == [
+            ("analogue", f"k={k} |side|={size} analytic={count} {error.format(size)}")
+            for k, size, count in ((0, 16, 2), (1, 4, 0), (2, 8, 1), (3, 12, 2), (4, 16, 2))
         ]
 
     def test_unwitnessed_max(self, monkeypatch):
@@ -830,9 +870,7 @@ def reference_grid_oracle(count, seed, cap):
                 valid[district] = mask, reference_winner(g, district)
         masks = {district: mask for district, (mask, _) in valid.items()}
         best = -1
-        plans = 0
         for plan in grid.enumerate_region_plans(g, region):
-            plans += 1
             fault = oracle._plan_fault(plan, masks, bits(g, region))
             if fault:
                 faults.append(fault)
@@ -841,10 +879,12 @@ def reference_grid_oracle(count, seed, cap):
         mismatches += (
             {"kind": "invalid_plan", "detail": f"instance {index}: {fault}"} for fault in faults
         )
-        reported = grid.max_wins_bruteforce(g, region, Party.A, cap=cap)
-        if plans == 0:
-            mismatches.append({"kind": "no_plans", "detail": f"instance {index}: nothing enumerated"})
-        elif best != reported:
+        try:
+            reported = grid.max_wins_bruteforce(g, region, Party.A, cap=cap)
+        except grid.GridError as exc:
+            mismatches.append({"kind": "no_plans", "detail": f"instance {index}: {exc}"})
+            continue
+        if best != reported:
             mismatches.append(
                 {
                     "kind": "unwitnessed_max",
@@ -1239,13 +1279,13 @@ def reference_winners(g, region):
 
 def reference_search(g, region, party, winners=None):
     """``max_wins_bruteforce`` by the memoized recursion over the region's
-    grown districts, each with its ``Fraction`` winner."""
+    grown districts, each with its ``Fraction`` winner; -1 for no plan."""
     if winners is None:
         winners = reference_winners(g, region)
     table = {}
     for mask, cells in grid._shape(g.m, g.d, region).districts:
         table.setdefault(mask & -mask, []).append((mask, cells, winners[cells]))
-    return max(reference_best_wins(table, party, bits(g, region), {0: 0}), 0)
+    return reference_best_wins(table, party, bits(g, region), {0: 0})
 
 
 SHAPES = ((2, 2), (2, 4), (4, 2), (4, 4))
@@ -1300,12 +1340,29 @@ class TestCompiledSearch:
                 assert got == reference_search(g, region, party)
         assert grid._shape.cache_info().misses == 1
 
-    def test_no_plan_reads_zero(self):
+    def test_every_oracle_region_has_a_plan(self):
+        # So the search's no-plan error cannot fire on the oracle's own path:
+        # each shape random_small_grid draws, over its whole grid (4, 2, 34
+        # and 85 nodes), and each non-empty side of the analogue (2 to 85).
+        rngs = map(random.Random, range(200))
+        assert {(g.m, g.d) for g in map(oracle.random_small_grid, rngs)} == set(SHAPES)
+        for m, d in SHAPES:
+            whole = frozenset((i, j) for i in range(1, m + 1) for j in range(1, m + 1))
+            assert grid._shape(m, d, whole).nodes, (m, d)
+        g, sides = analogue_sides()
+        for side in sides:
+            assert grid._shape(g.m, g.d, side).nodes, sorted(side)
+
+    def test_no_plan_raises(self):
         g = make_grid([[1] * 4 for _ in range(4)], d=2)
         region = frozenset({(1, 1), (1, 2), (1, 3), (1, 4), (3, 1), (3, 3)})
         assert grid._shape(g.m, g.d, region).nodes == ()
-        assert grid.max_wins_bruteforce(g, region, Party.A) == 0
-        assert reference_search(g, region, Party.A) == 0
+        with pytest.raises(grid.GridError, match="region of 6 cells has no valid plan"):
+            grid.max_wins_bruteforce(g, region, Party.A)
+        assert reference_search(g, region, Party.A) == -1
+        # the empty region has its one plan, with no district
+        assert grid._shape(g.m, g.d, frozenset()).nodes == ((),)
+        assert grid.max_wins_bruteforce(g, frozenset(), Party.A) == 0
 
     @pytest.mark.parametrize(
         "region, cap, message",

@@ -102,6 +102,46 @@ class TestParseRatio:
         assert model.parse_ratio(text) == Fraction(digits, 10**places)
 
 
+class TestEchoedInput:
+    """Error messages quote input through ``model._brief``: ASCII input as
+    ``reprlib.repr`` quotes it, and every other character escaped before the
+    cut, so that a message is the same on every interpreter."""
+
+    @pytest.mark.parametrize("doc, expected", check_goldens.ECHO_GOLDEN)
+    def test_profile_errors_read_the_same_everywhere(self, doc, expected):
+        with pytest.raises(model.FormatError) as info:
+            model.profile_from_dict(doc)
+        assert str(info.value) == expected
+
+    @pytest.mark.parametrize(
+        "text, echo",
+        [
+            ("\U00016ac1/3", "'\\U00016ac1/3'"),
+            ("x" * 50 + "\U00011f51", "'xxxxxxxxxxxx...xxx\\U00011f51'"),
+            ("\U00011f51" + "x" * 50, "'\\U00011f51xx...xxxxxxxxxxxxx'"),
+        ],
+    )
+    def test_ratio_errors_read_the_same_everywhere(self, text, echo):
+        with pytest.raises(model.FormatError) as info:
+            model.parse_ratio(text)
+        assert str(info.value) == f"not a valid ratio: {echo}"
+
+    @given(st.text(st.characters(max_codepoint=127), max_size=60))
+    @example("0000\x1f\x1f\x1f\x1f\x1f\x1f0")  # reprlib's tail slice wraps on short text
+    def test_ascii_is_quoted_as_reprlib_quotes_it(self, text):
+        assert model._brief(text) == reprlib.repr(text)
+        assert model._brief([text, {text: 1}]) == reprlib.repr([text, {text: 1}])
+
+    @given(st.text(max_size=60))
+    def test_every_echo_is_ascii_and_bounded(self, text):
+        echo = model._brief(text)
+        assert echo.isascii()
+        if len(ascii(text)) <= 30:
+            assert echo == ascii(text)
+        else:
+            assert len(echo) == 30
+
+
 # Fraction's parser scales by 10**exp, so the exponent bound ran first, on
 # the trailing exponent this pattern finds.
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\Z", re.IGNORECASE)
@@ -123,7 +163,7 @@ def reference_parse_ratio(value: str) -> Fraction:
     try:
         result = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise model.FormatError(f"not a valid ratio: {reprlib.repr(text)}") from exc
+        raise model.FormatError(f"not a valid ratio: {model._brief(text)}") from exc
     if model._ratio_length_bound(result) > model.MAX_RATIO_LENGTH:
         length = len(str(result))
         if length > model.MAX_RATIO_LENGTH:
@@ -336,7 +376,8 @@ class TestSupports:
                 total = model.side_support(profile, party, left(k)) + model.side_support(
                     profile, party, right(k)
                 )
-                assert total == (profile.total_a if party is Party.A else profile.total_b)
+                total_b = profile.n - profile.total_a
+                assert total == (profile.total_a if party is Party.A else total_b)
             a = model.side_support(profile, Party.A, left(k))
             b = model.side_support(profile, Party.B, left(k))
             assert a + b == k
@@ -367,7 +408,7 @@ def test_side_support_additivity_random(segs):
         for party in Party:
             assert model.side_support(profile, party, left(k)) + model.side_support(
                 profile, party, right(k)
-            ) == (profile.total_a if party is Party.A else profile.total_b)
+            ) == (profile.total_a if party is Party.A else profile.n - profile.total_a)
 
 
 class TestProfileJson:
@@ -418,7 +459,7 @@ class TestProfileJson:
         doc = {"n": n, "segments_a": ["1/5"] + ["1/3"] * (n - 2) + ["1/7"]}
         profile = model.profile_from_dict(doc)
         assert profile.n == n
-        assert profile.is_valid
+        assert not profile.violations
 
 
 # JSON-shaped ratios, hostile ones included: integers past the digit bound,

@@ -666,7 +666,7 @@ class TestSweep:
         rng = random.Random(123)
         for _ in range(50):
             profile = protocol.random_profile(rng, 15)
-            assert profile.is_valid
+            assert not profile.violations
             assert 2 <= profile.n <= 15
 
 
@@ -741,7 +741,7 @@ def reference_random_profile(
 ) -> SplitProfile:
     """The draw ``random_profile`` must match, RNG state included: it builds
     Fractions and a ``SplitProfile`` for every candidate and asks
-    ``is_valid``."""
+    for its ``violations``."""
     n = rng.randint(2, n_max)
     while True:
         segments = []
@@ -749,7 +749,7 @@ def reference_random_profile(
             den = rng.randint(2, max_denominator)
             segments.append(Fraction(rng.randint(0, den), den))
         profile = SplitProfile.of(n, tuple(segments))
-        if profile.is_valid:
+        if not profile.violations:
             return profile
 
 
@@ -785,7 +785,7 @@ class TestRandomProfileReference:
             expected = reference_random_profile(ref_rng, n_max)
             assert (profile.n, profile.segments_a) == (expected.n, expected.segments_a)
             assert rng.getstate() == ref_rng.getstate(), index
-            assert profile.is_valid
+            assert not profile.violations
 
     @settings(max_examples=300, deadline=None)
     @given(unreduced_pairs())
@@ -806,7 +806,7 @@ class TestRandomProfileReference:
             if is_half_integer(sums[n] - sums[k])
         ]
         assert [(side, k, Fraction(v, scale)) for side, k, v in found] == expected
-        assert (not found) == profile.is_valid
+        assert (not found) == (not profile.violations)
 
 
 def reference_tail_draws(count, n_max, seed):

@@ -30,7 +30,7 @@ def test_majority_target_from_best_and_worst():
     assert model.validate_profile(profile) == ()
     # best case 10 wins, worst case ceil(5.3 - 4.7) = 1
     best = strategy.optimal_wins(profile.total_a, 10)
-    worst = strategy.opponent_wins(profile.total_a, profile.total_b)
+    worst = strategy.opponent_wins(profile.total_a, profile.n - profile.total_a)
     assert (best, worst) == (10, 1)
     assert targets.geometric_target(profile, Party.A) == Fraction(11, 2)
 

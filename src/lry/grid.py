@@ -140,7 +140,8 @@ def _is_connected(cells: frozenset[Cell]) -> bool:
     seen = {start}
     stack = [start]
     while stack:
-        for nb in _neighbors(stack.pop()):
+        i, j = stack.pop()
+        for nb in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
             if nb in cells and nb not in seen:
                 seen.add(nb)
                 stack.append(nb)
@@ -203,7 +204,8 @@ def _district_violations(grid: GridState, cells: frozenset[Cell]) -> Iterator[st
         yield f"has {len(cells)} cells, not {grid.d}"
         if not cells:
             return
-    bad = [c for c in cells if not grid.on_grid(c)]
+    m = grid.m
+    bad = [c for c in cells if not (1 <= c[0] <= m and 1 <= c[1] <= m)]  # grid.on_grid, inline
     if bad:
         yield f"leaves the grid at {sorted(bad)}"
         return
@@ -213,8 +215,9 @@ def _district_violations(grid: GridState, cells: frozenset[Cell]) -> Iterator[st
     if len(cells) >= _HOLE_MIN_CELLS and _has_hole(cells):
         yield "encloses a hole"
     height, width = _bounding_box(cells)
-    if height > grid.z or width > grid.z:
-        yield f"spans {height}x{width}, exceeding {grid.z}x{grid.z}"
+    z = grid.z
+    if height > z or width > z:
+        yield f"spans {height}x{width}, exceeding {z}x{z}"
 
 
 def validate_plan(

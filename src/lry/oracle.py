@@ -1,17 +1,20 @@
 """Brute-force cross-checks of the closed forms and of the grid's counting.
 
-``strategy_oracle_mismatches`` compares the unconstrained closed forms with
-the exhaustive allocation search; ``grid_oracle_mismatches`` checks the
-exhaustive plan search on small random grids and ``geodelta``'s counting
-on the shrunk analogue.  Each returns how much it checked and a list of
-mismatches, every one a ``{"kind": ..., "detail": ...}`` dict; an empty list
-means every check held.  ``lry oracle`` reports both.
+``strategy_oracle_mismatches`` compares the unconstrained closed forms, as
+the production win table ``strategy.PartyWins`` computes them, with the
+exhaustive allocation search, both in integer units;
+``grid_oracle_mismatches`` checks the exhaustive plan search on small random
+grids and ``geodelta``'s counting on the shrunk analogue.  Each returns how
+much it checked and a list of mismatches, every one a
+``{"kind": ..., "detail": ...}`` dict; an empty list means every check held.
+``lry oracle`` reports both.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import compress
 
 from . import grid as grid_mod
 from . import strategy
@@ -20,32 +23,40 @@ from .protocol import mix_seed
 
 
 def strategy_oracle_mismatches() -> tuple[int, list[dict]]:
-    """Exhaustively compare the closed forms with the allocation search,
-    which tries every split of the units up to bin order, for every side of
-    up to 4 districts and every non-half-integer support on the
-    1/``strategy.DEFAULT_GRANULARITY`` grid."""
+    """Exhaustively compare the production win table with the allocation
+    search, which tries every split of the units up to bin order, for every
+    side of up to 4 districts and every non-half-integer support on the
+    1/``strategy.DEFAULT_GRANULARITY`` grid, all in those units.
+
+    A side of ``size`` districts holding ``units`` is the last row of
+    ``strategy.PartyWins.from_scaled`` on a profile of ``size`` segments
+    that spread the units as evenly as they go, each in [0, 1]; its
+    districting and opposed counts meet ``strategy._search_districting``
+    and ``strategy._search_opposed``.  A ``Fraction`` is built only for a
+    mismatch's detail text."""
     granularity = strategy.DEFAULT_GRANULARITY
-    # (kind, closed form, allocation search), each called with the support
-    # and the side size (districting) or the opponent's support (opponent).
-    triples = (
-        ("districting", strategy.optimal_wins, strategy.bruteforce_districting_wins),
-        ("opponent", strategy.opponent_wins, strategy.bruteforce_opponent_wins),
-    )
     checked = 0
     mismatches = []
     for size in range(1, strategy.MAX_ORACLE_DISTRICTS + 1):
         for units in range(0, size * granularity + 1):
             if (2 * units) % granularity == 0:
                 continue  # excluded by the half-integer convention
-            support = Fraction(units, granularity)
             checked += 1
-            for (kind, formula, search), second in zip(triples, (size, size - support)):
-                expect, got = formula(support, second), search(support, second)
+            wins = strategy.PartyWins.from_scaled(
+                granularity, [k * units // size for k in range(size + 1)]
+            )
+            for kind, expect, got in (
+                ("districting", wins.left_districting[size],
+                 strategy._search_districting(units, size)),
+                ("opponent", wins.left_opposed[size],
+                 strategy._search_opposed(size * granularity - units, size)),
+            ):
                 if expect != got:
                     mismatches.append(
                         {
                             "kind": kind,
-                            "detail": f"size={size} support={ratio_str(support)}"
+                            "detail": f"size={size}"
+                            f" support={ratio_str(Fraction(units, granularity))}"
                             f" formula={expect} bruteforce={got}",
                         }
                     )
@@ -68,9 +79,10 @@ def grid_oracle_mismatches(count: int, seed: int, cap: int) -> tuple[int, list[d
     group counting must match exhaustive search on the shrunk analogue.
 
     A grid's districts and plans depend on its shape (m, d) alone, so one
-    call checks them once per shape (``_shape_checks``).  Each grid reads
-    which districts A wins (``grid._district_wins``), sums them by district
-    index over its shape's valid plans, compares the best with
+    call checks them once per shape (``_shape_checks``), which keeps each
+    valid plan as a bitmask over district indices.  Each grid folds which
+    districts A wins (``grid._district_wins``) into one such mask, counts
+    the bits each plan shares with it, compares the best count with
     ``max_wins_bruteforce``, whose pass over the shape's compiled search
     lists no plans, and reports its shape's faults as its own; the search's
     ``GridError`` on a region with no plan is a mismatch too.  Growth and
@@ -90,8 +102,9 @@ def grid_oracle_mismatches(count: int, seed: int, cap: int) -> tuple[int, list[d
         if (grid.m, grid.d) not in shapes:
             shapes[grid.m, grid.d] = _shape_checks(grid, shape, region)
         faults, plans = shapes[grid.m, grid.d]
-        won = grid_mod._district_wins(grid, shape, Party.A)
-        best = max((sum(map(won.__getitem__, plan)) for plan in plans), default=-1)
+        wins = grid_mod._district_wins(grid, shape, Party.A)
+        won = sum(1 << i for i in compress(range(len(wins)), wins))
+        best = max(((plan & won).bit_count() for plan in plans), default=-1)
         mismatches += (
             {"kind": "invalid_plan", "detail": f"instance {index}: {fault}"} for fault in faults
         )
@@ -134,8 +147,8 @@ def grid_oracle_mismatches(count: int, seed: int, cap: int) -> tuple[int, list[d
 
 def _shape_checks(grid: grid_mod.GridState, shape, region: frozenset) -> tuple:
     """What ``grid``'s shape alone decides, read off the region's ``shape``:
-    the faults of its districts, then of its plans, and its valid plans as
-    tuples of district indices."""
+    the faults of its districts, then of its plans, and its valid plans,
+    each as an int with bit i set for district index i."""
     valid = {}  # each valid district of the region: its mask
     faults = []
     for mask, district in shape.districts:
@@ -151,7 +164,7 @@ def _shape_checks(grid: grid_mod.GridState, shape, region: frozenset) -> tuple:
         if fault:
             faults.append(fault)
         else:
-            plans.append(tuple(map(index.__getitem__, plan)))
+            plans.append(sum(1 << index[district] for district in plan))
     return faults, plans
 
 

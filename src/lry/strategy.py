@@ -3,7 +3,7 @@
 The closed forms assume districting is unconstrained: the party drawing the
 lines may spread its support however it likes.  ``optimal_wins`` and
 ``opponent_wins`` state them in exact ``Fraction``s; they are the reference
-that the ``oracle`` command and the tests check everything else against.
+that the tests check the win table against.
 
 Production code reads win counts from a ``WinTable``: the same closed forms on
 the profile's integer sums, evaluated once per profile at every split and
@@ -11,8 +11,12 @@ cached as ``SplitProfile.win_table``.  ``wins_when_districting``,
 ``wins_when_opponent_districts`` and ``total_wins`` are reads of that table.
 
 A small exhaustive allocation search over discretized support, tabulated once
-per side size, doubles as an independent check of the closed forms on tiny
-sides.
+per side size, is an independent check on tiny sides.  It works in units of
+the discretization (``_search_districting``, ``_search_opposed``), and the
+``oracle`` command checks ``PartyWins.from_scaled`` against it in those
+units; ``bruteforce_districting_wins`` and ``bruteforce_opponent_wins``
+decode ``Fraction`` supports for it, and acceptance criterion 4 checks the
+``Fraction`` closed forms through them.
 """
 
 from __future__ import annotations
@@ -127,10 +131,10 @@ def total_wins(profile: SplitProfile, party: Party, side: SideRef) -> int:
 #
 # Supports are discretized into units of 1/DEFAULT_GRANULARITY.  ``_held_counts``
 # spreads the units over the side's districts in every way, up to the order
-# of the districts, once per process for each side size, and the oracles read
-# its table.  A district holding exactly half its units counts for the party
-# drawing the lines: the side total is never an exact half-integer, so the
-# districter always has surplus somewhere to break such a tie in its own
+# of the districts, once per process for each side size, and the searches
+# read its table.  A district holding exactly half its units counts for the
+# party drawing the lines: the side total is never an exact half-integer, so
+# the districter always has surplus somewhere to break such a tie in its own
 # favor.  Exponential cost keeps this to tiny sides; it exists to
 # cross-check the closed forms, not for production use.
 
@@ -150,11 +154,29 @@ def _held_counts(parts: int, capacity: int) -> dict[int, frozenset[int]]:
     return {units: frozenset(held) for units, held in table.items()}
 
 
-def bruteforce_districting_wins(support: Fraction, districts: int) -> int:
-    """Best win count over every allocation of the districting party's units,
-    up to the order of the districts: the most of ``districts`` bins that
-    ``support``, in units of 1/``DEFAULT_GRANULARITY``, can hold at least
-    half of."""
+def _search_districting(units: int, districts: int) -> int:
+    """The most of ``districts`` bins that ``units`` units of
+    1/``DEFAULT_GRANULARITY`` can hold at least half of, over every
+    allocation up to the order of the districts: the districting party's
+    best win count.  ``KeyError`` when ``units`` is outside
+    [0, districts * DEFAULT_GRANULARITY]."""
+    return max(_held_counts(districts, DEFAULT_GRANULARITY)[units])
+
+
+def _search_opposed(opponent_units: int, districts: int) -> int:
+    """A party's worst-case win count when an opponent holding
+    ``opponent_units`` units draws the lines on a side of ``districts``.
+
+    The opponent keeps the party out of a district by holding at least half
+    of it, so the party wins only districts where the opponent placed
+    strictly less than half: all of them but the opponent's best.
+    """
+    return districts - _search_districting(opponent_units, districts)
+
+
+def _units(support: Fraction, districts: int) -> int:
+    """``support`` in units of 1/``DEFAULT_GRANULARITY``, for a side of
+    ``districts`` the allocation searches cover; ``ValueError`` otherwise."""
     if districts > MAX_ORACLE_DISTRICTS:
         raise ValueError(
             f"oracle limited to sides of {MAX_ORACLE_DISTRICTS} districts, got {districts}"
@@ -165,20 +187,22 @@ def bruteforce_districting_wins(support: Fraction, districts: int) -> int:
     units, rest = divmod(num * DEFAULT_GRANULARITY, den)
     if rest:
         raise ValueError(f"support {support} is not a multiple of 1/{DEFAULT_GRANULARITY}")
-    return max(_held_counts(districts, DEFAULT_GRANULARITY)[units])
+    return units
+
+
+def bruteforce_districting_wins(support: Fraction, districts: int) -> int:
+    """Best win count over every allocation of the districting party's
+    ``support`` over ``districts``: ``_search_districting`` on its units."""
+    return _search_districting(_units(support, districts), districts)
 
 
 def bruteforce_opponent_wins(support: Fraction, opponent_support: Fraction) -> int:
-    """Worst-case win count over every allocation of the opponent's units,
-    up to the order of the districts.
-
-    The opponent keeps the party out of a district by holding at least half
-    of it, so the party wins only districts where the opponent placed
-    strictly less than half.
-    """
+    """Worst-case win count over every allocation of the opponent's
+    ``opponent_support``: ``_search_opposed`` on its units, over the side's
+    whole number of districts."""
     num, den = support.as_integer_ratio()
     opp_num, opp_den = opponent_support.as_integer_ratio()
     districts, rest = divmod(num * opp_den + opp_num * den, den * opp_den)
     if rest:
         raise ValueError("side supports must sum to a whole number of districts")
-    return districts - bruteforce_districting_wins(opponent_support, districts)
+    return _search_opposed(_units(opponent_support, districts), districts)

@@ -923,6 +923,19 @@ class TestGridOracleReference:
         assert searched[: len(maxima)] == maxima
         assert instances > 0
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_witnessed_best_matches_the_reference(self, monkeypatch, seed):
+        # A search that reports an impossible maximum makes every grid name
+        # its best plan, which must be the one the Fraction winners give.
+        monkeypatch.setattr(grid, "max_wins_bruteforce", lambda *args, **kwargs: -2)
+        instances, mismatches = grid_instances_checked(25, seed, 16)
+        assert (instances, mismatches) == reference_grid_oracle(25, seed, 16)
+        assert [m["kind"] for m in mismatches] == ["unwitnessed_max"] * instances
+        assert all(
+            re.fullmatch(r"instance \d+: reported -2, best plan \d+", m["detail"])
+            for m in mismatches
+        )
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_with_a_disconnected_district(self, monkeypatch, seed):
         # Corner (1, 1) also grows itself with the last d - 1 cells after it,

@@ -425,17 +425,50 @@ def test_integer_opponent_decoding_matches_fractions(arguments):
 
 
 @pytest.mark.parametrize(
-    "name, kind", [("optimal_wins", "districting"), ("opponent_wins", "opponent")]
+    "field, kind", [("left_districting", "districting"), ("left_opposed", "opponent")]
 )
-def test_oracle_catches_a_wrong_closed_form(monkeypatch, name, kind):
-    right = getattr(strategy, name)
+def test_oracle_catches_a_wrong_closed_form(monkeypatch, field, kind):
+    # The production table, one win off in one field on every left side of
+    # 3 districts.
+    right = strategy.PartyWins.from_scaled
 
-    def off_by_one_at_size_3(support, other):
-        size = support + other if name == "opponent_wins" else other
-        return right(support, other) + (size == 3)
+    def off_by_one_at_size_3(cls, scale, left_support):
+        wins = right(scale, left_support)
+        counts = getattr(wins, field)
+        if len(counts) <= 3:
+            return wins
+        return wins._replace(**{field: counts[:3] + (counts[3] + 1,) + counts[4:]})
 
-    monkeypatch.setattr(strategy, name, off_by_one_at_size_3)
+    monkeypatch.setattr(strategy.PartyWins, "from_scaled", classmethod(off_by_one_at_size_3))
     checked, mismatches = oracle.strategy_oracle_mismatches()
     assert checked == 180
     assert mismatches and {m["kind"] for m in mismatches} == {kind}
     assert all("size=3 " in m["detail"] for m in mismatches)
+
+
+def test_oracle_catches_a_wrong_allocation_search(monkeypatch):
+    # The size-2 held-count table read one unit off: the entry for u units
+    # is the one for u + 1.
+    right = strategy._held_counts
+
+    def one_unit_off(parts, capacity):
+        table = right(parts, capacity)
+        if parts != 2:
+            return table
+        return {units: table.get(units + 1, held) for units, held in table.items()}
+
+    monkeypatch.setattr(strategy, "_held_counts", one_unit_off)
+    checked, mismatches = oracle.strategy_oracle_mismatches()
+    assert checked == 180
+    assert {m["kind"] for m in mismatches} == {"districting", "opponent"}
+    assert all("size=2 " in m["detail"] for m in mismatches)
+    assert mismatches[0]["detail"] == "size=2 support=9/20 formula=0 bruteforce=1"
+
+
+def test_strategy_oracle_builds_no_fraction(monkeypatch):
+    # A Fraction is built only for a mismatch's detail text.
+    def no_fraction(*args):
+        raise AssertionError(f"Fraction{args} built by a passing strategy oracle")
+
+    monkeypatch.setattr(oracle, "Fraction", no_fraction)
+    assert oracle.strategy_oracle_mismatches() == (180, [])

@@ -178,12 +178,14 @@ def _cmd_oracle(args) -> _Report:
     if args.oracle_cap < 1:
         raise InputError(f"--oracle-cap must be positive, got {args.oracle_cap}")
     strategy_checked, strategy_bad = oracle.strategy_oracle_mismatches()
-    grid_checked, grid_bad = oracle.grid_oracle_mismatches(args.count, args.seed, args.oracle_cap)
+    grid_checked, analogue_checked, grid_bad = oracle.grid_oracle_mismatches(
+        args.count, args.seed, args.oracle_cap
+    )
     body = {
         "strategy": {"configs": strategy_checked, "mismatches": strategy_bad},
         "grid": {
             "instances": grid_checked,
-            "analogueChecked": oracle.analogue_within_cap(args.oracle_cap),
+            "analogueChecked": analogue_checked,
             "mismatches": grid_bad,
         },
     }

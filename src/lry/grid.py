@@ -11,10 +11,10 @@ the smallest cell of a set is its lowest set bit.  ``_shape`` is the one
 cache of plan structure: once per process for each shape (m, d) and region,
 it checks the region, grows its valid districts over its own cells, each
 with its mask, in order of its smallest cell, files them by that cell, and
-compiles the region's search over them: every set of cells a plan can leave
-unassigned becomes a node listing the districts that can take its smallest
-cell and the node each leaves.  ``enumerate_region_plans`` recurses on the
-mask of the cells left unassigned and lists every plan; ``max_wins_bruteforce``
+compiles the region's search over that filing: every set of cells a plan can
+leave unassigned becomes a node listing the districts filed under its
+smallest cell that fit in it, and the node each leaves.  Walking the same
+filing, ``enumerate_region_plans`` lists every plan; ``max_wins_bruteforce``
 lists none, but makes one flat pass over the compiled nodes with the districts
 a party wins on this grid, computed once per grid, region and party
 (``grid.district_wins``), and raises ``GridError`` on a region with no plan.
@@ -347,15 +347,10 @@ def _shape(m: int, d: int, region: frozenset[Cell]) -> _Shape:
     leave unassigned is a mask, and the masks reachable from the region's
     own are walked once, in post-order, so a node comes after every node it
     leads to.  A node is a tuple of (district index, child node), one for
-    each district filed under the mask's lowest bit that fits in the mask
-    and leaves a mask with a plan; node 0 is the empty mask.  Masks with no
-    plan get no node, and no move leads to them; the nodes are empty when
-    the region itself has no plan, and otherwise its node is the last.
-
-    A district reaches past its smallest cell through that cell's right or
-    lower neighbour, so each anchor's districts are filed again under the
-    anchor's bit with those of the two neighbours a mask still holds, and a
-    mask tests only the districts that use neither neighbour it lacks."""
+    each district in ``by_anchor`` under the mask's lowest bit that fits in
+    the mask and leaves a mask with a plan; node 0 is the empty mask.  Masks
+    with no plan get no node, and no move leads to them; the nodes are empty
+    when the region itself has no plan, and otherwise its node is the last."""
     if len(region) % d != 0:
         raise GridError(f"region of {len(region)} cells cannot split into {d}-cell districts")
     off = [cell for cell in region if not (1 <= cell[0] <= m and 1 <= cell[1] <= m)]
@@ -371,19 +366,12 @@ def _shape(m: int, d: int, region: frozenset[Cell]) -> _Shape:
     by_anchor: dict[int, list[tuple[int, int]]] = {}
     for index, (mask, _) in enumerate(districts):
         by_anchor.setdefault(mask & -mask, []).append((index, mask))
-    near = 1 | 2 | 1 << m  # times a cell's bit: the cell and those two neighbours
-    fitting = {}
-    for anchor, filed in by_anchor.items():
-        right, down = anchor << 1, anchor << m
-        for held in (0, right, down, right | down):
-            lacks = (right | down) ^ held
-            fitting[anchor | held] = [(i, mask) for i, mask in filed if not mask & lacks]
     nodes: list[tuple[tuple[int, int], ...]] = [()]
     node_of = {0: 0}  # each mask walked: its node, -1 when it has no plan
 
     def visit(remaining: int) -> int:
         moves = []
-        for index, mask in fitting.get(remaining & (remaining & -remaining) * near, ()):
+        for index, mask in by_anchor.get(remaining & -remaining, ()):
             if mask & remaining == mask:
                 rest = remaining ^ mask
                 child = node_of.get(rest)

@@ -4,10 +4,10 @@
 the production win table ``strategy.PartyWins`` computes them, with the
 exhaustive allocation search, both in integer units;
 ``grid_oracle_mismatches`` checks the exhaustive plan search on small random
-grids and ``geodelta``'s counting on the shrunk analogue.  Each returns how
-much it checked and a list of mismatches, every one a
-``{"kind": ..., "detail": ...}`` dict; an empty list means every check held.
-``lry oracle`` reports both.
+grids and ``geodelta``'s counting on the shrunk analogue, and says whether
+its cap let it search every side of the analogue.  Each returns how much it
+checked and a list of mismatches, every one a ``{"kind": ..., "detail": ...}``
+dict; an empty list means every check held.  ``lry oracle`` reports both.
 """
 
 from __future__ import annotations
@@ -73,10 +73,12 @@ def random_small_grid(rng: random.Random) -> grid_mod.GridState:
     return grid_mod.GridState(m=m, d=d, cells=cells)
 
 
-def grid_oracle_mismatches(count: int, seed: int, cap: int) -> tuple[int, list[dict]]:
+def grid_oracle_mismatches(count: int, seed: int, cap: int) -> tuple[int, bool, list[dict]]:
     """Random small grids: every grown district and every enumerated plan
     must be valid, the reported maximum must be witnessed, and the analytic
     group counting must match exhaustive search on the shrunk analogue.
+    Returns the grids checked, whether every non-empty side of the analogue
+    was within ``cap`` and so searched, and the mismatches.
 
     A grid's districts and plans depend on its shape (m, d) alone, so one
     call checks them once per shape (``_shape_checks``), which keeps each
@@ -123,11 +125,13 @@ def grid_oracle_mismatches(count: int, seed: int, cap: int) -> tuple[int, list[d
     analogue_grid, analogue_splits, analogue_groups = grid_mod.make_shrunk_analogue()
     wholly_left, wholly_right = grid_mod.side_group_counts(analogue_groups, analogue_splits)
     universe = analogue_grid.all_cells()
+    analogue_checked = True
     for k in range(analogue_splits.split_count + 1):
         for side_cells, expected in (
             (analogue_splits.left_cells(k), wholly_left[k]),
             (analogue_splits.right_cells(k, universe), wholly_right[k]),
         ):
+            analogue_checked &= len(side_cells) <= cap
             if not side_cells or len(side_cells) > cap:
                 continue
             try:
@@ -142,7 +146,7 @@ def grid_oracle_mismatches(count: int, seed: int, cap: int) -> tuple[int, list[d
                         f" analytic={expected} bruteforce={got}",
                     }
                 )
-    return instances, mismatches
+    return instances, analogue_checked, mismatches
 
 
 def _shape_checks(grid: grid_mod.GridState, shape, region: frozenset) -> tuple:
@@ -180,10 +184,3 @@ def _plan_fault(plan: grid_mod.DistrictPlan, valid: dict, region_mask: int) -> s
             return f"district {position} overlaps an earlier one"
         covered |= mask
     return None if covered == region_mask else "the plan does not cover the region"
-
-
-def analogue_within_cap(cap: int) -> bool:
-    """Whether ``grid_oracle_mismatches`` at this cap searches every
-    non-empty side of the shrunk analogue, rather than skipping some.  The
-    largest side is the whole grid, right of split 0."""
-    return len(grid_mod.make_shrunk_analogue()[0].all_cells()) <= cap

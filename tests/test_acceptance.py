@@ -124,8 +124,9 @@ def test_criterion_5_constrained_gap_family():
 
 def test_criterion_6_grid_oracle():
     def check():
-        instances, mismatches = oracle.grid_oracle_mismatches(100, seed=0, cap=16)
+        instances, analogue_checked, mismatches = oracle.grid_oracle_mismatches(100, seed=0, cap=16)
         assert instances >= 100
+        assert analogue_checked
         assert mismatches == []
 
     _report("criterion 6: grid search consistent and analogue counting exact", check)

@@ -727,7 +727,9 @@ def test_oracle_mismatch_output_is_golden(monkeypatch):
         {"kind": "unwitnessed_max", "detail": "instance 1: reported 3, best plan 2"},
         {"kind": "analogue", "detail": "k=2 |side|=8 analytic=3 bruteforce=2"},
     ]
-    monkeypatch.setattr(oracle, "grid_oracle_mismatches", lambda count, seed, cap: (count, bad))
+    monkeypatch.setattr(
+        oracle, "grid_oracle_mismatches", lambda count, seed, cap: (count, True, bad)
+    )
     for fmt, digest in ORACLE_MISMATCH_GOLDEN.items():
         code, text = run_cli("oracle", "--count", "3", "--seed", "5", "--format", fmt)
         assert code == 1

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from collections import Counter
@@ -701,8 +702,7 @@ class TestVerdictCache:
             )
         assert len(first) == 4 and set(expected.values()) == {1}
         for repeat in (1, 2):
-            instances, mismatches = oracle.grid_oracle_mismatches(25, seed=0, cap=16)
-            assert (instances, mismatches) == (25, [])
+            assert oracle.grid_oracle_mismatches(25, seed=0, cap=16) == (25, True, [])
             assert all(region == plan[0] and len(plan) == 1 for _, plan, region in calls)
             assert all(g == first[g.m, g.d] for g, _, _ in calls)
             validated = Counter(((g.m, g.d), plan[0]) for g, plan, _ in calls)
@@ -746,8 +746,8 @@ class TestGridOracleMismatches:
         )
 
     def kinds(self, count=2):
-        instances, mismatches = oracle.grid_oracle_mismatches(count, seed=0, cap=16)
-        assert instances == count
+        instances, checked, mismatches = oracle.grid_oracle_mismatches(count, seed=0, cap=16)
+        assert (instances, checked) == (count, True)
         return [(m["kind"], m["detail"]) for m in mismatches]
 
     def test_clean_run(self):
@@ -847,6 +847,21 @@ class TestGridOracleMismatches:
         assert found and {kind for kind, _ in found} == {"analogue"}
         assert found[0] == ("analogue", "k=1 |side|=4 analytic=1 bruteforce=0")
 
+    def test_analogue_partly_checked(self, monkeypatch):
+        # Below 16 the cap skips the analogue's two whole-grid sides, so the
+        # analogue reads as not checked; its smaller sides are still searched,
+        # and a miscount on one of them is still reported.
+        counts = grid.side_group_counts
+
+        def one_more_at_split_1(groups, splits):
+            left, right = counts(groups, splits)
+            return (left[0], left[1] + 1, *left[2:]), right
+
+        monkeypatch.setattr(grid, "side_group_counts", one_more_at_split_1)
+        miscount = {"kind": "analogue", "detail": "k=1 |side|=4 analytic=1 bruteforce=0"}
+        for cap, checked in ((15, False), (16, True)):
+            assert oracle.grid_oracle_mismatches(2, seed=0, cap=cap) == (2, checked, [miscount])
+
 
 def reference_grid_oracle(count, seed, cap):
     """The grids' part of ``oracle.grid_oracle_mismatches`` with no work
@@ -896,7 +911,7 @@ def reference_grid_oracle(count, seed, cap):
 
 def grid_instances_checked(count, seed, cap):
     """``oracle.grid_oracle_mismatches`` without its analogue mismatches."""
-    instances, mismatches = oracle.grid_oracle_mismatches(count, seed, cap)
+    instances, _, mismatches = oracle.grid_oracle_mismatches(count, seed, cap)
     return instances, [m for m in mismatches if m["kind"] != "analogue"]
 
 
@@ -1353,6 +1368,22 @@ class TestCompiledSearch:
                 assert got == reference_search(g, region, party)
         assert grid._shape.cache_info().misses == 1
 
+    @pytest.mark.parametrize("d, plans", [(2, None), (3, 80_092), (4, 178_939)])
+    def test_six_by_six_plan_counts(self, d, plans):
+        # Node 0, the empty mask, has one plan, and every other node as many
+        # as its children together; the whole grid's node is the last.  The
+        # counts at d = 3 and 4 are those of enumerate_region_plans; at d = 2
+        # Kasteleyn's product gives the 6x6 domino tilings (OEIS A004003).
+        if d == 2:
+            cos2 = [4 * math.cos(math.pi * j / 7) ** 2 for j in range(1, 4)]
+            plans = round(math.prod(a + b for a in cos2 for b in cos2))
+            assert plans == 6728
+        whole = frozenset((i, j) for i in range(1, 7) for j in range(1, 7))
+        counts = [1]
+        for moves in grid._shape(6, d, whole).nodes[1:]:
+            counts.append(sum(counts[child] for _, child in moves))
+        assert counts[-1] == plans
+
     def test_every_oracle_region_has_a_plan(self):
         # So the search's no-plan error cannot fire on the oracle's own path:
         # each shape random_small_grid draws, over its whole grid (4, 2, 34
@@ -1424,7 +1455,7 @@ class TestOracleGrowth:
         # the analogue's whole grid is the 4x4, d = 4 shape's, grown once
         assert len(keys) == 4 + len(set(analogue_sides()[1])) - 1
         for repeat in (1, 2):
-            assert oracle.grid_oracle_mismatches(25, seed, 16) == (25, [])
+            assert oracle.grid_oracle_mismatches(25, seed, 16) == (25, True, [])
             assert growths == growths_for(keys)  # the second call grows nothing
             assert len(searches) == repeat * (25 + 8)
         assert grid._shape.cache_info().misses == len(keys)  # compiled once too
@@ -1440,7 +1471,7 @@ class TestOracleGrowth:
         # No 4x4 grid fits a cap of 8, so the analogue grows each side it
         # searches, those of 4 and 8 cells, and no other.
         growths = record_growths(monkeypatch)
-        assert oracle.grid_oracle_mismatches(25, seed, 8)[1] == []
+        assert oracle.grid_oracle_mismatches(25, seed, 8)[1:] == (False, [])
         keys = oracle_growth_keys(seed, 8)
         assert sorted(len(region) for m, _, region in keys if m == 4) == [4, 4, 8, 8]
         assert growths == growths_for(keys)
@@ -1453,7 +1484,7 @@ class TestOracleGrowth:
         keys = set()
         for seed in range(10):
             for count, cap in ((25, 4), (25, 8), (25, 16), (40, 36)):
-                assert oracle.grid_oracle_mismatches(count, seed, cap)[1] == []
+                assert oracle.grid_oracle_mismatches(count, seed, cap)[2] == []
                 keys |= oracle_growth_keys(seed, cap, count)
         assert grid._shape.cache_info().currsize == len(keys) == 10
 
@@ -1714,7 +1745,7 @@ class TestShrunkAnalogue:
             return wholly_left, (*wholly_right[:2], wholly_right[2] + 1, *wholly_right[3:])
 
         monkeypatch.setattr(grid, "_wholly_side_counts", shifted)
-        _, mismatches = oracle.grid_oracle_mismatches(1, 0, 16)
+        _, _, mismatches = oracle.grid_oracle_mismatches(1, 0, 16)
         assert "analogue" in {m["kind"] for m in mismatches}
         assert grid.geodelta_report(3, 0) != dense_geodelta_report(3, 0)
 

@@ -7,8 +7,9 @@ cross-checks.  Reports embed the seed and a digest of the canonical input so
 any run can be reproduced from its output alone.  Identical inputs and seed
 produce byte-identical output.
 
-Each ``_cmd_*`` function returns what its command found as a ``_Report``
-and prints nothing; ``_write`` prints every report, as JSON or as CSV.
+The parser refuses every bad value, ``--input``'s file included, with one
+line, ``lry <command>: error: <message>``.  Each ``_cmd_*`` function only
+returns its ``_Report``; ``_write`` prints every report, as JSON or CSV.
 
 Exit status: 0 on success, 1 when violations or mismatches were found, 2 on
 bad input, 141 (128 + SIGPIPE) when the reader closed stdout early.
@@ -29,7 +30,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NoReturn
 
 from . import grid as grid_mod
 from . import model, oracle, protocol
@@ -79,11 +80,8 @@ def _write(report: _Report, args, stream) -> int:
     return report.code
 
 
-class InputError(Exception):
-    pass
-
-
 def _load_profile(path: str) -> model.SplitProfile:
+    """``--input``'s type: the profile in file ``path``."""
     try:
         with open(path, "rb") as handle:
             # Sized by st_size, as read() would be; a device or a pipe reports 0.
@@ -92,39 +90,38 @@ def _load_profile(path: str) -> model.SplitProfile:
             if len(data) == hint:
                 data += handle.read(_MAX_INPUT_BYTES + 1 - hint)
     except OSError as exc:
-        raise InputError(f"cannot read --input {path}: {exc}") from exc
+        raise argparse.ArgumentTypeError(f"cannot read {path}: {exc}") from exc
     if len(data) > _MAX_INPUT_BYTES:
-        raise InputError(f"--input {path} is longer than {_MAX_INPUT_BYTES} bytes")
+        raise argparse.ArgumentTypeError(f"{path} is longer than {_MAX_INPUT_BYTES} bytes")
     try:
         doc = json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     except (ValueError, RecursionError) as exc:
         # Bad JSON, bad UTF-8, an integer past str()'s limit, or nesting
         # deeper than the decoder's recursion allows.
-        raise InputError(f"--input {path} is not valid JSON: {exc}") from exc
+        raise argparse.ArgumentTypeError(f"{path} is not valid JSON: {exc}") from exc
     try:
         return model.profile_from_dict(doc)
     except model.FormatError as exc:
-        raise InputError(f"--input {path}: {exc}") from exc
+        raise argparse.ArgumentTypeError(f"{path}: {exc}") from exc
 
 
 _SIM_FIELDS = "k option winsA winsB deltaGeoA deltaGeoKA deltaGeoB deltaGeoKB".split()
 
 
 def _cmd_simulate(args) -> _Report:
-    """``simulate`` and ``example-2gap``: the profile comes from the
-    subcommand's ``load_profile`` default."""
-    profile = args.load_profile(args)
-    profile_doc = model.profile_to_dict(profile)
+    """``simulate`` and ``example-2gap``: the profile is the parsed
+    ``--input``, or ``example-2gap``'s built-in one."""
+    profile_doc = model.profile_to_dict(args.profile)
     body = {"profile": profile_doc}
-    violations = model.validate_profile(profile)
+    violations = model.validate_profile(args.profile)
     if violations:
         body["profileViolations"] = [
             {"side": v.side.value if v.side else None, "k": v.k, "message": v.message}
             for v in violations
         ]
         return _Report(profile_doc, body, code=1)
-    run = protocol.optimal_run(profile, args.seed)
-    fairness = protocol.fairness_report(profile, run)
+    run = protocol.optimal_run(args.profile, args.seed)
+    fairness = protocol.fairness_report(args.profile, run)
     body["run"] = protocol.run_to_dict(run)
     body["fairness"] = protocol.fairness_to_dict(fairness)
     rows = functools.partial(protocol.candidate_rows, run, fairness)
@@ -132,12 +129,6 @@ def _cmd_simulate(args) -> _Report:
 
 
 def _cmd_verify(args) -> _Report:
-    if args.count < 1:
-        raise InputError(f"--count must be positive, got {args.count}")
-    if args.n_max < 2:
-        raise InputError(f"--n-max must be at least 2, got {args.n_max}")
-    if args.n_max > MAX_N_MAX:
-        raise InputError(f"--n-max must be at most {MAX_N_MAX}, got {args.n_max}")
     sweep = protocol.property_sweep(args.count, args.n_max, args.seed)
     body = {"count": args.count, "nMax": args.n_max, **protocol.sweep_to_dict(sweep)}
     return _Report(
@@ -154,10 +145,6 @@ def _cmd_verify(args) -> _Report:
 
 
 def _cmd_geodelta(args) -> _Report:
-    if args.delta < 1:
-        raise InputError(f"--delta must be at least 1, got {args.delta}")
-    if args.delta > MAX_DELTA:
-        raise InputError(f"--delta must be at most {MAX_DELTA}, got {args.delta}")
     report = grid_mod.geodelta_report(args.delta, args.seed)
     body = grid_mod.geodelta_report_to_dict(report)
     return _Report(
@@ -173,10 +160,6 @@ def _cmd_geodelta(args) -> _Report:
 
 
 def _cmd_oracle(args) -> _Report:
-    if args.count < 1:
-        raise InputError(f"--count must be positive, got {args.count}")
-    if args.oracle_cap < 1:
-        raise InputError(f"--oracle-cap must be positive, got {args.oracle_cap}")
     strategy_checked, strategy_bad = oracle.strategy_oracle_mismatches()
     grid_checked, analogue_checked, grid_bad = oracle.grid_oracle_mismatches(
         args.count, args.seed, args.oracle_cap
@@ -200,10 +183,34 @@ def _cmd_oracle(args) -> _Report:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses in one line, ``<prog>: error: <message>``, and exit 2; so do its subparsers."""
+
+    def error(self, message: str) -> NoReturn:
+        text = " ".join(message.splitlines())  # one line, whatever value it echoes
+        self.exit(2, f"{self.prog}: error: {text}\n")
+
+
+def _int_in(low: int, high: int | None = None) -> Callable[[str], int]:
+    """An argparse type: an integer from ``low`` to ``high``, or with no upper bound."""
+    wanted = f"from {low} to {high}" if high is not None else f"of at least {low}"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+            if low <= value and (high is None or value <= high):
+                return value
+        except ValueError:  # not an integer, or too many digits for int()
+            pass
+        raise argparse.ArgumentTypeError(f"must be an integer {wanted}, got {model._brief(text)}")
+
+    return parse
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--seed",
-        type=int,
+        type=_int_in(0, MAX_SEED),
         default=0,
         help="64-bit seed for any randomness (default: %(default)s)",
     )
@@ -216,18 +223,23 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lry",
         description="Split-and-choose districting protocol with exact arithmetic",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run the protocol on a profile JSON file")
-    p.add_argument("--input", required=True, help="path to a profile JSON file")
-    _add_common(p)
-    p.set_defaults(
-        func=_cmd_simulate, load_profile=lambda args: _load_profile(args.input)
+    p.add_argument(
+        "--input",
+        type=_load_profile,
+        required=True,
+        dest="profile",
+        metavar="INPUT",
+        help="path to a profile JSON file",
     )
+    _add_common(p)
+    p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser(
         "example-2gap",
@@ -235,30 +247,25 @@ def build_parser() -> argparse.ArgumentParser:
         " two districts below the geometric target",
     )
     _add_common(p)
-    p.set_defaults(
-        func=_cmd_simulate, load_profile=lambda args: model.two_gap_profile()
-    )
+    p.set_defaults(func=_cmd_simulate, profile=model.two_gap_profile())
 
     p = sub.add_parser("verify", help="property-sweep every invariant")
     p.add_argument(
-        "--count", type=int, default=10000, help="profiles to check (default: %(default)s)"
+        "--count", type=_int_in(1), default=10000, help="profiles to check (default: %(default)s)"
     )
     p.add_argument(
         "--n-max",
-        type=int,
+        type=_int_in(2, MAX_N_MAX),
         default=20,
-        dest="n_max",
         help=f"largest district count, 2..{MAX_N_MAX} (default: %(default)s)",
     )
     _add_common(p)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser(
-        "geodelta", help="constrained-grid run that misses the geometric target"
-    )
+    p = sub.add_parser("geodelta", help="constrained-grid run that misses the geometric target")
     p.add_argument(
         "--delta",
-        type=int,
+        type=_int_in(1, MAX_DELTA),
         default=1,
         help=f"band count, 1..{MAX_DELTA} (default: %(default)s)",
     )
@@ -267,18 +274,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force cross-checks of the closed forms")
     p.add_argument(
-        "--count",
-        type=int,
-        default=100,
-        help="random grids to check (default: %(default)s)",
+        "--count", type=_int_in(1), default=100, help="random grids to check (default: %(default)s)"
     )
     p.add_argument(
         "--oracle-cap",
-        type=int,
+        type=_int_in(1),
         default=grid_mod.DEFAULT_BRUTEFORCE_CAP,
-        dest="oracle_cap",
-        help="largest region, in cells, the exhaustive search accepts"
-        " (default: %(default)s)",
+        help="largest region, in cells, the exhaustive search accepts (default: %(default)s)",
     )
     _add_common(p)
     p.set_defaults(func=_cmd_oracle)
@@ -298,16 +300,9 @@ def main(argv: list[str] | None = None, stdout: io.TextIOBase | None = None) -> 
     stream = stdout if stdout is not None else sys.stdout
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:  # argparse prints its own message; keep its code
-        return int(exc.code or 0)
-    if not 0 <= args.seed <= MAX_SEED:
-        print(f"error: --seed must be in 0..2^64-1, got {args.seed}", file=sys.stderr)
-        return 2
-    try:
         return _write(args.func(args), args, stream)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except SystemExit as exc:  # the parser has written its refusal or help; keep its code
+        return int(exc.code or 0)
     except BrokenPipeError:
         # The reader is gone (``| head``).  Point stdout at devnull, so that
         # the interpreter's final flush of what is left stays quiet.

@@ -23,6 +23,26 @@ def run_cli(*argv):
     return code, out.getvalue()
 
 
+def assert_one_line(err, prefix):
+    """A refusal's stderr: one line that starts with ``prefix``, and no usage block."""
+    assert err.startswith(prefix), err[:300]
+    assert err.endswith("\n") and err.count("\n") == 1, err[:300]
+    assert "usage:" not in err
+
+
+def assert_refused(capsys, argv, flag):
+    """``argv`` exits 2 within a second, with no stdout and one stderr line
+    under 200 characters that names ``flag``."""
+    start = time.perf_counter()
+    code, text = run_cli(*argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert_one_line(err, f"lry {argv[0]}: error: argument {flag}:")
+    assert len(err) < 200
+
+
 def test_example_2gap_fields():
     code, text = run_cli("example-2gap", "--seed", "3")
     assert code == 0
@@ -174,7 +194,16 @@ def test_closed_stdout_exits_141_quietly(tmp_path):
 def test_simulate_missing_file_exits_two(tmp_path, capsys):
     code, _ = run_cli("simulate", "--input", str(tmp_path / "nope.json"))
     assert code == 2
-    assert "--input" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--input" in err
+    assert_one_line(err, "lry simulate: error: argument --input: cannot read ")
+    code, _ = run_cli("simulate", "--input", str(tmp_path / "two\nlines.json"))
+    assert code == 2
+    assert_one_line(capsys.readouterr().err, "lry simulate: error: argument --input: cannot read ")
+    code, text = run_cli("simulate")
+    assert (code, text) == (2, "")
+    err = capsys.readouterr().err
+    assert_one_line(err, "lry simulate: error: the following arguments are required: --input")
 
 
 def test_simulate_schema_error_names_field(tmp_path, capsys):
@@ -182,7 +211,9 @@ def test_simulate_schema_error_names_field(tmp_path, capsys):
     path.write_text(json.dumps({"n": 3, "segments_a": ["0.3", "x", "0.3"]}))
     code, _ = run_cli("simulate", "--input", str(path))
     assert code == 2
-    assert "segments_a[2]" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "segments_a[2]" in err
+    assert_one_line(err, "lry simulate: error: argument --input: ")
 
 
 @pytest.mark.parametrize(
@@ -212,7 +243,9 @@ def test_simulate_hostile_exponent_exits_two(tmp_path, capsys):
     code, text = run_cli("simulate", "--input", str(path))
     assert code == 2
     assert text == ""
-    assert "segments_a[1]" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "segments_a[1]" in err
+    assert_one_line(err, "lry simulate: error: argument --input: ")
 
 
 def test_simulate_overlong_ratio_exits_two(tmp_path, capsys):
@@ -220,7 +253,9 @@ def test_simulate_overlong_ratio_exits_two(tmp_path, capsys):
     path.write_text(json.dumps({"n": 2, "segments_a": ["0.3", "1/" + "7" * 3000]}))
     code, _ = run_cli("simulate", "--input", str(path))
     assert code == 2
-    assert "segments_a[2]" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "segments_a[2]" in err
+    assert_one_line(err, "lry simulate: error: argument --input: ")
 
 
 def test_simulate_oversized_json_integer_exits_two(tmp_path, capsys):
@@ -228,7 +263,9 @@ def test_simulate_oversized_json_integer_exits_two(tmp_path, capsys):
     path.write_text('{"n": 2, "segments_a": [' + "1" * 5000 + ', "0.3"]}')
     code, _ = run_cli("simulate", "--input", str(path))
     assert code == 2
-    assert "--input" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--input" in err
+    assert_one_line(err, "lry simulate: error: argument --input: ")
 
 
 def test_simulate_long_json_integer_exits_two(tmp_path, capsys):
@@ -241,6 +278,7 @@ def test_simulate_long_json_integer_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "segments_a[1]" in err
     assert len(err) < 200
+    assert_one_line(err, "lry simulate: error: argument --input: ")
 
 
 # Entries that make a profile invalid or unreadable, whatever surrounds them.
@@ -319,6 +357,7 @@ def test_simulate_endless_input_exits_two(capsys):
     err = capsys.readouterr().err
     assert "--input" in err
     assert f"longer than {cli._MAX_INPUT_BYTES} bytes" in err
+    assert_one_line(err, "lry simulate: error: argument --input: /dev/zero is longer than ")
 
 
 def test_simulate_reads_a_pipe(tmp_path):
@@ -360,17 +399,29 @@ def test_simulate_deeply_nested_input_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "--input" in err
     assert "not valid JSON" in err
+    assert_one_line(err, "lry simulate: error: argument --input: ")
 
 
 def test_bad_seed_exits_two(capsys):
     code, _ = run_cli("example-2gap", "--seed", "-1")
     assert code == 2
     assert "--seed" in capsys.readouterr().err
+    code, text = run_cli("example-2gap", "--seed", "18446744073709551615")
+    assert code == 0
+    assert json.loads(text)["seed"] == 2**64 - 1
+    for argv in (
+        ["example-2gap", "--seed", "18446744073709551616"],
+        ["example-2gap", "--seed", "-1", "--seed", "5"],  # each occurrence is checked
+        *([command, "--seed", "9" * 4000] for command in ("example-2gap", "verify", "geodelta")),
+        *([command, "--seed", "x" * 5000] for command in ("example-2gap", "verify", "oracle")),
+    ):
+        assert_refused(capsys, argv, "--seed")
 
 
 def test_unknown_flag_exits_two(capsys):
     code, _ = run_cli("example-2gap", "--bogus")
     assert code == 2
+    assert_one_line(capsys.readouterr().err, "lry: error: unrecognized arguments: --bogus")
 
 
 def test_verify_small_run():
@@ -391,6 +442,9 @@ def test_verify_rejects_bad_count(capsys):
     code, _ = run_cli("verify", "--count", "0")
     assert code == 2
     assert "--count" in capsys.readouterr().err
+    # Never an in-range huge count: that is a long sweep, not a refusal.
+    for count in ("0", "-1", "x" * 5000):
+        assert_refused(capsys, ["verify", "--count", count], "--count")
 
 
 def test_verify_rejects_oversized_n_max(capsys):
@@ -402,6 +456,8 @@ def test_verify_rejects_oversized_n_max(capsys):
         assert code == 2
         assert text == ""
         assert "--n-max" in capsys.readouterr().err
+    for n_max in ("1", "9" * 4000, "x" * 5000):
+        assert_refused(capsys, ["verify", "--count", "1", "--n-max", n_max], "--n-max")
 
 
 def test_verify_accepts_n_max_at_the_bound():
@@ -468,6 +524,8 @@ def test_geodelta_rejects_oversized_delta(capsys):
         assert code == 2
         assert text == ""
         assert "--delta" in capsys.readouterr().err
+    for delta in ("9" * 4000, "x" * 5000):
+        assert_refused(capsys, ["geodelta", "--delta", delta], "--delta")
 
 
 def test_csv_candidates():
@@ -497,6 +555,12 @@ def test_oracle_rejects_cap_below_one(capsys):
         assert code == 2
         assert text == ""
         assert "--oracle-cap" in capsys.readouterr().err
+    for flag in ("--count", "--oracle-cap"):
+        for value in ("0", "x" * 5000):
+            assert_refused(capsys, ["oracle", flag, value], flag)
+    code, text = run_cli("oracle", "--count", "3", "--oracle-cap", "1")
+    assert code == 0
+    assert json.loads(text)["grid"]["mismatches"] == []
 
 
 def test_oracle_reports_skipped_analogue():

@@ -184,20 +184,38 @@ def _cmd_oracle(args) -> _Report:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Refuses in one line, ``<prog>: error: <message>``, and exit 2; so do its subparsers."""
+    """Refuses in one line, ``<prog>: error: <message>``, and exit 2; so do its subparsers.
+    Every value it echoes is cut by ``model._brief``."""
 
     def error(self, message: str) -> NoReturn:
         text = " ".join(message.splitlines())  # one line, whatever value it echoes
         self.exit(2, f"{self.prog}: error: {text}\n")
 
+    def parse_args(self, args=None, namespace=None):
+        namespace, extras = self.parse_known_args(args, namespace)
+        if extras:
+            text = " ".join(extras)
+            brief = model._brief(text)  # unquoted when quoting is all it would change
+            self.error(f"unrecognized arguments: {text if brief[1:-1] == text else brief}")
+        return namespace
+
+    def _check_value(self, action, value):
+        # argparse's check of a choice (a command, --format), echoing it through _brief
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {model._brief(value)} (choose from {choices})"
+            )
+
 
 def _int_in(low: int, high: int | None = None) -> Callable[[str], int]:
-    """An argparse type: an integer from ``low`` to ``high``, or with no upper bound."""
+    """An argparse type: an integer from ``low`` to ``high``, or with no upper bound,
+    written in the digits ``model._digits`` reads on every interpreter."""
     wanted = f"from {low} to {high}" if high is not None else f"of at least {low}"
 
     def parse(text: str) -> int:
         try:
-            value = int(text)
+            value = model._digits(text.strip(), signed=True)
             if low <= value and (high is None or value <= high):
                 return value
         except ValueError:  # not an integer, or too many digits for int()

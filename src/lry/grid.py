@@ -19,11 +19,14 @@ lists none, but makes one flat pass over the compiled nodes with the districts
 a party wins on this grid, computed once per grid, region and party
 (``grid.district_wins``), and raises ``GridError`` on a region with no plan.
 
-``validate_plan`` checks a plan cell by cell and lists every violation
-with its district's index; ``count_wins`` validates the plan, then sums
-each district's winner.  A winner compares integer sums of the cells scaled
-by the lcm of their denominators.  The hole test runs only on districts of
-``_HOLE_MIN_CELLS`` cells or more, the fewest that can wall one in.
+A grid holds each cell's support as an int on the grid's scale, row-major,
+so cell (i, j) is ``cells[(i-1)*m + j-1]`` and its index is its bit number.
+A district goes to A when twice its cells' sum exceeds its size times the
+scale, to B when it falls short.  ``validate_plan`` checks a plan cell by
+cell and lists every violation with its district's index; ``count_wins``
+validates the plan, then sums each district's winner.  The hole test runs
+only on districts of ``_HOLE_MIN_CELLS`` cells or more, the fewest that can
+wall one in.
 
 The banded construction built here drives the protocol toward a coin flip
 whose losing candidates fall arbitrarily far below the geometric target as
@@ -41,7 +44,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import Iterator, Sequence
 
-from .model import Party, ratio_str
+from .model import Party, _brief, ratio_str
 from .protocol import TARGET_BOUND, OutcomeKind, ProtocolRun, resolve_optimal, run_to_dict
 
 Cell = tuple[int, int]  # (row, column), 1-indexed from the top-left
@@ -68,43 +71,47 @@ def _bit(m: int, cell: Cell) -> int:
 
 @dataclass(frozen=True)
 class GridState:
-    """An m-by-m grid of per-cell support for party A, each an ``int`` or a
-    ``Fraction`` in [0, 1], districted in blocks of exactly ``d`` cells."""
+    """An m-by-m grid of support for party A, districted in blocks of exactly
+    ``d`` cells.  ``cells`` holds each cell's support times ``scale``, an int
+    in 0..scale, row-major; the constructor divides the scale and the cells
+    by their gcd, so grids are equal when their supports are."""
 
     m: int
     d: int
-    cells: tuple[tuple[Fraction | int, ...], ...]
+    scale: int
+    cells: tuple[int, ...]
 
     def __post_init__(self):
-        if self.m < 1:
-            raise GridError(f"grid side must be positive, got {self.m}")
+        m, scale, cells = self.m, self.scale, self.cells
+        if m < 1:
+            raise GridError(f"grid side must be positive, got {m}")
         compactness_bound(self.d)  # raises GridError on d < 1
-        if (self.m * self.m) % self.d != 0:
-            raise GridError(f"district size {self.d} does not divide {self.m}^2 cells")
-        if len(self.cells) != self.m or any(len(row) != self.m for row in self.cells):
-            raise GridError(f"cell array is not {self.m}x{self.m}")
-        for i, row in enumerate(self.cells, start=1):
-            for j, value in enumerate(row, start=1):
-                if not isinstance(value, (int, Fraction)):
-                    raise GridError(
-                        f"cell ({i},{j}) support {value!r} is not an int or a Fraction"
-                    )
-                if not 0 <= value.numerator <= value.denominator:
-                    raise GridError(
-                        f"cell ({i},{j}) support {ratio_str(value)} outside [0, 1]"
-                    )
+        if (m * m) % self.d != 0:
+            raise GridError(f"district size {self.d} does not divide {m}^2 cells")
+        if not isinstance(scale, int) or scale < 1:
+            raise GridError(f"grid scale must be a positive int, got {_brief(scale)}")
+        if len(cells) != m * m:
+            raise GridError(f"cell array has {len(cells)} cells, not {m}x{m}")
+        for index, value in enumerate(cells):
+            if not (isinstance(value, int) and 0 <= value <= scale):
+                raise GridError(
+                    f"cell ({index // m + 1},{index % m + 1}) support {_brief(value)}"
+                    f" is not an int in 0..{_brief(scale)}"
+                )
+        common = math.gcd(scale, *cells) if scale > 1 else 1
+        if common > 1:
+            object.__setattr__(self, "scale", scale // common)
+            object.__setattr__(self, "cells", tuple([value // common for value in cells]))
 
     @property
     def z(self) -> int:
         return compactness_bound(self.d)
 
-    def on_grid(self, cell: Cell) -> bool:
-        return 1 <= cell[0] <= self.m and 1 <= cell[1] <= self.m
-
     def support(self, cell: Cell) -> Fraction:
-        if not self.on_grid(cell):
+        i, j = cell
+        if not (1 <= i <= self.m and 1 <= j <= self.m):
             raise GridError(f"cell {cell} is off the {self.m}x{self.m} grid")
-        return self.cells[cell[0] - 1][cell[1] - 1]
+        return Fraction(self.cells[(i - 1) * self.m + j - 1], self.scale)
 
     def all_cells(self) -> frozenset[Cell]:
         return frozenset(
@@ -117,15 +124,6 @@ class GridState:
         the region, by index, filled by ``_district_wins``; it lives as long
         as the grid."""
         return {}
-
-    @cached_property
-    def _scaled(self) -> tuple[int, tuple[int, ...]]:
-        """The lcm L of the cells' denominators, and every cell times L,
-        row-major, so that a cell's position is its bit number."""
-        scale = math.lcm(*(value.denominator for row in self.cells for value in row))
-        return scale, tuple(
-            value.numerator * (scale // value.denominator) for row in self.cells for value in row
-        )
 
 
 def _neighbors(cell: Cell) -> tuple[Cell, ...]:
@@ -189,11 +187,11 @@ class PlanViolation:
 
 def _winner(grid: GridState, district: frozenset[Cell]) -> Party | None:
     """The party with a strict majority of an on-grid district's support:
-    with every cell scaled to an integer by the lcm L of the denominators,
-    A wins when twice its scaled sum exceeds |D| * L, B when it falls short."""
-    scale, scaled = grid._scaled
-    twice_a = 2 * sum(scaled[(i - 1) * grid.m + j - 1] for i, j in district)
-    half = len(district) * scale
+    A wins when twice its cells' sum exceeds |D| times the grid's scale, B
+    when it falls short."""
+    m, cells = grid.m, grid.cells
+    twice_a = 2 * sum(cells[(i - 1) * m + j - 1] for i, j in district)
+    half = len(district) * grid.scale
     if twice_a == half:
         return None
     return Party.A if twice_a > half else Party.B
@@ -205,7 +203,7 @@ def _district_violations(grid: GridState, cells: frozenset[Cell]) -> Iterator[st
         if not cells:
             return
     m = grid.m
-    bad = [c for c in cells if not (1 <= c[0] <= m and 1 <= c[1] <= m)]  # grid.on_grid, inline
+    bad = [c for c in cells if not (1 <= c[0] <= m and 1 <= c[1] <= m)]
     if bad:
         yield f"leaves the grid at {sorted(bad)}"
         return
@@ -396,14 +394,13 @@ def _shape(m: int, d: int, region: frozenset[Cell]) -> _Shape:
 def _district_wins(grid: GridState, shape: _Shape, party: Party) -> tuple[bool, ...]:
     """Whether ``party`` wins each district of ``shape``, a region's
     ``_shape`` on this grid, by index, kept in ``grid.district_wins`` once per
-    grid, region and party.  A district's scaled sum is read off
-    ``grid._scaled`` at its cells' positions, as ``_winner`` reads it."""
+    grid, region and party.  A district's sum is read off ``grid.cells`` at
+    its cells' positions, as ``_winner`` reads it."""
     key = shape.mask, party
     won = grid.district_wins.get(key)
     if won is None:
-        scale, scaled = grid._scaled
-        half = grid.d * scale
-        get = scaled.__getitem__
+        half = grid.d * grid.scale
+        get = grid.cells.__getitem__
         sums = [sum(map(get, cells)) for cells in shape.positions]
         won = grid.district_wins[key] = tuple(
             [2 * s > half for s in sums] if party is Party.A else [2 * s < half for s in sums]
@@ -516,12 +513,7 @@ def _banded_grid(
     """The m-by-m grid with support 1 on ``support`` and 0 elsewhere, and
     the split sequence that adds ``increments`` first and then the other
     cells row-major, ``d`` at a time."""
-    one = Fraction(1)
-    zero = Fraction(0)
-    cells = tuple(
-        tuple(one if (i, j) in support else zero for j in range(1, m + 1))
-        for i in range(1, m + 1)
-    )
+    cells = tuple([int((i, j) in support) for i in range(1, m + 1) for j in range(1, m + 1)])
     assigned = {cell for chunk in increments for cell in chunk}
     remaining = [
         (i, j)
@@ -532,7 +524,7 @@ def _banded_grid(
     chunks = (
         tuple(remaining[start : start + d]) for start in range(0, len(remaining), d)
     )
-    return GridState(m=m, d=d, cells=cells), GridSplitSequence((*increments, *chunks))
+    return GridState(m, d, 1, cells), GridSplitSequence((*increments, *chunks))
 
 
 def make_geodelta(delta: int) -> tuple[GridState, GridSplitSequence]:

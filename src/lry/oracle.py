@@ -63,14 +63,14 @@ def strategy_oracle_mismatches() -> tuple[int, list[dict]]:
     return checked, mismatches
 
 
-_CELL_VALUES = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(3, 4))
+# A cell's support in quarters: 0, 1, 1/2, 1/4 and 3/4.
+_CELL_VALUES = (0, 4, 2, 1, 3)
 
 
 def random_small_grid(rng: random.Random) -> grid_mod.GridState:
     """A random grid of at most 16 cells with d of 2 or 4 dividing it."""
     m, d = rng.choice([(2, 2), (2, 4), (4, 2), (4, 4)])
-    cells = tuple(tuple(rng.choice(_CELL_VALUES) for _ in range(m)) for _ in range(m))
-    return grid_mod.GridState(m=m, d=d, cells=cells)
+    return grid_mod.GridState(m, d, 4, tuple(rng.choice(_CELL_VALUES) for _ in range(m * m)))
 
 
 def grid_oracle_mismatches(count: int, seed: int, cap: int) -> tuple[int, bool, list[dict]]:

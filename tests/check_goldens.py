@@ -7,7 +7,9 @@ and checks the error text of profiles that echo them.  Then it replays
 every command's reports against their SHA-256 digests: ``simulate`` on two
 profiles whose entries come in many written forms, ``example-2gap``,
 ``verify`` and ``geodelta`` in both formats, and ``oracle`` at caps 4, 16
-and 36.  Each of the two profiles must also read
+and 36.  ``geodelta --delta`` must refuse the two later digits with one
+golden line on stderr, exit 2 and nothing on stdout.  Each of the two
+profiles must also read
 back unchanged from ``profile_to_dict`` and equal ``SplitProfile.of`` its
 parsed entries.  So an interpreter without pytest can be checked too:
 
@@ -16,6 +18,7 @@ parsed entries.  So an interpreter without pytest can be checked too:
 Prints each mismatch and exits 1, or exits 0 when everything agrees.
 """
 
+import contextlib
 import hashlib
 import io
 import json
@@ -152,6 +155,16 @@ ORACLE_GOLDEN = {
         "095f9eae824041e4f0d672b4280e3b0e8603ef03ba1fd7ccfec9e41010f3d28d",
 }
 
+# SHA-256 of the stderr of `geodelta --delta D`, D one digit that Unicode added
+# after 13.0 (Tangsa 3, 14.0; Kawi 3, 15.0), with its exit code: refused on every
+# interpreter, as `--delta` reads its digits through `model._digits`.
+REFUSAL_GOLDEN = {
+    ("geodelta", "--delta", "\U00016ac3"):
+        (2, "359c9c1b7e1181c394c6e9c9d256e0a964c1a3fab0b6e7456becdb0a061dafd8"),
+    ("geodelta", "--delta", "\U00011f53"):
+        (2, "06b4e0539fa0c3bb4f1568712214db5803abc097afda73cd7292c63088400122"),
+}
+
 
 def verdict(text: str, parse=model.parse_ratio) -> list[str]:
     """``["value", ratio_str]`` or ``["error", FormatError text]``, as the
@@ -250,12 +263,24 @@ def oracle_mismatches():
         yield from digest_mismatches(["oracle", *args], digest)
 
 
+def refusal_mismatches():
+    for argv, (code, digest) in REFUSAL_GOLDEN.items():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err):
+            got_code = cli.main(list(argv), stdout=out)
+        got = hashlib.sha256(err.getvalue().encode("utf-8")).hexdigest()
+        stdout = out.getvalue()
+        if (got_code, got, stdout) != (code, digest, ""):
+            yield f"{ascii(argv)}: exit {got_code}, stderr sha256 {got}, stdout {stdout[:60]!r}"
+
+
 def main() -> int:
     cases = corpus_cases()
     failures = [
         *corpus_mismatches(cases), *digit_mismatches(), *echo_mismatches(),
         *profile_mismatches(), *simulate_mismatches(), *example_2gap_mismatches(),
         *verify_mismatches(), *geodelta_mismatches(), *oracle_mismatches(),
+        *refusal_mismatches(),
     ]
     for line in failures:
         print(line)
@@ -266,7 +291,8 @@ def main() -> int:
         f"{len(SIMULATE_PARSE_GOLDEN)} simulate, "
         f"{sum(map(len, EXAMPLE_2GAP_GOLDEN.values()))} example-2gap, "
         f"{len(VERIFY_GOLDEN)} verify, {sum(map(len, GEODELTA_GOLDEN.values()))} geodelta "
-        f"and {len(ORACLE_GOLDEN)} oracle digests, {len(failures)} mismatches"
+        f"and {len(ORACLE_GOLDEN)} oracle digests, {len(REFUSAL_GOLDEN)} refusals, "
+        f"{len(failures)} mismatches"
     )
     return 1 if failures else 0
 

@@ -424,6 +424,53 @@ def test_unknown_flag_exits_two(capsys):
     assert_one_line(capsys.readouterr().err, "lry: error: unrecognized arguments: --bogus")
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["verify", "--format", "xml"],
+         "lry verify: error: argument --format: invalid choice: 'xml' (choose from 'json', 'csv')"),
+        (["frob"], "lry: error: argument command: invalid choice: 'frob' (choose from 'simulate',"
+         " 'example-2gap', 'verify', 'geodelta', 'oracle')"),
+        (["example-2gap", "--bogus", "it's"], "lry: error: unrecognized arguments: --bogus it's"),
+        (["verify", "--format", "x" * 5000], "lry verify: error: argument --format: invalid"
+         " choice: 'xxxxxxxxxxxx...xxxxxxxxxxxxx' (choose from 'json', 'csv')"),
+        (["x" * 5000], "lry: error: argument command: invalid choice:"
+         " 'xxxxxxxxxxxx...xxxxxxxxxxxxx' (choose from"),
+        (["example-2gap", "x" * 5000],
+         "lry: error: unrecognized arguments: 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+        (["example-2gap", "--bogus", "é"],
+         "lry: error: unrecognized arguments: '--bogus \\xe9'"),
+    ],
+    ids=["format", "command", "arguments", "long-format", "long-command", "long-arguments",
+         "non-ascii-arguments"],
+)
+def test_refused_choices_and_arguments_echo_in_brief(capsys, argv, line):
+    # Short ASCII values read as argparse writes them; a long one is cut as
+    # model._brief cuts it, so the refusal stays one short line.
+    assert run_cli(*argv) == (2, "")
+    err = capsys.readouterr().err
+    assert_one_line(err, line)
+    assert len(err.encode("utf-8")) <= 200
+
+
+def test_integer_options_refuse_digits_after_unicode_13(capsys):
+    # int() reads the Tangsa digit (Unicode 14.0) from 3.11 and the Kawi digit
+    # (15.0) from 3.12; the options read the digits of Unicode 13.0 alone.
+    for digit in ("\U00016ac3", "\U00011f53"):
+        for argv, flag in (
+            (["geodelta", "--delta", digit], "--delta"),
+            (["verify", "--count", digit], "--count"),
+            (["example-2gap", "--seed", f"1{digit}"], "--seed"),
+            (["oracle", "--oracle-cap", f"+{digit}"], "--oracle-cap"),
+        ):
+            assert_refused(capsys, argv, flag)
+    assert list(check_goldens.refusal_mismatches()) == []
+    # Spaces around the number, a sign and a Unicode 13.0 digit still read.
+    three = run_cli("geodelta", "--delta", "3")
+    for delta in (" 3 ", "+3", "٣"):
+        assert run_cli("geodelta", "--delta", delta) == three
+
+
 def test_verify_small_run():
     code, text = run_cli("verify", "--count", "30", "--n-max", "6", "--seed", "1")
     assert code == 0

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lry import grid, oracle
-from lry.model import Party, Side, ratio_str
+from lry.model import Party, Side, _brief
 from lry.protocol import (
     OutcomeKind,
     mix_seed,
@@ -17,8 +17,6 @@ from lry.protocol import (
     resolve_from_totals,
 )
 
-ONE = Fraction(1)
-ZERO = Fraction(0)
 TINY = Fraction(1, 10**30)
 
 
@@ -38,8 +36,13 @@ def bits(g, cells):
 
 
 def make_grid(rows, d):
-    cells = tuple(tuple(Fraction(v) for v in row) for row in rows)
-    return grid.GridState(m=len(rows), d=d, cells=cells)
+    """The grid whose rows of supports, each an int, a ``Fraction`` or a
+    string ``Fraction`` reads, are ``rows``: every support times the lcm of
+    their denominators, on that scale."""
+    values = [Fraction(v) for row in rows for v in row]
+    scale = math.lcm(*(v.denominator for v in values))
+    cells = tuple(v.numerator * (scale // v.denominator) for v in values)
+    return grid.GridState(len(rows), d, scale, cells)
 
 
 def geodelta_winning_plan(delta):
@@ -71,21 +74,40 @@ class TestGridState:
             make_grid([[2, 0], [0, 0]], d=2)
 
     def test_shape_enforced(self):
-        with pytest.raises(grid.GridError):
-            grid.GridState(m=2, d=2, cells=((ZERO,), (ZERO, ZERO)))
+        with pytest.raises(grid.GridError, match=re.escape("cell array has 3 cells, not 2x2")):
+            grid.GridState(m=2, d=2, scale=1, cells=(0, 0, 0))
 
     def test_accessors(self):
         g = make_grid([[1, 0], [0, 0]], d=2)
         assert g.z == 2
         assert g.support((1, 1)) == 1
         assert len(g.all_cells()) == 4
+        g = make_grid([[0, Fraction(1, 3)], [Fraction(1, 2), 1]], d=2)
+        assert (g.scale, g.cells) == (6, (0, 2, 3, 6))
+        assert [g.support(cell) for cell in sorted(g.all_cells())] == [
+            0, Fraction(1, 3), Fraction(1, 2), 1
+        ]
 
-    @pytest.mark.parametrize("value", [0.5, "1/2", None])
-    def test_cell_must_be_an_int_or_a_fraction(self, value):
-        cells = ((Fraction(1, 2), 1), (value, 0))
-        message = re.escape(f"cell (2,1) support {value!r} is not an int or a Fraction")
-        with pytest.raises(grid.GridError, match=message):
-            grid.GridState(2, 2, cells)
+    @pytest.mark.parametrize("value", [0.5, "1/2", None, Fraction(1, 2), -1, 3])
+    def test_cell_must_be_an_int_on_the_scale(self, value):
+        cells = (1, 2, value, 0)
+        message = re.escape(f"cell (2,1) support {value!r} is not an int in 0..2")
+        with pytest.raises(grid.GridError, match=f"^{message}$"):
+            grid.GridState(2, 2, 2, cells)
+
+    @pytest.mark.parametrize("scale", [0, -1, 1.0, "1", None])
+    def test_scale_must_be_a_positive_int(self, scale):
+        message = re.escape(f"grid scale must be a positive int, got {scale!r}")
+        with pytest.raises(grid.GridError, match=f"^{message}$"):
+            grid.GridState(1, 1, scale, (0,))
+
+    def test_divided_by_the_gcd(self):
+        # Equal supports make equal grids, whatever scale they came on.
+        assert grid.GridState(2, 2, 12, (0, 6, 3, 12)) == make_grid([[0, "1/2"], ["1/4", 1]], 2)
+        g = grid.GridState(2, 2, 4, (0, 4, 2, 4))
+        assert (g.scale, g.cells) == (2, (0, 2, 1, 2))
+        assert grid.GridState(1, 1, 7, (0,)) == grid.GridState(1, 1, 1, (0,))
+        assert hash(grid.GridState(1, 1, 6, (3,))) == hash(grid.GridState(1, 1, 2, (1,)))
 
     @settings(deadline=None, max_examples=300)
     @given(
@@ -101,25 +123,27 @@ class TestGridState:
     @example(1 - TINY)
     @example(1 + TINY)
     def test_support_range_matches_fraction_comparison(self, value):
-        # The reference is the comparison the integer check replaced.
+        # The reference is the Fraction comparison the integer check replaced.
         try:
-            grid.GridState(1, 1, ((value,),))
+            make_grid([[value]], d=1)
         except grid.GridError as error:
-            assert str(error) == f"cell (1,1) support {ratio_str(value)} outside [0, 1]"
+            # an int too long to show whole is cut, as every echoed value is
+            cell, scale = map(_brief, (value.numerator, value.denominator))
+            assert str(error) == f"cell (1,1) support {cell} is not an int in 0..{scale}"
             accepted = False
         else:
             accepted = True
         assert accepted == (0 <= value <= 1)
 
     def test_int_cells_decide_districts(self):
-        g = grid.GridState(2, 2, ((1, 1), (0, 1)))
+        g = grid.GridState(2, 2, 1, (1, 1, 0, 1))
         horizontal = (frozenset({(1, 1), (1, 2)}), frozenset({(2, 1), (2, 2)}))
         assert grid.count_wins(g, horizontal, Party.A) == 1
         assert grid.count_wins(g, horizontal, Party.B) == 0
 
     @pytest.mark.parametrize("cell", [(0, 1), (1, 0), (3, 1), (1, 3), (-1, -1)])
     def test_support_rejects_off_grid_cell(self, cell):
-        # row or column 0 must not wrap to the far edge through cells[-1]
+        # (1, 0) must not wrap to the row above, nor row 0 to the far end
         g = make_grid([[1, 0], [0, 0]], d=2)
         with pytest.raises(grid.GridError, match=re.escape(f"cell {cell} is off the 2x2 grid")):
             g.support(cell)
@@ -462,7 +486,7 @@ class TestDirectEnumeration:
             # grown once per process and tabled once per grid
             grid._shape.cache_clear()
             return [
-                list(grid.enumerate_region_plans(grid.GridState(g.m, g.d, g.cells), r))
+                list(grid.enumerate_region_plans(fresh(g), r))
                 for g, r in regions
             ]
 
@@ -559,9 +583,8 @@ def district_support(g, district, party):
 
 def reference_wins(g, plan, party):
     """Wins from the ``Fraction`` sums on a freshly built grid."""
-    fresh = grid.GridState(m=g.m, d=g.d, cells=g.cells)
     return sum(
-        2 * district_support(fresh, district, party) > len(district)
+        2 * district_support(fresh(g), district, party) > len(district)
         for district in plan
     )
 
@@ -723,8 +746,7 @@ def list_random_small_grid(rng):
     kept as the reference for the module-level tuple."""
     m, d = rng.choice([(2, 2), (2, 4), (4, 2), (4, 4)])
     choices = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)]
-    cells = tuple(tuple(rng.choice(choices) for _ in range(m)) for _ in range(m))
-    return grid.GridState(m=m, d=d, cells=cells)
+    return make_grid([[rng.choice(choices) for _ in range(m)] for _ in range(m)], d)
 
 
 def test_random_small_grid_draws_as_from_a_list():
@@ -742,7 +764,7 @@ class TestGridOracleMismatches:
     @pytest.fixture(autouse=True)
     def diagonal(self, monkeypatch):
         monkeypatch.setattr(
-            oracle, "random_small_grid", lambda rng: grid.GridState(2, 2, DIAGONAL_GRID)
+            oracle, "random_small_grid", lambda rng: make_grid(DIAGONAL_GRID, 2)
         )
 
     def kinds(self, count=2):
@@ -1131,7 +1153,7 @@ class TestDistrictTable:
             ],
             d=2,
         )
-        assert g._scaled[0] == 30
+        assert g.scale == 30
         region = g.all_cells()
         districts = (district for _, district in grid._shape(g.m, g.d, region).districts)
         winners = dict(zip(districts, district_winners(g, region), strict=True))
@@ -1244,7 +1266,7 @@ def shape_grids(seed):
 
 
 def fresh(g):
-    return grid.GridState(g.m, g.d, g.cells)
+    return grid.GridState(g.m, g.d, g.scale, g.cells)
 
 
 class TestSharedTablesAndMemo:
@@ -1318,7 +1340,8 @@ def reference_search(g, region, party, winners=None):
 
 SHAPES = ((2, 2), (2, 4), (4, 2), (4, 4))
 SUPPORTS = st.sampled_from(
-    (*oracle._CELL_VALUES, Fraction(1, 3), Fraction(2, 3), Fraction(2, 5), Fraction(5, 6))
+    (*(Fraction(q, 4) for q in oracle._CELL_VALUES),
+     Fraction(1, 3), Fraction(2, 3), Fraction(2, 5), Fraction(5, 6))
 )
 
 
@@ -1330,7 +1353,7 @@ def searched_regions(draw):
     kind = draw(st.sampled_from(("shape", "analogue side", "empty")))
     m, d = (4, 4) if kind == "analogue side" else draw(st.sampled_from(SHAPES))
     rows = draw(st.lists(st.lists(SUPPORTS, min_size=m, max_size=m), min_size=m, max_size=m))
-    g = grid.GridState(m, d, tuple(map(tuple, rows)))
+    g = make_grid(rows, d)
     if kind == "analogue side":
         return g, draw(st.sampled_from(analogue_sides()[1]))
     return g, g.all_cells() if kind == "shape" else frozenset()
@@ -1361,19 +1384,19 @@ class TestCompiledSearch:
         rng = random.Random(d)
         region = frozenset((i, j) for i in range(1, 7) for j in range(1, 7))
         for _ in range(2):
-            rows = [[rng.choice(oracle._CELL_VALUES) for _ in range(6)] for _ in range(6)]
-            g = grid.GridState(6, d, tuple(map(tuple, rows)))
+            quarters = tuple(rng.choice(oracle._CELL_VALUES) for _ in range(36))
+            g = grid.GridState(6, d, 4, quarters)
             for party in Party:
                 got = grid.max_wins_bruteforce(g, region, party, cap=36)
                 assert got == reference_search(g, region, party)
         assert grid._shape.cache_info().misses == 1
 
-    @pytest.mark.parametrize("d, plans", [(2, None), (3, 80_092), (4, 178_939)])
+    @pytest.mark.parametrize("d, plans", [(2, None), (3, 80_092), (4, 178_939), (6, 88_118)])
     def test_six_by_six_plan_counts(self, d, plans):
         # Node 0, the empty mask, has one plan, and every other node as many
         # as its children together; the whole grid's node is the last.  The
-        # counts at d = 3 and 4 are those of enumerate_region_plans; at d = 2
-        # Kasteleyn's product gives the 6x6 domino tilings (OEIS A004003).
+        # counts at d = 3, 4 and 6 are those of enumerate_region_plans; at
+        # d = 2 Kasteleyn's product gives the 6x6 domino tilings (OEIS A004003).
         if d == 2:
             cos2 = [4 * math.cos(math.pi * j / 7) ** 2 for j in range(1, 4)]
             plans = round(math.prod(a + b for a in cos2 for b in cos2))
@@ -1496,8 +1519,8 @@ class TestGeodeltaConstruction:
         assert g.m == 20 * delta
         assert g.d == 100
         assert splits.split_count == 4 * delta * delta
-        total = sum(sum(row) for row in g.cells)
-        assert total == 51 * delta
+        assert g.scale == 1
+        assert sum(g.cells) == 51 * delta
         for k in range(splits.split_count + 1):
             assert len(splits.left_cells(k)) == 100 * k
 

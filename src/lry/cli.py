@@ -80,8 +80,14 @@ def _write(report: _Report, args, stream) -> int:
     return report.code
 
 
+def _echo(text: str) -> str:
+    """``text`` cut by ``model._brief``, unquoted when quoting is all it would change."""
+    brief = model._brief(text)
+    return text if brief[1:-1] == text else brief
+
+
 def _load_profile(path: str) -> model.SplitProfile:
-    """``--input``'s type: the profile in file ``path``."""
+    """``--input``'s type: the profile in file ``path``; a refusal echoes the path once."""
     try:
         with open(path, "rb") as handle:
             # Sized by st_size, as read() would be; a device or a pipe reports 0.
@@ -90,19 +96,20 @@ def _load_profile(path: str) -> model.SplitProfile:
             if len(data) == hint:
                 data += handle.read(_MAX_INPUT_BYTES + 1 - hint)
     except OSError as exc:
-        raise argparse.ArgumentTypeError(f"cannot read {path}: {exc}") from exc
+        reason = exc.strerror or type(exc).__name__  # str(exc) repeats the path
+        raise argparse.ArgumentTypeError(f"cannot read {_echo(path)}: {reason}") from exc
     if len(data) > _MAX_INPUT_BYTES:
-        raise argparse.ArgumentTypeError(f"{path} is longer than {_MAX_INPUT_BYTES} bytes")
+        raise argparse.ArgumentTypeError(f"{_echo(path)} is longer than {_MAX_INPUT_BYTES} bytes")
     try:
         doc = json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     except (ValueError, RecursionError) as exc:
         # Bad JSON, bad UTF-8, an integer past str()'s limit, or nesting
         # deeper than the decoder's recursion allows.
-        raise argparse.ArgumentTypeError(f"{path} is not valid JSON: {exc}") from exc
+        raise argparse.ArgumentTypeError(f"{_echo(path)} is not valid JSON: {exc}") from exc
     try:
         return model.profile_from_dict(doc)
     except model.FormatError as exc:
-        raise argparse.ArgumentTypeError(f"{path}: {exc}") from exc
+        raise argparse.ArgumentTypeError(f"{_echo(path)}: {exc}") from exc
 
 
 _SIM_FIELDS = "k option winsA winsB deltaGeoA deltaGeoKA deltaGeoB deltaGeoKB".split()
@@ -194,9 +201,7 @@ class _Parser(argparse.ArgumentParser):
     def parse_args(self, args=None, namespace=None):
         namespace, extras = self.parse_known_args(args, namespace)
         if extras:
-            text = " ".join(extras)
-            brief = model._brief(text)  # unquoted when quoting is all it would change
-            self.error(f"unrecognized arguments: {text if brief[1:-1] == text else brief}")
+            self.error(f"unrecognized arguments: {_echo(' '.join(extras))}")
         return namespace
 
     def _check_value(self, action, value):

@@ -107,12 +107,6 @@ class GridState:
     def z(self) -> int:
         return compactness_bound(self.d)
 
-    def support(self, cell: Cell) -> Fraction:
-        i, j = cell
-        if not (1 <= i <= self.m and 1 <= j <= self.m):
-            raise GridError(f"cell {cell} is off the {self.m}x{self.m} grid")
-        return Fraction(self.cells[(i - 1) * self.m + j - 1], self.scale)
-
     def all_cells(self) -> frozenset[Cell]:
         return frozenset(
             (i, j) for i in range(1, self.m + 1) for j in range(1, self.m + 1)

@@ -4,6 +4,8 @@ A state with ``n`` equal-population districts is described by the support
 party A holds in each of the ``n`` population segments between consecutive
 nested splits.  All supports are exact rationals, held as integer running
 sums over one common denominator; nothing in this package ever rounds.
+The module also holds the profile document's schema and the ``WinTable``,
+both parties' win counts at every split; it imports no other ``lry`` module.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 
 class Party(Enum):
@@ -188,11 +190,6 @@ def ratio_str(value: Fraction | int) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def is_half_integer(value: Fraction) -> bool:
-    """True when ``value`` is an integer multiple of 1/2 (0 included)."""
-    return (2 * value).denominator == 1
-
-
 @dataclass(frozen=True)
 class SideRef:
     """One side of the k-split: the left region holds k districts' worth of
@@ -217,6 +214,60 @@ class Violation:
     side: Side | None
     k: int | None
     message: str
+
+
+class PartyWins(NamedTuple):
+    """One party's optimal-play win counts, indexed by split k = 0..n."""
+
+    left_districting: tuple[int, ...]  # it draws the lines left of split k
+    right_districting: tuple[int, ...]
+    left_opposed: tuple[int, ...]  # its opponent draws them
+    right_opposed: tuple[int, ...]
+    left_total: tuple[int, ...]  # it districts the left, the opponent the right
+    right_total: tuple[int, ...]
+
+    @classmethod
+    def from_scaled(cls, scale: int, left_support: Sequence[int]) -> "PartyWins":
+        """Win counts from the party's support left of each split, scaled by
+        ``scale``: ``strategy.optimal_wins`` and ``strategy.opponent_wins``
+        with every value multiplied by ``scale``, so ``divmod(2X, scale)``
+        gives floor(2x) and, by its remainder, ceil(2x)."""
+        n = len(left_support) - 1
+        twice_total = 2 * left_support[n]
+        rows = []
+        for k, x in enumerate(left_support):
+            j = n - k
+            # The opponent's wins, ceil(x - (k - x)), are ceil(2x) - k.
+            fx, rx = divmod(2 * x, scale)
+            fy, ry = divmod(twice_total - 2 * x, scale)
+            ox = fx - k + 1 if rx else fx - k
+            oy = fy - j + 1 if ry else fy - j
+            d_left = fx if fx < k else k
+            d_right = fy if fy < j else j
+            o_left = ox if ox > 0 else 0
+            o_right = oy if oy > 0 else 0
+            rows.append((d_left, d_right, o_left, o_right, d_left + o_right, d_right + o_left))
+        return cls(*zip(*rows))  # one tuple per field
+
+
+class WinTable(NamedTuple):
+    """Both parties' optimal-play win counts at every split of one profile."""
+
+    a: PartyWins
+    b: PartyWins
+
+    @classmethod
+    def from_scaled(cls, scale: int, prefix_a: tuple[int, ...]) -> "WinTable":
+        """The table of a profile whose A-support left of split k is
+        ``prefix_a[k] / scale``.  B's counts come from B's own support,
+        ``k - prefix_a[k] / scale``, not from A's counts."""
+        return cls(
+            PartyWins.from_scaled(scale, prefix_a),
+            PartyWins.from_scaled(scale, [k * scale - x for k, x in enumerate(prefix_a)]),
+        )
+
+    def party(self, party: Party) -> PartyWins:
+        return self.a if party is Party.A else self.b
 
 
 @dataclass(frozen=True)
@@ -253,15 +304,11 @@ class SplitProfile:
         return tuple([Fraction(hi - lo, scale) for lo, hi in zip(prefix, prefix[1:])])
 
     @cached_property
-    def win_table(self) -> _strategy.WinTable:
+    def win_table(self) -> WinTable:
         """Optimal-play win counts at every split, computed once; raises
         ProfileError on an invalid profile."""
         ensure_valid(self)
-        return _strategy.WinTable.from_scaled(self.scale, self.prefix_a)
-
-    @property
-    def total_a(self) -> Fraction:
-        return Fraction(self.prefix_a[-1], self.scale)
+        return WinTable.from_scaled(self.scale, self.prefix_a)
 
     @cached_property
     def violations(self) -> tuple[Violation, ...]:
@@ -400,11 +447,22 @@ class _AsciiRepr(reprlib.Repr):
     """``reprlib.Repr`` cutting ``ascii()``, not ``repr()``: the same on every Unicode database."""
 
     def repr_str(self, x: str, level: int) -> str:
-        s = ascii(x[:30])
-        if len(s) > 30:  # reprlib's cut at its maxstring, 30: 13 characters, "...", 14
-            s = ascii(x[:13] + x[len(x) - 14 :])
-            s = s[:13] + "..." + s[len(s) - 14 :]
-        return s
+        """``ascii(x)`` if it is at most 30 characters.  Otherwise whole
+        escapes of its body, at most 12 characters' worth from the front and
+        13 from the back, around "...": reprlib's cut at its maxstring, 30,
+        which on plain text it matches, but never through an escape."""
+        if len(x) <= 28 and len(s := ascii(x)) <= 30:
+            return s
+        quote = '"' if "'" in x and '"' not in x else "'"
+        front, back = [], []
+        for part, chars, room in ((front, x, 12), (back, reversed(x), 13)):
+            for c in chars:
+                escape = "\\" + c if c == quote else ascii(c)[1:-1]
+                room -= len(escape)
+                if room < 0:
+                    break
+                part.append(escape)
+        return quote + "".join(front) + "..." + "".join(reversed(back)) + quote
 
 
 def _brief(value: object) -> str:
@@ -426,5 +484,3 @@ def two_gap_profile() -> SplitProfile:
     hundredths = [38] * 5 + [90, 32, 34, 36, 38]
     return SplitProfile.of(10, [Fraction(h, 100) for h in hundredths])
 
-
-from . import strategy as _strategy  # noqa: E402  (last, as strategy imports this module)

@@ -1,7 +1,7 @@
 """Brute-force cross-checks of the closed forms and of the grid's counting.
 
 ``strategy_oracle_mismatches`` compares the unconstrained closed forms, as
-the production win table ``strategy.PartyWins`` computes them, with the
+the production win table ``model.PartyWins`` computes them, with the
 exhaustive allocation search, both in integer units;
 ``grid_oracle_mismatches`` checks the exhaustive plan search on small random
 grids and ``geodelta``'s counting on the shrunk analogue, and says whether
@@ -18,7 +18,7 @@ from itertools import compress
 
 from . import grid as grid_mod
 from . import strategy
-from .model import Party, ratio_str
+from .model import Party, PartyWins, ratio_str
 from .protocol import mix_seed
 
 
@@ -29,7 +29,7 @@ def strategy_oracle_mismatches() -> tuple[int, list[dict]]:
     1/``strategy.DEFAULT_GRANULARITY`` grid, all in those units.
 
     A side of ``size`` districts holding ``units`` is the last row of
-    ``strategy.PartyWins.from_scaled`` on a profile of ``size`` segments
+    ``model.PartyWins.from_scaled`` on a profile of ``size`` segments
     that spread the units as evenly as they go, each in [0, 1]; its
     districting and opposed counts meet ``strategy._search_districting``
     and ``strategy._search_opposed``.  A ``Fraction`` is built only for a
@@ -42,7 +42,7 @@ def strategy_oracle_mismatches() -> tuple[int, list[dict]]:
             if (2 * units) % granularity == 0:
                 continue  # excluded by the half-integer convention
             checked += 1
-            wins = strategy.PartyWins.from_scaled(
+            wins = PartyWins.from_scaled(
                 granularity, [k * units // size for k in range(size + 1)]
             )
             for kind, expect, got in (

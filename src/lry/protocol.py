@@ -33,7 +33,6 @@ from . import strategy, targets
 from .model import (
     Party,
     SplitProfile,
-    ensure_valid,
     half_integer_sums,
     profile_to_dict,
     ratio_str,
@@ -325,7 +324,6 @@ def _party_fairness(
 def fairness_report(profile: SplitProfile, run: ProtocolRun) -> FairnessReport:
     """Exact target deltas and bound flags for a finished run, whose every
     entry must match the profile's win table."""
-    ensure_valid(profile)
     a, n = profile.win_table.a, profile.n
     entries = _entries(run)
     for entry in entries:
@@ -474,9 +472,7 @@ def check_win_identity(x: Fraction, y: Fraction, size: int, rec: _Recorder) -> N
         rec.fail("win_identity", detail)
 
 
-def check_profile(
-    profile: SplitProfile,
-) -> tuple[int, list[SweepViolation], OutcomeKind | None]:
+def check_profile(profile: SplitProfile) -> tuple[int, list[SweepViolation], OutcomeKind]:
     """Run every cross-module invariant on one profile.
 
     Returns (checks performed, violations, outcome kind under optimal play).
@@ -592,13 +588,7 @@ def check_profile(
         if a_wants_left * b_wants_right > 0:
             shared = Preference.OPTION1 if a_wants_left > 0 else Preference.OPTION2
             rec.fail("shared_model_opposition", f"k={k}: both prefer {shared.value}")
-    try:
-        run = optimal_run(profile, 0)
-    except ProtocolError:
-        rec.checks += 1
-        rec.fail("outcome_exists", "no outcome under optimal play")
-        return rec.checks, rec.violations, None
-
+    run = optimal_run(profile, 0)
     kind, trigger = run.outcome, run.trigger_k
     if kind is OutcomeKind.COIN_FLIP:
         for party, wins in parties:
@@ -677,8 +667,7 @@ def property_sweep(count: int, n_max: int, seed: int) -> SweepReport:
         checks, bad, kind = check_profile(profile)
         total_checks += checks
         violations.extend(bad)
-        if kind is not None:
-            outcomes[kind.value] += 1
+        outcomes[kind.value] += 1
         rec = _Recorder(None)
         r = Fraction(1 + _randbelow(rng, 400), 1 + _randbelow(rng, 20))
         s = Fraction(1 + _randbelow(rng, 400), 1 + _randbelow(rng, 20))

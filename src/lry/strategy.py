@@ -1,19 +1,17 @@
-"""Optimal-play win counts on either side of a split.
+"""Optimal-play win counts on either side of a split: the reference forms.
 
 The closed forms assume districting is unconstrained: the party drawing the
 lines may spread its support however it likes.  ``optimal_wins`` and
 ``opponent_wins`` state them in exact ``Fraction``s; they are the reference
-that the tests check the win table against.
-
-Production code reads win counts from a ``WinTable``: the same closed forms on
-the profile's integer sums, evaluated once per profile at every split and
-cached as ``SplitProfile.win_table``.  ``wins_when_districting``,
-``wins_when_opponent_districts`` and ``total_wins`` are reads of that table.
+that the tests check ``model.WinTable`` against.  Production code reads win
+counts from that table, the same closed forms on the profile's integer sums,
+cached as ``SplitProfile.win_table``; ``wins_when_districting``,
+``wins_when_opponent_districts`` and ``total_wins`` are reads of it.
 
 A small exhaustive allocation search over discretized support, tabulated once
 per side size, is an independent check on tiny sides.  It works in units of
 the discretization (``_search_districting``, ``_search_opposed``), and the
-``oracle`` command checks ``PartyWins.from_scaled`` against it in those
+``oracle`` command checks ``model.PartyWins.from_scaled`` against it in those
 units; ``bruteforce_districting_wins`` and ``bruteforce_opponent_wins``
 decode ``Fraction`` supports for it, and acceptance criterion 4 checks the
 ``Fraction`` closed forms through them.
@@ -26,7 +24,6 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import NamedTuple, Sequence
 
 from .model import Party, Side, SideRef, SplitProfile, _check_split_index
 
@@ -45,68 +42,9 @@ def opponent_wins(support: Fraction, opponent_support: Fraction) -> int:
     return max(math.ceil(support - opponent_support), 0)
 
 
-class PartyWins(NamedTuple):
-    """One party's optimal-play win counts, indexed by split k = 0..n."""
-
-    left_districting: tuple[int, ...]  # it draws the lines left of split k
-    right_districting: tuple[int, ...]
-    left_opposed: tuple[int, ...]  # its opponent draws them
-    right_opposed: tuple[int, ...]
-    left_total: tuple[int, ...]  # it districts the left, the opponent the right
-    right_total: tuple[int, ...]
-
-    @classmethod
-    def from_scaled(cls, scale: int, left_support: Sequence[int]) -> "PartyWins":
-        """Win counts from the party's support left of each split, scaled by
-        ``scale``: ``optimal_wins`` and ``opponent_wins`` with every value
-        multiplied by ``scale``, so ``divmod(2X, scale)`` gives floor(2x) and,
-        by its remainder, ceil(2x)."""
-        n = len(left_support) - 1
-        twice_total = 2 * left_support[n]
-        rows = []
-        for k, x in enumerate(left_support):
-            j = n - k
-            # The opponent's wins, ceil(x - (k - x)), are ceil(2x) - k.
-            fx, rx = divmod(2 * x, scale)
-            fy, ry = divmod(twice_total - 2 * x, scale)
-            ox = fx - k + 1 if rx else fx - k
-            oy = fy - j + 1 if ry else fy - j
-            d_left = fx if fx < k else k
-            d_right = fy if fy < j else j
-            o_left = ox if ox > 0 else 0
-            o_right = oy if oy > 0 else 0
-            rows.append((d_left, d_right, o_left, o_right, d_left + o_right, d_right + o_left))
-        return cls(*zip(*rows))  # one tuple per field
-
-
-class WinTable(NamedTuple):
-    """Both parties' optimal-play win counts at every split of one profile."""
-
-    a: PartyWins
-    b: PartyWins
-
-    @classmethod
-    def from_scaled(cls, scale: int, prefix_a: tuple[int, ...]) -> "WinTable":
-        """The table of a profile whose A-support left of split k is
-        ``prefix_a[k] / scale``.  B's counts come from B's own support,
-        ``k - prefix_a[k] / scale``, not from A's counts."""
-        return cls(
-            PartyWins.from_scaled(scale, prefix_a),
-            PartyWins.from_scaled(scale, [k * scale - x for k, x in enumerate(prefix_a)]),
-        )
-
-    def party(self, party: Party) -> PartyWins:
-        return self.a if party is Party.A else self.b
-
-
-def _party_wins(profile: SplitProfile, party: Party, side: SideRef) -> PartyWins:
+def wins_when_districting(profile: SplitProfile, party: Party, side: SideRef) -> int:
     wins = profile.win_table.party(party)
     _check_split_index(profile, side.k)
-    return wins
-
-
-def wins_when_districting(profile: SplitProfile, party: Party, side: SideRef) -> int:
-    wins = _party_wins(profile, party, side)
     counts = wins.left_districting if side.side is Side.LEFT else wins.right_districting
     return counts[side.k]
 
@@ -114,7 +52,8 @@ def wins_when_districting(profile: SplitProfile, party: Party, side: SideRef) ->
 def wins_when_opponent_districts(
     profile: SplitProfile, party: Party, side: SideRef
 ) -> int:
-    wins = _party_wins(profile, party, side)
+    wins = profile.win_table.party(party)
+    _check_split_index(profile, side.k)
     counts = wins.left_opposed if side.side is Side.LEFT else wins.right_opposed
     return counts[side.k]
 
@@ -122,7 +61,8 @@ def wins_when_opponent_districts(
 def total_wins(profile: SplitProfile, party: Party, side: SideRef) -> int:
     """Wins for ``party`` when it districts ``side`` and the opponent
     districts the rest of the state."""
-    wins = _party_wins(profile, party, side)
+    wins = profile.win_table.party(party)
+    _check_split_index(profile, side.k)
     counts = wins.left_total if side.side is Side.LEFT else wins.right_total
     return counts[side.k]
 

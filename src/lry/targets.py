@@ -7,8 +7,8 @@ of the k-split.  Both are exact half-integers, returned as Fractions; the
 invariant sweep compares them through their integer numerators and
 denominators, so its checks stay exact without Fraction arithmetic.
 
-``k_split_target`` reads the profile's ``WinTable``; ``geometric_target``
-does not, but reads its integer sums, so the sweep's
+``k_split_target`` reads the profile's ``model.WinTable``;
+``geometric_target`` does not, but reads its integer sums, so the sweep's
 ``target_average_identity`` check compares two independent computations.
 """
 
@@ -24,10 +24,7 @@ def geometric_target(profile: SplitProfile, party: Party) -> Fraction:
     scale, prefix_a = profile.scale, profile.prefix_a
     whole = profile.n * scale  # every value below is scaled by L as well
     support = prefix_a[-1] if party is Party.A else whole - prefix_a[-1]
-    doubled = 2 * support
-    if doubled == whole:
-        # Unreachable on a valid profile; the convention bans exact ties.
-        raise ValueError("geometric target undefined at an exact statewide tie")
+    doubled = 2 * support  # never equal to whole: a valid total is no half-integer
     if doubled > whole:
         return Fraction(-(-doubled // scale), 2)
     return Fraction(doubled // scale, 2)

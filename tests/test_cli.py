@@ -206,6 +206,15 @@ def test_simulate_missing_file_exits_two(tmp_path, capsys):
     assert_one_line(err, "lry simulate: error: the following arguments are required: --input")
 
 
+def test_simulate_echoes_a_long_input_path_once_and_cut(capsys):
+    # The OSError's own text would repeat the 5,010-character path.
+    path = "/tmp/" + "p" * 5000 + ".json"
+    assert cli.main(["simulate", "--input", path]) == 2
+    err = capsys.readouterr().err
+    assert_one_line(err, "lry simulate: error: argument --input: cannot read '/tmp/ppppppp...")
+    assert len(err.encode()) < 200
+
+
 def test_simulate_schema_error_names_field(tmp_path, capsys):
     path = tmp_path / "weird.json"
     path.write_text(json.dumps({"n": 3, "segments_a": ["0.3", "x", "0.3"]}))

@@ -80,11 +80,11 @@ class TestGridState:
     def test_accessors(self):
         g = make_grid([[1, 0], [0, 0]], d=2)
         assert g.z == 2
-        assert g.support((1, 1)) == 1
+        assert g.cells[0] == 1
         assert len(g.all_cells()) == 4
         g = make_grid([[0, Fraction(1, 3)], [Fraction(1, 2), 1]], d=2)
         assert (g.scale, g.cells) == (6, (0, 2, 3, 6))
-        assert [g.support(cell) for cell in sorted(g.all_cells())] == [
+        assert [Fraction(value, g.scale) for value in g.cells] == [
             0, Fraction(1, 3), Fraction(1, 2), 1
         ]
 
@@ -143,10 +143,12 @@ class TestGridState:
 
     @pytest.mark.parametrize("cell", [(0, 1), (1, 0), (3, 1), (1, 3), (-1, -1)])
     def test_support_rejects_off_grid_cell(self, cell):
-        # (1, 0) must not wrap to the row above, nor row 0 to the far end
+        # A region's cells are read by bit number, (i-1)*m + (j-1): (1, 0)
+        # must not wrap to the row above, nor row 0 to the far end.
         g = make_grid([[1, 0], [0, 0]], d=2)
-        with pytest.raises(grid.GridError, match=re.escape(f"cell {cell} is off the 2x2 grid")):
-            g.support(cell)
+        message = re.escape(f"region cell {cell} is off the 2x2 grid")
+        with pytest.raises(grid.GridError, match=message):
+            grid.max_wins_bruteforce(g, frozenset({(1, 1), cell}), Party.A)
 
 
 class TestValidatePlan:
@@ -577,7 +579,8 @@ def reference_district(g, index, cells):
 
 def district_support(g, district, party):
     """A party's exact support in a district, summed in ``Fraction``s."""
-    total = sum((g.support(cell) for cell in district), Fraction(0))
+    cells = (g.cells[(i - 1) * g.m + j - 1] for i, j in district)
+    total = sum((Fraction(value, g.scale) for value in cells), Fraction(0))
     return total if party is Party.A else len(district) - total
 
 

@@ -102,10 +102,15 @@ class TestParseRatio:
         assert model.parse_ratio(text) == Fraction(digits, 10**places)
 
 
+# Printable ASCII that ``ascii()`` shows as itself, whatever quote it picks.
+_PLAIN_ASCII = "".join(chr(c) for c in range(32, 127) if chr(c) not in "\\'")
+
+
 class TestEchoedInput:
-    """Error messages quote input through ``model._brief``: ASCII input as
-    ``reprlib.repr`` quotes it, and every other character escaped before the
-    cut, so that a message is the same on every interpreter."""
+    """Error messages quote input through ``model._brief``: plain ASCII input
+    as ``reprlib.repr`` quotes it, and every other character escaped before
+    the cut, which keeps whole escapes, so that a message is the same on
+    every interpreter."""
 
     @pytest.mark.parametrize("doc, expected", check_goldens.ECHO_GOLDEN)
     def test_profile_errors_read_the_same_everywhere(self, doc, expected):
@@ -126,8 +131,7 @@ class TestEchoedInput:
             model.parse_ratio(text)
         assert str(info.value) == f"not a valid ratio: {echo}"
 
-    @given(st.text(st.characters(max_codepoint=127), max_size=60))
-    @example("0000\x1f\x1f\x1f\x1f\x1f\x1f0")  # reprlib's tail slice wraps on short text
+    @given(st.text(_PLAIN_ASCII, max_size=60))
     def test_ascii_is_quoted_as_reprlib_quotes_it(self, text):
         assert model._brief(text) == reprlib.repr(text)
         assert model._brief([text, {text: 1}]) == reprlib.repr([text, {text: 1}])
@@ -139,7 +143,39 @@ class TestEchoedInput:
         if len(ascii(text)) <= 30:
             assert echo == ascii(text)
         else:
-            assert len(echo) == 30
+            assert len(echo) <= 30
+
+    @given(
+        st.text(
+            st.one_of(
+                st.characters(max_codepoint=31),
+                st.characters(min_codepoint=127),
+                st.sampled_from("0x'\"\\"),
+            ),
+            max_size=60,
+        )
+    )
+    @example("0000\x1f\x1f\x1f\x1f\x1f\x1f0")  # reprlib's cut showed "x1f0", and 0 twice
+    @example("\x1f" * 3 + "\U00011f51" * 3)
+    def test_cut_keeps_whole_escapes(self, text):
+        """Past 30 characters, the echo is the most whole escapes of
+        ``ascii(text)`` that fit in 12 characters, "...", and the most that
+        fit in 13 from the back, each character shown at most once."""
+        whole = ascii(text)
+        echo = model._brief(text)
+        if len(whole) <= 30:
+            assert echo == whole
+            return
+        quote = whole[0]
+        escapes = ["\\" + c if c == quote else ascii(c)[1:-1] for c in text]
+        assert quote + "".join(escapes) + quote == whole
+        front = max(i for i in range(len(text) + 1) if len("".join(escapes[:i])) <= 12)
+        back = max(i for i in range(len(text) + 1) if len("".join(escapes[len(text) - i :])) <= 13)
+        assert front + back < len(text)
+        shown = escapes[:front] + ["..."] + escapes[len(text) - back :]
+        assert echo == quote + "".join(shown) + quote
+        if all(c in _PLAIN_ASCII for c in text):
+            assert echo == reprlib.repr(text)  # today's cut, on plain text
 
 
 # Fraction's parser scales by 10**exp, so the exponent bound ran first, on
@@ -288,13 +324,6 @@ class TestFastPathDifferential:
         assert doc == {"n": len(segments), "segments_a": [model.ratio_str(s) for s in segments]}
 
 
-def test_is_half_integer():
-    assert model.is_half_integer(Fraction(1, 2))
-    assert model.is_half_integer(Fraction(3))
-    assert model.is_half_integer(Fraction(0))
-    assert not model.is_half_integer(Fraction(19, 10))
-
-
 def test_party_opponent_involution():
     for party in Party:
         assert party.opponent.opponent is party
@@ -376,8 +405,8 @@ class TestSupports:
                 total = model.side_support(profile, party, left(k)) + model.side_support(
                     profile, party, right(k)
                 )
-                total_b = profile.n - profile.total_a
-                assert total == (profile.total_a if party is Party.A else total_b)
+                total_a = Fraction(profile.prefix_a[-1], profile.scale)
+                assert total == (total_a if party is Party.A else profile.n - total_a)
             a = model.side_support(profile, Party.A, left(k))
             b = model.side_support(profile, Party.B, left(k))
             assert a + b == k
@@ -404,11 +433,12 @@ segments_strategy = st.lists(
 @given(segments_strategy)
 def test_side_support_additivity_random(segs):
     profile = SplitProfile.of(len(segs), tuple(segs))
+    total_a = Fraction(profile.prefix_a[-1], profile.scale)
     for k in range(profile.n + 1):
         for party in Party:
             assert model.side_support(profile, party, left(k)) + model.side_support(
                 profile, party, right(k)
-            ) == (profile.total_a if party is Party.A else profile.n - profile.total_a)
+            ) == (total_a if party is Party.A else profile.n - total_a)
 
 
 class TestProfileJson:

@@ -1,5 +1,7 @@
 """The package root: modules are the API, and ``import lry`` loads none."""
 
+import ast
+import glob
 import os
 import re
 import subprocess
@@ -28,7 +30,7 @@ def test_import_lry_loads_no_submodule():
 
 
 def test_any_module_can_be_imported_first():
-    # model binds strategy at its end, and strategy imports model.
+    # Imports run one way, from model up to cli, so any entry point works.
     for name in ("model", "strategy", "targets", "protocol", "grid", "oracle", "cli"):
         proc = run_python(
             f"import lry.{name}\n"
@@ -46,3 +48,30 @@ def test_readme_library_snippet_runs():
     snippet = re.search(r"```python\n(.*?)```", library, re.S).group(1)
     proc = run_python(snippet)
     assert proc.returncode == 0, proc.stderr
+
+
+def lry_imports():
+    """Each module of ``src/lry`` with the ``lry`` modules it imports, read
+    from its ``from .x import`` and ``from . import x`` statements."""
+    paths = glob.glob(os.path.join(ROOT, "src", "lry", "*.py"))
+    modules = {os.path.basename(path)[:-3]: path for path in paths}
+    graph = {}
+    for name, path in modules.items():
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read(), path)
+        graph[name] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = [node.module] if node.module else [a.name for a in node.names]
+                graph[name].update(n for n in names if n in modules)
+    return graph
+
+
+def test_imports_are_acyclic_and_model_imports_no_lry_module():
+    graph = lry_imports()
+    assert graph["model"] == set()
+    done = set()
+    while len(done) < len(graph):
+        ready = {name for name, deps in graph.items() if name not in done and deps <= done}
+        assert ready, f"import cycle among {sorted(set(graph) - done)}"
+        done |= ready

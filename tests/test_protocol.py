@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lry import model, protocol, targets
-from lry.model import Party, Side, SplitProfile, is_half_integer, ratio_str
+from lry.model import Party, Side, SplitProfile, ratio_str
 from lry.protocol import (
     Assignment,
     OutcomeKind,
@@ -344,11 +344,11 @@ class ExpectRecorder(protocol._Recorder):
 
 
 def targets_are_half_integers(profile, geo):
-    if not all(is_half_integer(g) and 0 <= g <= profile.n for g in geo.values()):
+    if not all((2 * g).denominator == 1 and 0 <= g <= profile.n for g in geo.values()):
         return False
     for k in (0, profile.n):
         for party in Party:
-            if not is_half_integer(targets.k_split_target(profile, party, k)):
+            if (2 * targets.k_split_target(profile, party, k)).denominator != 1:
                 return False
     return True
 
@@ -799,11 +799,11 @@ class TestRandomProfileReference:
         profile = SplitProfile.of(n, tuple(Fraction(p, q) for p, q in pairs))
         sums = [sum((Fraction(p, q) for p, q in pairs[:k]), Fraction(0)) for k in range(n + 1)]
         expected = [
-            (Side.LEFT, k, sums[k]) for k in range(1, n + 1) if is_half_integer(sums[k])
+            (Side.LEFT, k, sums[k]) for k in range(1, n + 1) if (2 * sums[k]).denominator == 1
         ] + [
             (Side.RIGHT, k, sums[n] - sums[k])
             for k in range(n)
-            if is_half_integer(sums[n] - sums[k])
+            if (2 * (sums[n] - sums[k])).denominator == 1
         ]
         assert [(side, k, Fraction(v, scale)) for side, k, v in found] == expected
         assert (not found) == (not profile.violations)

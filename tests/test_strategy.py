@@ -70,7 +70,7 @@ class TestTotalWins:
 
     def test_full_state_side(self, two_gap):
         n = two_gap.n
-        expected = strategy.optimal_wins(two_gap.total_a, n)
+        expected = strategy.optimal_wins(Fraction(two_gap.prefix_a[-1], two_gap.scale), n)
         assert strategy.total_wins(two_gap, Party.A, left(n)) == expected
 
     def test_conservation(self, two_gap):
@@ -180,7 +180,7 @@ def closed_form_wins(prefix):
         ld, rd = strategy.optimal_wins(x, k), strategy.optimal_wins(y, n - k)
         lo, ro = strategy.opponent_wins(x, k - x), strategy.opponent_wins(y, n - k - y)
         rows.append((ld, rd, lo, ro, ld + ro, rd + lo))
-    return strategy.PartyWins(*map(tuple, zip(*rows)))
+    return model.PartyWins(*map(tuple, zip(*rows)))
 
 
 @st.composite
@@ -205,7 +205,7 @@ def scaled_prefixes(draw):
 def test_scaled_table_matches_fraction_closed_forms(scaled):
     scale, prefix = scaled
     expected = closed_form_wins([Fraction(p, scale) for p in prefix])
-    assert strategy.PartyWins.from_scaled(scale, prefix) == expected
+    assert model.PartyWins.from_scaled(scale, prefix) == expected
 
 
 @settings(deadline=None, max_examples=300)
@@ -217,7 +217,7 @@ def test_scaled_results_do_not_depend_on_the_scale(scaled, c):
     geometric target are the same at scale L and at c * L."""
     scale, prefix = scaled
     big = [c * x for x in prefix]
-    assert strategy.WinTable.from_scaled(c * scale, big) == strategy.WinTable.from_scaled(
+    assert model.WinTable.from_scaled(c * scale, big) == model.WinTable.from_scaled(
         scale, prefix
     )
     assert list(model.half_integer_sums(c * scale, big)) == [
@@ -249,7 +249,8 @@ def test_random_profile_tables_match_fraction_closed_forms():
 
 
 def fraction_violations(profile: SplitProfile) -> list[Violation]:
-    """The profile rules checked on Fraction sums with ``is_half_integer``."""
+    """The profile rules checked on Fraction sums: a sum s is an integer
+    multiple of 1/2 when 2s is an integer."""
     found = []
     for k, seg in enumerate(profile.segments_a, start=1):
         if not 0 <= seg <= 1:
@@ -258,14 +259,14 @@ def fraction_violations(profile: SplitProfile) -> list[Violation]:
             ))
     prefix = [sum(profile.segments_a[:k], Fraction(0)) for k in range(profile.n + 1)]
     for k in range(1, profile.n + 1):
-        if model.is_half_integer(prefix[k]):
+        if (2 * prefix[k]).denominator == 1:
             found.append(Violation(
                 Side.LEFT, k, f"support left of split {k} is"
                 f" {model.ratio_str(prefix[k])}, an integer multiple of 1/2",
             ))
     for k in range(profile.n):
         suffix = prefix[-1] - prefix[k]
-        if model.is_half_integer(suffix):
+        if (2 * suffix).denominator == 1:
             found.append(Violation(
                 Side.RIGHT, k, f"support right of split {k} is"
                 f" {model.ratio_str(suffix)}, an integer multiple of 1/2",
@@ -430,7 +431,7 @@ def test_integer_opponent_decoding_matches_fractions(arguments):
 def test_oracle_catches_a_wrong_closed_form(monkeypatch, field, kind):
     # The production table, one win off in one field on every left side of
     # 3 districts.
-    right = strategy.PartyWins.from_scaled
+    right = model.PartyWins.from_scaled
 
     def off_by_one_at_size_3(cls, scale, left_support):
         wins = right(scale, left_support)
@@ -439,7 +440,7 @@ def test_oracle_catches_a_wrong_closed_form(monkeypatch, field, kind):
             return wins
         return wins._replace(**{field: counts[:3] + (counts[3] + 1,) + counts[4:]})
 
-    monkeypatch.setattr(strategy.PartyWins, "from_scaled", classmethod(off_by_one_at_size_3))
+    monkeypatch.setattr(model.PartyWins, "from_scaled", classmethod(off_by_one_at_size_3))
     checked, mismatches = oracle.strategy_oracle_mismatches()
     assert checked == 180
     assert mismatches and {m["kind"] for m in mismatches} == {kind}

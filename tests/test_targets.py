@@ -29,8 +29,9 @@ def test_majority_target_from_best_and_worst():
     profile = SplitProfile.of(10, (Fraction("0.53"),) * 10)
     assert model.validate_profile(profile) == ()
     # best case 10 wins, worst case ceil(5.3 - 4.7) = 1
-    best = strategy.optimal_wins(profile.total_a, 10)
-    worst = strategy.opponent_wins(profile.total_a, profile.n - profile.total_a)
+    total_a = Fraction(profile.prefix_a[-1], profile.scale)
+    best = strategy.optimal_wins(total_a, 10)
+    worst = strategy.opponent_wins(total_a, profile.n - total_a)
     assert (best, worst) == (10, 1)
     assert targets.geometric_target(profile, Party.A) == Fraction(11, 2)
 
@@ -75,7 +76,7 @@ def test_split_target_properties(seed):
         split_a = targets.k_split_target(profile, Party.A, k)
         split_b = targets.k_split_target(profile, Party.B, k)
         assert split_a + split_b == n
-        assert model.is_half_integer(split_a)
+        assert (2 * split_a).denominator == 1
         for party, split in ((Party.A, split_a), (Party.B, split_b)):
             geo = targets.geometric_target(profile, party)
             assert abs(geo - split) <= Fraction(1, 2)

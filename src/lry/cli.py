@@ -98,6 +98,8 @@ def _load_profile(path: str) -> model.SplitProfile:
     except OSError as exc:
         reason = exc.strerror or type(exc).__name__  # str(exc) repeats the path
         raise argparse.ArgumentTypeError(f"cannot read {_echo(path)}: {reason}") from exc
+    except ValueError as exc:  # open() refuses a path holding a NUL
+        raise argparse.ArgumentTypeError(f"cannot read {_echo(path)}: {exc}") from exc
     if len(data) > _MAX_INPUT_BYTES:
         raise argparse.ArgumentTypeError(f"{_echo(path)} is longer than {_MAX_INPUT_BYTES} bytes")
     try:

@@ -24,9 +24,12 @@ so cell (i, j) is ``cells[(i-1)*m + j-1]`` and its index is its bit number.
 A district goes to A when twice its cells' sum exceeds its size times the
 scale, to B when it falls short.  ``validate_plan`` checks a plan cell by
 cell and lists every violation with its district's index; ``count_wins``
-validates the plan, then sums each district's winner.  The hole test runs
-only on districts of ``_HOLE_MIN_CELLS`` cells or more, the fewest that can
-wall one in.
+validates the plan, then sums each district's winner.  One flood,
+``_reach``, serves the connectivity test and the hole test, which floods the
+district's complement within its bounding box grown by one cell all round.
+Growth builds each size's connected sets from those one cell smaller; the
+hole test runs only on districts of ``_HOLE_MIN_CELLS`` cells or more, the
+fewest that can wall one in.
 
 The banded construction built here drives the protocol toward a coin flip
 whose losing candidates fall arbitrarily far below the geometric target as
@@ -120,51 +123,36 @@ class GridState:
         return {}
 
 
-def _neighbors(cell: Cell) -> tuple[Cell, ...]:
-    i, j = cell
-    return ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1))
-
-
-def _is_connected(cells: frozenset[Cell]) -> bool:
-    if not cells:
-        return True
-    start = next(iter(cells))
-    seen = {start}
+def _reach(start: Cell, inside: frozenset[Cell] | set[Cell]) -> set[Cell]:
+    """The cells of ``inside`` that 4-neighbour steps within it join to
+    ``start``, itself a cell of ``inside``."""
+    reached = {start}
     stack = [start]
     while stack:
         i, j = stack.pop()
         for nb in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-            if nb in cells and nb not in seen:
-                seen.add(nb)
+            if nb in inside and nb not in reached:
+                reached.add(nb)
                 stack.append(nb)
-    return len(seen) == len(cells)
+    return reached
+
+
+def _is_connected(cells: frozenset[Cell]) -> bool:
+    return not cells or len(_reach(next(iter(cells)), cells)) == len(cells)
 
 
 def _has_hole(cells: frozenset[Cell]) -> bool:
-    """True when some complement component is trapped inside the district.
-
-    Flood the complement of the district from just outside its bounding box;
-    complement cells inside the box that stay unreached are enclosed.
-    """
+    """True when the district walls in a cell: flooded from the corner of the
+    district's bounding box grown by one cell all round, the complement within
+    that box leaves some cell unreached."""
     if not cells:
         return False
-    rows = [c[0] for c in cells]
-    cols = [c[1] for c in cells]
-    r0, r1 = min(rows) - 1, max(rows) + 1
-    c0, c1 = min(cols) - 1, max(cols) + 1
-    outside = set()
-    stack = [(r0, c0)]
-    while stack:
-        cur = stack.pop()
-        if cur in outside or cur in cells:
-            continue
-        i, j = cur
-        if not (r0 <= i <= r1 and c0 <= j <= c1):
-            continue
-        outside.add(cur)
-        stack.extend(_neighbors(cur))
-    box_area = (r1 - r0 + 1) * (c1 - c0 + 1)
-    return len(outside) + len(cells) < box_area
+    rows = [i for i, _ in cells]
+    cols = [j for _, j in cells]
+    top, left = min(rows) - 1, min(cols) - 1
+    box = {(i, j) for i in range(top, max(rows) + 2) for j in range(left, max(cols) + 2)}
+    outside = box - cells
+    return len(_reach((top, left), outside)) < len(outside)
 
 
 def _bounding_box(cells: frozenset[Cell]) -> tuple[int, int]:
@@ -272,45 +260,31 @@ _HOLE_MIN_CELLS = 7
 def _grow_districts(
     anchor: Cell, allowed: frozenset[Cell], d: int, z: int
 ) -> list[District]:
-    """Every valid d-cell district made of ``anchor`` and cells of ``allowed``.
+    """Every valid d-cell district made of ``anchor`` and cells of ``allowed``,
+    in order of their sorted cells.
 
-    Grown from the anchor by Redelmeier's method: each step takes a cell off
-    the untried list and either adds it to the district or drops it for the
-    rest of the branch, so every connected set is reached exactly once.
-    ``seen`` holds every cell ever put on the list along the current branch.
-    A cell that would stretch the district past the z-by-z box is dropped,
-    since every larger set holding it would overflow too; the hole test
-    runs once, on each complete district of ``_HOLE_MIN_CELLS`` or more.
+    A connected set of s + 1 cells is a connected set of s cells plus one
+    4-neighbour, so the sets of each size are grown from those of the size
+    before, starting from ``{anchor}``.  A complete set is kept when it fits a
+    z-by-z box and, from ``_HOLE_MIN_CELLS`` cells up, walls in no cell.
     """
-    if d == 1:
-        return [frozenset((anchor,))]
-    found: list[District] = []
-    cells = [anchor]
-    seen = {anchor}
-
-    def extend(untried: list[Cell], top: int, bottom: int, lo: int, hi: int) -> None:
-        while untried:
-            cell = untried.pop()
-            i, j = cell
-            t, b, l, r = min(top, i), max(bottom, i), min(lo, j), max(hi, j)
-            if b - t >= z or r - l >= z:
-                continue
-            cells.append(cell)
-            if len(cells) == d:
-                district = frozenset(cells)
-                if d < _HOLE_MIN_CELLS or not _has_hole(district):
-                    found.append(district)
-            else:
-                fresh = [nb for nb in _neighbors(cell) if nb in allowed and nb not in seen]
-                seen.update(fresh)
-                extend(untried + fresh, t, b, l, r)
-                seen.difference_update(fresh)
-            cells.pop()
-
-    fresh = [nb for nb in _neighbors(anchor) if nb in allowed]
-    seen.update(fresh)
-    extend(fresh, anchor[0], anchor[0], anchor[1], anchor[1])
-    return found
+    level = {frozenset((anchor,))}
+    for _ in range(d - 1):
+        level = {
+            cells | {nb}
+            for cells in level
+            for i, j in cells
+            for nb in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1))
+            if nb in allowed and nb not in cells
+        }
+    found = []
+    for cells in level:
+        rows = [i for i, _ in cells]
+        cols = [j for _, j in cells]
+        if max(rows) - min(rows) < z and max(cols) - min(cols) < z:
+            if d < _HOLE_MIN_CELLS or not _has_hole(cells):
+                found.append(cells)
+    return sorted(found, key=sorted)
 
 
 @dataclass(frozen=True)
@@ -617,10 +591,12 @@ class GeodeltaReport:
 def geodelta_report(delta: int, seed: int) -> GeodeltaReport:
     """Run the protocol on the banded grid and measure the gap to the target.
 
-    Preferences come from the constrained win counts; the crossing lands at
-    (delta-1, delta) and the four candidates give A (0, 1, 1, 0) wins, so the
-    worst candidate sits delta/2 below A's geometric target.  Past delta 4
-    that gap breaks the bound that holds without geometric constraints.
+    Preferences come from the constrained win counts; A's geometric target
+    is the average of its totals when it districts the whole state and none
+    of it.  The crossing lands at (delta-1, delta) and the four candidates
+    give A (0, 1, 1, 0) wins, so the worst candidate sits delta/2 below that
+    target.  Past delta 4 that gap breaks the bound that holds without
+    geometric constraints.
     """
     # A carries one district per group wholly on its side.  A group lies
     # wholly right until the split adding its first cell, (base+1, 1), and
@@ -636,9 +612,7 @@ def geodelta_report(delta: int, seed: int) -> GeodeltaReport:
         raise GridError(
             f"expected a coin flip, protocol settled with {run.outcome.value}"
         )
-    # Best case for A is one district per band; worst is none, so the target
-    # is delta/2 under the constraints.
-    target_a = Fraction(delta, 2)
+    target_a = Fraction(wholly_left[-1] + wholly_left[0], 2)
     worst_wins = min(c.wins_a for c in run.candidates)
     worst_gap = target_a - worst_wins
     return GeodeltaReport(

@@ -8,10 +8,13 @@ every command's reports against their SHA-256 digests: ``simulate`` on two
 profiles whose entries come in many written forms, ``example-2gap``,
 ``verify`` and ``geodelta`` in both formats, and ``oracle`` at caps 4, 16
 and 36.  ``geodelta --delta`` must refuse the two later digits with one
-golden line on stderr, exit 2 and nothing on stdout.  Each of the two
-profiles must also read
-back unchanged from ``profile_to_dict`` and equal ``SplitProfile.of`` its
-parsed entries.  So an interpreter without pytest can be checked too:
+golden line on stderr, exit 2 and nothing on stdout, and so must a
+5000-letter ``verify --format`` and a ``geodelta --delta`` whose echo is cut
+between escapes.  Each of the two profiles must also read back unchanged
+from ``profile_to_dict`` and equal ``SplitProfile.of`` its parsed entries.
+Last, the plans of the whole 6x6 grid at d = 2, 3, 4 and 6 are counted over
+the search ``grid._shape`` compiles.  So an interpreter without pytest can be
+checked too:
 
     PYTHONPATH=src python -W error -X dev -S tests/check_goldens.py
 
@@ -27,7 +30,7 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-from lry import cli, model
+from lry import cli, grid, model
 
 CORPUS = Path(__file__).with_name("ratio_corpus.json")
 
@@ -155,15 +158,27 @@ ORACLE_GOLDEN = {
         "095f9eae824041e4f0d672b4280e3b0e8603ef03ba1fd7ccfec9e41010f3d28d",
 }
 
-# SHA-256 of the stderr of `geodelta --delta D`, D one digit that Unicode added
-# after 13.0 (Tangsa 3, 14.0; Kawi 3, 15.0), with its exit code: refused on every
-# interpreter, as `--delta` reads its digits through `model._digits`.
+# SHA-256 of the stderr of each refused call, with its exit code.  First
+# `geodelta --delta D`, D one digit that Unicode added after 13.0 (Tangsa 3,
+# 14.0; Kawi 3, 15.0): refused on every interpreter, as `--delta` reads its
+# digits through `model._digits`.
 REFUSAL_GOLDEN = {
     ("geodelta", "--delta", "\U00016ac3"):
         (2, "359c9c1b7e1181c394c6e9c9d256e0a964c1a3fab0b6e7456becdb0a061dafd8"),
     ("geodelta", "--delta", "\U00011f53"):
         (2, "06b4e0539fa0c3bb4f1568712214db5803abc097afda73cd7292c63088400122"),
+    # a 5000-letter choice and an echo whose control characters cross
+    # model._brief's cut: each refused in one line, 113 and 109 bytes
+    ("verify", "--format", "x" * 5000):
+        (2, "8e54d04990bf111986f84cdca3fa9a3a1a11ed53924b187d2099ed2d940fabea"),
+    ("geodelta", "--delta", "0000" + "\x1f" * 6 + "0"):
+        (2, "791e99bb7898bb169d4b4aad6caa1e0b7689926f77013e54f13822ae00268a90"),
 }
+# The plans of the whole 6x6 grid at each district size d, as counted over the
+# nodes ``grid._shape`` compiles.  Each was recorded by listing every plan with
+# ``grid.enumerate_region_plans``; d = 2 is the number of domino tilings of the
+# 6x6 square (OEIS A004003).
+PLAN_COUNTS_6X6 = {2: 6728, 3: 80092, 4: 178939, 6: 88118}
 
 
 def verdict(text: str, parse=model.parse_ratio) -> list[str]:
@@ -274,13 +289,24 @@ def refusal_mismatches():
             yield f"{ascii(argv)}: exit {got_code}, stderr sha256 {got}, stdout {stdout[:60]!r}"
 
 
+def plan_count_mismatches():
+    region = frozenset((i, j) for i in range(1, 7) for j in range(1, 7))
+    for d, expected in PLAN_COUNTS_6X6.items():
+        # Node 0, the empty mask, has one plan; any other node, the sum of its children's.
+        counts = []
+        for moves in grid._shape(6, d, region).nodes:
+            counts.append(sum(counts[child] for _, child in moves) if moves else 1)
+        if counts[-1] != expected:
+            yield f"6x6 grid at d={d}: {counts[-1]} plans, expected {expected}"
+
+
 def main() -> int:
     cases = corpus_cases()
     failures = [
         *corpus_mismatches(cases), *digit_mismatches(), *echo_mismatches(),
         *profile_mismatches(), *simulate_mismatches(), *example_2gap_mismatches(),
         *verify_mismatches(), *geodelta_mismatches(), *oracle_mismatches(),
-        *refusal_mismatches(),
+        *refusal_mismatches(), *plan_count_mismatches(),
     ]
     for line in failures:
         print(line)
@@ -292,7 +318,7 @@ def main() -> int:
         f"{sum(map(len, EXAMPLE_2GAP_GOLDEN.values()))} example-2gap, "
         f"{len(VERIFY_GOLDEN)} verify, {sum(map(len, GEODELTA_GOLDEN.values()))} geodelta "
         f"and {len(ORACLE_GOLDEN)} oracle digests, {len(REFUSAL_GOLDEN)} refusals, "
-        f"{len(failures)} mismatches"
+        f"{len(PLAN_COUNTS_6X6)} 6x6 plan counts, {len(failures)} mismatches"
     )
     return 1 if failures else 0
 

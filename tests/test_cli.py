@@ -11,7 +11,7 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import check_goldens
 from lry import cli, grid, model, oracle, protocol, targets
@@ -460,6 +460,43 @@ def test_refused_choices_and_arguments_echo_in_brief(capsys, argv, line):
     err = capsys.readouterr().err
     assert_one_line(err, line)
     assert len(err.encode("utf-8")) <= 200
+
+
+# Each command's flags.  Letters, control characters and other symbols hold
+# no digit, so no value drawn from them is an integer.
+_COMMAND_FLAGS = {
+    "simulate": ("--input", "--seed", "--format"),
+    "example-2gap": ("--seed", "--format"),
+    "verify": ("--count", "--n-max", "--seed", "--format"),
+    "geodelta": ("--delta", "--seed", "--format"),
+    "oracle": ("--count", "--oracle-cap", "--seed", "--format"),
+}
+_refused_chars = st.characters(categories=("Cc", "L", "So"))
+# A short text, or that text repeated to up to 5000 characters; never a --format choice.
+_refused_text = (
+    st.text(_refused_chars, max_size=40)
+    .flatmap(lambda part: st.sampled_from([part, part * (5000 // max(len(part), 1))]))
+    .filter(lambda text: text not in ("json", "csv"))
+)
+
+
+@settings(deadline=None, max_examples=40)
+@given(value=_refused_text)
+@example(value="a\0b" * 2000)
+def test_every_flag_refuses_in_one_short_line(tmp_path_factory, value):
+    # Every flag of every command gets the value; --input gets it as a file
+    # in a directory that does not exist.  A NUL makes open() raise
+    # ValueError, not OSError, whose path argparse would echo whole.
+    missing = tmp_path_factory.getbasetemp() / "missing"
+    for command, flags in _COMMAND_FLAGS.items():
+        for flag in flags:
+            argv = [command, flag, str(missing / value) if flag == "--input" else value]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert run_cli(*argv) == (2, ""), ascii(argv)[:300]
+            line = err.getvalue()
+            assert line.endswith("\n") and len(line.splitlines()) == 1, ascii(line[:300])
+            assert len(line.encode("utf-8")) <= 200, ascii(line[:300])
 
 
 def test_integer_options_refuse_digits_after_unicode_13(capsys):

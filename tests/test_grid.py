@@ -471,6 +471,36 @@ class TestDirectEnumeration:
         assert grown and hook not in grown
         assert all(not grid._has_hole(district) for district in grown)
 
+    def test_growth_is_the_subset_filter(self):
+        # Growth from each anchor of the 4x4 square over the cells after it:
+        # exactly the d-subsets holding the anchor that are connected, fit
+        # the z-by-z box and wall in no cell, in order of their sorted cells.
+        # A district walls in a cell when its complement in the square, padded
+        # by one cell all round, falls apart.
+        padded = frozenset((i, j) for i in range(6) for j in range(6))
+        cells = [(i, j) for i in range(1, 5) for j in range(1, 5)]  # row-major, so sorted
+        walled = Counter()
+        for d in range(1, 9):
+            z = grid.compactness_bound(d)
+            for index, anchor in enumerate(cells):
+                later = cells[index + 1 :]
+                expected = []
+                for combo in combinations(later, d - 1):
+                    district = frozenset((anchor, *combo))
+                    rows = [i for i, _ in district]
+                    cols = [j for _, j in district]
+                    if not grid._is_connected(district):
+                        continue
+                    if max(rows) - min(rows) >= z or max(cols) - min(cols) >= z:
+                        continue
+                    if not grid._is_connected(padded - district):
+                        walled[d] += 1
+                        continue
+                    expected.append(district)
+                grown = grid._grow_districts(anchor, frozenset(later), d, z)
+                assert grown == sorted(expected, key=sorted)
+        assert set(walled) == {7, 8}
+
     def test_skipping_small_hole_tests_keeps_every_plan(self, monkeypatch):
         # The oracle's grids (d of 2 or 4) and every side of the analogue
         # (d = 4) yield the same plans, in the same order, when the hole test
@@ -1723,6 +1753,22 @@ class TestGeodeltaReport:
         assert [c.wins_a for c in report.run.candidates] == [0, 1, 1, 0]
         assert report.worst_gap_a == Fraction(delta, 2)
         assert report.gap_exceeds_unconstrained_bound == (delta >= 5)
+
+    def test_target_follows_the_totals(self, monkeypatch):
+        # A's target averages its totals when it districts the whole state
+        # and none of it, so one more group wholly left at the last split
+        # raises the target, and the worst gap, by a half.
+        counts = grid._wholly_side_counts
+
+        def one_more_at_the_end(firsts, lasts, ks):
+            wholly_left, wholly_right = counts(firsts, lasts, ks)
+            return (*wholly_left[:-1], wholly_left[-1] + 1), wholly_right
+
+        monkeypatch.setattr(grid, "_wholly_side_counts", one_more_at_the_end)
+        for delta in (1, 2, 5, 40):
+            report = grid.geodelta_report(delta, seed=0)
+            assert report.target_a == Fraction(delta + 1, 2)
+            assert report.worst_gap_a == Fraction(delta + 1, 2)
 
     def test_seed_selects_candidate(self):
         for seed in range(4):

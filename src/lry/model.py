@@ -304,6 +304,12 @@ class SplitProfile:
         return tuple([Fraction(hi - lo, scale) for lo, hi in zip(prefix, prefix[1:])])
 
     @cached_property
+    def segment_texts(self) -> tuple[str, ...]:
+        """Each of ``segments_a`` as ``ratio_str`` renders it, as reports echo it."""
+        suffixes = _Suffixes()
+        return tuple([f"{seg.numerator}{suffixes[seg.denominator]}" for seg in self.segments_a])
+
+    @cached_property
     def win_table(self) -> WinTable:
         """Optimal-play win counts at every split, computed once; raises
         ProfileError on an invalid profile."""
@@ -322,6 +328,63 @@ def _from_segments(n: int, segments: Sequence[Fraction], scale: int) -> SplitPro
         prefix.append(prefix[-1] + seg.numerator * (scale // seg.denominator))
     profile = SplitProfile(n, scale, tuple(prefix))
     profile.__dict__["segments_a"] = tuple(segments)  # kept, so as not to derive them again
+    return profile
+
+
+class _Suffixes(dict):
+    """``"/q"`` by denominator q, and "" for 1: profiles often share one long
+    denominator, so each distinct one is converted to decimal once."""
+
+    def __missing__(self, q: int) -> str:
+        self[q] = suffix = f"/{q}" if q != 1 else ""
+        return suffix
+
+
+def _plain_profile(n: int, raw: list) -> SplitProfile | None:
+    """``profile_from_dict``'s profile of a plain document, or None for any other.
+
+    Every entry of a plain document is a ``"p/q"`` string of ASCII digits,
+    short enough that ``parse_ratio`` skips its length check, with q nonzero
+    and the lcm of the q as written below ``_INT_LIMIT``: no entry can be
+    refused.  Each distinct denominator text is read once.  The segments
+    over one q are certified in lowest terms by one gcd, of q and the
+    product of their numerators mod q; only where that fails is each reduced,
+    one gcd apiece.  The sums are taken on the lcm as written, which
+    ``SplitProfile`` divides down to the least one.  A certified entry whose
+    text is already canonical is echoed as it was written.
+    """
+    dens, pairs = {}, []
+    for entry in raw:
+        if type(entry) is not str or 2 * len(entry) >= MAX_RATIO_LENGTH or not entry.isascii():
+            return None
+        num, _, den = entry.encode().partition(b"/")  # bytes.isdigit is 0-9 alone
+        if not (num.isdigit() and den.isdigit()):
+            return None
+        q = dens.get(den)
+        if q is None:
+            q = dens[den] = int(den)
+        pairs.append((int(num), q))
+    products = dict.fromkeys(dens.values(), 1)
+    scale = 1
+    for q in products:
+        if not q or (scale := math.lcm(scale, q)) >= _INT_LIMIT:
+            return None
+    for p, q in pairs:
+        products[q] = products[q] * p % q
+    certified = {q for q, product in products.items() if math.gcd(product, q) == 1}
+    shares = {q: scale // q for q in products}
+    prefix, texts, suffixes = [0], [], _Suffixes()
+    for entry, (p, q) in zip(raw, pairs):
+        prefix.append(prefix[-1] + p * shares[q])
+        if q not in certified:
+            common = math.gcd(p, q)
+            p, q = p // common, q // common
+        elif q > 1 and entry[0] != "0" and "/0" not in entry:
+            texts.append(entry)
+            continue
+        texts.append(f"{p}{suffixes[q]}")
+    profile = SplitProfile(n, scale, tuple(prefix))
+    profile.__dict__["segment_texts"] = tuple(texts)
     return profile
 
 
@@ -394,20 +457,19 @@ def side_support(profile: SplitProfile, party: Party, side: SideRef) -> Fraction
 
 def profile_to_dict(profile: SplitProfile) -> dict:
     """The ``{"n": ..., "segments_a": [...]}`` document, each segment as
-    ``ratio_str`` renders it.  Profiles often share one long denominator, so
-    each distinct denominator is converted to decimal once."""
-    suffixes = {1: ""}
-    segments = []
-    for seg in profile.segments_a:
-        suffix = suffixes.get(seg.denominator)
-        if suffix is None:
-            suffix = suffixes[seg.denominator] = f"/{seg.denominator}"
-        segments.append(f"{seg.numerator}{suffix}")
-    return {"n": profile.n, "segments_a": segments}
+    ``ratio_str`` renders it: ``profile.segment_texts``, which
+    ``profile_from_dict`` fills with a plain document's own entries where
+    they are already canonical."""
+    return {"n": profile.n, "segments_a": list(profile.segment_texts)}
 
 
 def profile_from_dict(doc: object) -> SplitProfile:
-    """Build a profile from the ``{"n": ..., "segments_a": [...]}`` document."""
+    """Build a profile from the ``{"n": ..., "segments_a": [...]}`` document.
+
+    A plain document, every entry ``"p/q"`` in ASCII digits, is read on
+    integer pairs with one gcd per distinct denominator (``_plain_profile``);
+    any other, and every refusal, goes through ``parse_ratio`` entry by
+    entry.  Both give the same profile and the same echo."""
     if not isinstance(doc, dict):
         raise FormatError("profile document must be a JSON object")
     unknown = set(doc) - {"n", "segments_a"}
@@ -427,6 +489,9 @@ def profile_from_dict(doc: object) -> SplitProfile:
         raise FormatError(
             f"profile field 'segments_a' must be a list of at most {MAX_DISTRICTS} entries"
         )
+    profile = _plain_profile(n, raw)
+    if profile is not None:
+        return profile
     segments = []
     scale = 1  # the win table's scale: the lcm of the denominators so far
     for idx, entry in enumerate(raw, start=1):

@@ -4,14 +4,16 @@ the standard library.
 Replays every recorded verdict in ``ratio_corpus.json`` through
 ``model.parse_ratio``, refuses two digits that Unicode added after 13.0,
 and checks the error text of profiles that echo them.  Then it replays
-every command's reports against their SHA-256 digests: ``simulate`` on two
-profiles whose entries come in many written forms, ``example-2gap``,
+every command's reports against their SHA-256 digests: ``simulate`` on
+three profiles, two whose entries come in many written forms and a plain
+one that ``model.profile_from_dict`` reads on integer pairs, ``example-2gap``,
 ``verify`` and ``geodelta`` in both formats, and ``oracle`` at caps 4, 16
 and 36.  ``geodelta --delta`` must refuse the two later digits with one
 golden line on stderr, exit 2 and nothing on stdout, and so must a
 5000-letter ``verify --format`` and a ``geodelta --delta`` whose echo is cut
-between escapes.  Each of the two profiles must also read back unchanged
-from ``profile_to_dict`` and equal ``SplitProfile.of`` its parsed entries.
+between escapes.  Each of the three profiles must also read back unchanged
+from ``profile_to_dict`` and equal ``SplitProfile.of`` its parsed entries,
+and the plain one must be taken by ``model._plain_profile``.
 Last, the plans of the whole 6x6 grid at d = 2, 3, 4 and 6 are counted over
 the search ``grid._shape`` compiles.  So an interpreter without pytest can be
 checked too:
@@ -48,7 +50,17 @@ NONCANONICAL_PROFILE = {
     "n": 8,
     "segments_a": ["6/9", "007/10", 0, " 3/7 ", "+1/3", "1_0/21", "0.35", "45e-2"],
 }
-PROFILES = {"large": LARGE_DEN_PROFILE, "noncanonical": NONCANONICAL_PROFILE}
+# A valid eight-district profile of plain "p/q" entries that reaches every
+# echo of the plain path: a certified shared denominator (sevenths, one with a
+# leading zero), a failed certificate (ninths), numerator 0, denominator 1 and
+# a denominator with a leading zero.
+PLAIN_PROFILE = {
+    "n": 8,
+    "segments_a": ["2/7", "03/7", "6/9", "1/9", "0/5", "1/1", "1/011", "4/7"],
+}
+PROFILES = {
+    "large": LARGE_DEN_PROFILE, "noncanonical": NONCANONICAL_PROFILE, "plain": PLAIN_PROFILE
+}
 # Digits that Unicode added after 13.0, Python 3.10's database: a Tangsa digit
 # (14.0) and a Kawi digit (15.0).  Each must be refused on every interpreter,
 # though 3.11 and later know them as digits.
@@ -64,8 +76,10 @@ ECHO_GOLDEN = (
     ({"n": 1, "segments_a": ["x" * 50 + "\U00011f51"]},
      "segments_a[1]: not a valid ratio: 'xxxxxxxxxxxx...xxx\\U00011f51'"),
 )
-# SHA-256 of the stdout of `simulate` on the two profiles above, recorded
-# while every ratio string still went through Fraction's string parser.
+# SHA-256 of the stdout of `simulate` on the three profiles above.  Those of
+# the first two were recorded while every ratio string still went through
+# Fraction's string parser, those of the plain one while every entry still
+# went through `model.parse_ratio`.
 SIMULATE_PARSE_GOLDEN = {
     ("large", "json", 0): "ebf45d8822f816f034a507d87cdc48bd846cdae9e875a1855bc1c2bf7a910d35",
     ("large", "json", 1): "6d2de4bc95c58dc45fcd156accc2e8c483b96359e428693eb5b6cd85204979aa",
@@ -75,6 +89,10 @@ SIMULATE_PARSE_GOLDEN = {
     ("noncanonical", "json", 1): "6890a4e491bd0da29cce087a2c62c695ab485cd2eca02412ab377e158d7a4ea2",
     ("noncanonical", "csv", 0): "8602d4561bf78a6e07ed70eabfed5cd34e62c0868faf9596815b7ac94e6ca947",
     ("noncanonical", "csv", 1): "0b19440bf01c728f441004cd84e9a6ef1ef7630fb48a5b32745146f54a1a6719",
+    ("plain", "json", 0): "c9120bbf258c1d79785730dae222713e1bb01c4ad53ac7486ef4bbfde62943cd",
+    ("plain", "json", 1): "aee647c22410dcc80f113e4aaa7d73ce0b564c411ca2ed560a49e0287e9eeb52",
+    ("plain", "csv", 0): "bdd4a362bb0eba9444a621d3b6c03f5e9ec4a425584683c261c1ee3a6d696c17",
+    ("plain", "csv", 1): "9d41aab1a5431f89d76912bd32fabd79c86dd8ee2f9a377de163c4d1bc26e2de",
 }
 # SHA-256 of the stdout of `verify --count 200 --n-max 20 --seed 1`, recorded
 # before the win counts moved to the integer win table.  They pin the report
@@ -231,6 +249,8 @@ def profile_mismatches():
         segments = [model.parse_ratio(entry) for entry in doc["segments_a"]]
         if model.SplitProfile.of(doc["n"], segments) != profile:
             yield f"{name} profile: differs from SplitProfile.of its parsed entries"
+    if model._plain_profile(PLAIN_PROFILE["n"], PLAIN_PROFILE["segments_a"]) is None:
+        yield "plain profile: not read on the plain path"
 
 
 def digest_mismatches(argv, digest):
@@ -313,7 +333,7 @@ def main() -> int:
     print(
         f"Python {sys.version.split()[0]}: {len(cases)} ratio strings, "
         f"{len(POST_13_DIGIT_STRINGS)} post-13.0 digits, {len(ECHO_GOLDEN)} echoes, "
-        f"{len(PROFILES)} profiles, "
+        f"{len(PROFILES)} profiles (1 plain), "
         f"{len(SIMULATE_PARSE_GOLDEN)} simulate, "
         f"{sum(map(len, EXAMPLE_2GAP_GOLDEN.values()))} example-2gap, "
         f"{len(VERIFY_GOLDEN)} verify, {sum(map(len, GEODELTA_GOLDEN.values()))} geodelta "

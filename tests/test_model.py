@@ -1,3 +1,5 @@
+import itertools
+import math
 import re
 import reprlib
 import sys
@@ -5,6 +7,7 @@ import time
 import unicodedata
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -490,6 +493,114 @@ class TestProfileJson:
         profile = model.profile_from_dict(doc)
         assert profile.n == n
         assert not profile.violations
+
+
+@st.composite
+def _plain_documents(draw):
+    """A profile document of ``"p/q"`` entries in ASCII digits, over one or
+    several denominators, 300-digit ones included: numerators that share a
+    factor with their denominator, numerator 0, denominator 1, p > q, leading
+    zeros in either run, repeated entries, and an ``n`` that may differ from
+    the entry count."""
+    dens = draw(
+        st.lists(st.one_of(st.integers(1, 30), st.integers(10**299, 10**300)), min_size=1, max_size=3)
+    )
+    pool = []
+    for _ in range(draw(st.integers(1, 6))):
+        q = draw(st.sampled_from(dens))
+        factor = draw(st.sampled_from(sorted({1, q, math.gcd(q, 6), math.gcd(q, 10)})))
+        p = factor * draw(st.integers(0, 2 * q // factor))
+        zeros = draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
+        pool.append(f"{'0' * zeros[0]}{p}/{'0' * zeros[1]}{q}")
+    entries = draw(st.lists(st.sampled_from(pool), max_size=10))
+    n = max(1, len(entries) + draw(st.integers(-1, 1)))
+    return {"n": n, "segments_a": entries}
+
+
+# A 1500-entry document over one odd 332-digit denominator, each numerator
+# prime to it: the shape of the simulate workload's large profiles.
+_LARGE_DEN = 3**694
+_LARGE_DOC = {
+    "n": 1500,
+    "segments_a": [f"{_LARGE_DEN // 4501 * 3 * k + 1}/{_LARGE_DEN}" for k in range(1, 1501)],
+}
+
+
+class TestPlainProfiles:
+    @settings(max_examples=300, deadline=None)
+    @given(_plain_documents())
+    @example({"n": 3, "segments_a": ["0/1", "7/1", "6/9"]})
+    @example({"n": 2, "segments_a": [f"{10**299 + 1}/{10**300 + 1}", f"00{10**299 + 1}/{10**300 + 1}"]})
+    def test_plain_documents_match_the_fraction_reference(self, doc):
+        entries = doc["segments_a"]
+        with mock.patch.object(model, "parse_ratio", side_effect=AssertionError("general path")):
+            profile = model.profile_from_dict(doc)
+        reference = SplitProfile.of(doc["n"], [Fraction(e) for e in entries])
+        assert (profile.n, profile.scale, profile.prefix_a) == (
+            reference.n, reference.scale, reference.prefix_a
+        )
+        assert profile.violations == reference.violations
+        assert model.profile_to_dict(profile) == {
+            "n": doc["n"], "segments_a": [model.ratio_str(Fraction(e)) for e in entries]
+        }
+
+    def test_shared_denominator_is_read_without_fractions(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError(f"parse_ratio or Fraction{args} called on a plain document")
+
+        calls = []
+
+        def counting_gcd(*args, gcd=math.gcd):
+            calls.append(len(args))
+            return gcd(*args)
+
+        monkeypatch.setattr(model, "parse_ratio", refuse)
+        monkeypatch.setattr(model, "Fraction", refuse)
+        monkeypatch.setattr(math, "gcd", counting_gcd)
+        profile = model.profile_from_dict(_LARGE_DOC)
+        echoed = model.profile_to_dict(profile)["segments_a"]
+        assert len(calls) <= 2  # one distinct denominator, plus SplitProfile's own
+        assert profile.scale == _LARGE_DEN and len(profile.prefix_a) == 1501
+        assert echoed == _LARGE_DOC["segments_a"]
+        assert all(out is entry for out, entry in zip(echoed, _LARGE_DOC["segments_a"]))
+
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [
+            (["1/0"], "segments_a[1]: not a valid ratio: '1/0'"),
+            (["0/0"], "segments_a[1]: not a valid ratio: '0/0'"),
+            (
+                ["1/3"] + [f"1/{10**449 + i}" for i in range(5)],
+                "segments_a[6]: common denominator of more than 2000 digits",
+            ),
+        ],
+    )
+    def test_refusals_read_as_at_the_general_path(self, raw, expected):
+        with pytest.raises(model.FormatError) as err:
+            model.profile_from_dict({"n": len(raw), "segments_a": raw})
+        assert str(err.value) == expected
+
+    @pytest.mark.parametrize(
+        "raw, scale, scaled, echo",
+        [
+            # an entry of exactly 1000 characters
+            (["1/" + "0" * 997 + "3"], 3, [1], ["1/3"]),
+            (["1/3"] * 999 + [" 1/3"], 3, [1] * 1000, ["1/3"] * 1000),
+            (["1/3"] * 999 + ["+1/3"], 3, [1] * 1000, ["1/3"] * 1000),
+            (["1/3"] * 999 + ["1_0/3"], 3, [1] * 999 + [10], ["1/3"] * 999 + ["10/3"]),
+            (["1/3"] * 999 + ["0.5"], 6, [2] * 999 + [3], ["1/3"] * 999 + ["1/2"]),
+            # lcms as written past 10**2000, of 900- and of 450-digit x, the
+            # latter under 1000 characters; in lowest terms every entry is 1
+            ([f"{x}/{x}" for x in (10**899 + 1, 10**899 + 2, 10**899 + 3)], 1, [1] * 3, ["1"] * 3),
+            ([f"{x}/{x}" for x in range(10**449, 10**449 + 5)], 1, [1] * 5, ["1"] * 5),
+        ],
+    )
+    def test_lookalikes_take_the_general_path(self, raw, scale, scaled, echo):
+        with mock.patch.object(model, "parse_ratio", wraps=model.parse_ratio) as parse:
+            profile = model.profile_from_dict({"n": len(raw), "segments_a": raw})
+        assert parse.call_count == len(raw)
+        assert profile == SplitProfile(len(raw), scale, (0, *itertools.accumulate(scaled)))
+        assert model.profile_to_dict(profile)["segments_a"] == echo
 
 
 # JSON-shaped ratios, hostile ones included: integers past the digit bound,

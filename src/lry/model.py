@@ -346,31 +346,35 @@ def _plain_profile(n: int, raw: list) -> SplitProfile | None:
     Every entry of a plain document is a ``"p/q"`` string of ASCII digits,
     short enough that ``parse_ratio`` skips its length check, with q nonzero
     and the lcm of the q as written below ``_INT_LIMIT``: no entry can be
-    refused.  Each distinct denominator text is read once.  The segments
-    over one q are certified in lowest terms by one gcd, of q and the
-    product of their numerators mod q; only where that fails is each reduced,
-    one gcd apiece.  The sums are taken on the lcm as written, which
-    ``SplitProfile`` divides down to the least one.  A certified entry whose
-    text is already canonical is echoed as it was written.
+    refused.  Every entry's form is checked before any text is converted, so
+    a document that is not plain costs only that scan.  Each distinct
+    denominator text is read once.  The segments over one q are certified
+    in lowest terms by one gcd, of q and the product of their numerators mod
+    q; only where that fails is each reduced, one gcd apiece.  The sums are
+    taken on the lcm as written, which ``SplitProfile`` divides down to the
+    least one.  A certified entry whose text is already canonical is echoed
+    as it was written.
     """
-    dens, pairs = {}, []
+    dens = {}
     for entry in raw:
         if type(entry) is not str or 2 * len(entry) >= MAX_RATIO_LENGTH or not entry.isascii():
             return None
         num, _, den = entry.encode().partition(b"/")  # bytes.isdigit is 0-9 alone
         if not (num.isdigit() and den.isdigit()):
             return None
-        q = dens.get(den)
-        if q is None:
-            q = dens[den] = int(den)
-        pairs.append((int(num), q))
+        dens[den] = None
+    dens = {den.decode(): int(den) for den in dens}  # by text, for the second read below
     products = dict.fromkeys(dens.values(), 1)
     scale = 1
     for q in products:
         if not q or (scale := math.lcm(scale, q)) >= _INT_LIMIT:
             return None
-    for p, q in pairs:
+    pairs = []
+    for entry in raw:
+        num, _, den = entry.partition("/")
+        p, q = int(num), dens[den]
         products[q] = products[q] * p % q
+        pairs.append((p, q))
     certified = {q for q, product in products.items() if math.gcd(product, q) == 1}
     shares = {q: scale // q for q in products}
     prefix, texts, suffixes = [0], [], _Suffixes()

@@ -29,7 +29,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from . import strategy, targets
+from . import targets
 from .model import (
     Party,
     SplitProfile,
@@ -439,9 +439,12 @@ class _Recorder:
         self.violations.append(SweepViolation(prop, detail, doc))
 
 
-def _floor_ceiling_combos(r: Fraction, s: Fraction) -> tuple[tuple[str, int], ...]:
-    """Floor/ceiling of r + s minus sums of floors/ceilings of r and s, on integers."""
-    r_num, r_den, s_num, s_den = r.numerator, r.denominator, s.numerator, s.denominator
+def _floor_ceiling_combos(
+    r: tuple[int, int], s: tuple[int, int]
+) -> tuple[tuple[str, int], ...]:
+    """Floor/ceiling of r + s minus sums of floors/ceilings of r and s, for r
+    and s given as (numerator, positive denominator) pairs, on integers."""
+    (r_num, r_den), (s_num, s_den) = r, s
     t_num, t_den = r_num * s_den + s_num * r_den, r_den * s_den
     floor_r, floor_s, floor_t = r_num // r_den, s_num // s_den, t_num // t_den
     ceil_r, ceil_s, ceil_t = -(-r_num // r_den), -(-s_num // s_den), -(-t_num // t_den)
@@ -453,22 +456,35 @@ def _floor_ceiling_combos(r: Fraction, s: Fraction) -> tuple[tuple[str, int], ..
     )
 
 
-def check_floor_ceiling_bounds(r: Fraction, s: Fraction, rec: _Recorder) -> None:
-    """Floor/ceiling of a sum vs. sums of floors/ceilings differ by at most 1."""
+def check_floor_ceiling_bounds(
+    r: tuple[int, int], s: tuple[int, int], rec: _Recorder
+) -> None:
+    """Floor/ceiling of a sum vs. sums of floors/ceilings differ by at most 1;
+    r and s are (numerator, positive denominator) pairs."""
     combos = _floor_ceiling_combos(r, s)
     rec.checks += len(combos)
     for name, diff in combos:
         if abs(diff) > 1:
-            detail = f"r={ratio_str(r)} s={ratio_str(s)} diff={diff}"
+            detail = f"r={ratio_str(Fraction(*r))} s={ratio_str(Fraction(*s))} diff={diff}"
             rec.fail(f"floor_ceiling_sum.{name}", detail)
 
 
-def check_win_identity(x: Fraction, y: Fraction, size: int, rec: _Recorder) -> None:
-    """min(floor(2x), size) + max(ceil(y - x), 0) == size whenever x + y == size."""
-    total = strategy.optimal_wins(x, size) + strategy.opponent_wins(y, x)
+def _win_identity_total(x: int, y: int, den: int, size: int) -> int:
+    """min(floor(2x), size) + max(ceil(y - x), 0) for x = ``x``/``den`` and
+    y = ``y``/``den``, den > 0: ``strategy``'s closed forms, on integers."""
+    return min(2 * x // den, size) + max(-((x - y) // den), 0)
+
+
+def check_win_identity(x: int, y: int, den: int, size: int, rec: _Recorder) -> None:
+    """min(floor(2x), size) + max(ceil(y - x), 0) == size whenever x + y == size,
+    for x = ``x``/``den`` and y = ``y``/``den``, den > 0."""
+    total = _win_identity_total(x, y, den, size)
     rec.checks += 1
     if total != size:
-        detail = f"x={ratio_str(x)} y={ratio_str(y)} size={size} got {total}"
+        detail = (
+            f"x={ratio_str(Fraction(x, den))} y={ratio_str(Fraction(y, den))}"
+            f" size={size} got {total}"
+        )
         rec.fail("win_identity", detail)
 
 
@@ -537,25 +553,23 @@ def check_profile(profile: SplitProfile) -> tuple[int, list[SweepViolation], Out
                     f"{party.value} k={k}: left-preferring then right-preferring",
                 )
 
-    geo = {p: targets.geometric_target(profile, p) for p in Party}
-    # Twice each target as num/den, den > 0, so that the bounds below compare integers.
-    twice_geo = {p: (2 * g.numerator, g.denominator) for p, g in geo.items()}
-    for party, wins in parties:
+    # Twice each party's geometric target, an integer, in the order of ``parties``.
+    doubled_geo = [targets.doubled_geometric_target(profile, party) for party, _ in parties]
+    for (party, wins), geo in zip(parties, doubled_geo):
         ltot, rtot = wins.left_total, wins.right_total
-        g_num, g_den = twice_geo[party]
         rec.checks += 1 + 2 * (n + 1)
-        if g_num != (ltot[n] + ltot[0]) * g_den:
+        if geo != ltot[n] + ltot[0]:
             rec.fail(
                 "target_average_identity",
-                f"{party.value}: geo={ratio_str(geo[party])}"
+                f"{party.value}: geo={ratio_str(Fraction(geo, 2))}"
                 f" best={ltot[n]} worst={ltot[0]}",
             )
         for k, (lt, rt) in enumerate(zip(ltot, rtot)):
             doubled_split_target = lt + rt
-            if not -g_den <= g_num - doubled_split_target * g_den <= g_den:
+            if not -1 <= geo - doubled_split_target <= 1:
                 rec.fail(
                     "target_vs_split_target",
-                    f"{party.value} k={k}: geo={ratio_str(geo[party])}"
+                    f"{party.value} k={k}: geo={ratio_str(Fraction(geo, 2))}"
                     f" split target={ratio_str(Fraction(doubled_split_target, 2))}",
                 )
             if 2 * (lt if lt > rt else rt) < doubled_split_target:
@@ -568,13 +582,13 @@ def check_profile(profile: SplitProfile) -> tuple[int, list[SweepViolation], Out
     rec.checks += 3
     for k, party in ((0, Party.A), (n // 2, Party.B), (n, Party.A)):
         wins = table.party(party)
-        target = targets.k_split_target(profile, party, k)
-        if 2 * target.numerator != (wins.left_total[k] + wins.right_total[k]) * target.denominator:
+        doubled_split_target = targets.doubled_k_split_target(profile, party, k)
+        if doubled_split_target != wins.left_total[k] + wins.right_total[k]:
             rec.fail("split_target_definition", f"{party.value} k={k}")
     # Split targets are halves of integer totals, so only the geometric
-    # targets can miss the half-integer grid.
+    # targets can leave the range of half-integers from 0 to n.
     rec.checks += 1
-    if not all(g.denominator <= 2 and 0 <= g.numerator <= n * g.denominator for g in geo.values()):
+    if not all(0 <= geo <= 2 * n for geo in doubled_geo):
         rec.fail("target_half_integer", "a target is not an integer multiple of 1/2")
 
     # A's preference from A's totals against B's from B's own totals; at k = 0
@@ -591,9 +605,8 @@ def check_profile(profile: SplitProfile) -> tuple[int, list[SweepViolation], Out
     run = optimal_run(profile, 0)
     kind, trigger = run.outcome, run.trigger_k
     if kind is OutcomeKind.COIN_FLIP:
-        for party, wins in parties:
+        for (party, wins), geo in zip(parties, doubled_geo):
             ltot, rtot = wins.left_total, wins.right_total
-            g_num, g_den = twice_geo[party]
             rec.checks += 10
             # The party's margin for the right side, then the left, at the crossing.
             for i, high, low in ((trigger - 1, rtot, ltot), (trigger, ltot, rtot)):
@@ -608,7 +621,7 @@ def check_profile(profile: SplitProfile) -> tuple[int, list[SweepViolation], Out
                             "coinflip_split_target_bound",
                             f"{party.value} i={i} wins={wins_i}",
                         )
-                    if abs(g_num - 2 * wins_i * g_den) > 4 * g_den:
+                    if abs(geo - 2 * wins_i) > 4:
                         rec.fail(
                             "coinflip_target_bound", f"{party.value} i={i} wins={wins_i}"
                         )
@@ -623,10 +636,9 @@ def check_profile(profile: SplitProfile) -> tuple[int, list[SweepViolation], Out
     else:
         # Otherwise both parties are indifferent at the trigger, so each wins
         # exactly its split target there, within 1/2 of its geometric target.
-        for party, wins in parties:
+        for (party, wins), geo in zip(parties, doubled_geo):
             won = run.assignment.wins_a if party is Party.A else run.assignment.wins_b
             doubled_split_target = wins.left_total[trigger] + wins.right_total[trigger]
-            g_num, g_den = twice_geo[party]
             rec.checks += 3
             if doubled_split_target != 2 * won:
                 rec.fail(
@@ -638,10 +650,10 @@ def check_profile(profile: SplitProfile) -> tuple[int, list[SweepViolation], Out
                     "good_choice_realized",
                     f"{party.value}: wins below split target in outcome {kind.value}",
                 )
-            if g_num - 2 * won * g_den > g_den:
+            if geo - 2 * won > 1:
                 rec.fail(
                     "settled_outcome_target_gap",
-                    f"{party.value}: gap {ratio_str(geo[party] - won)}",
+                    f"{party.value}: gap {ratio_str(Fraction(geo - 2 * won, 2))}",
                 )
 
     return rec.checks, rec.violations, kind
@@ -669,13 +681,13 @@ def property_sweep(count: int, n_max: int, seed: int) -> SweepReport:
         violations.extend(bad)
         outcomes[kind.value] += 1
         rec = _Recorder(None)
-        r = Fraction(1 + _randbelow(rng, 400), 1 + _randbelow(rng, 20))
-        s = Fraction(1 + _randbelow(rng, 400), 1 + _randbelow(rng, 20))
+        r = (1 + _randbelow(rng, 400), 1 + _randbelow(rng, 20))
+        s = (1 + _randbelow(rng, 400), 1 + _randbelow(rng, 20))
         check_floor_ceiling_bounds(r, s, rec)
         size = _randbelow(rng, n_max + 1)
         den = 1 + _randbelow(rng, 20)
-        x = Fraction(_randbelow(rng, size * den + 1), den)
-        check_win_identity(x, size - x, size, rec)
+        x = _randbelow(rng, size * den + 1)
+        check_win_identity(x, size * den - x, den, size, rec)
         total_checks += rec.checks
         violations.extend(rec.violations)
     return SweepReport(count, total_checks, outcomes, violations)

@@ -3,10 +3,12 @@
 The closed forms assume districting is unconstrained: the party drawing the
 lines may spread its support however it likes.  ``optimal_wins`` and
 ``opponent_wins`` state them in exact ``Fraction``s; they are the reference
-that the tests check ``model.WinTable`` against.  Production code reads win
-counts from that table, the same closed forms on the profile's integer sums,
-cached as ``SplitProfile.win_table``; ``wins_when_districting``,
-``wins_when_opponent_districts`` and ``total_wins`` are reads of it.
+that the tests check ``model.WinTable``, the doubled targets of ``targets``
+and the invariant sweep's integer win identity against.  Production code
+reads win counts from that table, the same closed forms on the profile's
+integer sums, cached as ``SplitProfile.win_table``;
+``wins_when_districting``, ``wins_when_opponent_districts`` and
+``total_wins`` are reads of it.
 
 A small exhaustive allocation search over discretized support, tabulated once
 per side size, is an independent check on tiny sides.  It works in units of

@@ -7,11 +7,11 @@ and checks the error text of profiles that echo them.  Then it replays
 every command's reports against their SHA-256 digests: ``simulate`` on
 three profiles, two whose entries come in many written forms and a plain
 one that ``model.profile_from_dict`` reads on integer pairs, ``example-2gap``,
-``verify`` and ``geodelta`` in both formats, and ``oracle`` at caps 4, 16
-and 36.  ``geodelta --delta`` must refuse the two later digits with one
-golden line on stderr, exit 2 and nothing on stdout, and so must a
-5000-letter ``verify --format`` and a ``geodelta --delta`` whose echo is cut
-between escapes.  Each of the three profiles must also read back unchanged
+``verify`` at n up to 20 and 60 and ``geodelta`` in both formats, and
+``oracle`` at caps 4, 16 and 36.  ``geodelta --delta`` must refuse the two
+later digits with one golden line on stderr, exit 2 and nothing on stdout,
+and so must a 5000-letter ``verify --format`` and a ``geodelta --delta``
+whose echo is cut between escapes.  Each of the three profiles must also read back unchanged
 from ``profile_to_dict`` and equal ``SplitProfile.of`` its parsed entries,
 and the plain one must be taken by ``model._plain_profile``.
 Last, the plans of the whole 6x6 grid at d = 2, 3, 4 and 6 are counted over
@@ -94,12 +94,20 @@ SIMULATE_PARSE_GOLDEN = {
     ("plain", "csv", 0): "bdd4a362bb0eba9444a621d3b6c03f5e9ec4a425584683c261c1ee3a6d696c17",
     ("plain", "csv", 1): "9d41aab1a5431f89d76912bd32fabd79c86dd8ee2f9a377de163c4d1bc26e2de",
 }
-# SHA-256 of the stdout of `verify --count 200 --n-max 20 --seed 1`, recorded
-# before the win counts moved to the integer win table.  They pin the report
-# byte for byte, the `checks` count and the outcome histogram included.
+# SHA-256 of the stdout of `verify` with these arguments in each format.  The
+# sweep at n up to 20 was recorded before the win counts moved to the integer
+# win table, the one at n up to 60 while the sweep's targets and scalar checks
+# still built Fractions.  They pin each report byte for byte, the `checks`
+# count and the outcome histogram included.
 VERIFY_GOLDEN = {
-    "json": "87765a4380364a47ed77b837118b0bfb8004459cd618d7a1b6ba02bb8ecfb914",
-    "csv": "8afc55b7a601e08898d8c1210e1574138e4794d664b5db9f1b306be715edbc7e",
+    (("--count", "200", "--n-max", "20", "--seed", "1"), "json"):
+        "87765a4380364a47ed77b837118b0bfb8004459cd618d7a1b6ba02bb8ecfb914",
+    (("--count", "200", "--n-max", "20", "--seed", "1"), "csv"):
+        "8afc55b7a601e08898d8c1210e1574138e4794d664b5db9f1b306be715edbc7e",
+    (("--count", "2000", "--n-max", "60", "--seed", "7"), "json"):
+        "94f6c95c82809cfd7c870ba6866e3b821d336c765621475113f7fb15958d391e",
+    (("--count", "2000", "--n-max", "60", "--seed", "7"), "csv"):
+        "0898133f1a40f4a66c360c7b60d8810e4a17d2a3f60d5d4be6a2165b1b5a8344",
 }
 # SHA-256 of the stdout of `example-2gap --seed S --format F` for seeds 0-3,
 # recorded while `example-2gap` still had its own copy of the simulate command.
@@ -273,9 +281,8 @@ def simulate_mismatches():
 
 
 def verify_mismatches():
-    for fmt, digest in VERIFY_GOLDEN.items():
-        argv = ["verify", "--count", "200", "--n-max", "20", "--seed", "1", "--format", fmt]
-        yield from digest_mismatches(argv, digest)
+    for (args, fmt), digest in VERIFY_GOLDEN.items():
+        yield from digest_mismatches(["verify", *args, "--format", fmt], digest)
 
 
 def example_2gap_mismatches():

@@ -1,4 +1,5 @@
 import contextlib
+import fractions
 import hashlib
 import io
 import json
@@ -524,6 +525,20 @@ def test_verify_small_run():
     assert doc["instances"] == 30
     assert doc["violations"] == []
     assert doc["nMax"] == 6
+
+
+def test_a_passing_sweep_builds_no_fraction(monkeypatch):
+    # The first call builds the parser, and with it example-2gap's profile
+    # and its Fractions; after that, a sweep whose checks all pass builds none.
+    argv = ("verify", "--count", "500", "--n-max", "60", "--seed", "3")
+    expected = run_cli(*argv)
+    assert expected[0] == 0
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError(f"Fraction{args} built on a passing sweep")
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", refuse)
+    assert run_cli(*argv) == expected
 
 
 def test_verify_output_is_golden():

@@ -564,6 +564,28 @@ class TestPlainProfiles:
         assert echoed == _LARGE_DOC["segments_a"]
         assert all(out is entry for out, entry in zip(echoed, _LARGE_DOC["segments_a"]))
 
+    def test_a_last_lookalike_converts_no_text_before_the_fallback(self, monkeypatch):
+        # The large document with one space before its last entry: the plain
+        # path must refuse it before it converts any numerator.
+        raw = [*_LARGE_DOC["segments_a"][:-1], " " + _LARGE_DOC["segments_a"][-1]]
+        converted = []
+
+        def counting_int(text):
+            converted.append(text)
+            return int(text)
+
+        monkeypatch.setattr(model, "int", counting_int, raising=False)
+        assert model._plain_profile(1500, _LARGE_DOC["segments_a"]) is not None
+        assert len(converted) == 1501  # the shim sees a plain document's texts
+        converted.clear()
+        assert model._plain_profile(1500, raw) is None
+        assert converted == []
+        monkeypatch.undo()
+        profile = model.profile_from_dict({"n": 1500, "segments_a": raw})
+        assert profile == model.profile_from_dict(_LARGE_DOC)
+        assert profile == SplitProfile.of(1500, [model.parse_ratio(entry) for entry in raw])
+        assert model.profile_to_dict(profile)["segments_a"] == _LARGE_DOC["segments_a"]
+
     @pytest.mark.parametrize(
         "raw, expected",
         [

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lry import model, protocol, targets
+from lry import model, protocol, strategy, targets
 from lry.model import Party, Side, SplitProfile, ratio_str
 from lry.protocol import (
     Assignment,
@@ -718,9 +718,21 @@ class TestFloorCeilingBounds:
     def test_integer_floors_match_math_floor_and_ceil(self, r, s):
         rec, ref = protocol._Recorder(None), protocol._Recorder(None)
         combos = reference_floor_ceiling_bounds(r, s, ref)
-        assert protocol._floor_ceiling_combos(r, s) == combos
-        protocol.check_floor_ceiling_bounds(r, s, rec)
+        pairs = r.as_integer_ratio(), s.as_integer_ratio()
+        assert protocol._floor_ceiling_combos(*pairs) == combos
+        protocol.check_floor_ceiling_bounds(*pairs, rec)
         assert (rec.checks, rec.violations) == (ref.checks, ref.violations)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ratios, ratios, st.integers(1, 30), st.integers(1, 30))
+    def test_pairs_need_not_be_in_lowest_terms(self, r, s, r_factor, s_factor):
+        # The sweep hands over its draws as drawn, such as (4, 2) for 2.
+        r_num, r_den = r.as_integer_ratio()
+        s_num, s_den = s.as_integer_ratio()
+        unreduced = (r_factor * r_num, r_factor * r_den), (s_factor * s_num, s_factor * s_den)
+        assert protocol._floor_ceiling_combos(*unreduced) == protocol._floor_ceiling_combos(
+            (r_num, r_den), (s_num, s_den)
+        )
 
     def test_a_wide_combo_fails_with_its_detail(self, monkeypatch):
         # Exact floors and ceilings never differ by more than 1, so the
@@ -728,7 +740,9 @@ class TestFloorCeilingBounds:
         wrong = (("ceil_ceil", 0), ("ceil_mixed", 2), ("floor_mixed", -1), ("floor_floor", -3))
         monkeypatch.setattr(protocol, "_floor_ceiling_combos", lambda r, s: wrong)
         rec = protocol._Recorder(None)
-        protocol.check_floor_ceiling_bounds(Fraction(-7, 3), Fraction(5), rec)
+        protocol.check_floor_ceiling_bounds(
+            Fraction(-7, 3).as_integer_ratio(), Fraction(5).as_integer_ratio(), rec
+        )
         assert rec.checks == 4
         assert [(v.prop, v.detail, v.profile) for v in rec.violations] == [
             ("floor_ceiling_sum.ceil_mixed", "r=-7/3 s=5 diff=2", None),
@@ -812,19 +826,72 @@ class TestRandomProfileReference:
 def reference_tail_draws(count, n_max, seed):
     """The arguments ``property_sweep`` must hand its two scalar checks,
     drawn with ``rng.randint`` after ``reference_random_profile`` on each
-    instance's sub-seed."""
+    instance's sub-seed: r and s as the (numerator, denominator) pairs drawn,
+    and x, y = size - x, their common denominator and size."""
     calls = []
     for index in range(count):
         rng = random.Random(mix_seed(seed, index))
         reference_random_profile(rng, n_max)
-        r = Fraction(rng.randint(1, 400), rng.randint(1, 20))
-        s = Fraction(rng.randint(1, 400), rng.randint(1, 20))
+        r = (rng.randint(1, 400), rng.randint(1, 20))
+        s = (rng.randint(1, 400), rng.randint(1, 20))
         calls.append(("floor_ceiling", r, s))
         size = rng.randint(0, n_max)
         den = rng.randint(1, 20)
-        x = Fraction(rng.randint(0, size * den), den)
-        calls.append(("win_identity", x, size - x, size))
+        x = rng.randint(0, size * den)
+        calls.append(("win_identity", x, size * den - x, den, size))
     return calls
+
+
+def reference_win_identity(x, y, size, rec):
+    """``protocol.check_win_identity`` on ``strategy``'s ``Fraction`` closed
+    forms, as it was before it took integer numerators; returns the total."""
+    total = strategy.optimal_wins(x, size) + strategy.opponent_wins(y, x)
+    rec.checks += 1
+    if total != size:
+        rec.fail("win_identity", f"x={ratio_str(x)} y={ratio_str(y)} size={size} got {total}")
+    return total
+
+
+@st.composite
+def win_identity_args(draw):
+    """(x, y, den, size): x and y numerators over den > 0, often with
+    x + y != size, negative ones included."""
+    den = draw(st.one_of(st.integers(1, 30), st.integers(1, 10**12)))
+    size = draw(st.integers(0, 60))
+    x = draw(st.integers(-den * (size + 2), den * (size + 2)))
+    y = size * den - x + draw(st.one_of(st.just(0), st.integers(-3 * den, 3 * den)))
+    return x, y, den, size
+
+
+class TestWinIdentity:
+    """``protocol.check_win_identity`` on integers against the ``Fraction``
+    closed forms of ``strategy``, which stay the reference."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(win_identity_args())
+    @example((0, 0, 1, 1))  # x + y < size: min(0, 1) + max(0, 0) = 0
+    @example((2, 4, 4, 3))  # x = 1/2, y = 1
+    @example((-3, 5, 2, 4))  # x = -3/2, y = 5/2
+    @example((7, 3, 5, 2))  # x + y == size exactly
+    def test_integers_match_the_fraction_reference(self, args):
+        x, y, den, size = args
+        rec, ref = protocol._Recorder(None), protocol._Recorder(None)
+        total = reference_win_identity(Fraction(x, den), Fraction(y, den), size, ref)
+        assert protocol._win_identity_total(x, y, den, size) == total
+        protocol.check_win_identity(x, y, den, size, rec)
+        assert (rec.checks, rec.violations) == (ref.checks, ref.violations)
+
+    def test_every_tail_draw_matches_the_closed_forms(self):
+        for seed in range(4):
+            for n_max in (2, 3, 20, 60):
+                for call in reference_tail_draws(30, n_max, seed):
+                    if call[0] != "win_identity":
+                        continue
+                    _, x, y, den, size = call
+                    expected = strategy.optimal_wins(Fraction(x, den), size) + (
+                        strategy.opponent_wins(Fraction(y, den), Fraction(x, den))
+                    )
+                    assert protocol._win_identity_total(x, y, den, size) == expected == size
 
 
 class TestSweepDrawReference:
@@ -859,9 +926,9 @@ class TestSweepDrawReference:
             calls.append(("floor_ceiling", r, s))
             floor_ceiling(r, s, rec)
 
-        def record_win_identity(x, y, size, rec):
-            calls.append(("win_identity", x, y, size))
-            win_identity(x, y, size, rec)
+        def record_win_identity(x, y, den, size, rec):
+            calls.append(("win_identity", x, y, den, size))
+            win_identity(x, y, den, size, rec)
 
         monkeypatch.setattr(protocol, "check_floor_ceiling_bounds", record_floor_ceiling)
         monkeypatch.setattr(protocol, "check_win_identity", record_win_identity)

@@ -68,6 +68,25 @@ def test_target_is_best_worst_average(seed):
 
 
 @given(st.integers(0, 2**32))
+def test_doubled_targets_are_the_fraction_closed_forms_as_ints(seed):
+    # Best plus worst case on each party's whole-state support as an exact
+    # Fraction, through strategy's closed forms.
+    profile = random_profile(random.Random(mix_seed(seed, 3)), 20)
+    n = profile.n
+    total_a = Fraction(profile.prefix_a[-1], profile.scale)
+    for party, support in ((Party.A, total_a), (Party.B, n - total_a)):
+        doubled = targets.doubled_geometric_target(profile, party)
+        best = strategy.optimal_wins(support, n)
+        worst = strategy.opponent_wins(support, n - support)
+        assert type(doubled) is int and doubled == best + worst
+        assert targets.geometric_target(profile, party) == Fraction(doubled, 2)
+        for k in range(n + 1):
+            doubled_split = targets.doubled_k_split_target(profile, party, k)
+            assert type(doubled_split) is int
+            assert targets.k_split_target(profile, party, k) == Fraction(doubled_split, 2)
+
+
+@given(st.integers(0, 2**32))
 def test_split_target_properties(seed):
     rng = random.Random(mix_seed(seed, 2))
     profile = random_profile(rng, 10)

@@ -295,7 +295,8 @@ class SplitProfile:
     @classmethod
     def of(cls, n: int, segments: Sequence[Fraction]) -> SplitProfile:
         """The profile whose segment k holds ``segments[k-1]``."""
-        return _from_segments(n, segments, math.lcm(*[seg.denominator for seg in segments]))
+        pairs = [(seg.numerator, seg.denominator, None) for seg in segments]
+        return _profile_of(n, pairs, math.lcm(*[q for _, q, _ in pairs]))
 
     @cached_property
     def segments_a(self) -> tuple[Fraction, ...]:
@@ -321,13 +322,34 @@ class SplitProfile:
         return tuple(_check(self))
 
 
-def _from_segments(n: int, segments: Sequence[Fraction], scale: int) -> SplitProfile:
-    """The profile of ``segments`` on ``scale``, the lcm of their denominators."""
+def _profile_of(n: int, pairs: list, scale: int) -> SplitProfile:
+    """The profile of segments given as ``(p, q, text)``, each p/q, on
+    ``scale``, a common multiple of the q, with its ``segment_texts``.
+
+    The segments over one q are certified in lowest terms by one gcd, of q
+    and the product of their numerators mod q; only where that fails is each
+    reduced, one gcd apiece.  ``SplitProfile`` divides the sums down to the
+    least scale.  A certified segment whose text is already canonical, with
+    no leading zero and q above 1, is echoed as it was written.
+    """
+    shares = {q: scale // q for q in {q for _, q, _ in pairs}}
+    products = dict.fromkeys(shares, 1)
     prefix = [0]
-    for seg in segments:
-        prefix.append(prefix[-1] + seg.numerator * (scale // seg.denominator))
+    for p, q, _ in pairs:
+        products[q] = products[q] * p % q
+        prefix.append(prefix[-1] + p * shares[q])
+    certified = {q for q, product in products.items() if math.gcd(product, q) == 1}
+    texts, suffixes = [], _Suffixes()
+    for p, q, text in pairs:
+        if q not in certified:
+            common = math.gcd(p, q)
+            p, q = p // common, q // common
+        elif text is not None and q > 1 and text[0] != "0" and "/0" not in text:
+            texts.append(text)
+            continue
+        texts.append(f"{p}{suffixes[q]}")
     profile = SplitProfile(n, scale, tuple(prefix))
-    profile.__dict__["segments_a"] = tuple(segments)  # kept, so as not to derive them again
+    profile.__dict__["segment_texts"] = tuple(texts)
     return profile
 
 
@@ -340,56 +362,47 @@ class _Suffixes(dict):
         return suffix
 
 
-def _plain_profile(n: int, raw: list) -> SplitProfile | None:
-    """``profile_from_dict``'s profile of a plain document, or None for any other.
+class _Denominators(dict):
+    """q by its ASCII digits, each distinct text converted once."""
 
-    Every entry of a plain document is a ``"p/q"`` string of ASCII digits,
-    short enough that ``parse_ratio`` skips its length check, with q nonzero
-    and the lcm of the q as written below ``_INT_LIMIT``: no entry can be
-    refused.  Every entry's form is checked before any text is converted, so
-    a document that is not plain costs only that scan.  Each distinct
-    denominator text is read once.  The segments over one q are certified
-    in lowest terms by one gcd, of q and the product of their numerators mod
-    q; only where that fails is each reduced, one gcd apiece.  The sums are
-    taken on the lcm as written, which ``SplitProfile`` divides down to the
-    least one.  A certified entry whose text is already canonical is echoed
-    as it was written.
+    def __missing__(self, text: bytes) -> int:
+        self[text] = q = int(text)
+        return q
+
+
+def _read_segments(raw: list, lowest: bool = False) -> tuple[list, int]:
+    """``profile_from_dict``'s entries as ``(p, q, text)``, and the lcm of the q.
+
+    A ``"p/q"`` string of ASCII digits under 1000 characters, with q nonzero,
+    is read here and keeps its text: ``parse_ratio`` would refuse no such
+    string.  Any other entry is read by ``parse_ratio`` and has no text.  The
+    lcm is taken of the q as written; should it reach ``_INT_LIMIT``, the
+    entries are read again in lowest terms, so that a refusal names the
+    entry where the lcm of the least denominators passes the bound.
     """
-    dens = {}
-    for entry in raw:
-        if type(entry) is not str or 2 * len(entry) >= MAX_RATIO_LENGTH or not entry.isascii():
-            return None
-        num, _, den = entry.encode().partition(b"/")  # bytes.isdigit is 0-9 alone
-        if not (num.isdigit() and den.isdigit()):
-            return None
-        dens[den] = None
-    dens = {den.decode(): int(den) for den in dens}  # by text, for the second read below
-    products = dict.fromkeys(dens.values(), 1)
-    scale = 1
-    for q in products:
-        if not q or (scale := math.lcm(scale, q)) >= _INT_LIMIT:
-            return None
-    pairs = []
-    for entry in raw:
-        num, _, den = entry.partition("/")
-        p, q = int(num), dens[den]
-        products[q] = products[q] * p % q
-        pairs.append((p, q))
-    certified = {q for q, product in products.items() if math.gcd(product, q) == 1}
-    shares = {q: scale // q for q in products}
-    prefix, texts, suffixes = [0], [], _Suffixes()
-    for entry, (p, q) in zip(raw, pairs):
-        prefix.append(prefix[-1] + p * shares[q])
-        if q not in certified:
-            common = math.gcd(p, q)
-            p, q = p // common, q // common
-        elif q > 1 and entry[0] != "0" and "/0" not in entry:
-            texts.append(entry)
-            continue
-        texts.append(f"{p}{suffixes[q]}")
-    profile = SplitProfile(n, scale, tuple(prefix))
-    profile.__dict__["segment_texts"] = tuple(texts)
-    return profile
+    pairs, dens, scale = [], _Denominators(), 1
+    for idx, entry in enumerate(raw, start=1):
+        num = den = b""
+        if type(entry) is str and 2 * len(entry) < MAX_RATIO_LENGTH and entry.isascii():
+            num, _, den = entry.encode().partition(b"/")  # bytes.isdigit is 0-9 alone
+        if num.isdigit() and den.isdigit() and (q := dens[den]):
+            p, text = int(num), entry
+        else:
+            try:
+                value = parse_ratio(entry)
+            except FormatError as exc:
+                raise FormatError(f"segments_a[{idx}]: {exc}") from exc
+            p, q, text = value.numerator, value.denominator, None
+        if lowest and (common := math.gcd(p, q)) > 1:
+            p, q, text = p // common, q // common, None
+        pairs.append((p, q, text))
+        if scale % q and (scale := math.lcm(scale, q)) >= _INT_LIMIT:
+            if not lowest:
+                return _read_segments(raw, lowest=True)
+            raise FormatError(
+                f"segments_a[{idx}]: common denominator of more than {MAX_RATIO_LENGTH} digits"
+            )
+    return pairs, scale
 
 
 def _check(profile: SplitProfile):
@@ -462,18 +475,17 @@ def side_support(profile: SplitProfile, party: Party, side: SideRef) -> Fraction
 def profile_to_dict(profile: SplitProfile) -> dict:
     """The ``{"n": ..., "segments_a": [...]}`` document, each segment as
     ``ratio_str`` renders it: ``profile.segment_texts``, which
-    ``profile_from_dict`` fills with a plain document's own entries where
-    they are already canonical."""
+    ``profile_from_dict`` fills with the document's plain entries where they
+    are already canonical."""
     return {"n": profile.n, "segments_a": list(profile.segment_texts)}
 
 
 def profile_from_dict(doc: object) -> SplitProfile:
     """Build a profile from the ``{"n": ..., "segments_a": [...]}`` document.
 
-    A plain document, every entry ``"p/q"`` in ASCII digits, is read on
-    integer pairs with one gcd per distinct denominator (``_plain_profile``);
-    any other, and every refusal, goes through ``parse_ratio`` entry by
-    entry.  Both give the same profile and the same echo."""
+    Each plain entry, ``"p/q"`` in ASCII digits, is read on an integer pair,
+    and every other through ``parse_ratio`` (``_read_segments``); the first
+    entry refused is named."""
     if not isinstance(doc, dict):
         raise FormatError("profile document must be a JSON object")
     unknown = set(doc) - {"n", "segments_a"}
@@ -493,23 +505,7 @@ def profile_from_dict(doc: object) -> SplitProfile:
         raise FormatError(
             f"profile field 'segments_a' must be a list of at most {MAX_DISTRICTS} entries"
         )
-    profile = _plain_profile(n, raw)
-    if profile is not None:
-        return profile
-    segments = []
-    scale = 1  # the win table's scale: the lcm of the denominators so far
-    for idx, entry in enumerate(raw, start=1):
-        try:
-            segments.append(parse_ratio(entry))
-            if scale % segments[-1].denominator:
-                scale = math.lcm(scale, segments[-1].denominator)
-            if scale >= _INT_LIMIT:
-                raise FormatError(
-                    f"common denominator of more than {MAX_RATIO_LENGTH} digits"
-                )
-        except FormatError as exc:
-            raise FormatError(f"segments_a[{idx}]: {exc}") from exc
-    return _from_segments(n, tuple(segments), scale)
+    return _profile_of(n, *_read_segments(raw))
 
 
 class _AsciiRepr(reprlib.Repr):

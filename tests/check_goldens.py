@@ -13,7 +13,7 @@ later digits with one golden line on stderr, exit 2 and nothing on stdout,
 and so must a 5000-letter ``verify --format`` and a ``geodelta --delta``
 whose echo is cut between escapes.  Each of the three profiles must also read back unchanged
 from ``profile_to_dict`` and equal ``SplitProfile.of`` its parsed entries,
-and the plain one must be taken by ``model._plain_profile``.
+and the plain one must read the same with ``model.parse_ratio`` raising.
 Last, the plans of the whole 6x6 grid at d = 2, 3, 4 and 6 are counted over
 the search ``grid._shape`` compiles.  So an interpreter without pytest can be
 checked too:
@@ -257,8 +257,20 @@ def profile_mismatches():
         segments = [model.parse_ratio(entry) for entry in doc["segments_a"]]
         if model.SplitProfile.of(doc["n"], segments) != profile:
             yield f"{name} profile: differs from SplitProfile.of its parsed entries"
-    if model._plain_profile(PLAIN_PROFILE["n"], PLAIN_PROFILE["segments_a"]) is None:
-        yield "plain profile: not read on the plain path"
+    parse_ratio, refused = model.parse_ratio, None
+
+    def refuse(value):
+        raise AssertionError(f"parse_ratio called on {value!r}")
+
+    model.parse_ratio = refuse
+    try:
+        model.profile_from_dict(PLAIN_PROFILE)
+    except AssertionError as exc:
+        refused = exc
+    finally:
+        model.parse_ratio = parse_ratio
+    if refused:
+        yield f"plain profile: not read on integer pairs, {refused}"
 
 
 def digest_mismatches(argv, digest):

@@ -564,24 +564,13 @@ class TestPlainProfiles:
         assert echoed == _LARGE_DOC["segments_a"]
         assert all(out is entry for out, entry in zip(echoed, _LARGE_DOC["segments_a"]))
 
-    def test_a_last_lookalike_converts_no_text_before_the_fallback(self, monkeypatch):
+    def test_a_last_lookalike_alone_reaches_parse_ratio(self):
         # The large document with one space before its last entry: the plain
-        # path must refuse it before it converts any numerator.
+        # entries before it are read on pairs, and only it by parse_ratio.
         raw = [*_LARGE_DOC["segments_a"][:-1], " " + _LARGE_DOC["segments_a"][-1]]
-        converted = []
-
-        def counting_int(text):
-            converted.append(text)
-            return int(text)
-
-        monkeypatch.setattr(model, "int", counting_int, raising=False)
-        assert model._plain_profile(1500, _LARGE_DOC["segments_a"]) is not None
-        assert len(converted) == 1501  # the shim sees a plain document's texts
-        converted.clear()
-        assert model._plain_profile(1500, raw) is None
-        assert converted == []
-        monkeypatch.undo()
-        profile = model.profile_from_dict({"n": 1500, "segments_a": raw})
+        with mock.patch.object(model, "parse_ratio", wraps=model.parse_ratio) as parse:
+            profile = model.profile_from_dict({"n": 1500, "segments_a": raw})
+        assert parse.call_args_list == [mock.call(raw[-1])]
         assert profile == model.profile_from_dict(_LARGE_DOC)
         assert profile == SplitProfile.of(1500, [model.parse_ratio(entry) for entry in raw])
         assert model.profile_to_dict(profile)["segments_a"] == _LARGE_DOC["segments_a"]
@@ -594,6 +583,16 @@ class TestPlainProfiles:
             (
                 ["1/3"] + [f"1/{10**449 + i}" for i in range(5)],
                 "segments_a[6]: common denominator of more than 2000 digits",
+            ),
+            # the lcm refusal comes before a later entry's parse refusal, and
+            # after an earlier one's
+            (
+                ["1/3"] + [f"1/{10**449 + i}" for i in range(5)] + ["x"],
+                "segments_a[6]: common denominator of more than 2000 digits",
+            ),
+            (
+                ["1/3", f"1/{10**449}", "x"] + [f"1/{10**449 + i}" for i in range(1, 5)],
+                "segments_a[3]: not a valid ratio: 'x'",
             ),
         ],
     )
@@ -620,9 +619,75 @@ class TestPlainProfiles:
     def test_lookalikes_take_the_general_path(self, raw, scale, scaled, echo):
         with mock.patch.object(model, "parse_ratio", wraps=model.parse_ratio) as parse:
             profile = model.profile_from_dict({"n": len(raw), "segments_a": raw})
-        assert parse.call_count == len(raw)
+        # Only the entries that are not plain reach parse_ratio: 1, 1, 1, 1, 1,
+        # 3 and 0 by row; the last row's plain entries are read again on pairs.
+        plain = [e for e in raw if len(e) < 1000 and re.fullmatch(r"[0-9]+/0*[1-9][0-9]*", e)]
+        assert parse.call_count == len(raw) - len(plain)
         assert profile == SplitProfile(len(raw), scale, (0, *itertools.accumulate(scaled)))
         assert model.profile_to_dict(profile)["segments_a"] == echo
+
+
+def _reference_profile(doc):
+    """``profile_from_dict`` of a document as a reader that parses every entry
+    would give it, with ``SplitProfile.of`` and ``ratio_str``: the profile and
+    its echo, or the FormatError text of the first entry refused."""
+    segments, scale = [], 1
+    for idx, entry in enumerate(doc["segments_a"], start=1):
+        try:
+            segments.append(model.parse_ratio(entry))
+            if scale % segments[-1].denominator:
+                scale = math.lcm(scale, segments[-1].denominator)
+            if scale >= 10**2000:
+                raise model.FormatError("common denominator of more than 2000 digits")
+        except model.FormatError as exc:
+            return f"segments_a[{idx}]: {exc}"
+    return SplitProfile.of(doc["n"], segments), [model.ratio_str(seg) for seg in segments]
+
+
+_BIG_DENS = [10**449 + i for i in range(6)]
+
+
+@st.composite
+def _mixed_entries(draw):
+    kind = draw(st.sampled_from(["plain", "zeros", "big", "decimal", "lookalike", "int", "unicode"]))
+    if kind in ("plain", "zeros", "big"):
+        q = draw(st.sampled_from(_BIG_DENS) if kind == "big" else st.integers(1, 12))
+        p = draw(st.integers(0, q) if kind == "big" else st.integers(0, 2 * q))
+        zeros = draw(st.tuples(st.integers(0, 2), st.integers(0, 2))) if kind == "zeros" else (0, 0)
+        return f"{'0' * zeros[0]}{p}/{'0' * zeros[1]}{q}"
+    if kind == "decimal":
+        return draw(st.decimals(0, 1, places=draw(st.integers(0, 3))).map(str))
+    if kind == "int":
+        return draw(st.integers(-1, 2))
+    return draw(st.sampled_from(
+        {
+            "lookalike": ["+1/3", " 1/3", "1/3 ", "1_0/3", "1/0", "0/0", "1/03", "x"],
+            "unicode": ["\u0661/3", "1/\u0663", "\uff11/2", "\u0661\u0662"],
+        }[kind]
+    ))
+
+
+class TestMixedProfiles:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_mixed_entries(), max_size=10), st.integers(-1, 1))
+    @example(["1/3", "0.5", "2/4", "1/1", "007/10"], 0)
+    @example([f"1/{x}" for x in _BIG_DENS] + ["x"], 0)
+    @example(["1/3", "x"] + [f"1/{x}" for x in _BIG_DENS], 0)
+    @example([f"{x}/{x}" for x in _BIG_DENS] + ["1/0"], 0)
+    def test_mixed_documents_match_the_entry_by_entry_reference(self, entries, extra):
+        doc = {"n": max(1, len(entries) + extra), "segments_a": entries}
+        expected = _reference_profile(doc)
+        try:
+            profile = model.profile_from_dict(doc)
+        except model.FormatError as exc:
+            assert str(exc) == expected
+            return
+        reference, echo = expected
+        assert (profile.n, profile.scale, profile.prefix_a) == (
+            reference.n, reference.scale, reference.prefix_a
+        )
+        assert profile.violations == reference.violations
+        assert model.profile_to_dict(profile) == {"n": doc["n"], "segments_a": echo}
 
 
 # JSON-shaped ratios, hostile ones included: integers past the digit bound,

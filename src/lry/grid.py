@@ -23,10 +23,11 @@ A grid holds each cell's support as an int on the grid's scale, row-major,
 so cell (i, j) is ``cells[(i-1)*m + j-1]`` and its index is its bit number.
 A district goes to A when twice its cells' sum exceeds its size times the
 scale, to B when it falls short.  ``validate_plan`` checks a plan cell by
-cell and lists every violation with its district's index; ``count_wins``
-validates the plan, then sums each district's winner.  One flood,
-``_reach``, serves the connectivity test and the hole test, which floods the
-district's complement within its bounding box grown by one cell all round.
+cell and lists one message per violation, naming its district where it has
+one; ``count_wins`` validates the plan, then sums each district's winner.
+One flood, ``_reach``, serves the connectivity test and the hole test, which
+floods the district's complement within its bounding box grown by one cell
+all round.
 Growth builds each size's connected sets from those one cell smaller; the
 hole test runs only on districts of ``_HOLE_MIN_CELLS`` cells or more, the
 fewest that can wall one in.
@@ -85,7 +86,7 @@ class GridState:
     cells: tuple[int, ...]
 
     def __post_init__(self):
-        m, scale, cells = self.m, self.scale, self.cells
+        m, scale, cells = self.m, self.scale, tuple(self.cells)
         if m < 1:
             raise GridError(f"grid side must be positive, got {m}")
         compactness_bound(self.d)  # raises GridError on d < 1
@@ -104,7 +105,8 @@ class GridState:
         common = math.gcd(scale, *cells) if scale > 1 else 1
         if common > 1:
             object.__setattr__(self, "scale", scale // common)
-            object.__setattr__(self, "cells", tuple([value // common for value in cells]))
+            cells = tuple([value // common for value in cells])
+        object.__setattr__(self, "cells", cells)
 
     @property
     def z(self) -> int:
@@ -161,12 +163,6 @@ def _bounding_box(cells: frozenset[Cell]) -> tuple[int, int]:
     return max(rows) - min(rows) + 1, max(cols) - min(cols) + 1
 
 
-@dataclass(frozen=True)
-class PlanViolation:
-    district: int | None  # index into the plan, or None for plan-level issues
-    message: str
-
-
 def _winner(grid: GridState, district: frozenset[Cell]) -> Party | None:
     """The party with a strict majority of an on-grid district's support:
     A wins when twice its cells' sum exceeds |D| times the grid's scale, B
@@ -202,37 +198,28 @@ def _district_violations(grid: GridState, cells: frozenset[Cell]) -> Iterator[st
 
 def validate_plan(
     grid: GridState, plan: Sequence[frozenset[Cell]], region: frozenset[Cell] | None = None
-) -> tuple[PlanViolation, ...]:
+) -> tuple[str, ...]:
     """Check that ``plan`` partitions ``region`` (the whole grid by default)
-    into valid districts.  Violations are data, not exceptions."""
+    into valid districts.  Violations are data, not exceptions: one message
+    each, naming its district's index where it has one."""
     if region is None:
         region = grid.all_cells()
-    violations: list[PlanViolation] = []
+    violations: list[str] = []
     claimed: dict[Cell, int] = {}
     for index, district in enumerate(plan):
         for cell in district:
             if cell in claimed:
-                violations.append(
-                    PlanViolation(
-                        index,
-                        f"cell {cell} appears in districts {claimed[cell]} and {index}",
-                    )
-                )
+                violations.append(f"cell {cell} appears in districts {claimed[cell]} and {index}")
             claimed[cell] = index
         violations.extend(
-            PlanViolation(index, f"district {index} {reason}")
-            for reason in _district_violations(grid, district)
+            f"district {index} {reason}" for reason in _district_violations(grid, district)
         )
     missing = region - set(claimed)
     if missing:
-        violations.append(
-            PlanViolation(None, f"{len(missing)} cell(s) uncovered, e.g. {min(missing)}")
-        )
+        violations.append(f"{len(missing)} cell(s) uncovered, e.g. {min(missing)}")
     extra = set(claimed) - region
     if extra:
-        violations.append(
-            PlanViolation(None, f"{len(extra)} cell(s) outside the region, e.g. {min(extra)}")
-        )
+        violations.append(f"{len(extra)} cell(s) outside the region, e.g. {min(extra)}")
     return tuple(violations)
 
 
@@ -246,7 +233,7 @@ def count_wins(
     An invalid plan raises ``GridError`` listing every violation."""
     violations = validate_plan(grid, plan, region)
     if violations:
-        raise GridError("; ".join(v.message for v in violations))
+        raise GridError("; ".join(violations))
     return sum(_winner(grid, district) is party for district in plan)
 
 
@@ -455,9 +442,6 @@ class GridSplitSequence:
             raise ValueError(f"split index {k} out of range 0..{self.split_count}")
         return frozenset(cell for chunk in self.increments[:k] for cell in chunk)
 
-    def right_cells(self, k: int, universe: frozenset[Cell]) -> frozenset[Cell]:
-        return universe - self.left_cells(k)
-
 
 def _band_bases(delta: int) -> range:
     """The row just above each band, so that a band's top row is base + 1."""
@@ -584,7 +568,6 @@ class GeodeltaReport:
     run: ProtocolRun
     worst_wins_a: int
     worst_gap_a: Fraction
-    unconstrained_bound: Fraction
     gap_exceeds_unconstrained_bound: bool
 
 
@@ -625,7 +608,6 @@ def geodelta_report(delta: int, seed: int) -> GeodeltaReport:
         run=run,
         worst_wins_a=worst_wins,
         worst_gap_a=worst_gap,
-        unconstrained_bound=TARGET_BOUND,
         gap_exceeds_unconstrained_bound=worst_gap > TARGET_BOUND,
     )
 
@@ -659,7 +641,7 @@ def geodelta_report_to_dict(report: GeodeltaReport) -> dict:
         f"worst candidate {report.worst_wins_a} wins,"
         f" geo {ratio_str(report.target_a)}, gap {ratio_str(gap)}"
         f" {'>' if report.gap_exceeds_unconstrained_bound else '<='}"
-        f" {ratio_str(report.unconstrained_bound)}"
+        f" {ratio_str(TARGET_BOUND)}"
     )
     return {
         "delta": report.delta,
@@ -671,7 +653,7 @@ def geodelta_report_to_dict(report: GeodeltaReport) -> dict:
         "run": run_to_dict(report.run),
         "worstWinsA": report.worst_wins_a,
         "worstGapA": ratio_str(gap),
-        "unconstrainedBound": ratio_str(report.unconstrained_bound),
+        "unconstrainedBound": ratio_str(TARGET_BOUND),
         "gapExceedsUnconstrainedBound": report.gap_exceeds_unconstrained_bound,
         "summary": summary,
     }

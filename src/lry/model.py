@@ -191,23 +191,6 @@ def ratio_str(value: Fraction | int) -> str:
 
 
 @dataclass(frozen=True)
-class SideRef:
-    """One side of the k-split: the left region holds k districts' worth of
-    population, the right region the remaining n - k."""
-
-    side: Side
-    k: int
-
-
-def left(k: int) -> SideRef:
-    return SideRef(Side.LEFT, k)
-
-
-def right(k: int) -> SideRef:
-    return SideRef(Side.RIGHT, k)
-
-
-@dataclass(frozen=True)
 class Violation:
     """One failed profile invariant; ``side``/``k`` locate the offending sum."""
 
@@ -286,11 +269,12 @@ class SplitProfile:
     prefix_a: tuple[int, ...]
 
     def __post_init__(self):
-        scale, prefix = self.scale, self.prefix_a
+        scale, prefix = self.scale, tuple(self.prefix_a)
         common = math.gcd(scale, *prefix) if scale > 1 and prefix[:1] == (0,) else 1
         if common > 1:
             object.__setattr__(self, "scale", scale // common)
-            object.__setattr__(self, "prefix_a", tuple([p // common for p in prefix]))
+            prefix = tuple([p // common for p in prefix])
+        object.__setattr__(self, "prefix_a", prefix)
 
     @classmethod
     def of(cls, n: int, segments: Sequence[Fraction]) -> SplitProfile:
@@ -376,11 +360,12 @@ def _read_segments(raw: list, lowest: bool = False) -> tuple[list, int]:
     A ``"p/q"`` string of ASCII digits under 1000 characters, with q nonzero,
     is read here and keeps its text: ``parse_ratio`` would refuse no such
     string.  Any other entry is read by ``parse_ratio`` and has no text.  The
-    lcm is taken of the q as written; should it reach ``_INT_LIMIT``, the
-    entries are read again in lowest terms, so that a refusal names the
-    entry where the lcm of the least denominators passes the bound.
+    lcm is taken of the q as written, once per distinct q; should it reach
+    ``_INT_LIMIT``, the entries are read again in lowest terms, so that a
+    refusal names the entry where the lcm of the least denominators passes
+    the bound.
     """
-    pairs, dens, scale = [], _Denominators(), 1
+    pairs, dens, seen, scale = [], _Denominators(), set(), 1
     for idx, entry in enumerate(raw, start=1):
         num = den = b""
         if type(entry) is str and 2 * len(entry) < MAX_RATIO_LENGTH and entry.isascii():
@@ -396,6 +381,9 @@ def _read_segments(raw: list, lowest: bool = False) -> tuple[list, int]:
         if lowest and (common := math.gcd(p, q)) > 1:
             p, q, text = p // common, q // common, None
         pairs.append((p, q, text))
+        if q in seen:
+            continue
+        seen.add(q)
         if scale % q and (scale := math.lcm(scale, q)) >= _INT_LIMIT:
             if not lowest:
                 return _read_segments(raw, lowest=True)
@@ -462,13 +450,14 @@ def _check_split_index(profile: SplitProfile, k: int) -> None:
         raise ValueError(f"split index {k} out of range 0..{profile.n}")
 
 
-def side_support(profile: SplitProfile, party: Party, side: SideRef) -> Fraction:
-    """Total support for ``party`` on one side of the k-split, as an exact
-    Fraction: the input of the reference closed forms in ``strategy``."""
-    _check_split_index(profile, side.k)
-    scale, prefix, k = profile.scale, profile.prefix_a, side.k
-    a_side = prefix[k] if side.side is Side.LEFT else prefix[-1] - prefix[k]
-    size = k if side.side is Side.LEFT else profile.n - k
+def side_support(profile: SplitProfile, party: Party, side: Side, k: int) -> Fraction:
+    """Total support for ``party`` on ``side`` of the k-split, as an exact
+    Fraction: the left holds k districts' worth of population, the right the
+    remaining n - k.  The input of the reference closed forms in ``strategy``."""
+    _check_split_index(profile, k)
+    scale, prefix = profile.scale, profile.prefix_a
+    a_side = prefix[k] if side is Side.LEFT else prefix[-1] - prefix[k]
+    size = k if side is Side.LEFT else profile.n - k
     return Fraction(a_side if party is Party.A else size * scale - a_side, scale)
 
 

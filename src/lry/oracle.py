@@ -129,7 +129,7 @@ def grid_oracle_mismatches(count: int, seed: int, cap: int) -> tuple[int, bool, 
     for k in range(analogue_splits.split_count + 1):
         for side_cells, expected in (
             (analogue_splits.left_cells(k), wholly_left[k]),
-            (analogue_splits.right_cells(k, universe), wholly_right[k]),
+            (universe - analogue_splits.left_cells(k), wholly_right[k]),
         ):
             analogue_checked &= len(side_cells) <= cap
             if not side_cells or len(side_cells) > cap:
@@ -158,7 +158,7 @@ def _shape_checks(grid: grid_mod.GridState, shape, region: frozenset) -> tuple:
     for mask, district in shape.districts:
         bad = grid_mod.validate_plan(grid, (district,), district)
         if bad:
-            faults.append(bad[0].message)
+            faults.append(bad[0])
         else:
             valid[district] = mask
     index = {district: i for i, (_, district) in enumerate(shape.districts)}

@@ -257,7 +257,6 @@ SPLIT_TARGET_BOUND = Fraction(3, 2)
 
 @dataclass(frozen=True)
 class PartyFairness:
-    party: Party
     wins: int
     target: Fraction
     split_target: Fraction
@@ -307,7 +306,6 @@ def _party_fairness(
     if run.candidates is not None:
         spans = [(min(column), max(column)) for column in zip(*deltas)]
     return PartyFairness(
-        party=party,
         wins=realized.wins_a if party is Party.A else realized.wins_b,
         target=target,
         split_target=split_targets[realized.k],

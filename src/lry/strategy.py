@@ -27,7 +27,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .model import Party, Side, SideRef, SplitProfile, _check_split_index
+from .model import Party, Side, SplitProfile, _check_split_index
 
 
 def optimal_wins(support: Fraction, districts: int) -> int:
@@ -44,29 +44,27 @@ def opponent_wins(support: Fraction, opponent_support: Fraction) -> int:
     return max(math.ceil(support - opponent_support), 0)
 
 
-def wins_when_districting(profile: SplitProfile, party: Party, side: SideRef) -> int:
+def wins_when_districting(profile: SplitProfile, party: Party, side: Side, k: int) -> int:
     wins = profile.win_table.party(party)
-    _check_split_index(profile, side.k)
-    counts = wins.left_districting if side.side is Side.LEFT else wins.right_districting
-    return counts[side.k]
+    _check_split_index(profile, k)
+    counts = wins.left_districting if side is Side.LEFT else wins.right_districting
+    return counts[k]
 
 
-def wins_when_opponent_districts(
-    profile: SplitProfile, party: Party, side: SideRef
-) -> int:
+def wins_when_opponent_districts(profile: SplitProfile, party: Party, side: Side, k: int) -> int:
     wins = profile.win_table.party(party)
-    _check_split_index(profile, side.k)
-    counts = wins.left_opposed if side.side is Side.LEFT else wins.right_opposed
-    return counts[side.k]
+    _check_split_index(profile, k)
+    counts = wins.left_opposed if side is Side.LEFT else wins.right_opposed
+    return counts[k]
 
 
-def total_wins(profile: SplitProfile, party: Party, side: SideRef) -> int:
-    """Wins for ``party`` when it districts ``side`` and the opponent
-    districts the rest of the state."""
+def total_wins(profile: SplitProfile, party: Party, side: Side, k: int) -> int:
+    """Wins for ``party`` when it districts ``side`` of the k-split and the
+    opponent districts the rest of the state."""
     wins = profile.win_table.party(party)
-    _check_split_index(profile, side.k)
-    counts = wins.left_total if side.side is Side.LEFT else wins.right_total
-    return counts[side.k]
+    _check_split_index(profile, k)
+    counts = wins.left_total if side is Side.LEFT else wins.right_total
+    return counts[k]
 
 
 # --- exhaustive allocation oracle -----------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import check_goldens
 from lry import model
-from lry.model import Party, Side, SplitProfile, left, right
+from lry.model import Party, Side, SplitProfile
 
 
 def frac(text):
@@ -336,9 +336,9 @@ class TestValidation:
     def test_two_gap_profile_is_valid(self):
         profile = model.two_gap_profile()
         assert model.validate_profile(profile) == ()
-        assert model.side_support(profile, Party.A, left(5)) == frac("1.9")
+        assert model.side_support(profile, Party.A, Side.LEFT, 5) == frac("1.9")
         assert segment_support(profile, Party.A, 6) == frac("0.9")
-        assert model.side_support(profile, Party.A, right(6)) == frac("1.4")
+        assert model.side_support(profile, Party.A, Side.RIGHT, 6) == frac("1.4")
 
     def test_half_integer_prefix_reported(self):
         profile = SplitProfile.of(2, (frac("0.25"), frac("0.25")))
@@ -377,6 +377,13 @@ class TestValidation:
         assert hash(raw) == hash(least)
         assert (raw.scale, raw.prefix_a) == (least.scale, least.prefix_a)
 
+    def test_raw_profile_from_a_list_is_the_profile_from_a_tuple(self):
+        listed, tupled = SplitProfile(2, 10, [0, 3, 6]), SplitProfile(2, 10, (0, 3, 6))
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert listed.prefix_a == (0, 3, 6)
+        assert listed.violations == tupled.violations == ()
+        assert SplitProfile(2, 20, [0, 6, 12]) == tupled
+
     def test_ensure_valid_raises(self):
         profile = SplitProfile.of(2, (frac("0.25"), frac("0.25")))
         with pytest.raises(model.ProfileError):
@@ -386,13 +393,13 @@ class TestValidation:
 class TestSupports:
     def test_empty_side_is_zero(self):
         profile = model.two_gap_profile()
-        assert model.side_support(profile, Party.A, left(0)) == 0
-        assert model.side_support(profile, Party.B, right(profile.n)) == 0
+        assert model.side_support(profile, Party.A, Side.LEFT, 0) == 0
+        assert model.side_support(profile, Party.B, Side.RIGHT, profile.n) == 0
 
     def test_b_side_support_from_example(self):
         profile = model.two_gap_profile()
-        assert model.side_support(profile, Party.B, right(6)) == frac("2.6")
-        assert model.side_support(profile, Party.B, left(5)) == frac("3.1")
+        assert model.side_support(profile, Party.B, Side.RIGHT, 6) == frac("2.6")
+        assert model.side_support(profile, Party.B, Side.LEFT, 5) == frac("3.1")
 
     def test_segment_complement(self):
         profile = model.two_gap_profile()
@@ -405,27 +412,27 @@ class TestSupports:
         profile = model.two_gap_profile()
         for k in range(profile.n + 1):
             for party in Party:
-                total = model.side_support(profile, party, left(k)) + model.side_support(
-                    profile, party, right(k)
+                total = model.side_support(profile, party, Side.LEFT, k) + model.side_support(
+                    profile, party, Side.RIGHT, k
                 )
                 total_a = Fraction(profile.prefix_a[-1], profile.scale)
                 assert total == (total_a if party is Party.A else profile.n - total_a)
-            a = model.side_support(profile, Party.A, left(k))
-            b = model.side_support(profile, Party.B, left(k))
+            a = model.side_support(profile, Party.A, Side.LEFT, k)
+            b = model.side_support(profile, Party.B, Side.LEFT, k)
             assert a + b == k
 
     def test_prefix_differences_recover_segments(self):
         profile = model.two_gap_profile()
         for k in range(1, profile.n + 1):
-            diff = model.side_support(profile, Party.A, left(k)) - model.side_support(
-                profile, Party.A, left(k - 1)
+            diff = model.side_support(profile, Party.A, Side.LEFT, k) - model.side_support(
+                profile, Party.A, Side.LEFT, k - 1
             )
             assert diff == segment_support(profile, Party.A, k)
 
     def test_out_of_range_indices(self):
         profile = model.two_gap_profile()
         with pytest.raises(ValueError):
-            model.side_support(profile, Party.A, left(11))
+            model.side_support(profile, Party.A, Side.LEFT, 11)
 
 
 segments_strategy = st.lists(
@@ -439,8 +446,8 @@ def test_side_support_additivity_random(segs):
     total_a = Fraction(profile.prefix_a[-1], profile.scale)
     for k in range(profile.n + 1):
         for party in Party:
-            assert model.side_support(profile, party, left(k)) + model.side_support(
-                profile, party, right(k)
+            assert model.side_support(profile, party, Side.LEFT, k) + model.side_support(
+                profile, party, Side.RIGHT, k
             ) == (total_a if party is Party.A else profile.n - total_a)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lry import model, oracle, strategy, targets
-from lry.model import Party, Side, SplitProfile, Violation, left, right
+from lry.model import Party, Side, SplitProfile, Violation
 from lry.protocol import mix_seed, random_profile
 
 
@@ -26,16 +26,16 @@ def segment_support(profile, party, k):
 class TestDistrictingWins:
     def test_minority_packs_three_of_five(self, two_gap):
         # A holds 1.9 of the 5 left districts
-        assert strategy.wins_when_districting(two_gap, Party.A, left(5)) == 3
+        assert strategy.wins_when_districting(two_gap, Party.A, Side.LEFT, 5) == 3
 
     def test_larger_left_side(self, two_gap):
-        assert strategy.wins_when_districting(two_gap, Party.A, left(6)) == 5
+        assert strategy.wins_when_districting(two_gap, Party.A, Side.LEFT, 6) == 5
 
     def test_majority_sweeps_side(self):
         profile = SplitProfile.of(3, (Fraction("0.8"), Fraction("0.9"), Fraction("0.9")))
         assert model.validate_profile(profile) == ()
         # 2.6 of 3: a statewide majority wins every district it draws
-        assert strategy.wins_when_districting(profile, Party.A, left(3)) == 3
+        assert strategy.wins_when_districting(profile, Party.A, Side.LEFT, 3) == 3
 
     def test_matches_enumeration_on_small_side(self):
         # 1.3 of 3 districts at twentieth granularity
@@ -46,16 +46,16 @@ class TestDistrictingWins:
     def test_invalid_profile_refused(self):
         bad = SplitProfile.of(2, (Fraction(1, 4), Fraction(1, 4)))
         with pytest.raises(model.ProfileError):
-            strategy.wins_when_districting(bad, Party.A, left(1))
+            strategy.wins_when_districting(bad, Party.A, Side.LEFT, 1)
 
 
 class TestOpponentWins:
     def test_opponent_majority_erases(self, two_gap):
         # B outweighs A 2.6 to 1.4 on the right of split 6
-        assert strategy.wins_when_opponent_districts(two_gap, Party.A, right(6)) == 0
+        assert strategy.wins_when_opponent_districts(two_gap, Party.A, Side.RIGHT, 6) == 0
 
     def test_leftover_seats_survive(self, two_gap):
-        assert strategy.wins_when_opponent_districts(two_gap, Party.B, left(5)) == 2
+        assert strategy.wins_when_opponent_districts(two_gap, Party.B, Side.LEFT, 5) == 2
 
     def test_minority_gets_nothing(self):
         assert strategy.opponent_wins(Fraction(1, 3), Fraction(2, 3)) == 0
@@ -63,22 +63,22 @@ class TestOpponentWins:
 
 class TestTotalWins:
     def test_example_totals(self, two_gap):
-        assert strategy.total_wins(two_gap, Party.A, left(5)) == 3
-        assert strategy.total_wins(two_gap, Party.A, right(5)) == 4
-        assert strategy.total_wins(two_gap, Party.A, left(6)) == 5
-        assert strategy.total_wins(two_gap, Party.A, right(6)) == 2
+        assert strategy.total_wins(two_gap, Party.A, Side.LEFT, 5) == 3
+        assert strategy.total_wins(two_gap, Party.A, Side.RIGHT, 5) == 4
+        assert strategy.total_wins(two_gap, Party.A, Side.LEFT, 6) == 5
+        assert strategy.total_wins(two_gap, Party.A, Side.RIGHT, 6) == 2
 
     def test_full_state_side(self, two_gap):
         n = two_gap.n
         expected = strategy.optimal_wins(Fraction(two_gap.prefix_a[-1], two_gap.scale), n)
-        assert strategy.total_wins(two_gap, Party.A, left(n)) == expected
+        assert strategy.total_wins(two_gap, Party.A, Side.LEFT, n) == expected
 
     def test_conservation(self, two_gap):
         n = two_gap.n
         for k in range(n + 1):
             assert (
-                strategy.total_wins(two_gap, Party.A, left(k))
-                + strategy.total_wins(two_gap, Party.B, right(k))
+                strategy.total_wins(two_gap, Party.A, Side.LEFT, k)
+                + strategy.total_wins(two_gap, Party.B, Side.RIGHT, k)
                 == n
             )
 
@@ -106,22 +106,22 @@ def test_step_bounds_on_random_profiles(seed):
         for k in range(1, profile.n + 1):
             seg = segment_support(profile, party, k)
             d_step = strategy.wins_when_districting(
-                profile, party, left(k)
-            ) - strategy.wins_when_districting(profile, party, left(k - 1))
+                profile, party, Side.LEFT, k
+            ) - strategy.wins_when_districting(profile, party, Side.LEFT, k - 1)
             o_step = strategy.wins_when_opponent_districts(
-                profile, party, right(k)
-            ) - strategy.wins_when_opponent_districts(profile, party, right(k - 1))
+                profile, party, Side.RIGHT, k
+            ) - strategy.wins_when_opponent_districts(profile, party, Side.RIGHT, k - 1)
             if seg < half:
                 assert 0 <= d_step <= 1
                 assert 0 <= o_step <= 1
             elif seg > half:
                 assert 1 <= d_step <= 2
                 assert -1 <= o_step <= 0
-            lhs = strategy.total_wins(profile, party, left(k - 1))
-            rhs = strategy.total_wins(profile, party, left(k))
+            lhs = strategy.total_wins(profile, party, Side.LEFT, k - 1)
+            rhs = strategy.total_wins(profile, party, Side.LEFT, k)
             assert lhs <= rhs <= lhs + 2
-            r_new = strategy.total_wins(profile, party, right(k))
-            r_old = strategy.total_wins(profile, party, right(k - 1))
+            r_new = strategy.total_wins(profile, party, Side.RIGHT, k)
+            r_old = strategy.total_wins(profile, party, Side.RIGHT, k - 1)
             assert r_new <= r_old <= r_new + 2
 
 
@@ -153,20 +153,23 @@ def test_win_table_matches_fraction_closed_forms(profile):
         wins = profile.win_table.party(party)
         for k in range(n + 1):
             for side, other, size, districting, opposed, total in (
-                (left(k), right(k), k, wins.left_districting, wins.left_opposed, wins.left_total),
                 (
-                    right(k), left(k), n - k,
+                    (Side.LEFT, k), (Side.RIGHT, k), k,
+                    wins.left_districting, wins.left_opposed, wins.left_total,
+                ),
+                (
+                    (Side.RIGHT, k), (Side.LEFT, k), n - k,
                     wins.right_districting, wins.right_opposed, wins.right_total,
                 ),
             ):
-                mine = model.side_support(profile, party, side)
-                theirs = model.side_support(profile, party.opponent, side)
+                mine = model.side_support(profile, party, *side)
+                theirs = model.side_support(profile, party.opponent, *side)
                 drawing = strategy.optimal_wins(mine, size)
                 assert districting[k] == drawing
                 assert opposed[k] == strategy.opponent_wins(mine, theirs)
                 assert total[k] == drawing + strategy.opponent_wins(
-                    model.side_support(profile, party, other),
-                    model.side_support(profile, party.opponent, other),
+                    model.side_support(profile, party, *other),
+                    model.side_support(profile, party.opponent, *other),
                 )
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lry import model, strategy, targets
-from lry.model import Party, SplitProfile, left, right
+from lry.model import Party, Side, SplitProfile
 from lry.protocol import mix_seed, random_profile
 
 
@@ -62,8 +62,8 @@ def test_target_is_best_worst_average(seed):
     rng = random.Random(mix_seed(seed, 1))
     profile = random_profile(rng, 10)
     for party in Party:
-        best = strategy.total_wins(profile, party, left(profile.n))
-        worst = strategy.total_wins(profile, party, left(0))
+        best = strategy.total_wins(profile, party, Side.LEFT, profile.n)
+        worst = strategy.total_wins(profile, party, Side.LEFT, 0)
         assert targets.geometric_target(profile, party) == Fraction(best + worst, 2)
 
 
@@ -100,8 +100,8 @@ def test_split_target_properties(seed):
             geo = targets.geometric_target(profile, party)
             assert abs(geo - split) <= Fraction(1, 2)
             best_option = max(
-                strategy.total_wins(profile, party, left(k)),
-                strategy.total_wins(profile, party, right(k)),
+                strategy.total_wins(profile, party, Side.LEFT, k),
+                strategy.total_wins(profile, party, Side.RIGHT, k),
             )
             assert best_option >= split
 

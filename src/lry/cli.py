@@ -10,6 +10,9 @@ produce byte-identical output.
 The parser refuses every bad value, ``--input``'s file included, with one
 line, ``lry <command>: error: <message>``.  Each ``_cmd_*`` function only
 returns its ``_Report``; ``_write`` prints every report, as JSON or CSV.
+A JSON report is the text of ``json.dumps(doc, sort_keys=True, indent=2)``
+plus a newline, written by ``_indented_json`` in one pass, and holds no
+floats.
 
 Exit status: 0 on success, 1 when violations or mismatches were found, 2 on
 bad input, 141 (128 + SIGPIPE) when the reader closed stdout early.
@@ -30,6 +33,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _ascii
 from typing import Callable, NoReturn
 
 from . import grid as grid_mod
@@ -45,6 +49,55 @@ _MAX_INPUT_BYTES = 64 * 2**20  # simulate's --input; the largest benchmark profi
 
 def _canonical_json(doc: object) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _indented_json(doc: object) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2)``, built in one list of pieces
+    joined once; the stdlib runs its generator-based encoder whenever ``indent``
+    is set.  Takes dicts with ``str`` keys, lists, tuples, strings, ints, bools
+    and None, and raises ``TypeError`` on anything else, floats included."""
+    parts: list[str] = []
+    _json_parts(doc, "\n", parts)
+    return "".join(parts)
+
+
+def _json_parts(value: object, indent: str, parts: list[str]) -> None:
+    """Appends ``value``'s pieces, nested at ``indent`` (a newline and its spaces)."""
+    if isinstance(value, str):
+        parts.append(_ascii(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))  # an IntEnum's number, as json writes it
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = indent + "  "
+        separator = "," + inner
+        parts.append("{" + inner)
+        for key in sorted(value):
+            parts.append(_ascii(key) + ": ")  # a TypeError naming any key but a str
+            _json_parts(value[key], inner, parts)
+            parts.append(separator)
+        parts[-1] = indent + "}"  # in place of the last entry's separator
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = indent + "  "
+        separator = "," + inner
+        parts.append("[" + inner)
+        for item in value:
+            _json_parts(item, inner, parts)
+            parts.append(separator)
+        parts[-1] = indent + "]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _digest(doc: object) -> str:
@@ -69,7 +122,7 @@ def _write(report: _Report, args, stream) -> int:
     header = {"seed": args.seed, "inputDigest": _digest(report.digested)}
     if args.format == "json" or report.fields is None:
         doc = {"command": args.command, **header, **report.body}
-        stream.write(json.dumps(doc, sort_keys=True, indent=2))
+        stream.write(_indented_json(doc))
         stream.write("\n")
     else:
         preamble = {**header, **report.preamble}

@@ -46,6 +46,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import repeat
+from operator import sub
 from typing import Iterator, Sequence
 
 from .model import Party, _brief, ratio_str
@@ -508,8 +510,8 @@ def _wholly_side_counts(
     and wholly left from its last."""
     firsts, lasts = sorted(firsts), sorted(lasts)
     return (
-        tuple(bisect_right(lasts, k) for k in ks),
-        tuple(len(firsts) - bisect_right(firsts, k) for k in ks),
+        tuple(map(bisect_right, repeat(lasts), ks)),
+        tuple(map(sub, repeat(len(firsts)), map(bisect_right, repeat(firsts), ks))),
     )
 
 

@@ -8,7 +8,10 @@ every command's reports against their SHA-256 digests: ``simulate`` on
 three profiles, two whose entries come in many written forms and a plain
 one that ``model.profile_from_dict`` reads on integer pairs, ``example-2gap``,
 ``verify`` at n up to 20 and 60 and ``geodelta`` in both formats, and
-``oracle`` at caps 4, 16 and 36.  ``geodelta --delta`` must refuse the two
+``oracle`` at caps 4, 16 and 36.  Each JSON report among them must also
+read back and dump with ``json.dumps(doc, sort_keys=True, indent=2)`` to
+itself plus a newline, so the CLI's own writer is checked on every
+interpreter.  ``geodelta --delta`` must refuse the two
 later digits with one golden line on stderr, exit 2 and nothing on stdout,
 and so must a 5000-letter ``verify --format`` and a ``geodelta --delta``
 whose echo is cut between escapes.  Each of the three profiles must also read back unchanged
@@ -274,13 +277,23 @@ def profile_mismatches():
 
 
 def digest_mismatches(argv, digest):
-    """The mismatch, if any, of ``lry`` run with ``argv`` against its
-    SHA-256 ``digest``."""
+    """The mismatches, if any, of ``lry`` run with ``argv`` against its
+    SHA-256 ``digest`` and, for a JSON report, against the layout of
+    ``json.dumps(..., sort_keys=True, indent=2)``."""
     out = io.StringIO()
     code = cli.main(argv, stdout=out)
-    got = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    text = out.getvalue()
+    got = hashlib.sha256(text.encode("utf-8")).hexdigest()
     if code != 0 or got != digest:
         yield f"{' '.join(argv)}: exit {code}, sha256 {got}"
+    if "csv" in argv:
+        return
+    try:
+        relaid = json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+    except ValueError:
+        relaid = None
+    if text != relaid:
+        yield f"{' '.join(argv)}: not laid out as json.dumps(sort_keys=True, indent=2)"
 
 
 def simulate_mismatches():

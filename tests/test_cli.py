@@ -70,6 +70,67 @@ def test_byte_identical_reruns():
         assert first == second, argv
 
 
+# Strings a report may hold: the specials drawn often, then any code point,
+# lone surrogates included.
+json_strings = st.text(
+    st.sampled_from('"\\/\x00\x1f\x7f\xe9\u2028\ud800\udfff\U0001f600a')
+    | st.characters(exclude_categories=())
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([2**64, -(2**64)]) | json_strings,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(json_strings, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(json_values)
+@example({"a": [], "b": {}, "c": (), "d": [[], {}, ()], "e": [None, True, False, -1, 2**64]})
+def test_indented_json_is_json_dumps(value):
+    assert cli._indented_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value, name",
+    [
+        (1.0, "float"),
+        ({"a": [0.5]}, "float"),
+        (fractions.Fraction(1, 3), "Fraction"),
+        ({1}, "set"),
+        (b"x", "bytes"),
+        ({1: "a"}, "int"),
+    ],
+)
+def test_indented_json_refuses_other_types(value, name):
+    with pytest.raises(TypeError, match=name):
+        cli._indented_json(value)
+
+
+def test_json_reports_have_json_dumps_layout(tmp_path):
+    """Each command's JSON report, and a refused profile's, whose first violation
+    has no side, is its own re-parse dumped with sort_keys=True, indent=2."""
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(SIMULATE_PROFILE))
+    bad.write_text(json.dumps({"n": 2, "segments_a": ["3/2", "0.2"]}))
+    docs = []
+    for argv in (
+        ["simulate", "--input", str(good)],
+        ["simulate", "--input", str(bad)],
+        ["example-2gap", "--seed", "1"],
+        ["verify", "--count", "20", "--n-max", "6"],
+        ["geodelta", "--delta", "3"],
+        ["oracle", "--count", "3"],
+    ):
+        _, text = run_cli(*argv)
+        docs.append(json.loads(text))
+        assert text == json.dumps(docs[-1], sort_keys=True, indent=2) + "\n", argv
+    assert docs[1]["profileViolations"][0] == {
+        "k": 1, "message": "segment 1 support 3/2 outside [0, 1]", "side": None
+    }
+
+
 @pytest.fixture
 def fresh_parser():
     """Each test starts and ends without the process's cached parser."""

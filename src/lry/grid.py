@@ -292,7 +292,7 @@ def _shape(m: int, d: int, region: frozenset[Cell]) -> _Shape:
     once it is known to split into d-cell districts and to lie on the grid;
     ``GridError`` otherwise, before any growth and with no cache entry.  It
     reads the shape, never the supports, so it runs once per process for
-    each shape and region, like ``strategy._held_counts``; callers share it.
+    each shape and region, like ``oracle._most_held``; callers share it.
 
     The districts are grown from each cell of the region in turn over the
     region's cells after it, so that a district's position in the tuple is

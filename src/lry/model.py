@@ -212,9 +212,11 @@ class PartyWins(NamedTuple):
     @classmethod
     def from_scaled(cls, scale: int, left_support: Sequence[int]) -> "PartyWins":
         """Win counts from the party's support left of each split, scaled by
-        ``scale``: ``strategy.optimal_wins`` and ``strategy.opponent_wins``
-        with every value multiplied by ``scale``, so ``divmod(2X, scale)``
-        gives floor(2x) and, by its remainder, ceil(2x)."""
+        ``scale``: for support x against the opponent's y on a side of
+        ``size`` districts, min(floor(2x), size) when the party draws the
+        lines and max(ceil(x - y), 0) when the opponent does, with every
+        value multiplied by ``scale``, so ``divmod(2X, scale)`` gives
+        floor(2x) and, by its remainder, ceil(2x)."""
         n = len(left_support) - 1
         twice_total = 2 * left_support[n]
         rows = []
@@ -453,7 +455,8 @@ def _check_split_index(profile: SplitProfile, k: int) -> None:
 def side_support(profile: SplitProfile, party: Party, side: Side, k: int) -> Fraction:
     """Total support for ``party`` on ``side`` of the k-split, as an exact
     Fraction: the left holds k districts' worth of population, the right the
-    remaining n - k.  The input of the reference closed forms in ``strategy``."""
+    remaining n - k.  The input of the reference ``Fraction`` closed forms
+    in ``tests/closed_forms.py``."""
     _check_split_index(profile, k)
     scale, prefix = profile.scale, profile.prefix_a
     a_side = prefix[k] if side is Side.LEFT else prefix[-1] - prefix[k]

@@ -1,8 +1,8 @@
 """Brute-force cross-checks of the closed forms and of the grid's counting.
 
 ``strategy_oracle_mismatches`` compares the unconstrained closed forms, as
-the production win table ``model.PartyWins`` computes them, with the
-exhaustive allocation search, both in integer units;
+the production win table ``model.PartyWins`` computes them, with an
+exhaustive allocation search, ``_most_held``, both in integer units;
 ``grid_oracle_mismatches`` checks the exhaustive plan search on small random
 grids and ``geodelta``'s counting on the shrunk analogue, and says whether
 its cap let it search every side of the analogue.  Each returns how much it
@@ -12,51 +12,80 @@ dict; an empty list means every check held.  ``lry oracle`` reports both.
 
 from __future__ import annotations
 
+import functools
 import random
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import compress
+from itertools import combinations_with_replacement, compress
 
 from . import grid as grid_mod
-from . import strategy
 from .model import Party, PartyWins, ratio_str
 from .protocol import mix_seed
+
+# --- exhaustive allocation search -----------------------------------------
+#
+# Supports are discretized into units of 1/GRANULARITY.  A district holding
+# exactly half its units counts for the party drawing the lines: the side
+# total is never an exact half-integer, so the districter always has surplus
+# somewhere to break such a tie in its own favor.  Exponential cost keeps
+# this to tiny sides; it exists to cross-check the closed forms, not for
+# production use.
+
+GRANULARITY = 20
+MAX_ORACLE_DISTRICTS = 4
+
+
+@functools.cache
+def _most_held(districts: int) -> dict[int, int]:
+    """By unit total, the most of ``districts`` bins of ``GRANULARITY``
+    units that the total can hold at least half of: the districting party's
+    best win count.  Each split of the total is tried once per process, up
+    to bin order, since no reordering changes how many bins are held.
+    ``KeyError`` when a total is outside [0, districts * GRANULARITY]."""
+    most: dict[int, int] = {}
+    half = -(-GRANULARITY // 2)
+    for loads in combinations_with_replacement(range(GRANULARITY + 1), districts):
+        units, held = sum(loads), districts - bisect_left(loads, half)
+        most[units] = max(held, most.get(units, 0))
+    return most
 
 
 def strategy_oracle_mismatches() -> tuple[int, list[dict]]:
     """Exhaustively compare the production win table with the allocation
-    search, which tries every split of the units up to bin order, for every
-    side of up to 4 districts and every non-half-integer support on the
-    1/``strategy.DEFAULT_GRANULARITY`` grid, all in those units.
+    search for every side of up to ``MAX_ORACLE_DISTRICTS`` districts and
+    every non-half-integer support on the 1/``GRANULARITY`` grid, all in
+    those units.
 
     A side of ``size`` districts holding ``units`` is the last row of
     ``model.PartyWins.from_scaled`` on a profile of ``size`` segments
     that spread the units as evenly as they go, each in [0, 1]; its
-    districting and opposed counts meet ``strategy._search_districting``
-    and ``strategy._search_opposed``.  A ``Fraction`` is built only for a
-    mismatch's detail text."""
-    granularity = strategy.DEFAULT_GRANULARITY
+    districting and opposed counts meet ``_most_held``.  A ``Fraction`` is
+    built only for a mismatch's detail text."""
     checked = 0
     mismatches = []
-    for size in range(1, strategy.MAX_ORACLE_DISTRICTS + 1):
-        for units in range(0, size * granularity + 1):
-            if (2 * units) % granularity == 0:
+    for size in range(1, MAX_ORACLE_DISTRICTS + 1):
+        most = _most_held(size)
+        for units in range(0, size * GRANULARITY + 1):
+            if (2 * units) % GRANULARITY == 0:
                 continue  # excluded by the half-integer convention
             checked += 1
             wins = PartyWins.from_scaled(
-                granularity, [k * units // size for k in range(size + 1)]
+                GRANULARITY, [k * units // size for k in range(size + 1)]
             )
             for kind, expect, got in (
-                ("districting", wins.left_districting[size],
-                 strategy._search_districting(units, size)),
-                ("opponent", wins.left_opposed[size],
-                 strategy._search_opposed(size * granularity - units, size)),
+                ("districting", wins.left_districting[size], most[units]),
+                # The opponent keeps the party out of a district by holding
+                # at least half of it, so the party wins only the districts
+                # where the opponent placed strictly less than half: all of
+                # them but the opponent's best.
+                ("opponent", wins.left_opposed[size], size - most[size * GRANULARITY - units]),
             ):
                 if expect != got:
                     mismatches.append(
                         {
                             "kind": kind,
                             "detail": f"size={size}"
-                            f" support={ratio_str(Fraction(units, granularity))}"
+                            f" support={ratio_str(Fraction(units, GRANULARITY))}"
                             f" formula={expect} bruteforce={got}",
                         }
                     )

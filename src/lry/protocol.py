@@ -469,7 +469,7 @@ def check_floor_ceiling_bounds(
 
 def _win_identity_total(x: int, y: int, den: int, size: int) -> int:
     """min(floor(2x), size) + max(ceil(y - x), 0) for x = ``x``/``den`` and
-    y = ``y``/``den``, den > 0: ``strategy``'s closed forms, on integers."""
+    y = ``y``/``den``, den > 0: the closed forms, on integers."""
     return min(2 * x // den, size) + max(-((x - y) // den), 0)
 
 

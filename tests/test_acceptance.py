@@ -9,6 +9,7 @@ import json
 import time
 from fractions import Fraction
 
+from closed_forms import opponent_wins, optimal_wins
 from lry import cli, grid, model, oracle, protocol, strategy, targets
 from lry.model import Party
 from lry.protocol import OutcomeKind
@@ -74,7 +75,7 @@ def test_criterion_3_property_sweep():
 
 def test_criterion_4_unconstrained_oracle():
     def check():
-        granularity = strategy.DEFAULT_GRANULARITY
+        granularity = oracle.GRANULARITY
         checked = 0
         for size in range(1, 5):
             for units in range(0, granularity * size + 1):
@@ -84,10 +85,10 @@ def test_criterion_4_unconstrained_oracle():
                 other = size - support
                 assert strategy.bruteforce_districting_wins(
                     support, size
-                ) == strategy.optimal_wins(support, size), (size, support)
+                ) == optimal_wins(support, size), (size, support)
                 assert strategy.bruteforce_opponent_wins(
                     support, other
-                ) == strategy.opponent_wins(support, other), (size, support)
+                ) == opponent_wins(support, other), (size, support)
                 checked += 1
         assert checked >= 180
 

@@ -41,6 +41,24 @@ def test_any_module_can_be_imported_first():
         assert proc.stdout == "(0, 0, 1, 2, 3, 3, 5, 6, 6, 7, 8)\n", name
 
 
+def test_no_command_loads_strategy(tmp_path):
+    # ``strategy`` holds only names that bench/traced.py wraps; every
+    # command, the oracle's allocation search included, runs without it.
+    profile = tmp_path / "profile.json"
+    profile.write_text('{"n": 2, "segments_a": ["1/3", "2/5"]}', encoding="utf-8")
+    proc = run_python(
+        "import io, sys\n"
+        "from lry import cli\n"
+        f"for argv in (['simulate', '--input', {str(profile)!r}], ['example-2gap'],\n"
+        "             ['verify', '--count', '20'], ['geodelta', '--delta', '3'],\n"
+        "             ['oracle', '--count', '3']):\n"
+        "    assert cli.main(argv, io.StringIO()) == 0, argv\n"
+        "print('lry.strategy' in sys.modules)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_readme_library_snippet_runs():
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
         readme = f.read()

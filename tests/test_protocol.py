@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lry import model, protocol, strategy, targets
+from closed_forms import opponent_wins, optimal_wins
+from lry import model, protocol, targets
 from lry.model import Party, Side, SplitProfile, ratio_str
 from lry.protocol import (
     Assignment,
@@ -843,9 +844,10 @@ def reference_tail_draws(count, n_max, seed):
 
 
 def reference_win_identity(x, y, size, rec):
-    """``protocol.check_win_identity`` on ``strategy``'s ``Fraction`` closed
-    forms, as it was before it took integer numerators; returns the total."""
-    total = strategy.optimal_wins(x, size) + strategy.opponent_wins(y, x)
+    """``protocol.check_win_identity`` on the ``Fraction`` closed forms of
+    ``closed_forms``, as it was before it took integer numerators; returns
+    the total."""
+    total = optimal_wins(x, size) + opponent_wins(y, x)
     rec.checks += 1
     if total != size:
         rec.fail("win_identity", f"x={ratio_str(x)} y={ratio_str(y)} size={size} got {total}")
@@ -865,7 +867,7 @@ def win_identity_args(draw):
 
 class TestWinIdentity:
     """``protocol.check_win_identity`` on integers against the ``Fraction``
-    closed forms of ``strategy``, which stay the reference."""
+    closed forms of ``closed_forms``, which stay the reference."""
 
     @settings(max_examples=500, deadline=None)
     @given(win_identity_args())
@@ -888,8 +890,8 @@ class TestWinIdentity:
                     if call[0] != "win_identity":
                         continue
                     _, x, y, den, size = call
-                    expected = strategy.optimal_wins(Fraction(x, den), size) + (
-                        strategy.opponent_wins(Fraction(y, den), Fraction(x, den))
+                    expected = optimal_wins(Fraction(x, den), size) + (
+                        opponent_wins(Fraction(y, den), Fraction(x, den))
                     )
                     assert protocol._win_identity_total(x, y, den, size) == expected == size
 

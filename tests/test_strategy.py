@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from closed_forms import opponent_wins, optimal_wins
 from lry import model, oracle, strategy, targets
 from lry.model import Party, Side, SplitProfile, Violation
 from lry.protocol import mix_seed, random_profile
@@ -40,7 +41,7 @@ class TestDistrictingWins:
     def test_matches_enumeration_on_small_side(self):
         # 1.3 of 3 districts at twentieth granularity
         support = Fraction("1.3")
-        assert strategy.optimal_wins(support, 3) == 2
+        assert optimal_wins(support, 3) == 2
         assert strategy.bruteforce_districting_wins(support, 3) == 2
 
     def test_invalid_profile_refused(self):
@@ -58,7 +59,7 @@ class TestOpponentWins:
         assert strategy.wins_when_opponent_districts(two_gap, Party.B, Side.LEFT, 5) == 2
 
     def test_minority_gets_nothing(self):
-        assert strategy.opponent_wins(Fraction(1, 3), Fraction(2, 3)) == 0
+        assert opponent_wins(Fraction(1, 3), Fraction(2, 3)) == 0
 
 
 class TestTotalWins:
@@ -70,7 +71,7 @@ class TestTotalWins:
 
     def test_full_state_side(self, two_gap):
         n = two_gap.n
-        expected = strategy.optimal_wins(Fraction(two_gap.prefix_a[-1], two_gap.scale), n)
+        expected = optimal_wins(Fraction(two_gap.prefix_a[-1], two_gap.scale), n)
         assert strategy.total_wins(two_gap, Party.A, Side.LEFT, n) == expected
 
     def test_conservation(self, two_gap):
@@ -91,7 +92,7 @@ def test_win_identity(size, x):
     """The districter's wins plus the shut-out opponent's wins fill the side."""
     x = min(x, Fraction(size))
     y = size - x
-    assert strategy.optimal_wins(x, size) + strategy.opponent_wins(y, x) == size
+    assert optimal_wins(x, size) + opponent_wins(y, x) == size
 
 
 @settings(deadline=None, max_examples=40)
@@ -164,10 +165,10 @@ def test_win_table_matches_fraction_closed_forms(profile):
             ):
                 mine = model.side_support(profile, party, *side)
                 theirs = model.side_support(profile, party.opponent, *side)
-                drawing = strategy.optimal_wins(mine, size)
+                drawing = optimal_wins(mine, size)
                 assert districting[k] == drawing
-                assert opposed[k] == strategy.opponent_wins(mine, theirs)
-                assert total[k] == drawing + strategy.opponent_wins(
+                assert opposed[k] == opponent_wins(mine, theirs)
+                assert total[k] == drawing + opponent_wins(
                     model.side_support(profile, party, *other),
                     model.side_support(profile, party.opponent, *other),
                 )
@@ -180,8 +181,8 @@ def closed_form_wins(prefix):
     rows = []
     for k, x in enumerate(prefix):
         y = prefix[n] - x
-        ld, rd = strategy.optimal_wins(x, k), strategy.optimal_wins(y, n - k)
-        lo, ro = strategy.opponent_wins(x, k - x), strategy.opponent_wins(y, n - k - y)
+        ld, rd = optimal_wins(x, k), optimal_wins(y, n - k)
+        lo, ro = opponent_wins(x, k - x), opponent_wins(y, n - k - y)
         rows.append((ld, rd, lo, ro, ld + ro, rd + lo))
     return model.PartyWins(*map(tuple, zip(*rows)))
 
@@ -314,22 +315,24 @@ class TestBruteforceOracle:
                 if (2 * units) % 20 == 0:
                     continue
                 x = Fraction(units, 20)
-                assert strategy.bruteforce_districting_wins(x, size) == strategy.optimal_wins(
+                assert strategy.bruteforce_districting_wins(x, size) == optimal_wins(
                     x, size
                 )
                 assert strategy.bruteforce_opponent_wins(
                     x, size - x
-                ) == strategy.opponent_wins(x, size - x)
+                ) == opponent_wins(x, size - x)
 
 
-@pytest.mark.parametrize("granularity", [20, 7])
+@pytest.mark.parametrize("granularity", [oracle.GRANULARITY])
 @pytest.mark.parametrize("parts", [1, 2, 3, 4])
 def test_allocations_are_every_ordered_split_up_to_order(parts, granularity):
-    # The held-count table against every ordered allocation of the units.
-    held = defaultdict(set)
+    # The best-count table against the most held over every ordered
+    # allocation of the units.
+    most = defaultdict(int)
     for ordered in product(range(granularity + 1), repeat=parts):
-        held[sum(ordered)].add(sum(2 * u >= granularity for u in ordered))
-    assert strategy._held_counts(parts, granularity) == held
+        held = sum(2 * u >= granularity for u in ordered)
+        most[sum(ordered)] = max(most[sum(ordered)], held)
+    assert oracle._most_held(parts) == most
 
 
 class TestImpossibleSupports:
@@ -343,7 +346,7 @@ class TestImpossibleSupports:
 
     def test_opponent_support_below_zero(self):
         # The closed form would give 4 wins out of 2 districts.
-        assert strategy.opponent_wins(Fraction(3), Fraction(-1)) == 4
+        assert opponent_wins(Fraction(3), Fraction(-1)) == 4
         with pytest.raises(ValueError, match=r"support -1 outside \[0, 2\]"):
             strategy.bruteforce_opponent_wins(Fraction(3), Fraction(-1))
 
@@ -352,7 +355,7 @@ class TestImpossibleSupports:
             strategy.bruteforce_opponent_wins(Fraction(-1, 20), Fraction(41, 20))
 
     def test_table_has_no_default(self):
-        table = strategy._held_counts(2, 20)
+        table = oracle._most_held(2)
         assert set(table) == set(range(41))
         for units in (-1, 41):
             with pytest.raises(KeyError):
@@ -362,19 +365,17 @@ class TestImpossibleSupports:
 def fraction_districting_wins(support, districts):
     """``bruteforce_districting_wins`` as it decoded its arguments in
     ``Fraction`` arithmetic, kept as the reference for the integer decoding."""
-    if districts > strategy.MAX_ORACLE_DISTRICTS:
+    if districts > oracle.MAX_ORACLE_DISTRICTS:
         raise ValueError(
-            f"oracle limited to sides of {strategy.MAX_ORACLE_DISTRICTS} districts,"
+            f"oracle limited to sides of {oracle.MAX_ORACLE_DISTRICTS} districts,"
             f" got {districts}"
         )
     if not 0 <= support <= districts:
         raise ValueError(f"support {support} outside [0, {districts}]")
-    units = support * strategy.DEFAULT_GRANULARITY
+    units = support * oracle.GRANULARITY
     if units.denominator != 1:
-        raise ValueError(
-            f"support {support} is not a multiple of 1/{strategy.DEFAULT_GRANULARITY}"
-        )
-    return max(strategy._held_counts(districts, strategy.DEFAULT_GRANULARITY)[units.numerator])
+        raise ValueError(f"support {support} is not a multiple of 1/{oracle.GRANULARITY}")
+    return oracle._most_held(districts)[units.numerator]
 
 
 def fraction_opponent_wins(support, opponent_support):
@@ -451,17 +452,17 @@ def test_oracle_catches_a_wrong_closed_form(monkeypatch, field, kind):
 
 
 def test_oracle_catches_a_wrong_allocation_search(monkeypatch):
-    # The size-2 held-count table read one unit off: the entry for u units
+    # The size-2 best-count table read one unit off: the entry for u units
     # is the one for u + 1.
-    right = strategy._held_counts
+    right = oracle._most_held
 
-    def one_unit_off(parts, capacity):
-        table = right(parts, capacity)
-        if parts != 2:
+    def one_unit_off(districts):
+        table = right(districts)
+        if districts != 2:
             return table
-        return {units: table.get(units + 1, held) for units, held in table.items()}
+        return {units: table.get(units + 1, most) for units, most in table.items()}
 
-    monkeypatch.setattr(strategy, "_held_counts", one_unit_off)
+    monkeypatch.setattr(oracle, "_most_held", one_unit_off)
     checked, mismatches = oracle.strategy_oracle_mismatches()
     assert checked == 180
     assert {m["kind"] for m in mismatches} == {"districting", "opponent"}

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from closed_forms import opponent_wins, optimal_wins
 from lry import model, strategy, targets
 from lry.model import Party, Side, SplitProfile
 from lry.protocol import mix_seed, random_profile
@@ -30,8 +31,8 @@ def test_majority_target_from_best_and_worst():
     assert model.validate_profile(profile) == ()
     # best case 10 wins, worst case ceil(5.3 - 4.7) = 1
     total_a = Fraction(profile.prefix_a[-1], profile.scale)
-    best = strategy.optimal_wins(total_a, 10)
-    worst = strategy.opponent_wins(total_a, profile.n - total_a)
+    best = optimal_wins(total_a, 10)
+    worst = opponent_wins(total_a, profile.n - total_a)
     assert (best, worst) == (10, 1)
     assert targets.geometric_target(profile, Party.A) == Fraction(11, 2)
 
@@ -70,14 +71,14 @@ def test_target_is_best_worst_average(seed):
 @given(st.integers(0, 2**32))
 def test_doubled_targets_are_the_fraction_closed_forms_as_ints(seed):
     # Best plus worst case on each party's whole-state support as an exact
-    # Fraction, through strategy's closed forms.
+    # Fraction, through the closed forms of ``closed_forms``.
     profile = random_profile(random.Random(mix_seed(seed, 3)), 20)
     n = profile.n
     total_a = Fraction(profile.prefix_a[-1], profile.scale)
     for party, support in ((Party.A, total_a), (Party.B, n - total_a)):
         doubled = targets.doubled_geometric_target(profile, party)
-        best = strategy.optimal_wins(support, n)
-        worst = strategy.opponent_wins(support, n - support)
+        best = optimal_wins(support, n)
+        worst = opponent_wins(support, n - support)
         assert type(doubled) is int and doubled == best + worst
         assert targets.geometric_target(profile, party) == Fraction(doubled, 2)
         for k in range(n + 1):

@@ -25,9 +25,9 @@ A district goes to A when twice its cells' sum exceeds its size times the
 scale, to B when it falls short.  ``validate_plan`` checks a plan cell by
 cell and lists one message per violation, naming its district where it has
 one; ``count_wins`` validates the plan, then sums each district's winner.
-One flood, ``_reach``, serves the connectivity test and the hole test, which
-floods the district's complement within its bounding box grown by one cell
-all round.
+One bitmask flood, ``_flood``, serves the connectivity test and the hole
+test, each on a mask built from the district's own cells; the hole test
+floods the complement within the bounding box grown by one cell all round.
 Growth builds each size's connected sets from those one cell smaller; the
 hole test runs only on districts of ``_HOLE_MIN_CELLS`` cells or more, the
 fewest that can wall one in.
@@ -46,8 +46,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import repeat
-from operator import sub
+from itertools import accumulate, repeat
+from operator import itemgetter, sub
 from typing import Iterator, Sequence
 
 from .model import Party, _brief, ratio_str
@@ -127,22 +127,32 @@ class GridState:
         return {}
 
 
-def _reach(start: Cell, inside: frozenset[Cell] | set[Cell]) -> set[Cell]:
-    """The cells of ``inside`` that 4-neighbour steps within it join to
-    ``start``, itself a cell of ``inside``."""
-    reached = {start}
-    stack = [start]
-    while stack:
-        i, j = stack.pop()
-        for nb in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-            if nb in inside and nb not in reached:
-                reached.add(nb)
-                stack.append(nb)
-    return reached
+def _flood(inside: int, seen: int, width: int) -> int:
+    """The bits of ``inside`` that 4-neighbour steps within it join to
+    ``seen``, on rows ``width`` bits apart whose last bit ``inside`` never
+    holds, so that no step left or right wraps into another row."""
+    while True:
+        grown = (seen | seen << 1 | seen >> 1 | seen << width | seen >> width) & inside
+        if grown == seen:
+            return seen
+        seen = grown
+
+
+def _local_mask(cells: frozenset[Cell], pad: int) -> tuple[int, int]:
+    """``cells`` as a mask of their bounding box grown by ``pad`` cells all
+    round, row-major with a gap bit after each row, and its row stride."""
+    rows, cols = zip(*cells)
+    left = min(cols) - pad
+    width = max(cols) + pad - left + 2
+    base = (min(rows) - pad) * width + left
+    return sum([1 << (i * width + j - base) for i, j in cells]), width
 
 
 def _is_connected(cells: frozenset[Cell]) -> bool:
-    return not cells or len(_reach(next(iter(cells)), cells)) == len(cells)
+    if not cells:
+        return True
+    mask, width = _local_mask(cells, 0)
+    return _flood(mask, mask & -mask, width) == mask
 
 
 def _has_hole(cells: frozenset[Cell]) -> bool:
@@ -151,18 +161,11 @@ def _has_hole(cells: frozenset[Cell]) -> bool:
     that box leaves some cell unreached."""
     if not cells:
         return False
-    rows = [i for i, _ in cells]
-    cols = [j for _, j in cells]
-    top, left = min(rows) - 1, min(cols) - 1
-    box = {(i, j) for i in range(top, max(rows) + 2) for j in range(left, max(cols) + 2)}
-    outside = box - cells
-    return len(_reach((top, left), outside)) < len(outside)
-
-
-def _bounding_box(cells: frozenset[Cell]) -> tuple[int, int]:
-    rows = [c[0] for c in cells]
-    cols = [c[1] for c in cells]
-    return max(rows) - min(rows) + 1, max(cols) - min(cols) + 1
+    mask, width = _local_mask(cells, 1)
+    rows = (mask.bit_length() - 1) // width + 2  # the last cell's row, and one more
+    box = ((1 << width * rows) - 1) // ((1 << width) - 1) * ((1 << (width - 1)) - 1)
+    outside = box ^ mask
+    return _flood(outside, 1, width) != outside
 
 
 def _winner(grid: GridState, district: frozenset[Cell]) -> Party | None:
@@ -177,25 +180,28 @@ def _winner(grid: GridState, district: frozenset[Cell]) -> Party | None:
     return Party.A if twice_a > half else Party.B
 
 
-def _district_violations(grid: GridState, cells: frozenset[Cell]) -> Iterator[str]:
+def _district_violations(grid: GridState, cells: frozenset[Cell]) -> list[str]:
+    found = []
     if len(cells) != grid.d:
-        yield f"has {len(cells)} cells, not {grid.d}"
+        found.append(f"has {len(cells)} cells, not {grid.d}")
         if not cells:
-            return
+            return found
     m = grid.m
-    bad = [c for c in cells if not (1 <= c[0] <= m and 1 <= c[1] <= m)]
-    if bad:
-        yield f"leaves the grid at {sorted(bad)}"
-        return
-    if not _is_connected(cells):
-        yield "is not connected"
-        return
-    if len(cells) >= _HOLE_MIN_CELLS and _has_hole(cells):
-        yield "encloses a hole"
-    height, width = _bounding_box(cells)
-    z = grid.z
-    if height > z or width > z:
-        yield f"spans {height}x{width}, exceeding {z}x{z}"
+    rows, cols = zip(*cells)
+    top, bottom, left, right = min(rows), max(rows), min(cols), max(cols)
+    if top < 1 or left < 1 or bottom > m or right > m:
+        bad = [c for c in cells if not (1 <= c[0] <= m and 1 <= c[1] <= m)]
+        found.append(f"leaves the grid at {sorted(bad)}")
+    elif not _is_connected(cells):
+        found.append("is not connected")
+    else:
+        if len(cells) >= _HOLE_MIN_CELLS and _has_hole(cells):
+            found.append("encloses a hole")
+        height, width = bottom - top + 1, right - left + 1
+        z = grid.z
+        if height > z or width > z:
+            found.append(f"spans {height}x{width}, exceeding {z}x{z}")
+    return found
 
 
 def validate_plan(
@@ -213,15 +219,15 @@ def validate_plan(
             if cell in claimed:
                 violations.append(f"cell {cell} appears in districts {claimed[cell]} and {index}")
             claimed[cell] = index
-        violations.extend(
-            f"district {index} {reason}" for reason in _district_violations(grid, district)
-        )
-    missing = region - set(claimed)
-    if missing:
-        violations.append(f"{len(missing)} cell(s) uncovered, e.g. {min(missing)}")
-    extra = set(claimed) - region
-    if extra:
-        violations.append(f"{len(extra)} cell(s) outside the region, e.g. {min(extra)}")
+        for reason in _district_violations(grid, district):
+            violations.append(f"district {index} {reason}")
+    if claimed.keys() != region:
+        missing = region - claimed.keys()
+        if missing:
+            violations.append(f"{len(missing)} cell(s) uncovered, e.g. {min(missing)}")
+        extra = claimed.keys() - region
+        if extra:
+            violations.append(f"{len(extra)} cell(s) outside the region, e.g. {min(extra)}")
     return tuple(violations)
 
 
@@ -281,7 +287,8 @@ class _Shape:
     """One region's plan structure on one grid shape, built by ``_shape``."""
     mask: int  # the region's cells
     districts: tuple[tuple[int, District], ...]  # (mask, cells), by index
-    positions: tuple[tuple[int, ...], ...]  # each district's bit numbers, by index
+    gather: itemgetter  # reads every district's cells off a grid's cells, district by district
+    spans: tuple[slice, ...]  # each district's cells in the gather, by index
     by_anchor: dict[int, list[tuple[int, int]]]  # (index, mask), under the mask's lowest bit
     nodes: tuple[tuple[tuple[int, int], ...], ...]  # the compiled search
 
@@ -344,24 +351,30 @@ def _shape(m: int, d: int, region: frozenset[Cell]) -> _Shape:
     region_mask = sum(_bit(m, cell) for cell in region)
     has_plan = not region_mask or visit(region_mask) >= 0
     del visit  # it calls itself through its closure: free the walk now, not at a collection
-    positions = tuple(tuple((i - 1) * m + j - 1 for i, j in cells) for _, cells in districts)
-    return _Shape(region_mask, districts, positions, by_anchor, tuple(nodes) if has_plan else ())
+    # itemgetter returns a bare item for one index and refuses none; led by
+    # an empty slice it returns a tuple, whose first item no span reads.
+    positions = [(i - 1) * m + j - 1 for _, cells in districts for i, j in cells]
+    gather = itemgetter(slice(0), *positions)
+    ends = list(accumulate([len(cells) for _, cells in districts], initial=1))
+    spans = tuple(map(slice, ends, ends[1:]))
+    return _Shape(
+        region_mask, districts, gather, spans, by_anchor, tuple(nodes) if has_plan else ()
+    )
 
 
 def _district_wins(grid: GridState, shape: _Shape, party: Party) -> tuple[bool, ...]:
     """Whether ``party`` wins each district of ``shape``, a region's
     ``_shape`` on this grid, by index, kept in ``grid.district_wins`` once per
-    grid, region and party.  A district's sum is read off ``grid.cells`` at
-    its cells' positions, as ``_winner`` reads it."""
+    grid, region and party.  A district's sum is its span of the shape's one
+    gather of ``grid.cells``: A wins it when twice the sum exceeds d times
+    the scale, B when it falls short."""
     key = shape.mask, party
     won = grid.district_wins.get(key)
     if won is None:
-        half = grid.d * grid.scale
-        get = grid.cells.__getitem__
-        sums = [sum(map(get, cells)) for cells in shape.positions]
-        won = grid.district_wins[key] = tuple(
-            [2 * s > half for s in sums] if party is Party.A else [2 * s < half for s in sums]
-        )
+        sums = map(sum, map(shape.gather(grid.cells).__getitem__, shape.spans))
+        full = grid.d * grid.scale
+        beats = (full // 2).__lt__ if party is Party.A else ((full + 1) // 2).__gt__
+        won = grid.district_wins[key] = tuple(map(beats, sums))
     return won
 
 
@@ -371,21 +384,35 @@ def enumerate_region_plans(
     """Every partition of ``region`` into valid districts, each plan once.
 
     A plan takes, for the smallest cell still unassigned, each district filed
-    under that cell that uses only unassigned cells, and recurses on the rest.
+    under that cell that uses only unassigned cells, and goes on with the
+    rest.  One stack holds the moves still to try at each depth of the plan
+    taken so far, so plans come depth first, in the order of ``by_anchor``.
     """
     shape = _shape(grid.m, grid.d, frozenset(region))
     districts, table = shape.districts, shape.by_anchor
-
-    def recurse(remaining: int) -> Iterator[tuple[District, ...]]:
-        if not remaining:
-            yield ()
-            return
-        for index, mask in table.get(remaining & -remaining, ()):
+    remaining = shape.mask
+    if not remaining:
+        yield ()
+        return
+    plan: list[District] = []
+    before = []  # the cells unassigned before each district that led deeper
+    stack = [iter(table.get(remaining & -remaining, ()))]
+    while stack:
+        for index, mask in stack[-1]:
             if mask & remaining == mask:
-                for rest in recurse(remaining ^ mask):
-                    yield (districts[index][1],) + rest
-
-    yield from recurse(shape.mask)
+                plan.append(districts[index][1])
+                if mask != remaining:
+                    before.append(remaining)
+                    remaining ^= mask
+                    stack.append(iter(table.get(remaining & -remaining, ())))
+                    break
+                yield tuple(plan)
+                plan.pop()
+        else:
+            stack.pop()
+            if plan:
+                plan.pop()
+                remaining = before.pop()
 
 
 def max_wins_bruteforce(

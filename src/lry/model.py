@@ -216,17 +216,20 @@ class PartyWins(NamedTuple):
         ``size`` districts, min(floor(2x), size) when the party draws the
         lines and max(ceil(x - y), 0) when the opponent does, with every
         value multiplied by ``scale``, so ``divmod(2X, scale)`` gives
-        floor(2x) and, by its remainder, ceil(2x)."""
+        floor(2x) and, by its remainder, ceil(2x).  The right side's 2T - 2X
+        needs no divmod of its own: with (ft, rt) the total's and (fx, rx)
+        the left side's, its quotient is ft - fx, less one when rt < rx, and
+        its remainder is 0 only when rt == rx."""
         n = len(left_support) - 1
-        twice_total = 2 * left_support[n]
+        ft, rt = divmod(2 * left_support[n], scale)
         rows = []
         for k, x in enumerate(left_support):
             j = n - k
             # The opponent's wins, ceil(x - (k - x)), are ceil(2x) - k.
             fx, rx = divmod(2 * x, scale)
-            fy, ry = divmod(twice_total - 2 * x, scale)
+            fy = ft - fx if rt >= rx else ft - fx - 1
             ox = fx - k + 1 if rx else fx - k
-            oy = fy - j + 1 if ry else fy - j
+            oy = fy - j + 1 if rt != rx else fy - j
             d_left = fx if fx < k else k
             d_right = fy if fy < j else j
             o_left = ox if ox > 0 else 0

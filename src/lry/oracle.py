@@ -20,7 +20,7 @@ from itertools import combinations_with_replacement, compress
 
 from . import grid as grid_mod
 from .model import Party, PartyWins, ratio_str
-from .protocol import mix_seed
+from .protocol import _randbelow, mix_seed
 
 # --- exhaustive allocation search -----------------------------------------
 #
@@ -94,12 +94,15 @@ def strategy_oracle_mismatches() -> tuple[int, list[dict]]:
 
 # A cell's support in quarters: 0, 1, 1/2, 1/4 and 3/4.
 _CELL_VALUES = (0, 4, 2, 1, 3)
+_GRID_SHAPES = ((2, 2), (2, 4), (4, 2), (4, 4))  # (m, d)
 
 
 def random_small_grid(rng: random.Random) -> grid_mod.GridState:
-    """A random grid of at most 16 cells with d of 2 or 4 dividing it."""
-    m, d = rng.choice([(2, 2), (2, 4), (4, 2), (4, 4)])
-    return grid_mod.GridState(m, d, 4, tuple(rng.choice(_CELL_VALUES) for _ in range(m * m)))
+    """A random grid of at most 16 cells with d of 2 or 4 dividing it, drawn
+    as ``rng.choice`` would draw its shape and then each cell's value."""
+    m, d = _GRID_SHAPES[_randbelow(rng, len(_GRID_SHAPES))]
+    values = [_CELL_VALUES[_randbelow(rng, len(_CELL_VALUES))] for _ in range(m * m)]
+    return grid_mod.GridState(m, d, 4, tuple(values))
 
 
 def grid_oracle_mismatches(count: int, seed: int, cap: int) -> tuple[int, bool, list[dict]]:
@@ -111,7 +114,8 @@ def grid_oracle_mismatches(count: int, seed: int, cap: int) -> tuple[int, bool, 
 
     A grid's districts and plans depend on its shape (m, d) alone, so one
     call checks them once per shape (``_shape_checks``), which keeps each
-    valid plan as a bitmask over district indices.  Each grid folds which
+    valid plan as a bitmask over district indices.  Grid i draws from one
+    generator seeded with ``mix_seed(seed, i)``.  Each grid folds which
     districts A wins (``grid._district_wins``) into one such mask, counts
     the bits each plan shares with it, compares the best count with
     ``max_wins_bruteforce``, whose pass over the shape's compiled search
@@ -122,20 +126,21 @@ def grid_oracle_mismatches(count: int, seed: int, cap: int) -> tuple[int, bool, 
     """
     mismatches = []
     instances = 0
-    shapes = {}  # (m, d): what _shape_checks found on the first such grid
+    shapes = {}  # (m, d): its region and _shape, and what _shape_checks found on its first grid
+    rng = random.Random()
     for index in range(count):
-        grid = random_small_grid(random.Random(mix_seed(seed, index)))
-        region = grid.all_cells()
-        if len(region) > cap:
+        rng.seed(mix_seed(seed, index))
+        grid = random_small_grid(rng)
+        if grid.m * grid.m > cap:
             continue
         instances += 1
-        shape = grid_mod._shape(grid.m, grid.d, region)
         if (grid.m, grid.d) not in shapes:
-            shapes[grid.m, grid.d] = _shape_checks(grid, shape, region)
-        faults, plans = shapes[grid.m, grid.d]
-        wins = grid_mod._district_wins(grid, shape, Party.A)
-        won = sum(1 << i for i in compress(range(len(wins)), wins))
-        best = max(((plan & won).bit_count() for plan in plans), default=-1)
+            region = grid.all_cells()
+            shape = grid_mod._shape(grid.m, grid.d, region)
+            shapes[grid.m, grid.d] = region, shape, *_shape_checks(grid, shape, region)
+        region, shape, faults, plans, bits = shapes[grid.m, grid.d]
+        won = sum(compress(bits, grid_mod._district_wins(grid, shape, Party.A)))
+        best = max(map(int.bit_count, map(won.__and__, plans)), default=-1)
         mismatches += (
             {"kind": "invalid_plan", "detail": f"instance {index}: {fault}"} for fault in faults
         )
@@ -156,10 +161,8 @@ def grid_oracle_mismatches(count: int, seed: int, cap: int) -> tuple[int, bool, 
     universe = analogue_grid.all_cells()
     analogue_checked = True
     for k in range(analogue_splits.split_count + 1):
-        for side_cells, expected in (
-            (analogue_splits.left_cells(k), wholly_left[k]),
-            (universe - analogue_splits.left_cells(k), wholly_right[k]),
-        ):
+        left = analogue_splits.left_cells(k)
+        for side_cells, expected in ((left, wholly_left[k]), (universe - left, wholly_right[k])):
             analogue_checked &= len(side_cells) <= cap
             if not side_cells or len(side_cells) > cap:
                 continue
@@ -180,36 +183,41 @@ def grid_oracle_mismatches(count: int, seed: int, cap: int) -> tuple[int, bool, 
 
 def _shape_checks(grid: grid_mod.GridState, shape, region: frozenset) -> tuple:
     """What ``grid``'s shape alone decides, read off the region's ``shape``:
-    the faults of its districts, then of its plans, and its valid plans,
-    each as an int with bit i set for district index i."""
-    valid = {}  # each valid district of the region: its mask
+    the faults of its districts, then of its plans; its valid plans, each as
+    an int with bit i set for district index i; and those bits, 1 << i, by
+    index."""
+    bits = [1 << i for i in range(len(shape.districts))]
+    valid = {}  # each valid district of the region: its mask and its bit
     faults = []
-    for mask, district in shape.districts:
+    for (mask, district), bit in zip(shape.districts, bits):
         bad = grid_mod.validate_plan(grid, (district,), district)
         if bad:
             faults.append(bad[0])
         else:
-            valid[district] = mask
-    index = {district: i for i, (_, district) in enumerate(shape.districts)}
+            valid[district] = mask, bit
     plans = []
     for plan in grid_mod.enumerate_region_plans(grid, region):
-        fault = _plan_fault(plan, valid, shape.mask)
+        fault, plan_bits = _plan_fault(plan, valid, shape.mask)
         if fault:
             faults.append(fault)
         else:
-            plans.append(sum(1 << index[district] for district in plan))
-    return faults, plans
+            plans.append(plan_bits)
+    return faults, plans, bits
 
 
-def _plan_fault(plan: grid_mod.DistrictPlan, valid: dict, region_mask: int) -> str | None:
+def _plan_fault(plan: grid_mod.DistrictPlan, valid: dict, region_mask: int) -> tuple:
     """Why ``plan`` is no partition of the region's mask into the districts
-    of ``valid``, read from their masks; None when it is one."""
-    covered = 0
+    of ``valid``, read from their (mask, bit) pairs, and 0; or None and the
+    plan's bits, in one pass."""
+    covered = plan_bits = 0
     for position, district in enumerate(plan):
         if district not in valid:
-            return f"district {position} is not a valid district of the table"
-        mask = valid[district]
+            return f"district {position} is not a valid district of the table", 0
+        mask, bit = valid[district]
         if covered & mask:
-            return f"district {position} overlaps an earlier one"
+            return f"district {position} overlaps an earlier one", 0
         covered |= mask
-    return None if covered == region_mask else "the plan does not cover the region"
+        plan_bits |= bit
+    if covered != region_mask:
+        return "the plan does not cover the region", 0
+    return None, plan_bits

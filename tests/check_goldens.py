@@ -18,8 +18,9 @@ whose echo is cut between escapes.  Each of the three profiles must also read ba
 from ``profile_to_dict`` and equal ``SplitProfile.of`` its parsed entries,
 and the plain one must read the same with ``model.parse_ratio`` raising.
 Last, the plans of the whole 6x6 grid at d = 2, 3, 4 and 6 are counted over
-the search ``grid._shape`` compiles.  So an interpreter without pytest can be
-checked too:
+the search ``grid._shape`` compiles, and the plans ``grid.enumerate_region_plans``
+lists on the oracle's four grid shapes must come in their recorded order.  So
+an interpreter without pytest can be checked too:
 
     PYTHONPATH=src python -W error -X dev -S tests/check_goldens.py
 
@@ -208,6 +209,13 @@ REFUSAL_GOLDEN = {
 # ``grid.enumerate_region_plans``; d = 2 is the number of domino tilings of the
 # 6x6 square (OEIS A004003).
 PLAN_COUNTS_6X6 = {2: 6728, 3: 80092, 4: 178939, 6: 88118}
+# SHA-256 of the plans ``grid.enumerate_region_plans`` lists on the whole grid
+# of each (m, d) that ``oracle.random_small_grid`` draws, in this order, one
+# line per plan: "m d" and the plan's districts, each a sorted list of cells.
+# Recorded while the listing still recursed through one generator per
+# district taken; 156 plans.
+ORACLE_SHAPES = ((2, 2), (2, 4), (4, 2), (4, 4))
+PLAN_ORDER_GOLDEN = "acd2ebd7820c55a927c46a1a1884b85142f3eb1b8088d5e9f857c0952db2f700"
 
 
 def verdict(text: str, parse=model.parse_ratio) -> list[str]:
@@ -352,13 +360,24 @@ def plan_count_mismatches():
             yield f"6x6 grid at d={d}: {counts[-1]} plans, expected {expected}"
 
 
+def plan_order_mismatches():
+    lines = []
+    for m, d in ORACLE_SHAPES:
+        g = grid.GridState(m, d, 1, (0,) * (m * m))
+        for plan in grid.enumerate_region_plans(g, g.all_cells()):
+            lines.append(f"{m} {d} {[sorted(district) for district in plan]}\n")
+    got = hashlib.sha256("".join(lines).encode("ascii")).hexdigest()
+    if got != PLAN_ORDER_GOLDEN:
+        yield f"oracle shapes' plans: {len(lines)} plans, sha256 {got}"
+
+
 def main() -> int:
     cases = corpus_cases()
     failures = [
         *corpus_mismatches(cases), *digit_mismatches(), *echo_mismatches(),
         *profile_mismatches(), *simulate_mismatches(), *example_2gap_mismatches(),
         *verify_mismatches(), *geodelta_mismatches(), *oracle_mismatches(),
-        *refusal_mismatches(), *plan_count_mismatches(),
+        *refusal_mismatches(), *plan_count_mismatches(), *plan_order_mismatches(),
     ]
     for line in failures:
         print(line)
@@ -370,7 +389,7 @@ def main() -> int:
         f"{sum(map(len, EXAMPLE_2GAP_GOLDEN.values()))} example-2gap, "
         f"{len(VERIFY_GOLDEN)} verify, {sum(map(len, GEODELTA_GOLDEN.values()))} geodelta "
         f"and {len(ORACLE_GOLDEN)} oracle digests, {len(REFUSAL_GOLDEN)} refusals, "
-        f"{len(PLAN_COUNTS_6X6)} 6x6 plan counts, {len(failures)} mismatches"
+        f"{len(PLAN_COUNTS_6X6)} 6x6 plan counts, 1 plan order, {len(failures)} mismatches"
     )
     return 1 if failures else 0
 

@@ -1,13 +1,15 @@
+import inspect
 import math
 import random
 import re
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import grid_reference
 from lry import grid, oracle
 from lry.model import Party, Side, _brief
 from lry.protocol import (
@@ -415,9 +417,9 @@ def reference_plans(g, region):
         anchor = min(remaining)
         for combo in combinations(sorted(remaining - {anchor}), g.d - 1):
             district = frozenset(combo) | {anchor}
-            if not grid._is_connected(district) or grid._has_hole(district):
+            if not grid_reference._is_connected(district) or grid_reference._has_hole(district):
                 continue
-            height, width = grid._bounding_box(district)
+            height, width = grid_reference._bounding_box(district)
             if height > g.z or width > g.z:
                 continue
             for rest in recurse(remaining - district):
@@ -501,11 +503,11 @@ class TestDirectEnumeration:
                     district = frozenset((anchor, *combo))
                     rows = [i for i, _ in district]
                     cols = [j for _, j in district]
-                    if not grid._is_connected(district):
+                    if not grid_reference._is_connected(district):
                         continue
                     if max(rows) - min(rows) >= z or max(cols) - min(cols) >= z:
                         continue
-                    if not grid._is_connected(padded - district):
+                    if not grid_reference._is_connected(padded - district):
                         walled[d] += 1
                         continue
                     expected.append(district)
@@ -577,6 +579,68 @@ class TestDirectEnumeration:
         assert assert_same_plans(g, row | {(2, j) for j in range(1, 6)}) == 4
 
 
+def box_subsets(rows, cols):
+    """Every subset of the rows-by-cols box at the grid's top-left corner."""
+    cells = [(i, j) for i in range(1, rows + 1) for j in range(1, cols + 1)]
+    return [frozenset(compress(cells, pick)) for pick in product((0, 1), repeat=len(cells))]
+
+
+def test_mask_floods_match_the_set_floods():
+    # Connectivity on every subset of a 4x4 box and a 2x7 strip, holes on
+    # every subset of the 3x4 and 4x3 boxes and on the plus and the hook.
+    plus = frozenset({(1, 2), (2, 1), (2, 3), (3, 2)})
+    hook = frozenset({(1, 1), (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)})
+    joined = box_subsets(4, 4) + box_subsets(2, 7)
+    connected = list(map(grid._is_connected, joined))
+    assert connected == list(map(grid_reference._is_connected, joined))
+    walled = box_subsets(3, 4) + box_subsets(4, 3) + [plus, hook]
+    holes = list(map(grid._has_hole, walled))
+    assert holes == list(map(grid_reference._has_hole, walled))
+    assert 0 < sum(connected) < len(joined) and 0 < sum(holes) < len(walled)
+    assert holes[-2:] == [True, True]
+
+
+def recursive_plans(g, region):
+    """The plans of ``region`` walked by recursion over the districts its
+    ``_shape`` files under each smallest cell, one generator per district
+    taken: the reference for the order of ``enumerate_region_plans``."""
+    shape = grid._shape(g.m, g.d, frozenset(region))
+    districts, table = shape.districts, shape.by_anchor
+
+    def recurse(remaining):
+        if not remaining:
+            yield ()
+            return
+        for index, mask in table.get(remaining & -remaining, ()):
+            if mask & remaining == mask:
+                for rest in recurse(remaining ^ mask):
+                    yield (districts[index][1],) + rest
+
+    yield from recurse(shape.mask)
+
+
+class TestPlanOrder:
+    """``enumerate_region_plans`` lists plans lazily, in the recursion's order."""
+
+    def test_plans_come_in_the_recursive_order(self):
+        cases = [
+            (g, g.all_cells())
+            for g in (make_grid([[0] * m for _ in range(m)], d) for m, d in SHAPES)
+        ]
+        g, sides = analogue_sides()
+        cases += [(g, side) for side in sides]
+        six = make_grid([[0] * 6 for _ in range(6)], 2)
+        cases.append((six, six.all_cells()))
+        for g, region in cases:
+            plans = list(grid.enumerate_region_plans(g, region))
+            assert plans == list(recursive_plans(g, region))
+        assert len(plans) == 6728
+
+    def test_a_generator_function(self):
+        # the traced benchmark counts the plans of generator functions only
+        assert inspect.isgeneratorfunction(grid.enumerate_region_plans)
+
+
 def reference_validate(g, plan, region=None):
     """``validate_plan`` restated: every district of every plan checked with
     a hole test at any size, its messages built with its index."""
@@ -607,12 +671,12 @@ def reference_district(g, index, cells):
     if bad:
         yield f"district {index} leaves the grid at {sorted(bad)}"
         return
-    if not grid._is_connected(cells):
+    if not grid_reference._is_connected(cells):
         yield f"district {index} is not connected"
         return
-    if grid._has_hole(cells):
+    if grid_reference._has_hole(cells):
         yield f"district {index} encloses a hole"
-    height, width = grid._bounding_box(cells)
+    height, width = grid_reference._bounding_box(cells)
     if height > g.z or width > g.z:
         yield f"district {index} spans {height}x{width}, exceeding {g.z}x{g.z}"
 
@@ -948,10 +1012,11 @@ def reference_grid_oracle(count, seed, cap):
                 faults.append(bad[0])
             else:
                 valid[district] = mask, reference_winner(g, district)
-        masks = {district: mask for district, (mask, _) in valid.items()}
+        # _plan_fault takes each district's (mask, bit); no bit is read here
+        masks = {district: (mask, 0) for district, (mask, _) in valid.items()}
         best = -1
         for plan in grid.enumerate_region_plans(g, region):
-            fault = oracle._plan_fault(plan, masks, bits(g, region))
+            fault, _ = oracle._plan_fault(plan, masks, bits(g, region))
             if fault:
                 faults.append(fault)
             else:
@@ -1173,7 +1238,8 @@ class TestDistrictTable:
             g = oracle.random_small_grid(random.Random(mix_seed(seed, index)))
             region = g.all_cells()
             shape = grid._shape(g.m, g.d, region)
-            districts, positions = shape.districts, shape.positions
+            gathered = shape.gather(range(g.m * g.m))  # each position, read as itself
+            districts, positions = shape.districts, [gathered[span] for span in shape.spans]
             winners = district_winners(g, region)
             for (mask, district), cells, winner in zip(districts, positions, winners, strict=True):
                 assert mask == bits(g, district)
@@ -1266,7 +1332,7 @@ class TestDistrictTable:
         assert g.district_wins == {(0, Party.A): ()}
         empty = grid._shape(g.m, g.d, frozenset())
         assert (empty.mask, empty.districts, empty.by_anchor) == (0, (), {})
-        assert (empty.positions, empty.nodes) == ((), ((),))
+        assert (empty.gather(g.cells), empty.spans, empty.nodes) == ((), (), ((),))
         small = make_grid([[1] * 12 for _ in range(12)], d=2)
         region = frozenset({(5, 5), (5, 6), (6, 5), (6, 6)})
         assert grid.max_wins_bruteforce(small, region, Party.A) == 2
@@ -1517,6 +1583,14 @@ class TestOracleGrowth:
             return search(g, region, party, cap)
 
         monkeypatch.setattr(grid, "max_wins_bruteforce", recorded)
+        listings = Counter()  # enumerate_region_plans calls, by grid shape
+        enumerate_plans = grid.enumerate_region_plans
+
+        def listed(g, region):
+            listings[g.m, g.d] += 1
+            return enumerate_plans(g, region)
+
+        monkeypatch.setattr(grid, "enumerate_region_plans", listed)
         keys = oracle_growth_keys(seed, 16)
         # the analogue's whole grid is the 4x4, d = 4 shape's, grown once
         assert len(keys) == 4 + len(set(analogue_sides()[1])) - 1
@@ -1524,6 +1598,8 @@ class TestOracleGrowth:
             assert oracle.grid_oracle_mismatches(25, seed, 16) == (25, True, [])
             assert growths == growths_for(keys)  # the second call grows nothing
             assert len(searches) == repeat * (25 + 8)
+            # but lists each shape's plans again: no plan outlives its call
+            assert listings == Counter({shape: repeat for shape in SHAPES})
         assert grid._shape.cache_info().misses == len(keys)  # compiled once too
         grid._shape.cache_clear()
         for g, region in searches:
